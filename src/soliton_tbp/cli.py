@@ -31,18 +31,9 @@ from .metrics import (
     t_max_b_max,
     tbp_per_eigenvalue,
 )
-from .optimizer import default_sweep, evaluate_point, run_sweep
+from .optimizer import TABLE_OPTIMA, default_sweep, evaluate_point, run_sweep, spectrum_for_point
 from .propagation import DEFAULT_DZ, PropagationPlan, propagate, propagate_with_snapshots
 from .spectrum import DiscreteSpectrum, denormalize, evolve
-
-# published optimum parameter vectors, reproduced by `optimize` and plotted
-# as the achieved points of the bound figure
-TABLE_OPTIMA = {
-    ("imaginary", 2): {"sigma_1": 0.58, "dt_1": 2.0},
-    ("imaginary", 3): {"sigma_1": 0.7, "sigma_2": 0.62, "dt_1": -2.85, "dt_2": 1.05},
-    ("real_axis", 2): {"omega_1": 0.075, "dt_1": -0.9},
-    ("real_axis", 3): {"omega_1": 0.55, "dt_1": -2.2, "omega_3": 0.0, "dt_3": 0.0},
-}
 
 CONSTELLATION_FLAGS = {"imag": "imaginary", "real": "real_axis"}
 
@@ -53,7 +44,7 @@ def _measure_config(args, phase_default=16) -> MeasureConfig:
         alpha=getattr(args, "alpha", None),
         definition=getattr(args, "definition", "energy"),
         phase_points=getattr(args, "phases", phase_default) or phase_default,
-        z_samples=getattr(args, "z_samples", None) or 41,
+        z_samples=getattr(args, "z_samples", None) or MeasureConfig.z_samples,
     )
 
 
@@ -236,8 +227,6 @@ def _fig5(out_dir: Path, config: MeasureConfig) -> Path:
     rows = ["n,z,t_max,b_max"]
     for n in (2, 3):
         params = TABLE_OPTIMA[("real_axis", n)]
-        from .optimizer import spectrum_for_point
-
         spectrum, l_star = spectrum_for_point(
             "real_axis", n, tuple(params.keys()), tuple(params.values())
         )
@@ -289,8 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="soliton-tbp",
         description="Multi-soliton synthesis and time-bandwidth product analysis",
     )
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed reserved for randomized corpora (subcommands are deterministic)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_measure_flags(p, with_phases=True):
@@ -355,7 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--paper-fidelity", action="store_true",
                    help="published grids and 128 phases instead of desk-scale defaults")
     p.add_argument("--trace", help="append-only CSV of every evaluated point (resumable)")
-    p.add_argument("--resume", dest="trace", help="alias of --trace")
     p.add_argument("--report")
     p.add_argument("--out-spectrum", help="write the optimum as a spectrum file")
     p.set_defaults(func=_cmd_optimize)

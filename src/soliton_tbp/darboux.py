@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotics import envelope_bandwidth, envelope_duration, tail_envelope
+from .asymptotics import _sech, envelope_bandwidth, envelope_duration, tail_envelope
 from .errors import GridTooNarrowWarning
 from .spectrum import DiscreteSpectrum
 
@@ -89,12 +89,6 @@ def _complex_logsumexp(w1, w2):
     m = np.maximum(w1.real, w2.real)
     m = np.where(np.isfinite(m), m, 0.0)
     return m + np.log(np.exp(w1 - m) + np.exp(w2 - m))
-
-
-def _sech(x):
-    ax = np.abs(x)
-    e = np.exp(-ax)
-    return 2.0 * e / (1.0 + e * e)
 
 
 def synthesize_samples(lams, ln_etas, phis, t) -> np.ndarray:
@@ -191,13 +185,12 @@ def auto_grid(
     spectrum: DiscreteSpectrum,
     epsilon: float,
     oversampling: float = 8.0,
-    width_factor: float = 1.5,
     boundary_clean: bool = True,
 ) -> TimeGrid:
     """Size a grid from the tail-envelope duration and bandwidth estimates.
 
-    The window is centered on the pulse with half-width >= ``width_factor``
-    times half the duration estimate at epsilon/100 (plus one decay length of
+    The window is centered on the pulse with half-width >= 1.5 times half
+    the duration estimate at epsilon/100 (plus one decay length of
     the slowest tail), and dt keeps the bandwidth estimate oversampled by
     ``oversampling``.  With ``boundary_clean`` (the default) the window is
     additionally widened until the tail envelopes sit a decade below the
@@ -218,7 +211,7 @@ def auto_grid(
     t_plus = max(t_plus, edge[1])
     t_minus = min(t_minus, edge[0])
     center = 0.5 * (t_plus + t_minus)
-    half_width = width_factor * 0.5 * (t_plus - t_minus) + 1.0 / spectrum.sigmas.min()
+    half_width = 1.5 * 0.5 * (t_plus - t_minus) + 1.0 / spectrum.sigmas.min()
     b_est = max(f_plus - f_minus, 2.0 * max(abs(f_plus), abs(f_minus)))
     dt_max = 1.0 / (oversampling * b_est)
     n = 2 ** max(8, math.ceil(math.log2(2.0 * half_width / dt_max)))

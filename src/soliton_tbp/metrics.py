@@ -32,11 +32,13 @@ from .spectrum import DiscreteSpectrum, evolve
 # Energy fraction at the grid edge cells above which the energy-window search
 # is meaningless (relative to the epsilon actually being resolved).
 EDGE_LEAKAGE_FRACTION = 1e-2
-# Spectral energy fraction in the outermost bins above which the DFT is
-# considered aliased.
+# Spectral energy fraction in the four bins next to the Nyquist edge above
+# which the DFT is considered aliased.
 ALIASING_FRACTION = 1e-8
 
 DEFINITIONS = ("energy", "threshold")
+# Phase combinations synthesized per batch in `t_max_b_max`.
+CHUNK_SIZE = 512
 
 
 @dataclass(frozen=True)
@@ -168,10 +170,15 @@ def _spectrum_of(samples: np.ndarray, grid: TimeGrid):
     return freqs, mags
 
 
+def _nyquist_edge_share(power: np.ndarray) -> float:
+    """Share of ``power`` (fftshift order) in the two bins at either end."""
+    total = power.sum()
+    return (power[:2].sum() + power[-2:].sum()) / total if total > 0 else 0.0
+
+
 def _bandwidth_window(mags: np.ndarray, freqs: np.ndarray, df: float, config: MeasureConfig) -> Band:
     cells = mags**2 * df
-    total = cells.sum()
-    if cells[:2].sum() + cells[-2:].sum() > ALIASING_FRACTION * total:
+    if _nyquist_edge_share(cells) > ALIASING_FRACTION:
         raise MeasurementUnreliableError("spectral energy reaches the Nyquist edge (aliasing)")
     if config.definition == "energy":
         return _smallest_energy_window(cells, freqs[0] - 0.5 * df, df, config.epsilon)
@@ -239,29 +246,26 @@ def t_max_b_max(
     at_z: float = 0.0,
     grid: TimeGrid | None = None,
     with_b: bool = True,
-    chunk_size: int = 512,
-    reduce_by_conjugation: bool = False,
 ) -> PhaseSweepResult:
     """Maximize T (and optionally B) over the spectral-phase grid at one z.
 
     All m^(N-1) phase combinations are evaluated (one phase is pinned: a
-    global phase does not change magnitudes).  Ties resolve to the first
-    maximal combination in lexicographic order regardless of evaluation
-    order.
+    global phase does not change magnitudes); for an imaginary-axis spectrum
+    only one of each conjugate pair {phi, -phi}, see `phase_combinations`.
+    Ties resolve to the first maximal combination in lexicographic order.
     """
     spec_z = evolve(spectrum, at_z) if at_z != 0.0 else spectrum
     if grid is None:
         grid = auto_grid(spec_z, config.epsilon, boundary_clean=False)
     combos = phase_combinations(
-        spectrum.n, config.phase_points,
-        conjugation_reduced=reduce_by_conjugation and spectrum.is_imaginary(),
+        spectrum.n, config.phase_points, conjugation_reduced=spectrum.is_imaginary()
     )
     freqs = np.fft.fftshift(np.fft.fftfreq(grid.n_samples, d=grid.dt))
     df = float(freqs[1] - freqs[0])
     best_t, best_b = -math.inf, -math.inf
     arg_t, arg_b = None, None
-    for start in range(0, len(combos), chunk_size):
-        block = combos[start : start + chunk_size]
+    for start in range(0, len(combos), CHUNK_SIZE):
+        block = combos[start : start + CHUNK_SIZE]
         q_block = synthesize_phases(spec_z, grid, block)
         mags_block = np.abs(q_block)
         if with_b:
@@ -296,14 +300,13 @@ def t_hat_b_hat(
     spectrum: DiscreteSpectrum,
     config: MeasureConfig,
     link_length: float,
-    z_samples: int | None = None,
     with_b_profile: bool = False,
 ) -> LinkSweepResult:
     """Evaluate the link-aware maxima T-hat and B-hat.
 
-    T is maximized over the phase grid and over uniformly sampled distances
-    in [0, L]; B over the phase grid at z in {0, L} only.  For spectra with
-    all eigenvalues on the imaginary axis the amplitude magnitudes are
+    T is maximized over the phase grid and over ``config.z_samples``
+    distances in [0, L]; B over the phase grid at z in {0, L} only.  For
+    spectra with all eigenvalues on the imaginary axis the amplitude magnitudes are
     z-invariant, so the distance sweep collapses to z = 0.
     """
     if link_length < 0.0:
@@ -312,7 +315,7 @@ def t_hat_b_hat(
         r = t_max_b_max(spectrum, config, at_z=0.0)
         return LinkSweepResult(r.t_max, r.b_max, ((0.0, r.t_max, r.b_max),))
 
-    zs = np.linspace(0.0, link_length, z_samples or config.z_samples)
+    zs = np.linspace(0.0, link_length, config.z_samples)
     grid = union_grid(
         [
             auto_grid(evolve(spectrum, z), config.epsilon, boundary_clean=False)

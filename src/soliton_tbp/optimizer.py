@@ -11,11 +11,15 @@ components drift together, collide, and separate; the link length is then
 fixed by the precompensation, L = |dt_1 / (2*omega_1)|, and T is maximized
 over [0, L].
 
-Every evaluated grid point lands in an append-only trace (CSV), written in
-enumeration order regardless of worker scheduling, so long sweeps are
-resumable and the reported optimum is always the argmin over the full
-trace.  Grid points whose spectra are degenerate (coinciding eigenvalues,
-unordered sigmas) are recorded with NaN objectives.
+Both families share one objective, `t_hat_b_hat` at the point's link
+length (zero on the imaginary axis).  Every evaluated grid point lands in an
+append-only trace (CSV), written in enumeration order regardless of worker
+scheduling, so long sweeps are resumable and the reported optimum is always
+the argmin over the full trace.  The trace header records what fixes a
+point's value (constellation, order, parameter names and measurement
+config), and a resume under another header is refused.  Grid points whose
+spectra are degenerate (coinciding eigenvalues, unordered sigmas) or whose
+measurement fails are recorded with NaN objectives.
 """
 
 from __future__ import annotations
@@ -24,13 +28,14 @@ import csv
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DegenerateSpectrumError
-from .metrics import MeasureConfig, single_soliton_tbp, t_hat_b_hat, t_max_b_max
+from .errors import DegenerateSpectrumError, SolitonError, SpectrumFileError
+from .metrics import MeasureConfig, single_soliton_tbp, t_hat_b_hat
 from .spectrum import DiscreteSpectrum
 
 CONSTELLATIONS = ("imaginary", "real_axis")
@@ -40,9 +45,8 @@ THREADS_ENV = "SOLITON_TBP_THREADS"
 
 @dataclass(frozen=True)
 class RefineSpec:
-    """Local refinement box: +-radius coarse steps around the optimum."""
+    """Local refinement box: +-1 coarse step around the optimum."""
 
-    radius_steps: float = 1.0
     steps: dict = field(default_factory=dict)  # param name -> fine step
 
 
@@ -55,8 +59,8 @@ class SweepSpec:
         n: soliton order, 2 or 3 for exhaustive mode.
         ranges: ordered {param name: (lo, hi, step)}.
         refine: optional refinement around the coarse argmin.
-        measure: measurement configuration (epsilon, definition, M, ...).
-        z_samples: distance samples for the real-axis objective.
+        measure: measurement configuration (epsilon, definition, M,
+            distance samples of the real-axis objective, ...).
     """
 
     constellation: str
@@ -64,7 +68,6 @@ class SweepSpec:
     ranges: dict
     refine: RefineSpec | None = None
     measure: MeasureConfig = field(default_factory=MeasureConfig)
-    z_samples: int | None = None
 
     def __post_init__(self):
         if self.constellation not in CONSTELLATIONS:
@@ -84,9 +87,14 @@ def default_sweep(
     paper_fidelity: bool = False,
     measure: MeasureConfig | None = None,
 ) -> SweepSpec:
-    """Published grids (paper_fidelity) or 2x-thinned desk-scale grids."""
+    """Published grids (paper_fidelity) or 2x-thinned desk-scale grids.
+
+    Desk-scale sweeps sample each real-axis link at 9 distances.
+    """
     if measure is None:
         measure = MeasureConfig(phase_points=128 if paper_fidelity else 16)
+    if not paper_fidelity:
+        measure = replace(measure, z_samples=9)
     if constellation == "imaginary":
         s_step, d_step = (0.1, 0.25) if paper_fidelity else (0.2, 0.5)
         if n == 2:
@@ -121,7 +129,6 @@ def default_sweep(
         ranges=ranges,
         refine=refine if paper_fidelity or n == 2 else None,
         measure=measure,
-        z_samples=None if paper_fidelity else 9,
     )
 
 
@@ -153,6 +160,16 @@ class SweepResult:
     @property
     def best_params(self) -> dict:
         return dict(zip(self.param_names, self.best.params))
+
+
+# published optimum parameter vectors, reproduced by `optimize` and plotted
+# as the achieved points of the bound figure
+TABLE_OPTIMA = {
+    ("imaginary", 2): {"sigma_1": 0.58, "dt_1": 2.0},
+    ("imaginary", 3): {"sigma_1": 0.7, "sigma_2": 0.62, "dt_1": -2.85, "dt_2": 1.05},
+    ("real_axis", 2): {"omega_1": 0.075, "dt_1": -0.9},
+    ("real_axis", 3): {"omega_1": 0.55, "dt_1": -2.2, "omega_3": 0.0, "dt_3": 0.0},
+}
 
 
 def spectrum_for_point(constellation: str, n: int, names, values) -> tuple[DiscreteSpectrum, float]:
@@ -196,18 +213,41 @@ def _key(params) -> tuple:
     return tuple(round(float(v), 9) for v in params)
 
 
-def _read_trace(path: Path, n_params: int) -> dict:
-    done = {}
+def _trace_header(spec: SweepSpec, names) -> list[list[str]]:
+    """Header rows: what fixes a point's value, then the column names."""
+    fixed = {"constellation": spec.constellation, "n": spec.n, **asdict(spec.measure)}
+    return [["#"] + [f"{k}={v}" for k, v in fixed.items()],
+            list(names) + ["T_hat", "B_hat", "objective"]]
+
+
+def _read_trace(path: Path | None, header: list) -> dict:
+    """Points of an existing trace, which must carry this sweep's header.
+
+    Every row ends with a line terminator, so a final line without one was
+    cut by a crash mid-write: it is dropped and the file truncated back to the
+    last complete row, and the sweep evaluates that point again.
+    """
     if path is None or not path.exists():
-        return done
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        for row in reader:
-            params = tuple(float(v) for v in row[:n_params])
-            done[_key(params)] = TracePoint(
-                params, float(row[n_params]), float(row[n_params + 1]), float(row[n_params + 2])
-            )
+        return {}
+    data = path.read_bytes()
+    end = data.rfind(b"\n") + 1
+    rows = list(csv.reader(data[:end].decode().splitlines()))
+    if rows:
+        if len(rows) < 2 or rows[0][:1] != ["#"]:
+            raise SpectrumFileError(f"trace {path} has no measurement header")
+        for theirs, ours in zip_longest(rows[0] + rows[1], header[0] + header[1], fillvalue=""):
+            if theirs != ours:
+                raise SpectrumFileError(f"trace {path} has {theirs!r} where this sweep has {ours!r}")
+    if end < len(data):
+        with open(path, "r+b") as fh:
+            fh.truncate(end)
+    n_params = len(header[1]) - 3
+    done = {}
+    for row in rows[2:]:
+        if len(row) != n_params + 3:
+            raise SpectrumFileError(f"trace {path}: row {row} does not have {n_params + 3} columns")
+        params = tuple(float(v) for v in row[:n_params])
+        done[_key(params)] = TracePoint(params, *(float(v) for v in row[n_params:]))
     return done
 
 
@@ -227,18 +267,10 @@ def _run_points(spec: SweepSpec, names, points, done, writer):
             return done[key]
         try:
             spectrum, l_star = spectrum_for_point(spec.constellation, spec.n, names, params)
-        except (DegenerateSpectrumError, ValueError):
+            r = t_hat_b_hat(spectrum, spec.measure, l_star)
+        except (SolitonError, ArithmeticError, ValueError):
             return TracePoint(params, math.nan, math.nan, math.nan)
-        try:
-            if spec.constellation == "imaginary":
-                r = t_max_b_max(spectrum, spec.measure, at_z=0.0, reduce_by_conjugation=True)
-                t_hat, b_hat = r.t_max, r.b_max
-            else:
-                r = t_hat_b_hat(spectrum, spec.measure, l_star, z_samples=spec.z_samples)
-                t_hat, b_hat = r.t_hat, r.b_hat
-        except Exception:
-            return TracePoint(params, math.nan, math.nan, math.nan)
-        return TracePoint(params, float(t_hat), float(b_hat), float(t_hat * b_hat))
+        return TracePoint(params, r.t_hat, r.b_hat, r.t_hat * r.b_hat)
 
     results = []
     with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
@@ -262,15 +294,16 @@ def run_sweep(spec: SweepSpec, trace_path: str | os.PathLike | None = None) -> S
     names = tuple(spec.ranges.keys())
     points = _grid_points(spec.ranges)
     trace_path = Path(trace_path) if trace_path is not None else None
-    done = _read_trace(trace_path, len(names))
+    header = _trace_header(spec, names)
+    done = _read_trace(trace_path, header)
 
     fh = writer = None
     if trace_path is not None:
-        new_file = not trace_path.exists()
+        new_file = not trace_path.exists() or trace_path.stat().st_size == 0
         fh = open(trace_path, "a", newline="")
         writer = csv.writer(fh)
         if new_file:
-            writer.writerow(list(names) + ["T_hat", "B_hat", "objective"])
+            writer.writerows(header)
     try:
         results = _run_points(spec, names, points, done, writer)
         if spec.refine is not None:
@@ -279,11 +312,10 @@ def run_sweep(spec: SweepSpec, trace_path: str | os.PathLike | None = None) -> S
                 fine = {}
                 for name, (lo, hi, step) in spec.ranges.items():
                     center = best.params[names.index(name)]
-                    radius = spec.refine.radius_steps * step
                     fine_step = spec.refine.steps.get(name, step / 5.0)
                     fine[name] = (
-                        max(lo, center - radius),
-                        min(hi, center + radius),
+                        max(lo, center - step),
+                        min(hi, center + step),
                         fine_step,
                     )
                 results += _run_points(spec, names, _grid_points(fine), done, writer)
@@ -319,26 +351,11 @@ def _argmin(points) -> TracePoint | None:
     return best
 
 
-def optimize_imaginary(spec: SweepSpec, trace_path=None) -> SweepResult:
-    """Sweep the imaginary-axis family (see `default_sweep`)."""
-    if spec.constellation != "imaginary":
-        raise ValueError("spec is not an imaginary-constellation sweep")
-    return run_sweep(spec, trace_path)
-
-
-def optimize_real_axis(spec: SweepSpec, trace_path=None) -> SweepResult:
-    """Sweep the real-axis-parallel family (see `default_sweep`)."""
-    if spec.constellation != "real_axis":
-        raise ValueError("spec is not a real-axis sweep")
-    return run_sweep(spec, trace_path)
-
-
 def evaluate_point(
     constellation: str,
     n: int,
     params: dict,
     measure: MeasureConfig,
-    z_samples: int | None = None,
 ) -> tuple[TracePoint, float, float]:
     """Objective at one parameter vector plus its normalized ratio.
 
@@ -347,12 +364,6 @@ def evaluate_point(
     names = tuple(params.keys())
     values = tuple(float(v) for v in params.values())
     spectrum, l_star = spectrum_for_point(constellation, n, names, values)
-    if constellation == "imaginary":
-        r = t_max_b_max(spectrum, measure, at_z=0.0)
-        t_hat, b_hat = r.t_max, r.b_max
-    else:
-        r = t_hat_b_hat(spectrum, measure, l_star, z_samples=z_samples)
-        t_hat, b_hat = r.t_hat, r.b_hat
-    reference = single_soliton_tbp(measure)
-    point = TracePoint(values, t_hat, b_hat, t_hat * b_hat)
-    return point, t_hat * b_hat / n / reference, l_star
+    r = t_hat_b_hat(spectrum, measure, l_star)
+    point = TracePoint(values, r.t_hat, r.b_hat, r.t_hat * r.b_hat)
+    return point, point.objective / n / single_soliton_tbp(measure), l_star

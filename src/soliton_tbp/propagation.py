@@ -22,9 +22,9 @@ import numpy as np
 
 from .darboux import SampledSignal
 from .errors import AliasingWarning
+from .metrics import ALIASING_FRACTION, _nyquist_edge_share
 
 DEFAULT_DZ = 1e-3
-ALIASING_FRACTION = 1e-8
 
 
 @dataclass(frozen=True)
@@ -33,13 +33,10 @@ class PropagationPlan:
 
     z_total: float
     n_steps: int
-    scheme: str = "strang"
 
     def __post_init__(self):
         if self.n_steps < 1:
             raise ValueError("n_steps must be >= 1")
-        if self.scheme != "strang":
-            raise ValueError(f"unknown scheme {self.scheme!r}")
 
     @classmethod
     def with_dz(cls, z_total: float, dz: float = DEFAULT_DZ) -> "PropagationPlan":
@@ -51,14 +48,10 @@ class PropagationPlan:
 
 
 def _check_aliasing(q_freq: np.ndarray, where: str):
-    power = np.abs(q_freq) ** 2
-    total = power.sum()
-    n = len(power)
-    # the two bins adjacent to Nyquist in fft ordering
-    edge = power[n // 2 - 1 : n // 2 + 1].sum()
-    if total > 0 and edge > ALIASING_FRACTION * total:
+    share = _nyquist_edge_share(np.fft.fftshift(np.abs(q_freq) ** 2))
+    if share > ALIASING_FRACTION:
         warnings.warn(
-            f"spectral energy at the Nyquist edge ({edge / total:.2e} of total) {where}",
+            f"spectral energy at the Nyquist edge ({share:.2e} of total) {where}",
             AliasingWarning,
             stacklevel=3,
         )
@@ -101,7 +94,7 @@ def propagate_with_snapshots(
     z_prev = 0.0
     steps_per = max(1, plan.n_steps // n_snapshots)
     for z in zs:
-        seg = PropagationPlan(z_total=float(z - z_prev), n_steps=steps_per, scheme=plan.scheme)
+        seg = PropagationPlan(z_total=float(z - z_prev), n_steps=steps_per)
         current = propagate(current, seg)
         out.append((float(z), current))
         z_prev = float(z)

@@ -217,6 +217,17 @@ class TestCli:
         rec, _ = load_spectrum(spectrum_out)
         assert rec.n == 2
 
+    def test_optimize_resume_refuses_other_phases(self, tmp_path, capsys):
+        trace = tmp_path / "trace.csv"
+        argv = ["optimize", "--constellation", "imag", "--n", "2", "--trace", str(trace)]
+        assert main(argv + ["--phases", "3"]) == 0
+        written = trace.read_bytes()
+        capsys.readouterr()
+        assert main(argv + ["--phases", "32"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "phase_points=3" in err
+        assert trace.read_bytes() == written
+
     def test_figures_cli(self, tmp_path):
         out = tmp_path / "figs"
         rc = main([

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from conftest import smallest_window_oracle
 
-from soliton_tbp.darboux import SampledSignal, TimeGrid, auto_grid, synthesize
+from soliton_tbp.darboux import SampledSignal, TimeGrid, auto_grid, synthesize, synthesize_phases
 from soliton_tbp.errors import MeasurementUnreliableError
 from soliton_tbp.metrics import (
     Band,
@@ -196,10 +196,14 @@ class TestPhaseCombinations:
     def test_conjugation_reduction_preserves_maxima(self, rng):
         s = DiscreteSpectrum.from_delta_t([0.9, 0.5], delta_ts=[1.0, 0.0])
         cfg = MeasureConfig(phase_points=8)
-        full = t_max_b_max(s, cfg)
-        red = t_max_b_max(s, cfg, reduce_by_conjugation=True)
-        assert red.t_max == pytest.approx(full.t_max, rel=1e-14)
-        assert red.b_max == pytest.approx(full.b_max, rel=1e-14)
+        red = t_max_b_max(s, cfg)  # imaginary spectrum: the reduced grid
+        assert len(phase_combinations(2, 8, conjugation_reduced=True)) == 5
+        reports = [
+            measure(SampledSignal(red.grid, q), cfg)
+            for q in synthesize_phases(s, red.grid, phase_combinations(2, 8))
+        ]
+        assert red.t_max == pytest.approx(max(r.t for r in reports), rel=1e-14)
+        assert red.b_max == pytest.approx(max(r.b for r in reports), rel=1e-14)
 
 
 class TestTMaxBMax:
@@ -262,8 +266,8 @@ class TestTHatBHat:
     def test_table_optimum_endpoint_maxima(self):
         # the mirrored optimum attains its duration maximum at both ends
         s = DiscreteSpectrum.from_delta_t([0.5, 0.5], [0.075, -0.075], [-0.9, 0.9])
-        cfg = MeasureConfig(phase_points=8)
-        link = t_hat_b_hat(s, cfg, link_length=6.0, z_samples=13)
+        cfg = MeasureConfig(phase_points=8, z_samples=13)
+        link = t_hat_b_hat(s, cfg, link_length=6.0)
         zs = [z for z, _, _ in link.profile]
         ts = [t for _, t, _ in link.profile]
         assert ts[0] == pytest.approx(ts[-1], rel=0.02)

@@ -1,16 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from soliton_tbp.errors import DegenerateSpectrumError
-from soliton_tbp.metrics import MeasureConfig, t_max_b_max
+from soliton_tbp.errors import DegenerateSpectrumError, SpectrumFileError
+from soliton_tbp.metrics import MeasureConfig
 from soliton_tbp.optimizer import (
     RefineSpec,
     SweepSpec,
     TracePoint,
     default_sweep,
     evaluate_point,
-    optimize_imaginary,
-    optimize_real_axis,
     run_sweep,
     spectrum_for_point,
 )
@@ -28,6 +28,15 @@ def tiny_imag_spec(refine=None):
     )
 
 
+def tiny_real_spec():
+    return SweepSpec(
+        constellation="real_axis",
+        n=2,
+        ranges={"omega_1": (0.1, 0.3, 0.1), "dt_1": (-1.0, -0.5, 0.5)},
+        measure=replace(FAST, z_samples=3),
+    )
+
+
 class TestSpecValidation:
     def test_bad_constellation(self):
         with pytest.raises(ValueError):
@@ -40,10 +49,6 @@ class TestSpecValidation:
     def test_bad_range(self):
         with pytest.raises(ValueError):
             SweepSpec("imaginary", 2, {"sigma_1": (1.5, 0.5, 0.1)})
-
-    def test_constellation_guards(self):
-        with pytest.raises(ValueError):
-            optimize_real_axis(tiny_imag_spec())
 
 
 class TestPointMapping:
@@ -73,14 +78,14 @@ class TestPointMapping:
 
 
 class TestSweep:
-    def test_objective_matches_direct_recomputation(self):
-        res = run_sweep(tiny_imag_spec())
-        point = res.trace[0] if res.trace[0].ok else res.best
-        spectrum, _ = spectrum_for_point(
-            "imaginary", 2, res.param_names, point.params
-        )
-        r = t_max_b_max(spectrum, FAST, at_z=0.0, reduce_by_conjugation=True)
-        assert point.objective == pytest.approx(r.t_max * r.b_max, rel=1e-12)
+    def test_objective_matches_direct_recomputation(self, tmp_path):
+        for spec in (tiny_imag_spec(), tiny_real_spec()):
+            trace = tmp_path / f"{spec.constellation}.csv"
+            res = run_sweep(spec, trace_path=trace)
+            row = trace.read_text().splitlines()[2].split(",")
+            params = dict(zip(res.param_names, map(float, row)))
+            direct, _, _ = evaluate_point(spec.constellation, spec.n, params, spec.measure)
+            assert float(row[-1]) == direct.objective
 
     def test_best_is_trace_argmin(self):
         res = run_sweep(tiny_imag_spec())
@@ -115,8 +120,10 @@ class TestSweep:
         rejected = [p for p in res.trace if not p.ok]
         assert len(rejected) == 1  # sigma_1 = 0.5 collides with the pinned 0.5
         text = (tmp_path / "trace.csv").read_text().splitlines()
-        assert text[0] == "sigma_1,dt_1,T_hat,B_hat,objective"
-        assert any("nan" in row for row in text[1:])
+        assert text[0] == ("#,constellation=imaginary,n=2,epsilon=0.0001,alpha=0.01414213562373095,"
+                           "definition=energy,phase_points=4,z_samples=41")
+        assert text[1] == "sigma_1,dt_1,T_hat,B_hat,objective"
+        assert any("nan" in row for row in text[2:])
 
     def test_resume_skips_completed(self, tmp_path):
         trace = tmp_path / "trace.csv"
@@ -128,6 +135,35 @@ class TestSweep:
         assert second.best.params == first.best.params
         assert second.best.objective == first.best.objective
 
+    @pytest.mark.parametrize(
+        "tear",
+        [lambda row: b",".join(row.split(b",")[:2]), lambda row: row[:-5]],
+        ids=["after_params", "inside_last_field"],
+    )
+    def test_torn_last_row_is_evaluated_again(self, tmp_path, tear):
+        trace = tmp_path / "trace.csv"
+        fresh = run_sweep(tiny_imag_spec(), trace_path=trace)
+        complete = trace.read_bytes()
+        body, last = complete.rstrip(b"\r\n").rsplit(b"\n", 1)
+        trace.write_bytes(body + b"\n" + tear(last))  # a crash mid-write
+        assert run_sweep(tiny_imag_spec(), trace_path=trace) == fresh
+        assert trace.read_bytes() == complete
+        assert run_sweep(tiny_imag_spec(), trace_path=trace) == fresh
+        assert trace.read_bytes() == complete  # the second resume adds no rows
+
+    def test_resume_refuses_another_measurement(self, tmp_path):
+        trace = tmp_path / "trace.csv"
+        run_sweep(tiny_imag_spec(), trace_path=trace)
+        written = trace.read_bytes()
+        other = replace(tiny_imag_spec(), measure=replace(FAST, z_samples=5))
+        with pytest.raises(SpectrumFileError, match="'z_samples=41' where this sweep has 'z_samples=5'"):
+            run_sweep(other, trace_path=trace)
+        legacy = tmp_path / "legacy.csv"
+        legacy.write_bytes(written.split(b"\n", 1)[1])  # no measurement header
+        with pytest.raises(SpectrumFileError, match="no measurement header"):
+            run_sweep(tiny_imag_spec(), trace_path=legacy)
+        assert trace.read_bytes() == written
+
     def test_ratio_normalized_by_reference(self):
         res = run_sweep(tiny_imag_spec())
         assert res.tbp_per_ev_ratio == pytest.approx(
@@ -138,14 +174,7 @@ class TestSweep:
 
 class TestRealAxisSweep:
     def test_tiny_sweep_reports_l_star(self):
-        spec = SweepSpec(
-            constellation="real_axis",
-            n=2,
-            ranges={"omega_1": (0.1, 0.3, 0.1), "dt_1": (-1.0, -0.5, 0.5)},
-            measure=FAST,
-            z_samples=3,
-        )
-        res = run_sweep(spec)
+        res = run_sweep(tiny_real_spec())
         assert res.l_star is not None and res.l_star > 0.0
         w1, d1 = res.best_params["omega_1"], res.best_params["dt_1"]
         assert res.l_star == pytest.approx(abs(d1 / (2.0 * w1)))
@@ -161,6 +190,7 @@ class TestDefaults:
     def test_desk_defaults_thinned(self):
         spec = default_sweep("imaginary", 2)
         assert spec.measure.phase_points == 16
+        assert spec.measure.z_samples == 9
         assert spec.ranges["dt_1"][2] == 0.5
 
     def test_real_axis_ranges(self):

@@ -19,8 +19,6 @@ class TestPlan:
     def test_validation(self):
         with pytest.raises(ValueError):
             PropagationPlan(1.0, 0)
-        with pytest.raises(ValueError):
-            PropagationPlan(1.0, 10, scheme="euler")
         assert PropagationPlan.with_dz(2.0, 1e-3).n_steps == 2000
 
     def test_negative_distance_allowed(self):
