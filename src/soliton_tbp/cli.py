@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -38,14 +39,25 @@ from .spectrum import DiscreteSpectrum, denormalize, evolve
 CONSTELLATION_FLAGS = {"imag": "imaginary", "real": "real_axis"}
 
 
+@contextmanager
+def _flag_values():
+    """A value rejected while building from flags is a validation error."""
+    try:
+        yield
+    except ValueError as exc:
+        raise SpectrumFileError(str(exc)) from exc
+
+
 def _measure_config(args, phase_default=16) -> MeasureConfig:
-    return MeasureConfig(
-        epsilon=args.epsilon,
-        alpha=getattr(args, "alpha", None),
-        definition=getattr(args, "definition", "energy"),
-        phase_points=getattr(args, "phases", phase_default) or phase_default,
-        z_samples=getattr(args, "z_samples", None) or MeasureConfig.z_samples,
-    )
+    z_samples = getattr(args, "z_samples", None)
+    with _flag_values():
+        return MeasureConfig(
+            epsilon=args.epsilon,
+            alpha=args.alpha,
+            definition=args.definition,
+            phase_points=phase_default if args.phases is None else args.phases,
+            z_samples=MeasureConfig.z_samples if z_samples is None else z_samples,
+        )
 
 
 def _cmd_synth(args) -> int:
@@ -79,10 +91,11 @@ def _cmd_nft(args) -> int:
 
 def _cmd_propagate(args) -> int:
     signal = sio.load_signal(args.signal)
-    if args.steps:
-        plan = PropagationPlan(z_total=args.z, n_steps=args.steps)
-    else:
-        plan = PropagationPlan.with_dz(args.z, args.dz)
+    with _flag_values():
+        if args.steps is not None:
+            plan = PropagationPlan(z_total=args.z, n_steps=args.steps)
+        else:
+            plan = PropagationPlan.with_dz(args.z, args.dz)
     if args.snapshots:
         shots = propagate_with_snapshots(signal, plan, args.snapshots)
         stem = Path(args.out)
@@ -280,14 +293,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_measure_flags(p, with_phases=True):
+    def add_measure_flags(p):
         p.add_argument("--epsilon", type=float, default=1e-4)
         p.add_argument("--alpha", type=float, default=None)
         p.add_argument("--def", dest="definition", choices=["energy", "threshold"],
                        default="energy")
-        if with_phases:
-            p.add_argument("--phases", type=int, default=None,
-                           help="phase-grid size per eigenvalue (default 16; 128 under --paper-fidelity)")
+        p.add_argument("--phases", type=int, default=None,
+                       help="phase-grid size per eigenvalue (default 16; 128 under --paper-fidelity)")
 
     p = sub.add_parser("synth", help="synthesize a pulse from a spectrum file")
     p.add_argument("--spectrum", required=True)

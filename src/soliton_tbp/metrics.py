@@ -164,8 +164,8 @@ def _duration_window(mags: np.ndarray, grid: TimeGrid, config: MeasureConfig) ->
 
 
 def _spectrum_of(samples: np.ndarray, grid: TimeGrid):
-    """Unitary DFT magnitude grid: frequencies in cycles per unit time."""
-    mags = np.abs(np.fft.fftshift(np.fft.fft(samples))) * grid.dt
+    """Unitary DFT magnitudes along the last axis: frequencies in cycles per unit time."""
+    mags = np.abs(np.fft.fftshift(np.fft.fft(samples, axis=-1), axes=-1)) * grid.dt
     freqs = np.fft.fftshift(np.fft.fftfreq(grid.n_samples, d=grid.dt))
     return freqs, mags
 
@@ -176,7 +176,8 @@ def _nyquist_edge_share(power: np.ndarray) -> float:
     return (power[:2].sum() + power[-2:].sum()) / total if total > 0 else 0.0
 
 
-def _bandwidth_window(mags: np.ndarray, freqs: np.ndarray, df: float, config: MeasureConfig) -> Band:
+def _bandwidth_window(mags: np.ndarray, freqs: np.ndarray, config: MeasureConfig) -> Band:
+    df = float(freqs[1] - freqs[0])
     cells = mags**2 * df
     if _nyquist_edge_share(cells) > ALIASING_FRACTION:
         raise MeasurementUnreliableError("spectral energy reaches the Nyquist edge (aliasing)")
@@ -193,7 +194,7 @@ def duration(signal: SampledSignal, config: MeasureConfig) -> Band:
 def bandwidth(signal: SampledSignal, config: MeasureConfig) -> Band:
     """Bandwidth window [B-, B+] of a sampled signal."""
     freqs, mags = _spectrum_of(signal.samples, signal.grid)
-    return _bandwidth_window(mags, freqs, float(freqs[1] - freqs[0]), config)
+    return _bandwidth_window(mags, freqs, config)
 
 
 def measure(signal: SampledSignal, config: MeasureConfig) -> TBReport:
@@ -260,8 +261,6 @@ def t_max_b_max(
     combos = phase_combinations(
         spectrum.n, config.phase_points, conjugation_reduced=spectrum.is_imaginary()
     )
-    freqs = np.fft.fftshift(np.fft.fftfreq(grid.n_samples, d=grid.dt))
-    df = float(freqs[1] - freqs[0])
     best_t, best_b = -math.inf, -math.inf
     arg_t, arg_b = None, None
     for start in range(0, len(combos), CHUNK_SIZE):
@@ -269,13 +268,13 @@ def t_max_b_max(
         q_block = synthesize_phases(spec_z, grid, block)
         mags_block = np.abs(q_block)
         if with_b:
-            f_block = np.abs(np.fft.fftshift(np.fft.fft(q_block, axis=-1), axes=-1)) * grid.dt
+            freqs, f_block = _spectrum_of(q_block, grid)
         for i in range(len(block)):
             t_band = _duration_window(mags_block[i], grid, config)
             if t_band.width > best_t:
                 best_t, arg_t = t_band.width, tuple(float(v) for v in block[i])
             if with_b:
-                b_band = _bandwidth_window(f_block[i], freqs, df, config)
+                b_band = _bandwidth_window(f_block[i], freqs, config)
                 if b_band.width > best_b:
                     best_b, arg_b = b_band.width, tuple(float(v) for v in block[i])
     return PhaseSweepResult(

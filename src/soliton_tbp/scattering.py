@@ -7,6 +7,10 @@ variables are the phase-compensated components, so the boundary condition is
 exactly (1, 0) at the left edge and ``a = u1``, ``b = u2`` at the right edge
 up to explicit exponential factors applied in log space.
 
+Every pass is one sweep of a start vector across a run of cells.  A cell's
+inverse is the same cell at step -dt (sin is odd and cos even), so a
+backward pass is the forward sweep over the reversed cells at -dt.
+
 The derivative da/dlambda rides along as an augmented pair whose per-cell
 update differentiates the matrix exponential analytically, which keeps the
 Newton eigenvalue search quadratically convergent.
@@ -15,13 +19,12 @@ Extracting b at the right edge is exact for real lambda but ill-conditioned
 at eigenvalues: round-off seeded into the growing mode is amplified by
 exp(sigma * span).  At an eigenvalue the left solution is proportional to
 the right-boundary solution everywhere, so `discrete_amplitude` instead
-takes the component ratio of the two at the pulse center, where both
-integrations are still well-conditioned.
+takes b from two sweeps that meet at the energy centroid, one from (1, 0) at
+the left edge and one from (0, 1) at the right edge, as the component ratio
+of the two there, where both are still well-conditioned.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,15 +40,6 @@ APRIME_TOL = 1e-10
 # Renormalize the propagated components whenever they exceed this magnitude;
 # the accumulated log scale cancels in a/a' and is restored on extraction.
 RESCALE_LIMIT = 1e100
-
-
-@dataclass(frozen=True)
-class JostPair:
-    """Scattering coefficients at one spectral point."""
-
-    a: complex
-    b: complex
-    a_prime: complex | None = None
 
 
 def _cell_matrices(q: complex, dt: float, lams, lam2, with_derivative: bool):
@@ -69,23 +63,21 @@ def _cell_matrices(q: complex, dt: float, lams, lam2, with_derivative: bool):
     return e, de
 
 
-def _forward_pass(samples, dt, lams, with_derivative, mid_index=None):
-    """Left-boundary solution at the right edge (and optionally at mid_index).
+def _sweep(samples, dt, lams, w1, w2, with_derivative=False):
+    """Carry the start vector (w1, w2) across the cells of ``samples`` in order.
 
-    Returns (w1, w2, wl1, wl2, log_scale, mid) where mid = (w1, w2,
-    log_scale) at the cell boundary in front of ``samples[mid_index]``.
+    Returns (w1, w2, wl1, wl2, log_scale): the end vector, its lambda
+    derivative (zero unless ``with_derivative``) and the log of the factor
+    divided out of all four.  A negative ``dt`` applies the inverse cells.
     """
     m = len(lams)
-    w1 = np.ones(m, dtype=complex)
-    w2 = np.zeros(m, dtype=complex)
+    w1 = np.full(m, w1, dtype=complex)
+    w2 = np.full(m, w2, dtype=complex)
     wl1 = np.zeros(m, dtype=complex)
     wl2 = np.zeros(m, dtype=complex)
     log_scale = np.zeros(m)
     lam2 = lams * lams
-    mid = None
     for i, q in enumerate(samples):
-        if mid_index is not None and i == mid_index:
-            mid = (w1.copy(), w2.copy(), log_scale.copy())
         (e11, e12, e21, e22), de = _cell_matrices(q, dt, lams, lam2, with_derivative)
         if with_derivative:
             d11, d12, d21, d22 = de
@@ -101,47 +93,25 @@ def _forward_pass(samples, dt, lams, with_derivative, mid_index=None):
                 scale = np.where(big, mag, 1.0)
                 w1, w2, wl1, wl2 = w1 / scale, w2 / scale, wl1 / scale, wl2 / scale
                 log_scale += np.log(scale)
-    if mid_index is not None and mid is None:
-        mid = (w1.copy(), w2.copy(), log_scale.copy())
-    return w1, w2, wl1, wl2, log_scale, mid
+    return w1, w2, wl1, wl2, log_scale
 
 
-def _backward_pass(samples, dt, lams, mid_index):
-    """Right-boundary solution (0, 1) integrated back to the mid boundary.
+def scatter_many(signal: SampledSignal, lams):
+    """Jost coefficients a, b and a' = da/dlambda for a batch of lambdas.
 
-    The cell matrices are unimodular, so the inverse is the adjugate.
-    """
-    m = len(lams)
-    w1 = np.zeros(m, dtype=complex)
-    w2 = np.ones(m, dtype=complex)
-    log_scale = np.zeros(m)
-    lam2 = lams * lams
-    for i in range(len(samples) - 1, mid_index - 1, -1):
-        (e11, e12, e21, e22), _ = _cell_matrices(samples[i], dt, lams, lam2, False)
-        w1, w2 = e22 * w1 - e12 * w2, -e21 * w1 + e11 * w2
-        if (i & 0xFF) == 0xFF:
-            mag = np.maximum(np.abs(w1), np.abs(w2))
-            big = mag > RESCALE_LIMIT
-            if np.any(big):
-                scale = np.where(big, mag, 1.0)
-                w1, w2 = w1 / scale, w2 / scale
-                log_scale += np.log(scale)
-    return w1, w2, log_scale
-
-
-def scatter_many(signal: SampledSignal, lams, with_derivative: bool = False):
-    """Jost coefficients a, b (and optionally a') for a batch of lambdas.
-
-    b is taken at the right edge, which is accurate on and near the real
-    axis; use `discrete_amplitude` for amplitudes at eigenvalues.
+    Every lambda must lie in the closed upper half-plane.  b is taken at the
+    right edge, which is accurate on and near the real axis; use
+    `discrete_amplitude` for amplitudes at eigenvalues.
     """
     lams = np.atleast_1d(np.asarray(lams, dtype=complex))
+    if np.any(lams.imag < 0.0):
+        raise ValueError(
+            f"lambda must lie in the closed upper half-plane, got {lams[lams.imag < 0.0]}"
+        )
     grid = signal.grid
     t_start = grid.t_start - 0.5 * grid.dt
     t_end = grid.t_end + 0.5 * grid.dt
-    w1, w2, wl1, wl2, log_scale, _ = _forward_pass(
-        signal.samples, grid.dt, lams, with_derivative
-    )
+    w1, w2, wl1, wl2, log_scale = _sweep(signal.samples, grid.dt, lams, 1, 0, True)
     span = t_end - t_start
     a = w1 * np.exp(1j * lams * span + log_scale)
     # combine the exponents before exponentiating: the edge value of b for
@@ -149,23 +119,8 @@ def scatter_many(signal: SampledSignal, lams, with_derivative: bool = False):
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         b_expo = np.log(w2) - 1j * lams * (t_end + t_start) + log_scale
         b = np.where(w2 == 0.0, 0.0, np.exp(b_expo))
-    if not with_derivative:
-        return a, b, None
     a_prime = (wl1 + 1j * span * w1) * np.exp(1j * lams * span + log_scale)
     return a, b, a_prime
-
-
-def scatter(signal: SampledSignal, lam: complex, with_derivative: bool = False) -> JostPair:
-    """Jost pair at one spectral point; Im(lambda) >= 0 required."""
-    lam = complex(lam)
-    if lam.imag < 0.0:
-        raise ValueError(f"lambda must lie in the closed upper half-plane, got {lam}")
-    a, b, a_prime = scatter_many(signal, [lam], with_derivative)
-    return JostPair(
-        a=complex(a[0]),
-        b=complex(b[0]),
-        a_prime=complex(a_prime[0]) if a_prime is not None else None,
-    )
 
 
 def _bound_state_b(signal: SampledSignal, lams) -> np.ndarray:
@@ -179,15 +134,14 @@ def _bound_state_b(signal: SampledSignal, lams) -> np.ndarray:
     grid = signal.grid
     t_start = grid.t_start - 0.5 * grid.dt
     t_end = grid.t_end + 0.5 * grid.dt
-    mags2 = np.abs(signal.samples) ** 2
+    samples = signal.samples
+    mags2 = np.abs(samples) ** 2
     total = mags2.sum()
     centroid = float((grid.times * mags2).sum() / total) if total > 0 else 0.0
     mid = int(np.clip(round((centroid - grid.t_start) / grid.dt), 1, grid.n_samples - 1))
-    _, _, _, _, _, mid_state = _forward_pass(
-        signal.samples, grid.dt, lams, False, mid_index=mid
-    )
-    m1, m2, sm = mid_state
-    r1, r2, sr = _backward_pass(signal.samples, grid.dt, lams, mid)
+    # both chains end at the cell boundary in front of samples[mid]
+    m1, m2, _, _, sm = _sweep(samples[:mid], grid.dt, lams, 1, 0)
+    r1, r2, _, _, sr = _sweep(samples[:mid - 1:-1], -grid.dt, lams, 0, 1)
     use_first = np.abs(r1) >= np.abs(r2)
     num = np.where(use_first, m1, m2)
     den = np.where(use_first, r1, r2)
@@ -237,7 +191,7 @@ def find_eigenvalues(
         if not active.any():
             break
         idx = np.nonzero(active)[0]
-        a, _, a_prime = scatter_many(signal, lam[idx], with_derivative=True)
+        a, _, a_prime = scatter_many(signal, lam[idx])
         converged = (np.abs(a) < ROOT_TOL) & (np.abs(a_prime) > 0.0)
         # record one quadratic step past the tolerance so that duplicates
         # from different seeds cluster far inside the merge radius
@@ -281,7 +235,7 @@ def discrete_amplitude(signal: SampledSignal, lam_k: complex) -> complex:
         raise ValueError(f"eigenvalues lie strictly above the real axis, got {lam_k}")
     a, a_prime = None, None
     for _ in range(8):
-        a, _, a_prime = scatter_many(signal, [lam_k], with_derivative=True)
+        a, _, a_prime = scatter_many(signal, [lam_k])
         if abs(a_prime[0]) < APRIME_TOL:
             raise DegenerateRootError(f"a'({lam_k}) = {a_prime[0]}; root is not simple")
         step = a[0] / a_prime[0]

@@ -156,6 +156,27 @@ class TestCli:
             "measure", "--signal", "x.csv", "--spectrum", str(one_soliton_file),
         ]) == 1
 
+    @pytest.mark.parametrize("command, flags", [
+        ("measure", ["--phases", "0"]),
+        ("measure", ["--phases", "1"]),
+        ("measure", ["--z-samples", "0"]),
+        ("propagate", ["--steps", "0"]),
+    ])
+    def test_out_of_range_flag_is_validation_error(
+        self, one_soliton_file, tmp_path, capsys, command, flags
+    ):
+        sig_path = tmp_path / "sig.csv"
+        out = tmp_path / "out.txt"
+        if command == "measure":
+            argv = ["measure", "--spectrum", str(one_soliton_file), "--report", str(out)]
+        else:
+            main(["synth", "--spectrum", str(one_soliton_file), "--out", str(sig_path)])
+            argv = ["propagate", "--signal", str(sig_path), "--z", "0.1", "--out", str(out)]
+        capsys.readouterr()
+        assert main(argv + flags) == 1
+        assert capsys.readouterr().out == ""
+        assert not out.exists()
+
     def test_exit_codes(self, tmp_path):
         bad = tmp_path / "bad.yaml"
         bad.write_text("n: 2\nentries:\n- {sigma: 0.5, omega: 0, eta: 1, phi: 0}\n")

@@ -7,10 +7,10 @@ from conftest import random_spectrum
 from soliton_tbp.darboux import SampledSignal, TimeGrid, auto_grid, synthesize
 from soliton_tbp.errors import DegenerateSpectrumError
 from soliton_tbp.scattering import (
+    _sweep,
     discrete_amplitude,
     find_eigenvalues,
     recover_spectrum,
-    scatter,
     scatter_many,
 )
 from soliton_tbp.spectrum import DiscreteSpectrum, qd_init
@@ -24,27 +24,27 @@ class TestScatter:
     def test_zero_potential(self):
         sig = SampledSignal(TimeGrid(-10.0, 0.05, 512), np.zeros(512, complex))
         for lam in (0.3 + 0.8j, 1j, 0.5, -2.0):
-            pair = scatter(sig, lam)
-            assert pair.a == pytest.approx(1.0, abs=1e-12)
-            assert pair.b == pytest.approx(0.0, abs=1e-12)
+            a, b, _ = scatter_many(sig, [lam])
+            assert a[0] == pytest.approx(1.0, abs=1e-12)
+            assert b[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_rejects_lower_half_plane(self):
         sig = SampledSignal(TimeGrid(-10.0, 0.05, 512), np.zeros(512, complex))
         with pytest.raises(ValueError):
-            scatter(sig, -0.5j)
+            scatter_many(sig, [-0.5j])
 
     def test_sech_eigenvalue(self):
         sig = _soliton_signal(DiscreteSpectrum.from_arrays([0.5]))
-        assert abs(scatter(sig, 0.5j).a) < 1e-3
-        assert abs(scatter(sig, 2j).a) > 0.1
+        assert abs(scatter_many(sig, [0.5j])[0][0]) < 1e-3
+        assert abs(scatter_many(sig, [2j])[0][0]) > 0.1
 
     def test_unitarity_on_real_axis(self, rng):
         s = random_spectrum(rng, n=2, dt_range=(-1.0, 1.0))
         sig = _soliton_signal(s)
         for lam in rng.uniform(-2.0, 2.0, 6):
-            pair = scatter(sig, complex(lam))
-            assert abs(pair.a) ** 2 + abs(pair.b) ** 2 == pytest.approx(1.0, abs=1e-4)
-            assert abs(pair.b) < 1e-3  # no continuous spectrum
+            a, b, _ = scatter_many(sig, [complex(lam)])
+            assert abs(a[0]) ** 2 + abs(b[0]) ** 2 == pytest.approx(1.0, abs=1e-4)
+            assert abs(b[0]) < 1e-3  # no continuous spectrum
 
     def test_matches_generic_ode_integration(self):
         # independent oracle: integrate the printed first-order system
@@ -78,24 +78,35 @@ class TestScatter:
         # real axis: both coefficients are well-conditioned
         for lam in (0.3, -0.8):
             a_ode, b_ode = jost_by_ode(lam)
-            pair = scatter(sig, complex(lam))
-            assert pair.a == pytest.approx(a_ode, abs=2e-4)
-            assert pair.b == pytest.approx(b_ode, abs=2e-4)
+            a, b, _ = scatter_many(sig, [complex(lam)])
+            assert a[0] == pytest.approx(a_ode, abs=2e-4)
+            assert b[0] == pytest.approx(b_ode, abs=2e-4)
         # upper half-plane: a stays comparable (b at the edge is dominated by
         # the exp(2 Im(lam) t) amplification of the window tail)
         a_ode, _ = jost_by_ode(0.3 + 0.4j)
-        assert scatter(sig, 0.3 + 0.4j).a == pytest.approx(a_ode, abs=2e-4)
+        assert scatter_many(sig, [0.3 + 0.4j])[0][0] == pytest.approx(a_ode, abs=2e-4)
 
     def test_derivative_matches_finite_difference(self):
         s = DiscreteSpectrum.from_arrays([0.6], etas=[0.7])
         sig = _soliton_signal(s)
         lam = 0.2 + 0.5j
         h = 1e-6
-        pair = scatter(sig, lam, with_derivative=True)
+        _, _, a_prime = scatter_many(sig, [lam])
         a_plus, _, _ = scatter_many(sig, [lam + h])
         a_minus, _, _ = scatter_many(sig, [lam - h])
         fd = (a_plus[0] - a_minus[0]) / (2 * h)
-        assert pair.a_prime == pytest.approx(fd, rel=1e-5)
+        assert a_prime[0] == pytest.approx(fd, rel=1e-5)
+
+
+class TestSweep:
+    def test_reversed_cells_at_minus_dt_invert_the_sweep(self, rng):
+        samples = rng.normal(size=256) + 1j * rng.normal(size=256)
+        lams = np.array([0.0, 0.7, -1.3 + 0.2j, 0.5 + 0.5j, 0.4j])
+        w1, w2, _, _, log_scale = _sweep(samples, 0.02, lams, 1, 0)
+        v1, v2, _, _, back_scale = _sweep(samples[::-1], -0.02, lams, w1, w2)
+        assert not log_scale.any() and not back_scale.any()
+        np.testing.assert_allclose(v1, 1.0, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(v2, 0.0, rtol=0, atol=1e-12)
 
 
 class TestFindEigenvalues:
@@ -157,7 +168,7 @@ class TestDiscreteAmplitude:
         # the amplitude scaling coordinate is |b| at the eigenvalue
         s = DiscreteSpectrum.from_arrays([0.5], etas=[2.5], phis=[1.0])
         sig = _soliton_signal(s)
-        a, _, ap = scatter_many(sig, [0.5j], with_derivative=True)
+        a, _, ap = scatter_many(sig, [0.5j])
         qd = discrete_amplitude(sig, 0.5j)
         assert abs(qd * ap[0]) == pytest.approx(2.5, rel=1e-2)
 
@@ -167,18 +178,32 @@ class TestDiscreteAmplitude:
             discrete_amplitude(sig, 0.5)
 
 
+N2_SPECTRUM = DiscreteSpectrum.from_arrays([1.0, 0.5], [0.3, -0.2], [2.0, 0.7], [1.0, 4.0])
+
+
+def _assert_recovers_n2(signal):
+    s = N2_SPECTRUM
+    rec = recover_spectrum(signal)
+    assert rec.n == 2
+    for k in range(2):
+        i = int(np.argmin(np.abs(rec.lams - s.lams[k])))
+        assert abs(rec.lams[i] - s.lams[k]) < 1e-3
+        assert rec.etas[i] == pytest.approx(s.etas[k], rel=1e-2)
+        assert np.angle(np.exp(1j * (rec.phis[i] - s.phis[k]))) == pytest.approx(
+            0.0, abs=1e-2
+        )
+
+
 class TestRoundTrip:
     def test_recover_spectrum_n2(self, rng):
-        s = DiscreteSpectrum.from_arrays([1.0, 0.5], [0.3, -0.2], [2.0, 0.7], [1.0, 4.0])
-        rec = recover_spectrum(_soliton_signal(s))
-        assert rec.n == 2
-        for k in range(2):
-            i = int(np.argmin(np.abs(rec.lams - s.lams[k])))
-            assert abs(rec.lams[i] - s.lams[k]) < 1e-3
-            assert rec.etas[i] == pytest.approx(s.etas[k], rel=1e-2)
-            assert np.angle(np.exp(1j * (rec.phis[i] - s.phis[k]))) == pytest.approx(
-                0.0, abs=1e-2
-            )
+        _assert_recovers_n2(_soliton_signal(N2_SPECTRUM))
+
+    def test_recover_spectrum_through_rescaled_sweeps(self):
+        # 250 time units: a near the upper eigenvalue outgrows RESCALE_LIMIT
+        sig = synthesize(N2_SPECTRUM, TimeGrid(-125.0, 250.0 / 4096, 4096))
+        _, _, _, _, log_scale = _sweep(sig.samples, sig.grid.dt, np.array([0.3 + 1j]), 1, 0)
+        assert log_scale[0] > 0.0
+        _assert_recovers_n2(sig)
 
     def test_no_roots_is_error(self):
         sig = SampledSignal(TimeGrid(-10.0, 0.05, 512), np.zeros(512, complex))
