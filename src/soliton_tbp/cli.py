@@ -78,6 +78,9 @@ def _cmd_synth(args) -> int:
 def _cmd_nft(args) -> int:
     from .scattering import recover_spectrum
 
+    with _flag_values():
+        if args.seeds < 1:
+            raise ValueError(f"--seeds must be >= 1, got {args.seeds}")
     signal = sio.load_signal(args.signal)
     region = None
     if args.region:
@@ -96,6 +99,8 @@ def _cmd_propagate(args) -> int:
             plan = PropagationPlan(z_total=args.z, n_steps=args.steps)
         else:
             plan = PropagationPlan.with_dz(args.z, args.dz)
+        if args.snapshots < 0:
+            raise ValueError(f"--snapshots must be >= 0, got {args.snapshots}")
     if args.snapshots:
         shots = propagate_with_snapshots(signal, plan, args.snapshots)
         stem = Path(args.out)

@@ -3,15 +3,25 @@
 The recursive construction is evaluated independently at every time sample:
 each intermediate ratio rho_k is seeded as ``eta_k * exp(j*phi_k) *
 exp(2j*omega_k*t) * exp(-2*sigma_k*t)`` and folded in one eigenvalue at a
-time, accumulating the signal as ``q += -2*sigma_p*sech(ln|rho_p|) *
-exp(-j*arg(rho_p))``.
+time, accumulating the signal as ``q += -4*sigma_p*conj(rho_p) / (1 +
+|rho_p|^2)``, which is ``-2*sigma_p*sech(ln|rho_p|) * exp(-j*arg(rho_p))``.
 
-Numerical stabilization: the seeds span e^(-2*sigma*t) over the full grid,
-which overflows doubles for |t| of a few hundred over sigma.  Every rho is
-therefore carried as a complex logarithm zeta = ln|rho| + j*arg(rho) and the
-two-term numerator/denominator of the update is combined with a
-log-sum-exp, so no intermediate ever leaves the representable range.  The
-result is exact up to floating-point rounding; there is no discretization
+Two evaluations of the same recursion:
+
+- Direct: plain complex arithmetic on rho, batched over phase rows.  It is
+  taken whenever every seed exponent |ln eta_k - 2*sigma_k*t| stays below
+  ``DIRECT_EXPONENT_LIMIT`` at both ends of the time range, so |rho|^2 stays
+  far inside the double range.  The choice depends on ``ln_etas``, the
+  eigenvalues and ``t`` only, never on the phases.
+- Stabilized: the seeds span e^(-2*sigma*t) over the full grid, which
+  overflows doubles for |t| of a few hundred over sigma.  Every rho is then
+  carried as a complex logarithm zeta = ln|rho| + j*arg(rho) and the two-term
+  numerator/denominator of the update is combined with a log-sum-exp, so no
+  intermediate ever leaves the representable range.  It serves grids past
+  the bound, and any row whose direct result has a non-finite sample (a
+  pole of an intermediate rho) is evaluated again this way.
+
+Both are exact up to floating-point rounding; there is no discretization
 error in the construction itself.
 """
 
@@ -30,6 +40,10 @@ from .spectrum import DiscreteSpectrum
 # Fraction of the peak magnitude tolerated at the grid edges before the
 # synthesized pulse is flagged as truncated.
 BOUNDARY_FRACTION = 1e-12
+
+# Largest seed exponent |ln eta - 2*sigma*t| served by direct arithmetic:
+# |rho|^2 then stays below e^600, inside the double range (e^709).
+DIRECT_EXPONENT_LIMIT = 300.0
 
 
 @dataclass(frozen=True)
@@ -105,15 +119,82 @@ def synthesize_samples(lams, ln_etas, phis, t) -> np.ndarray:
         Complex samples with shape (n,) or (C, n).
     """
     lams = np.atleast_1d(np.asarray(lams, dtype=complex))
-    sig = lams.imag
-    om = lams.real
-    n_ev = len(lams)
     t = np.asarray(t, dtype=float)
-
     ln_etas = np.asarray(ln_etas, dtype=float)
     phis = np.asarray(phis, dtype=float)
     batched = ln_etas.ndim > 1 or phis.ndim > 1
     ln_etas, phis = np.broadcast_arrays(np.atleast_2d(ln_etas), np.atleast_2d(phis))
+
+    if _seeds_in_range(lams, ln_etas, t):
+        q = _synthesize_direct(lams, ln_etas, phis, t)
+        bad = ~np.all(np.isfinite(q.view(float)), axis=-1)
+        if bad.any():
+            q[bad] = _synthesize_log(lams, ln_etas[bad], phis[bad], t)
+    else:
+        q = _synthesize_log(lams, ln_etas, phis, t)
+    return q if batched else q[0]
+
+
+def _seeds_in_range(lams, ln_etas, t) -> bool:
+    """True when every seed exponent stays below `DIRECT_EXPONENT_LIMIT`.
+
+    The exponent ln eta_k - 2*sigma_k*t is linear in t, so its extremes sit
+    at the two ends of the time range.
+    """
+    if t.size == 0:
+        return False  # nothing to evaluate; the stabilized path takes any shape
+    ends = np.array([t.min(), t.max()])
+    exponents = ln_etas[:, :, None] - 2.0 * lams.imag[:, None] * ends
+    return bool(np.all(np.abs(exponents) < DIRECT_EXPONENT_LIMIT))
+
+
+def _synthesize_direct(lams, ln_etas, phis, t) -> np.ndarray:
+    """The recursion in plain complex arithmetic; (C, N) rows to (C, n).
+
+    Only valid while |rho|^2 stays finite (see `_seeds_in_range`); a pole of
+    an intermediate rho shows up as a non-finite sample.
+    """
+    sig = lams.imag
+    # rho_k = eta_k exp(j phi_k) exp(2j lambda_k t), shape (C, n), split at
+    # the earliest time t0 into a per-row and a per-sample factor: the row
+    # factor's exponent is the seed exponent at t0 and the sample factor's
+    # at most twice the bound, so neither over- nor underflows.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        t0 = t.min()
+        rows = np.exp((ln_etas - 2.0 * sig * t0) + 1j * (phis + 2.0 * lams.real * t0))
+        steps = np.exp(2j * lams[:, None] * (t - t0))
+        rhos = [rows[:, k, None] * steps[k] for k in range(len(lams))]
+        q = np.zeros(rhos[0].shape, dtype=complex)
+        for j, p in enumerate(rhos):
+            inv_denom = 1.0 / (1.0 + (p.real * p.real + p.imag * p.imag))
+            q += (-4.0 * sig[j]) * inv_denom * np.conj(p)
+            # c = (lambda_j - conj(lambda_j)) / (1 + |rho_j|^2)
+            c = (2j * sig[j]) * inv_denom
+            for k in range(j + 1, len(lams)):
+                rk = rhos[k]
+                # num = (lambda_k - lambda_j) rho_k + c (rho_k - rho_j)
+                num = rk - p
+                num *= c
+                num += (lams[k] - lams[j]) * rk
+                # den = lambda_k - conj(lambda_j) - c (1 + conj(rho_j) rho_k)
+                den = np.conj(p)
+                den *= rk
+                den += 1.0
+                den *= c
+                np.subtract(lams[k] - np.conj(lams[j]), den, out=den)
+                num /= den
+                rhos[k] = num
+    return q
+
+
+def _synthesize_log(lams, ln_etas, phis, t) -> np.ndarray:
+    """The recursion on complex logarithms of rho; (C, N) rows to (C, n).
+
+    Stays finite at any |t|; the fallback of `synthesize_samples`.
+    """
+    sig = lams.imag
+    om = lams.real
+    n_ev = len(lams)
 
     # zeta[k] = ln eta_k - 2 sigma_k t + j (phi_k + 2 omega_k t), shape (C, n)
     zetas = [
@@ -149,7 +230,7 @@ def synthesize_samples(lams, ln_etas, phis, t) -> np.ndarray:
                 )
                 zetas[k] = ln_num - ln_den
 
-    return q if batched else q[0]
+    return q
 
 
 def synthesize(spectrum: DiscreteSpectrum, grid: TimeGrid) -> SampledSignal:

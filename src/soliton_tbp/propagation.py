@@ -40,6 +40,8 @@ class PropagationPlan:
 
     @classmethod
     def with_dz(cls, z_total: float, dz: float = DEFAULT_DZ) -> "PropagationPlan":
+        if not (math.isfinite(dz) and dz > 0.0):
+            raise ValueError(f"dz must be finite and > 0, got {dz}")
         return cls(z_total=z_total, n_steps=max(1, math.ceil(abs(z_total) / dz)))
 
     @property

@@ -9,9 +9,11 @@ from soliton_tbp.spectrum import DiscreteSpectrum
 def naive_darboux(spectrum: DiscreteSpectrum, t: np.ndarray) -> np.ndarray:
     """Direct complex-arithmetic evaluation of the recursive synthesis.
 
-    Identical update equations as the production path but without the
-    log-domain stabilization; valid while exp(2*sigma*|t|) stays in range.
-    Serves as the independent oracle for the stabilized implementation.
+    The update equations of the package, one eigenvalue pair at a time on
+    a single row, without batching or log-domain stabilization; valid while
+    exp(2*sigma*|t|) stays in range.  Serves as the independent oracle for
+    both synthesis paths: the direct one through `synthesize_samples` and
+    the stabilized one through `darboux._synthesize_log`.
     """
     lams = spectrum.lams
     etas = spectrum.etas

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from conftest import naive_darboux, random_spectrum
 
+from soliton_tbp import darboux
 from soliton_tbp.darboux import (
     SampledSignal,
     TimeGrid,
@@ -77,8 +78,59 @@ class TestSynthesize:
         t = np.linspace(-15.0, 15.0, 601)
         for _ in range(10):
             s = random_spectrum(rng)
+            assert darboux._seeds_in_range(s.lams, np.log(s.etas)[None], t)
             q = synthesize_samples(s.lams, np.log(s.etas), s.phis, t)
             assert np.abs(q - naive_darboux(s, t)).max() < 1e-12
+
+    def test_stabilized_path_matches_naive_recursion(self, rng):
+        t = np.linspace(-15.0, 15.0, 601)
+        for _ in range(10):
+            s = random_spectrum(rng)
+            q = darboux._synthesize_log(
+                s.lams, np.log(s.etas)[None], s.phis[None], t
+            )[0]
+            assert np.abs(q - naive_darboux(s, t)).max() < 1e-12
+
+    def test_paths_agree_near_the_bound(self):
+        # seed exponents reach 282: still direct, with |rho|^2 up to e^564
+        s = DiscreteSpectrum.from_delta_t([1.0, 0.7, 0.5], [0.3, -0.2, 0.0],
+                                          [1.0, -2.0, 0.5], [0.4, 2.0, 5.0])
+        t = np.linspace(-140.0, 140.0, 4097)
+        ln_etas = np.log(s.etas)[None]
+        assert darboux._seeds_in_range(s.lams, ln_etas, t)
+        q = synthesize_samples(s.lams, np.log(s.etas), s.phis, t)
+        q_log = darboux._synthesize_log(s.lams, ln_etas, s.phis[None], t)[0]
+        assert np.all(np.isfinite(q))
+        assert np.abs(q - q_log).max() < 1e-12 * np.abs(q_log).max()
+
+    def test_grid_past_the_bound_takes_the_stabilized_path(self):
+        s = DiscreteSpectrum.from_arrays([1.0, 0.5], etas=[3.0, 0.2])
+        t = np.linspace(-2000.0, 2000.0, 4097)
+        ln_etas = np.log(s.etas)
+        assert not darboux._seeds_in_range(s.lams, ln_etas[None], t)
+        q = synthesize_samples(s.lams, ln_etas, s.phis, t)
+        q_log = darboux._synthesize_log(s.lams, ln_etas[None], s.phis[None], t)[0]
+        assert np.array_equal(q, q_log)
+
+    def test_non_finite_direct_row_falls_back(self, rng, monkeypatch):
+        s = random_spectrum(rng, n=3)
+        t = np.linspace(-12.0, 12.0, 257)
+        phis = rng.uniform(0, 2 * np.pi, (4, 3))
+        ln_etas = np.broadcast_to(np.log(s.etas), phis.shape)
+        direct = darboux._synthesize_direct(s.lams, ln_etas, phis, t)
+        stabilized = darboux._synthesize_log(s.lams, ln_etas, phis, t)
+        real_direct = darboux._synthesize_direct
+
+        def direct_with_pole(*args):
+            q = real_direct(*args)
+            q[2, 100] = np.nan
+            return q
+
+        monkeypatch.setattr(darboux, "_synthesize_direct", direct_with_pole)
+        q = synthesize_samples(s.lams, np.log(s.etas), phis, t)
+        assert np.array_equal(q[2], stabilized[2])
+        for i in (0, 1, 3):
+            assert np.array_equal(q[i], direct[i])
 
     def test_order_invariance(self, rng):
         for _ in range(5):

@@ -161,6 +161,10 @@ class TestCli:
         ("measure", ["--phases", "1"]),
         ("measure", ["--z-samples", "0"]),
         ("propagate", ["--steps", "0"]),
+        ("propagate", ["--dz", "0"]),
+        ("propagate", ["--dz", "-0.1"]),
+        ("propagate", ["--snapshots", "-1"]),
+        ("nft", ["--seeds", "0"]),
     ])
     def test_out_of_range_flag_is_validation_error(
         self, one_soliton_file, tmp_path, capsys, command, flags
@@ -171,11 +175,14 @@ class TestCli:
             argv = ["measure", "--spectrum", str(one_soliton_file), "--report", str(out)]
         else:
             main(["synth", "--spectrum", str(one_soliton_file), "--out", str(sig_path)])
-            argv = ["propagate", "--signal", str(sig_path), "--z", "0.1", "--out", str(out)]
+            argv = [command, "--signal", str(sig_path), "--out", str(out)]
+            if command == "propagate":
+                argv += ["--z", "0.1"]
         capsys.readouterr()
         assert main(argv + flags) == 1
         assert capsys.readouterr().out == ""
-        assert not out.exists()
+        # snapshots would be written as out_z000.txt, ...
+        assert not list(tmp_path.glob("out*"))
 
     def test_exit_codes(self, tmp_path):
         bad = tmp_path / "bad.yaml"

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,9 @@ class TestPlan:
         with pytest.raises(ValueError):
             PropagationPlan(1.0, 0)
         assert PropagationPlan.with_dz(2.0, 1e-3).n_steps == 2000
+        for dz in (0.0, -0.1, math.nan, math.inf):
+            with pytest.raises(ValueError, match="dz"):
+                PropagationPlan.with_dz(1.0, dz)
 
     def test_negative_distance_allowed(self):
         assert PropagationPlan.with_dz(-1.0, 1e-3).dz < 0
