@@ -13,6 +13,7 @@ from .errors import (
     DegenerateRootError,
     DegenerateSpectrumError,
     GridTooNarrowWarning,
+    InvalidParameterError,
     MeasurementUnreliableError,
     SolitonError,
     SolitonWarning,

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq, minimize
 
-from .errors import DegenerateSpectrumError
+from .errors import DegenerateSpectrumError, InvalidParameterError
 from .spectrum import DiscreteSpectrum
 
 # Below this gap between the smallest sigma and any other, the log term of the
@@ -312,9 +312,9 @@ def lower_bound_curve(n_max: int, constellation: str, epsilon: float = 1e-4) -> 
     Nelder-Mead refinement; non-convergence is flagged on the entry.
     """
     if n_max < 1:
-        raise ValueError("n_max must be >= 1")
+        raise InvalidParameterError("n_max must be >= 1")
     if constellation not in ("imaginary", "real_axis"):
-        raise ValueError(f"unknown constellation {constellation!r}")
+        raise InvalidParameterError(f"unknown constellation {constellation!r}")
     _check_epsilon(epsilon)
     ref = _single_soliton_product(epsilon)
     entries = [BoundPoint(1, 1.0, (0.5,) if constellation == "imaginary" else (0.0,))]
@@ -351,4 +351,4 @@ def _sech(x):
 
 def _check_epsilon(epsilon):
     if not (0.0 < epsilon < 1.0):
-        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
+        raise InvalidParameterError(f"epsilon must lie in (0, 1), got {epsilon}")

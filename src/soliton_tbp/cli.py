@@ -6,16 +6,17 @@ One subcommand per workflow: pulse synthesis (synth), forward transform
 (optimize), bound-curve evaluation (bound), and regeneration of the
 figure-style CSV data sets (figures).
 
-Exit codes: 0 success, 1 validation error (flags, file schemas), 2 numeric
-or degenerate-input error.  Diagnostics and warnings go to stderr; every
-output file is byte-deterministic for identical inputs and flags.
+Exit codes: 0 success, 1 validation error (usage errors, out-of-range flag
+values, invalid files), 2 numeric or degenerate-input error.  Diagnostics and
+warnings go to stderr; every output file is byte-deterministic for identical
+inputs and flags.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
-from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,7 @@ import numpy as np
 from . import io as sio
 from .asymptotics import lower_bound_curve
 from .darboux import auto_grid, synthesize
-from .errors import SolitonError, SpectrumFileError
+from .errors import InvalidParameterError, SolitonError, SpectrumFileError
 from .metrics import (
     MeasureConfig,
     measure,
@@ -39,25 +40,19 @@ from .spectrum import DiscreteSpectrum, denormalize, evolve
 CONSTELLATION_FLAGS = {"imag": "imaginary", "real": "real_axis"}
 
 
-@contextmanager
-def _flag_values():
-    """A value rejected while building from flags is a validation error."""
-    try:
-        yield
-    except ValueError as exc:
-        raise SpectrumFileError(str(exc)) from exc
-
-
 def _measure_config(args, phase_default=16) -> MeasureConfig:
     z_samples = getattr(args, "z_samples", None)
-    with _flag_values():
-        return MeasureConfig(
-            epsilon=args.epsilon,
-            alpha=args.alpha,
-            definition=args.definition,
-            phase_points=phase_default if args.phases is None else args.phases,
-            z_samples=MeasureConfig.z_samples if z_samples is None else z_samples,
-        )
+    return MeasureConfig(
+        epsilon=args.epsilon,
+        alpha=args.alpha,
+        definition=args.definition,
+        phase_points=phase_default if args.phases is None else args.phases,
+        z_samples=MeasureConfig.z_samples if z_samples is None else z_samples,
+    )
+
+
+def _write_rows(path, rows):
+    Path(path).write_text("\n".join(rows) + "\n")
 
 
 def _cmd_synth(args) -> int:
@@ -78,9 +73,6 @@ def _cmd_synth(args) -> int:
 def _cmd_nft(args) -> int:
     from .scattering import recover_spectrum
 
-    with _flag_values():
-        if args.seeds < 1:
-            raise ValueError(f"--seeds must be >= 1, got {args.seeds}")
     signal = sio.load_signal(args.signal)
     region = None
     if args.region:
@@ -94,13 +86,10 @@ def _cmd_nft(args) -> int:
 
 def _cmd_propagate(args) -> int:
     signal = sio.load_signal(args.signal)
-    with _flag_values():
-        if args.steps is not None:
-            plan = PropagationPlan(z_total=args.z, n_steps=args.steps)
-        else:
-            plan = PropagationPlan.with_dz(args.z, args.dz)
-        if args.snapshots < 0:
-            raise ValueError(f"--snapshots must be >= 0, got {args.snapshots}")
+    if args.steps is not None:
+        plan = PropagationPlan(z_total=args.z, n_steps=args.steps)
+    else:
+        plan = PropagationPlan.with_dz(args.z, args.dz)
     if args.snapshots:
         shots = propagate_with_snapshots(signal, plan, args.snapshots)
         stem = Path(args.out)
@@ -124,7 +113,7 @@ def _report(lines, path):
 def _cmd_measure(args) -> int:
     config = _measure_config(args)
     if (args.signal is None) == (args.spectrum is None):
-        raise SpectrumFileError("measure needs exactly one of --signal or --spectrum")
+        raise InvalidParameterError("measure needs exactly one of --signal or --spectrum")
     if args.signal is not None:
         report = measure(sio.load_signal(args.signal), config)
         _report(
@@ -159,7 +148,7 @@ def _cmd_measure(args) -> int:
     )
     if args.csv:
         rows = ["z,t_max,b_max"] + [f"{z!r},{t!r},{b!r}" for z, t, b in link.profile]
-        Path(args.csv).write_text("\n".join(rows) + "\n")
+        _write_rows(args.csv, rows)
     return 0
 
 
@@ -180,13 +169,16 @@ def _dt_sweep_rows(spectrum, entry, dts, config):
 def _cmd_sweep(args) -> int:
     spectrum, _ = sio.load_spectrum(args.spectrum)
     if not 0 <= args.entry < spectrum.n:
-        raise SpectrumFileError(f"--entry {args.entry} out of range for N={spectrum.n}")
+        raise InvalidParameterError(f"--entry {args.entry} out of range for N={spectrum.n}")
+    if not (args.dt_step > 0.0 and args.dt_min <= args.dt_max
+            and math.isfinite(args.dt_min + args.dt_max + args.dt_step)):
+        raise InvalidParameterError(
+            f"--dt-step {args.dt_step} must be finite and > 0 over --dt-min <= --dt-max"
+        )
     config = _measure_config(args)
     dts = np.round(np.arange(args.dt_min, args.dt_max + 0.5 * args.dt_step, args.dt_step), 12)
     rows = _dt_sweep_rows(spectrum, args.entry, dts, config)
-    Path(args.out).write_text(
-        "\n".join(["dt,t_max,b_max"] + [f"{d!r},{t!r},{b!r}" for d, t, b in rows]) + "\n"
-    )
+    _write_rows(args.out, ["dt,t_max,b_max"] + [f"{d!r},{t!r},{b!r}" for d, t, b in rows])
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
 
@@ -221,12 +213,12 @@ def _cmd_bound(args) -> int:
     for e in curve.entries:
         params = ";".join(repr(v) for v in e.params)
         rows.append(f"{e.n},{e.normalized_bound!r},{int(e.converged)},{params}")
-    Path(args.out).write_text("\n".join(rows) + "\n")
+    _write_rows(args.out, rows)
     print(f"wrote bound curve for N <= {args.n_max} to {args.out}")
     return 0
 
 
-def _fig3(out_dir: Path, config: MeasureConfig) -> Path:
+def _fig3(config: MeasureConfig) -> dict:
     cases = {
         "imaginary": DiscreteSpectrum.from_arrays([0.5, 1.0]),
         "real_axis": DiscreteSpectrum.from_arrays([0.5, 0.5], [0.8, -0.6]),
@@ -236,12 +228,10 @@ def _fig3(out_dir: Path, config: MeasureConfig) -> Path:
     for name, base in cases.items():
         for dt, t, b in _dt_sweep_rows(base, 1, dts, config):
             rows.append(f"{name},{dt!r},{t!r},{b!r}")
-    path = out_dir / "fig3.csv"
-    path.write_text("\n".join(rows) + "\n")
-    return path
+    return {"fig3.csv": rows}
 
 
-def _fig5(out_dir: Path, config: MeasureConfig) -> Path:
+def _fig5(config: MeasureConfig) -> dict:
     rows = ["n,z,t_max,b_max"]
     for n in (2, 3):
         params = TABLE_OPTIMA[("real_axis", n)]
@@ -251,13 +241,11 @@ def _fig5(out_dir: Path, config: MeasureConfig) -> Path:
         link = t_hat_b_hat(spectrum, config, l_star, with_b_profile=True)
         for z, t, b in link.profile:
             rows.append(f"{n},{z!r},{t!r},{b!r}")
-    path = out_dir / "fig5.csv"
-    path.write_text("\n".join(rows) + "\n")
-    return path
+    return {"fig5.csv": rows}
 
 
-def _fig6(out_dir: Path, config: MeasureConfig, n_max: int) -> list[Path]:
-    paths = []
+def _fig6(config: MeasureConfig, n_max: int) -> dict:
+    files = {}
     for constellation in ("imaginary", "real_axis"):
         rows = ["kind,n,value,params"]
         curve = lower_bound_curve(n_max, constellation, config.epsilon)
@@ -269,25 +257,25 @@ def _fig6(out_dir: Path, config: MeasureConfig, n_max: int) -> list[Path]:
             _, ratio, _ = evaluate_point(constellation, n, params, config)
             packed = ";".join(f"{k}={v!r}" for k, v in params.items())
             rows.append(f"achieved,{n},{ratio!r},{packed}")
-        path = out_dir / f"fig6_{constellation}.csv"
-        path.write_text("\n".join(rows) + "\n")
-        paths.append(path)
-    return paths
+        files[f"fig6_{constellation}.csv"] = rows
+    return files
 
 
 def _cmd_figures(args) -> int:
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     config = _measure_config(args)
     wanted = set(args.which or ["fig3", "fig5", "fig6"])
-    written = []
+    files = {}
     if "fig3" in wanted:
-        written.append(_fig3(out_dir, config))
+        files.update(_fig3(config))
     if "fig5" in wanted:
-        written.append(_fig5(out_dir, config))
+        files.update(_fig5(config))
     if "fig6" in wanted:
-        written.extend(_fig6(out_dir, config, args.n_max))
-    print("wrote " + ", ".join(str(p) for p in written))
+        files.update(_fig6(config, args.n_max))
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, rows in files.items():
+        _write_rows(out_dir / name, rows)
+    print("wrote " + ", ".join(str(out_dir / name) for name in files))
     return 0
 
 
@@ -380,11 +368,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the usage error or the help
+        return 1 if exc.code else 0
     try:
         return args.func(args)
-    except (SpectrumFileError, FileNotFoundError, IsADirectoryError, PermissionError) as exc:
+    except (InvalidParameterError, SpectrumFileError, FileNotFoundError, IsADirectoryError,
+            PermissionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (SolitonError, OverflowError, ArithmeticError, ValueError) as exc:

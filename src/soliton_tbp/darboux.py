@@ -33,8 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotics import _sech, envelope_bandwidth, envelope_duration, tail_envelope
-from .errors import GridTooNarrowWarning
+from .asymptotics import _check_epsilon, _sech, envelope_bandwidth, envelope_duration, tail_envelope
+from .errors import GridTooNarrowWarning, InvalidParameterError
 from .spectrum import DiscreteSpectrum
 
 # Fraction of the peak magnitude tolerated at the grid edges before the
@@ -270,27 +270,28 @@ def auto_grid(
 ) -> TimeGrid:
     """Size a grid from the tail-envelope duration and bandwidth estimates.
 
-    The window is centered on the pulse with half-width >= 1.5 times half
-    the duration estimate at epsilon/100 (plus one decay length of
-    the slowest tail), and dt keeps the bandwidth estimate oversampled by
-    ``oversampling``.  With ``boundary_clean`` (the default) the window is
-    additionally widened until the tail envelopes sit a decade below the
-    edge-magnitude check of `synthesize`; turning it off yields a leaner grid
-    that is still safe for the energy-window measurements at this epsilon.
+    The window is centered on the edge span (T-, T+) with half-width 1.5
+    times half that span plus one decay length of the slowest tail, and dt
+    keeps the bandwidth estimate oversampled by ``oversampling``.  With
+    ``boundary_clean`` (the default) the edges are where the tail envelopes
+    sit a decade below the edge-magnitude check of `synthesize`; turning it
+    off puts them where the tails hold epsilon*1e-4 of the energy, a leaner
+    grid that is still safe for the energy-window measurements at this
+    epsilon.  Either edge lies outside the epsilon/100 duration estimate (the
+    magnitude edge for epsilon >= 1e-24), so the window spans at least 1.5
+    times that duration.
     """
-    if not (0.0 < epsilon < 1.0):
-        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
-    t_minus, t_plus = envelope_duration(spectrum, epsilon / 100.0)
+    _check_epsilon(epsilon)
+    if not (math.isfinite(oversampling) and oversampling > 0.0):
+        raise InvalidParameterError(f"oversampling must be finite and > 0, got {oversampling}")
     f_minus, f_plus = envelope_bandwidth(spectrum, epsilon)
     if boundary_clean:
         # reference the threshold to the smallest component peak, conservatively
         env = tail_envelope(spectrum)
         target = 0.1 * BOUNDARY_FRACTION * 2.0 * spectrum.sigmas.min()
-        edge = _envelope_magnitude_crossing(env, target)
+        t_minus, t_plus = _envelope_magnitude_crossing(env, target)
     else:
-        edge = envelope_duration(spectrum, epsilon * 1e-4)
-    t_plus = max(t_plus, edge[1])
-    t_minus = min(t_minus, edge[0])
+        t_minus, t_plus = envelope_duration(spectrum, epsilon * 1e-4)
     center = 0.5 * (t_plus + t_minus)
     half_width = 1.5 * 0.5 * (t_plus - t_minus) + 1.0 / spectrum.sigmas.min()
     b_est = max(f_plus - f_minus, 2.0 * max(abs(f_plus), abs(f_minus)))

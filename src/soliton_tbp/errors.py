@@ -18,7 +18,11 @@ class MeasurementUnreliableError(SolitonError):
 
 
 class SpectrumFileError(SolitonError):
-    """Spectrum file failed schema validation."""
+    """A spectrum, signal or trace file failed validation."""
+
+
+class InvalidParameterError(SolitonError, ValueError):
+    """A caller-supplied argument lies outside its valid range."""
 
 
 class SolitonWarning(UserWarning):

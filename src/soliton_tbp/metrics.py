@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .darboux import SampledSignal, TimeGrid, auto_grid, synthesize_phases, union_grid
-from .errors import MeasurementUnreliableError
+from .errors import InvalidParameterError, MeasurementUnreliableError
 from .spectrum import DiscreteSpectrum, evolve
 
 # Energy fraction at the grid edge cells above which the energy-window search
@@ -62,17 +62,17 @@ class MeasureConfig:
 
     def __post_init__(self):
         if not (0.0 < self.epsilon < 1.0):
-            raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
+            raise InvalidParameterError(f"epsilon must lie in (0, 1), got {self.epsilon}")
         if self.alpha is None:
             object.__setattr__(self, "alpha", math.sqrt(2.0 * self.epsilon))
         if not (0.0 < self.alpha < 1.0):
-            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
+            raise InvalidParameterError(f"alpha must lie in (0, 1), got {self.alpha}")
         if self.definition not in DEFINITIONS:
-            raise ValueError(f"definition must be one of {DEFINITIONS}")
+            raise InvalidParameterError(f"definition must be one of {DEFINITIONS}")
         if self.phase_points < 2:
-            raise ValueError("phase_points must be >= 2")
+            raise InvalidParameterError("phase_points must be >= 2")
         if self.z_samples < 2:
-            raise ValueError("z_samples must be >= 2")
+            raise InvalidParameterError("z_samples must be >= 2")
 
 
 @dataclass(frozen=True)
@@ -309,7 +309,7 @@ def t_hat_b_hat(
     z-invariant, so the distance sweep collapses to z = 0.
     """
     if link_length < 0.0:
-        raise ValueError("link length must be >= 0")
+        raise InvalidParameterError("link length must be >= 0")
     if spectrum.is_imaginary() or link_length == 0.0:
         r = t_max_b_max(spectrum, config, at_z=0.0)
         return LinkSweepResult(r.t_max, r.b_max, ((0.0, r.t_max, r.b_max),))

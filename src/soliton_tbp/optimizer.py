@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DegenerateSpectrumError, SolitonError, SpectrumFileError
+from .errors import DegenerateSpectrumError, InvalidParameterError, SolitonError, SpectrumFileError
 from .metrics import MeasureConfig, single_soliton_tbp, t_hat_b_hat
 from .spectrum import DiscreteSpectrum
 
@@ -71,14 +71,14 @@ class SweepSpec:
 
     def __post_init__(self):
         if self.constellation not in CONSTELLATIONS:
-            raise ValueError(f"constellation must be one of {CONSTELLATIONS}")
+            raise InvalidParameterError(f"constellation must be one of {CONSTELLATIONS}")
         if self.n not in (2, 3):
-            raise ValueError("exhaustive sweeps support n = 2 or 3")
+            raise InvalidParameterError("exhaustive sweeps support n = 2 or 3")
         if not self.ranges:
-            raise ValueError("ranges must not be empty")
+            raise InvalidParameterError("ranges must not be empty")
         for name, (lo, hi, step) in self.ranges.items():
             if not (step > 0 and hi >= lo):
-                raise ValueError(f"bad range for {name}: {(lo, hi, step)}")
+                raise InvalidParameterError(f"bad range for {name}: {(lo, hi, step)}")
 
 
 def default_sweep(

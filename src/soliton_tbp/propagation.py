@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .darboux import SampledSignal
-from .errors import AliasingWarning
+from .errors import AliasingWarning, InvalidParameterError
 from .metrics import ALIASING_FRACTION, _nyquist_edge_share
 
 DEFAULT_DZ = 1e-3
@@ -36,12 +36,12 @@ class PropagationPlan:
 
     def __post_init__(self):
         if self.n_steps < 1:
-            raise ValueError("n_steps must be >= 1")
+            raise InvalidParameterError("n_steps must be >= 1")
 
     @classmethod
     def with_dz(cls, z_total: float, dz: float = DEFAULT_DZ) -> "PropagationPlan":
         if not (math.isfinite(dz) and dz > 0.0):
-            raise ValueError(f"dz must be finite and > 0, got {dz}")
+            raise InvalidParameterError(f"dz must be finite and > 0, got {dz}")
         return cls(z_total=z_total, n_steps=max(1, math.ceil(abs(z_total) / dz)))
 
     @property
@@ -87,17 +87,14 @@ def propagate(signal: SampledSignal, plan: PropagationPlan) -> SampledSignal:
 def propagate_with_snapshots(
     signal: SampledSignal, plan: PropagationPlan, n_snapshots: int
 ) -> list[tuple[float, SampledSignal]]:
-    """Propagate and return (z, signal) at n_snapshots+1 evenly spaced z."""
-    if n_snapshots < 1:
-        raise ValueError("n_snapshots must be >= 1")
+    """Propagate and return (z, signal) at z = 0 and after each of n_snapshots
+    segments: snapshot i lands on step round(i * n_steps / n_snapshots), so the
+    segments take exactly the plan's n_steps at its dz and end at z_total."""
+    if not 1 <= n_snapshots <= plan.n_steps:
+        raise InvalidParameterError(f"n_snapshots must be in 1..{plan.n_steps}, got {n_snapshots}")
     out = [(0.0, signal)]
-    zs = np.linspace(0.0, plan.z_total, n_snapshots + 1)[1:]
-    current = signal
-    z_prev = 0.0
-    steps_per = max(1, plan.n_steps // n_snapshots)
-    for z in zs:
-        seg = PropagationPlan(z_total=float(z - z_prev), n_steps=steps_per)
-        current = propagate(current, seg)
-        out.append((float(z), current))
-        z_prev = float(z)
+    marks = [round(i * plan.n_steps / n_snapshots) for i in range(n_snapshots + 1)]
+    for prev, mark in zip(marks, marks[1:]):
+        seg = PropagationPlan(z_total=(mark - prev) * plan.dz, n_steps=mark - prev)
+        out.append((plan.z_total * (mark / plan.n_steps), propagate(out[-1][1], seg)))
     return out

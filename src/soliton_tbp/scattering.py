@@ -29,7 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from .darboux import SampledSignal
-from .errors import DegenerateRootError, DegenerateSpectrumError
+from .errors import DegenerateRootError, DegenerateSpectrumError, InvalidParameterError
 from .spectrum import DiscreteSpectrum, qd_init
 
 ROOT_TOL = 1e-6  # |a| below which a Newton iterate counts as an eigenvalue
@@ -175,11 +175,13 @@ def find_eigenvalues(
         Deduplicated converged roots inside the region, sorted by real then
         imaginary part.  No roots found is an empty list, not an error.
     """
+    if seeds_per_axis < 1:
+        raise InvalidParameterError(f"seeds_per_axis must be >= 1, got {seeds_per_axis}")
     if region is None:
         region = _default_region(signal)
     (re_lo, re_hi), (im_lo, im_hi) = region
     if im_hi <= 0.0 or im_lo < 0.0:
-        raise ValueError("region must lie in the upper half-plane")
+        raise InvalidParameterError("region must lie in the upper half-plane")
     res = np.linspace(re_lo, re_hi, seeds_per_axis)
     ims = np.linspace(max(im_lo, im_hi / seeds_per_axis), im_hi, seeds_per_axis)
     lam = (res[:, None] + 1j * ims[None, :]).ravel()

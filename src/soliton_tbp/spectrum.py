@@ -28,6 +28,8 @@ from .errors import DegenerateSpectrumError
 # Minimum pairwise eigenvalue distance; below this the synthesis and the
 # canonical-amplitude products divide by ~0.
 DISTINCTNESS_TOL = 1e-6
+# Largest |omega| of an eigenvalue that counts as on the imaginary axis.
+IMAGINARY_TOL = 1e-12
 
 TWO_PI = 2.0 * math.pi
 
@@ -168,11 +170,8 @@ class DiscreteSpectrum:
         """Pulse energy of the synthesized signal, 4*sum(sigma_k)."""
         return float(4.0 * self.sigmas.sum())
 
-    def is_imaginary(self, tol: float = 1e-12) -> bool:
-        return bool(np.all(np.abs(self.omegas) <= tol))
-
-    def with_phis(self, phis) -> "DiscreteSpectrum":
-        return DiscreteSpectrum.from_arrays(self.sigmas, self.omegas, self.etas, phis)
+    def is_imaginary(self) -> bool:
+        return bool(np.all(np.abs(self.omegas) <= IMAGINARY_TOL))
 
 
 @dataclass(frozen=True)

@@ -165,24 +165,56 @@ class TestCli:
         ("propagate", ["--dz", "-0.1"]),
         ("propagate", ["--snapshots", "-1"]),
         ("nft", ["--seeds", "0"]),
+        ("measure", ["--L", "-1"]),
+        ("propagate", ["--steps", "5", "--snapshots", "7"]),
+        ("nft", ["--region", "-1", "1", "-0.5", "1"]),
+        ("synth", ["--oversampling", "0"]),
+        ("synth", ["--oversampling", "-1"]),
+        ("synth", ["--epsilon", "0"]),
+        ("bound", ["--n-max", "0"]),
+        ("bound", ["--epsilon", "0"]),
+        ("figures", ["--which", "fig6", "--n-max", "0"]),
+        ("sweep", ["--dt-step", "0"]),
+        ("sweep", ["--dt-step", "-0.25"]),
+        ("optimize", ["--n", "4"]),
     ])
     def test_out_of_range_flag_is_validation_error(
         self, one_soliton_file, tmp_path, capsys, command, flags
     ):
         sig_path = tmp_path / "sig.csv"
         out = tmp_path / "out.txt"
-        if command == "measure":
-            argv = ["measure", "--spectrum", str(one_soliton_file), "--report", str(out)]
-        else:
+        if command in ("nft", "propagate"):
             main(["synth", "--spectrum", str(one_soliton_file), "--out", str(sig_path)])
-            argv = [command, "--signal", str(sig_path), "--out", str(out)]
-            if command == "propagate":
-                argv += ["--z", "0.1"]
+        spec = str(one_soliton_file)
+        argv = {
+            "synth": ["--spectrum", spec, "--out", str(out)],
+            "nft": ["--signal", str(sig_path), "--out", str(out)],
+            "propagate": ["--signal", str(sig_path), "--out", str(out), "--z", "0.1"],
+            "measure": ["--spectrum", spec, "--report", str(out)],
+            "sweep": ["--spectrum", spec, "--entry", "0", "--out", str(out)],
+            "optimize": ["--constellation", "imag", "--report", str(out)],
+            "bound": ["--constellation", "imag", "--out", str(out)],
+            "figures": ["--out-dir", str(tmp_path / "out")],
+        }[command]
         capsys.readouterr()
-        assert main(argv + flags) == 1
+        assert main([command] + argv + flags) == 1
         assert capsys.readouterr().out == ""
         # snapshots would be written as out_z000.txt, ...
         assert not list(tmp_path.glob("out*"))
+
+    @pytest.mark.parametrize("argv", [["measure", "--phases", "abc"], ["synth", "--spectrum", "x"]])
+    def test_usage_error_returns_one(self, argv, capsys):
+        assert main(argv) == 1
+        assert capsys.readouterr().out == ""
+        assert main(["--help"]) == 0
+
+    def test_region_without_eigenvalues_is_numeric_error(self, one_soliton_file, tmp_path):
+        sig_path = tmp_path / "sig.csv"
+        main(["synth", "--spectrum", str(one_soliton_file), "--out", str(sig_path)])
+        out = tmp_path / "rec.yaml"
+        argv = ["nft", "--signal", str(sig_path), "--out", str(out)]
+        assert main(argv + ["--region", "-1", "1", "0.5", "0.2"]) == 2
+        assert not out.exists()
 
     def test_exit_codes(self, tmp_path):
         bad = tmp_path / "bad.yaml"
@@ -190,7 +222,7 @@ class TestCli:
         assert main(["synth", "--spectrum", str(bad), "--out", str(tmp_path / "x.csv")]) == 1
         missing = tmp_path / "missing.yaml"
         assert main(["synth", "--spectrum", str(missing), "--out", str(tmp_path / "x.csv")]) == 1
-        # degenerate spectrum -> numeric error -> 2
+        # a degenerate spectrum file fails its schema check in io -> 1
         degenerate = tmp_path / "deg.yaml"
         degenerate.write_text(
             "n: 2\nentries:\n"

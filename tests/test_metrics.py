@@ -5,7 +5,7 @@ import pytest
 from conftest import smallest_window_oracle
 
 from soliton_tbp.darboux import SampledSignal, TimeGrid, auto_grid, synthesize, synthesize_phases
-from soliton_tbp.errors import MeasurementUnreliableError
+from soliton_tbp.errors import InvalidParameterError, MeasurementUnreliableError
 from soliton_tbp.metrics import (
     Band,
     MeasureConfig,
@@ -40,6 +40,10 @@ class TestConfig:
             MeasureConfig(definition="area")
         with pytest.raises(ValueError):
             MeasureConfig(phase_points=1)
+        # the CLI maps it to exit 1; library callers may keep catching ValueError
+        assert issubclass(InvalidParameterError, ValueError)
+        with pytest.raises(InvalidParameterError, match="z_samples"):
+            MeasureConfig(z_samples=1)
 
 
 class TestWindowSearch:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from soliton_tbp.darboux import auto_grid, synthesize, union_grid
-from soliton_tbp.errors import AliasingWarning
+from soliton_tbp.errors import AliasingWarning, InvalidParameterError
 from soliton_tbp.propagation import (
     PropagationPlan,
     propagate,
@@ -119,3 +119,14 @@ class TestSnapshots:
         assert shots[0][0] == 0.0 and shots[-1][0] == 1.0
         direct = propagate(sig, PropagationPlan(1.0, 100))
         assert np.abs(shots[-1][1].samples - direct.samples).max() < 1e-8
+
+    def test_segments_take_the_plans_steps(self):
+        s = DiscreteSpectrum.from_arrays([0.5])
+        sig = synthesize(s, auto_grid(s, 1e-4))
+        plan = PropagationPlan(1.0, 1000)
+        shots = propagate_with_snapshots(sig, plan, 3)
+        assert shots[-1][0] == plan.z_total
+        direct = propagate(sig, plan)
+        assert np.abs(shots[-1][1].samples - direct.samples).max() < 1e-12
+        with pytest.raises(InvalidParameterError, match="n_snapshots"):
+            propagate_with_snapshots(sig, PropagationPlan(1.0, 5), 7)
