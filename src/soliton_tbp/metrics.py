@@ -308,8 +308,8 @@ def t_hat_b_hat(
     spectra with all eigenvalues on the imaginary axis the amplitude magnitudes are
     z-invariant, so the distance sweep collapses to z = 0.
     """
-    if link_length < 0.0:
-        raise InvalidParameterError("link length must be >= 0")
+    if not (math.isfinite(link_length) and link_length >= 0.0):
+        raise InvalidParameterError(f"link length must be finite and >= 0, got {link_length}")
     if spectrum.is_imaginary() or link_length == 0.0:
         r = t_max_b_max(spectrum, config, at_z=0.0)
         return LinkSweepResult(r.t_max, r.b_max, ((0.0, r.t_max, r.b_max),))

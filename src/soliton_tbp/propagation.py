@@ -27,6 +27,11 @@ from .metrics import ALIASING_FRACTION, _nyquist_edge_share
 DEFAULT_DZ = 1e-3
 
 
+def _check_distance(z_total: float):
+    if not math.isfinite(z_total):
+        raise InvalidParameterError(f"z_total must be finite, got {z_total}")
+
+
 @dataclass(frozen=True)
 class PropagationPlan:
     """Integration plan: total normalized distance and step count."""
@@ -35,11 +40,13 @@ class PropagationPlan:
     n_steps: int
 
     def __post_init__(self):
+        _check_distance(self.z_total)
         if self.n_steps < 1:
             raise InvalidParameterError("n_steps must be >= 1")
 
     @classmethod
     def with_dz(cls, z_total: float, dz: float = DEFAULT_DZ) -> "PropagationPlan":
+        _check_distance(z_total)
         if not (math.isfinite(dz) and dz > 0.0):
             raise InvalidParameterError(f"dz must be finite and > 0, got {dz}")
         return cls(z_total=z_total, n_steps=max(1, math.ceil(abs(z_total) / dz)))

@@ -11,8 +11,22 @@ Every pass is one sweep of a start vector across a run of cells.  A cell's
 inverse is the same cell at step -dt (sin is odd and cos even), so a
 backward pass is the forward sweep over the reversed cells at -dt.
 
-The derivative da/dlambda rides along as an augmented pair whose per-cell
-update differentiates the matrix exponential analytically, which keeps the
+A sweep is a blocked transfer-matrix product, the divide-and-conquer scheme
+of Wahls & Poor, "Fast numerical nonlinear Fourier transforms" (IEEE Trans.
+Inf. Theory, 2015).  The cells are cut into blocks of SWEEP_BUDGET // m
+samples for a batch of m lambdas, so one block always holds about
+SWEEP_BUDGET cell matrices: a single lambda takes the whole signal as one
+block, a batch of 400 about twenty samples at a time.  Each block's cell
+matrices are built in one vectorized pass, then multiplied pairwise, the
+later cell on the left, in log2(block) levels; an odd last matrix is carried
+to the next level.  A level whose largest entry passes RESCALE_LIMIT is
+divided, per matrix and lambda, by a power of two near that entry, and the
+log of the factor is kept beside it.  The start vector is carried from block
+to block under the same rule.
+
+The derivative da/dlambda rides along: each cell's lambda derivative comes
+from differentiating its matrix exponential analytically, and every product
+carries its derivative by the product rule (AB)' = A'B + AB'.  This keeps the
 Newton eigenvalue search quadratically convergent.
 
 Extracting b at the right edge is exact for real lambda but ill-conditioned
@@ -41,26 +55,201 @@ APRIME_TOL = 1e-10
 # the accumulated log scale cancels in a/a' and is restored on extraction.
 RESCALE_LIMIT = 1e100
 
+# Cells x lambdas per block of a sweep.  A sweep's buffers then take about
+# 3 MB whatever the batch size, and larger blocks gain little.
+SWEEP_BUDGET = 1 << 13
 
-def _cell_matrices(q: complex, dt: float, lams, lam2, with_derivative: bool):
-    """Exact exponential of the constant-potential cell, and its lambda derivative."""
-    aq2 = q.real * q.real + q.imag * q.imag
-    kappa2 = lam2 + aq2
-    kappa = np.sqrt(kappa2)
-    kd = kappa * dt
-    small = np.abs(kd) < 1e-6
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s = np.where(small, dt * (1.0 - kd * kd / 6.0), np.sin(kd) / kappa)
-    c = np.cos(kd)
-    e = (c - 1j * lams * s, q * s, -np.conj(q) * s, c + 1j * lams * s)
-    if not with_derivative:
-        return e, None
-    dc = -lams * dt * s
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ds = np.where(small, -lams * dt**3 / 3.0, lams * (dt * c - s) / kappa2)
-    de_diag = 1j * (s + lams * ds)
-    de = (dc - de_diag, q * ds, -np.conj(q) * ds, dc + de_diag)
-    return e, de
+
+class _BlockProduct:
+    """Cell matrices of a block of samples, and their ordered product.
+
+    Matrices are stored as (2, 2, cells, lambdas) arrays.  Every buffer is
+    sized for the longest block and reused by each block of a sweep, since
+    fresh arrays of this size would be paged in again every time.
+    """
+
+    def __init__(self, n_cells: int, dt: float, lams, with_derivative: bool):
+        m = len(lams)
+        half = (n_cells + 1) // 2
+        self.dt = dt
+        self.lams = lams
+        # the levels of the product alternate between the two buffers
+        self.mats = (np.empty((2, 2, n_cells, m), complex), np.empty((2, 2, half, m), complex))
+        self.dmats = None
+        if with_derivative:
+            self.dmats = (np.empty_like(self.mats[0]), np.empty_like(self.mats[1]))
+        self.scales = (np.empty((n_cells, m)), np.empty((half, m)))
+        self.tmp = np.empty((2, 2, n_cells // 2, m), complex)
+        self.cplx = np.empty((6, n_cells, m), complex)
+        self.real = np.empty((8, n_cells, m))
+        self.flags = np.empty((2, n_cells, m), dtype=bool)
+        self.lam2 = lams * lams
+        self.ilam = 1j * lams
+        self.minus_lam_dt = -lams * dt
+        self.small_ds = -lams * dt**3 / 3.0
+
+    def _cells(self, q):
+        """Write the exact exponential of each cell of ``q`` (and its lambda
+        derivative) into the first buffer.
+
+        Per cell, with kappa^2 = lambda^2 + |q|^2, c = cos(kappa dt) and
+        s = sin(kappa dt) / kappa (dt (1 - (kappa dt)^2 / 6) for
+        |kappa dt| < 1e-6), the matrix is [[c - i lambda s, q s],
+        [-q* s, c + i lambda s]].  Both it and its derivative are even in
+        kappa, so any square root of kappa^2 serves.  The complex sqrt, sin
+        and cos are assembled from real functions of the real and imaginary
+        parts, which numpy evaluates several times faster.
+        """
+        k = len(q)
+        dt, lams = self.dt, self.lams
+        kappa2, kappa, c, s, t1, t2 = (b[:k] for b in self.cplx)
+        a, r, u, v, x, y, f1, f2 = (b[:k] for b in self.real)
+        flip, small = (b[:k] for b in self.flags)
+        q = q[:, None]
+        # kappa^2 = a + ib; b depends on lambda alone
+        np.add(self.lam2.real, q.real * q.real + q.imag * q.imag, out=a)
+        b = self.lam2.imag
+        np.copyto(kappa2.real, a)
+        np.copyto(kappa2.imag, b)
+        # a root of a + ib: u + iv for a >= 0 and v + iu for a < 0, with
+        # u = sqrt((|a + ib| + |a|) / 2) and v = b / (2u)
+        np.multiply(a, a, out=r)
+        r += b * b
+        np.sqrt(r, out=r)
+        np.abs(a, out=u)
+        u += r
+        u *= 0.5
+        np.sqrt(u, out=u)
+        np.multiply(0.5, b, out=v)
+        np.divide(v, u, out=v, where=u > 0.0)
+        np.less(a, 0.0, out=flip)
+        np.copyto(kappa.real, u)
+        np.copyto(kappa.imag, v)
+        np.copyto(kappa.real, v, where=flip)
+        np.copyto(kappa.imag, u, where=flip)
+        # kappa dt = x + iy
+        np.multiply(kappa.real, dt, out=x)
+        np.multiply(kappa.imag, dt, out=y)
+        np.multiply(x, x, out=r)
+        np.multiply(y, y, out=f1)
+        r += f1
+        np.less(r, 1e-12, out=small)
+        # cos(x + iy) = cos x cosh y - i sin x sinh y
+        # sin(x + iy) = sin x cosh y + i cos x sinh y
+        np.cosh(y, out=f1)
+        np.sinh(y, out=f2)
+        np.sin(x, out=u)
+        np.cos(x, out=v)
+        np.multiply(v, f1, out=c.real)
+        np.multiply(u, f2, out=c.imag)
+        np.negative(c.imag, out=c.imag)
+        np.multiply(u, f1, out=s.real)
+        np.multiply(v, f2, out=s.imag)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s /= kappa
+        any_small = small.any()
+        if any_small:
+            kd = kappa[small] * dt
+            s[small] = dt * (1.0 - kd * kd / 6.0)
+        e = self.mats[0][:, :, :k]
+        np.multiply(self.ilam, s, out=t1)
+        np.subtract(c, t1, out=e[0, 0])
+        np.add(c, t1, out=e[1, 1])
+        np.multiply(q, s, out=e[0, 1])
+        np.multiply(-np.conj(q), s, out=e[1, 0])
+        if self.dmats is None:
+            return
+        # ds = lambda (dt c - s) / kappa^2 (-lambda dt^3 / 3 for small kappa dt),
+        # dc = -lambda dt s, and the diagonal of de is dc -+ i (s + lambda ds)
+        ds, diag, dc = t1, t2, kappa
+        np.multiply(c, dt, out=ds)
+        ds -= s
+        ds *= lams
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ds /= kappa2
+        if any_small:
+            ds[small] = np.broadcast_to(self.small_ds, ds.shape)[small]
+        np.multiply(lams, ds, out=diag)
+        diag += s
+        diag *= 1j
+        np.multiply(self.minus_lam_dt, s, out=dc)
+        de = self.dmats[0][:, :, :k]
+        np.subtract(dc, diag, out=de[0, 0])
+        np.add(dc, diag, out=de[1, 1])
+        np.multiply(q, ds, out=de[0, 1])
+        np.multiply(-np.conj(q), ds, out=de[1, 0])
+
+    def product(self, q):
+        """The product of the cells of ``q``, the latest on the left.
+
+        Returns (M, M', log_scale): the (2, 2, m) product with the factor
+        exp(log_scale) divided out, and its lambda derivative (None unless
+        built with the derivative).  The arrays are views of the buffers,
+        valid until the next call.
+        """
+        self._cells(q)
+        k = len(q)
+        src = 0
+        scales = self.scales[0][:k]
+        scales[:] = 0.0
+        while k > 1:
+            h = k // 2
+            dst = 1 - src
+            mats, out = self.mats[src][:, :, :k], self.mats[dst][:, :, :k - h]
+            later, earlier = mats[:, :, 1:2 * h:2], mats[:, :, 0:2 * h:2]
+            tmp = self.tmp[:, :, :h]
+            _mat_mul(later, earlier, out[:, :, :h], tmp)
+            dout = None
+            if self.dmats is not None:
+                # (AB)' = A'B + AB'
+                dmats, dout = self.dmats[src][:, :, :k], self.dmats[dst][:, :, :k - h]
+                _mat_mul(dmats[:, :, 1:2 * h:2], earlier, dout[:, :, :h], tmp)
+                _mat_mul(later, dmats[:, :, 0:2 * h:2], dout[:, :, :h], tmp, add=True)
+            out_scales = self.scales[dst][:k - h]
+            np.add(scales[1:2 * h:2], scales[0:2 * h:2], out=out_scales[:h])
+            if k % 2:
+                out[:, :, h] = mats[:, :, k - 1]
+                out_scales[h] = scales[k - 1]
+                if dout is not None:
+                    dout[:, :, h] = dmats[:, :, k - 1]
+            _renormalize(out, dout, out_scales, axes=(0, 1))
+            k, src, scales = k - h, dst, out_scales
+        dmat = None if self.dmats is None else self.dmats[src][:, :, 0]
+        return self.mats[src][:, :, 0], dmat, scales[0]
+
+
+def _mat_mul(a, b, out, tmp, add=False):
+    """out = a @ b (out += a @ b with ``add``) for (2, 2, ...) stacks of 2x2 matrices.
+
+    ``tmp`` is scratch of the shape of ``out``.
+    """
+    if add:
+        np.multiply(a[:, 0:1], b[0:1], out=tmp)
+        out += tmp
+    else:
+        np.multiply(a[:, 0:1], b[0:1], out=out)
+    np.multiply(a[:, 1:2], b[1:2], out=tmp)
+    out += tmp
+
+
+def _renormalize(w, dw, log_scale, axes):
+    """Rescale the entries of ``w`` (and ``dw``) that outgrew RESCALE_LIMIT.
+
+    Each matrix or vector (reduced over ``axes``) whose largest entry passes
+    the limit is divided by a power of two near that entry, which is exact,
+    and the log of the factor is added to ``log_scale`` in place.
+    """
+    flat = w.view(float)
+    if max(flat.max(), -flat.min()) <= RESCALE_LIMIT:
+        return
+    mag = np.abs(w).max(axis=axes)
+    _, exponent = np.frexp(mag)
+    exponent[mag <= RESCALE_LIMIT] = 0
+    factor = np.ldexp(1.0, -exponent)
+    w *= factor
+    if dw is not None:
+        dw *= factor
+    log_scale += exponent * np.log(2.0)
 
 
 def _sweep(samples, dt, lams, w1, w2, with_derivative=False):
@@ -69,31 +258,27 @@ def _sweep(samples, dt, lams, w1, w2, with_derivative=False):
     Returns (w1, w2, wl1, wl2, log_scale): the end vector, its lambda
     derivative (zero unless ``with_derivative``) and the log of the factor
     divided out of all four.  A negative ``dt`` applies the inverse cells.
+
+    The cells go in blocks of SWEEP_BUDGET // len(lams) samples.  Each block
+    is reduced to one matrix by a pairwise product in log2(block) levels
+    (`_BlockProduct.product`), and the vector is carried from block to block.
     """
+    samples = np.asarray(samples)
     m = len(lams)
-    w1 = np.full(m, w1, dtype=complex)
-    w2 = np.full(m, w2, dtype=complex)
-    wl1 = np.zeros(m, dtype=complex)
-    wl2 = np.zeros(m, dtype=complex)
+    w = np.empty((2, m), dtype=complex)
+    w[0], w[1] = w1, w2
+    wl = np.zeros((2, m), dtype=complex)
     log_scale = np.zeros(m)
-    lam2 = lams * lams
-    for i, q in enumerate(samples):
-        (e11, e12, e21, e22), de = _cell_matrices(q, dt, lams, lam2, with_derivative)
-        if with_derivative:
-            d11, d12, d21, d22 = de
-            wl1, wl2 = (
-                e11 * wl1 + e12 * wl2 + d11 * w1 + d12 * w2,
-                e21 * wl1 + e22 * wl2 + d21 * w1 + d22 * w2,
-            )
-        w1, w2 = e11 * w1 + e12 * w2, e21 * w1 + e22 * w2
-        if (i & 0xFF) == 0xFF:
-            mag = np.maximum(np.abs(w1), np.abs(w2))
-            big = mag > RESCALE_LIMIT
-            if np.any(big):
-                scale = np.where(big, mag, 1.0)
-                w1, w2, wl1, wl2 = w1 / scale, w2 / scale, wl1 / scale, wl2 / scale
-                log_scale += np.log(scale)
-    return w1, w2, wl1, wl2, log_scale
+    block = max(1, SWEEP_BUDGET // max(m, 1))
+    work = _BlockProduct(min(block, len(samples)), dt, lams, with_derivative)
+    for start in range(0, len(samples), block):
+        mat, dmat, scale = work.product(samples[start:start + block])
+        if dmat is not None:
+            wl = mat[:, 0] * wl[0] + mat[:, 1] * wl[1] + dmat[:, 0] * w[0] + dmat[:, 1] * w[1]
+        w = mat[:, 0] * w[0] + mat[:, 1] * w[1]
+        log_scale += scale
+        _renormalize(w, wl, log_scale, axes=0)
+    return w[0], w[1], wl[0], wl[1], log_scale
 
 
 def scatter_many(signal: SampledSignal, lams):
@@ -105,7 +290,7 @@ def scatter_many(signal: SampledSignal, lams):
     """
     lams = np.atleast_1d(np.asarray(lams, dtype=complex))
     if np.any(lams.imag < 0.0):
-        raise ValueError(
+        raise InvalidParameterError(
             f"lambda must lie in the closed upper half-plane, got {lams[lams.imag < 0.0]}"
         )
     grid = signal.grid
@@ -234,7 +419,7 @@ def discrete_amplitude(signal: SampledSignal, lam_k: complex) -> complex:
     """
     lam_k = complex(lam_k)
     if lam_k.imag <= 0.0:
-        raise ValueError(f"eigenvalues lie strictly above the real axis, got {lam_k}")
+        raise InvalidParameterError(f"eigenvalues lie strictly above the real axis, got {lam_k}")
     a, a_prime = None, None
     for _ in range(8):
         a, _, a_prime = scatter_many(signal, [lam_k])

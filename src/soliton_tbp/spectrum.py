@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSpectrumError
+from .errors import DegenerateSpectrumError, InvalidParameterError
 
 # Minimum pairwise eigenvalue distance; below this the synthesis and the
 # canonical-amplitude products divide by ~0.
@@ -257,6 +257,8 @@ def evolve(spectrum: DiscreteSpectrum, z: float) -> DiscreteSpectrum:
     ``phi_k -= 4*(omega_k^2 - sigma_k^2)*z`` (mod 2*pi).
     Eigenvalues are invariant.
     """
+    if not math.isfinite(z):
+        raise InvalidParameterError(f"z must be finite, got {z}")
     new_entries = []
     for ev, amp in spectrum.entries:
         growth = 8.0 * ev.sigma * ev.omega * z

@@ -177,6 +177,10 @@ class TestCli:
         ("sweep", ["--dt-step", "0"]),
         ("sweep", ["--dt-step", "-0.25"]),
         ("optimize", ["--n", "4"]),
+        ("propagate", ["--z", "nan", "--steps", "5"]),
+        ("propagate", ["--z", "inf"]),
+        ("synth", ["--z", "nan"]),
+        ("measure", ["--L", "nan"]),
     ])
     def test_out_of_range_flag_is_validation_error(
         self, one_soliton_file, tmp_path, capsys, command, flags

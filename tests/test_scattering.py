@@ -5,8 +5,9 @@ import pytest
 from conftest import random_spectrum
 
 from soliton_tbp.darboux import SampledSignal, TimeGrid, auto_grid, synthesize
-from soliton_tbp.errors import DegenerateSpectrumError
+from soliton_tbp.errors import DegenerateSpectrumError, InvalidParameterError
 from soliton_tbp.scattering import (
+    RESCALE_LIMIT,
     _sweep,
     discrete_amplitude,
     find_eigenvalues,
@@ -30,7 +31,7 @@ class TestScatter:
 
     def test_rejects_lower_half_plane(self):
         sig = SampledSignal(TimeGrid(-10.0, 0.05, 512), np.zeros(512, complex))
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParameterError):
             scatter_many(sig, [-0.5j])
 
     def test_sech_eigenvalue(self):
@@ -98,6 +99,65 @@ class TestScatter:
         assert a_prime[0] == pytest.approx(fd, rel=1e-5)
 
 
+def _reference_cell(q, dt, lams, lam2, with_derivative):
+    """Exact exponential of one constant-potential cell, and its lambda derivative."""
+    aq2 = q.real * q.real + q.imag * q.imag
+    kappa2 = lam2 + aq2
+    kappa = np.sqrt(kappa2)
+    kd = kappa * dt
+    small = np.abs(kd) < 1e-6
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = np.where(small, dt * (1.0 - kd * kd / 6.0), np.sin(kd) / kappa)
+    c = np.cos(kd)
+    e = (c - 1j * lams * s, q * s, -np.conj(q) * s, c + 1j * lams * s)
+    if not with_derivative:
+        return e, None
+    dc = -lams * dt * s
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ds = np.where(small, -lams * dt**3 / 3.0, lams * (dt * c - s) / kappa2)
+    de_diag = 1j * (s + lams * ds)
+    de = (dc - de_diag, q * ds, -np.conj(q) * ds, dc + de_diag)
+    return e, de
+
+
+def _reference_sweep(samples, dt, lams, w1, w2, with_derivative=False):
+    """The sweep one sample at a time, with numpy's complex sqrt, sin and cos."""
+    m = len(lams)
+    w1 = np.full(m, w1, dtype=complex)
+    w2 = np.full(m, w2, dtype=complex)
+    wl1 = np.zeros(m, dtype=complex)
+    wl2 = np.zeros(m, dtype=complex)
+    log_scale = np.zeros(m)
+    lam2 = lams * lams
+    for i, q in enumerate(samples):
+        (e11, e12, e21, e22), de = _reference_cell(q, dt, lams, lam2, with_derivative)
+        if with_derivative:
+            d11, d12, d21, d22 = de
+            wl1, wl2 = (
+                e11 * wl1 + e12 * wl2 + d11 * w1 + d12 * w2,
+                e21 * wl1 + e22 * wl2 + d21 * w1 + d22 * w2,
+            )
+        w1, w2 = e11 * w1 + e12 * w2, e21 * w1 + e22 * w2
+        if (i & 0xFF) == 0xFF:
+            mag = np.maximum(np.abs(w1), np.abs(w2))
+            big = mag > RESCALE_LIMIT
+            if np.any(big):
+                scale = np.where(big, mag, 1.0)
+                w1, w2, wl1, wl2 = w1 / scale, w2 / scale, wl1 / scale, wl2 / scale
+                log_scale += np.log(scale)
+    return w1, w2, wl1, wl2, log_scale
+
+
+def _assert_sweeps_agree(got, want, rtol):
+    """End vectors and their derivatives agree per lambda, relative to the vector's size."""
+    rescale = np.exp(got[4] - want[4])
+    for pair in ((0, 1), (2, 3)):
+        g = np.array([got[i] * rescale for i in pair])
+        w = np.array([want[i] for i in pair])
+        size = np.abs(w).max(axis=0)
+        np.testing.assert_array_less(np.abs(g - w).max(axis=0), rtol * size + 1e-300)
+
+
 class TestSweep:
     def test_reversed_cells_at_minus_dt_invert_the_sweep(self, rng):
         samples = rng.normal(size=256) + 1j * rng.normal(size=256)
@@ -107,6 +167,47 @@ class TestSweep:
         assert not log_scale.any() and not back_scale.any()
         np.testing.assert_allclose(v1, 1.0, rtol=0, atol=1e-12)
         np.testing.assert_allclose(v2, 0.0, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 255, 1025])
+    @pytest.mark.parametrize("m", [1, 8, 400])
+    def test_matches_per_sample_reference(self, m, n):
+        # m = 400 takes blocks of 20 cells, m = 8 of 1024 and m = 1 one block
+        rng = np.random.default_rng(1000 * m + n)
+        samples = 0.8 * (rng.normal(size=n) + 1j * rng.normal(size=n))
+        lams = rng.uniform(-2.0, 2.0, m) + 1j * rng.uniform(0.0, 0.6, m)
+        lams[0] = 0.0  # kappa -> |q| on the real axis at the origin
+        for dt in (0.05, -0.05):
+            for start in ((1, 0), (0, 1)):
+                for with_derivative in (False, True):
+                    got = _sweep(samples, dt, lams, *start, with_derivative)
+                    want = _reference_sweep(samples, dt, lams, *start, with_derivative)
+                    _assert_sweeps_agree(got, want, rtol=1e-11)
+
+    def test_small_cells_take_the_series_branch(self):
+        # zero potential at lambda = 0 makes kappa exactly 0
+        samples = np.array([0.0, 1e-9, 0.3 + 0.1j, 0.0, 1e-8j])
+        lams = np.array([0.0, 1e-9j, 0.5 + 0.2j])
+        for with_derivative in (False, True):
+            got = _sweep(samples, 0.1, lams, 1, 0, with_derivative)
+            want = _reference_sweep(samples, 0.1, lams, 1, 0, with_derivative)
+            assert all(np.isfinite(v).all() for v in got)
+            _assert_sweeps_agree(got, want, rtol=1e-11)
+
+    @pytest.mark.parametrize("n, span", [(4096, 250.0), (3072, 750.0)])
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_long_span_renormalizes_levels(self, m, n, span):
+        # 250 time units at Im(lambda) = 1 grow by e^250 > RESCALE_LIMIT; for
+        # m <= 2 the whole span is one block, so the levels must renormalize.
+        # 3072 cells over 750 units reach a level of three such products,
+        # whose last one is carried with its scale.
+        rng = np.random.default_rng(7)
+        samples = 0.05 * (rng.normal(size=n) + 1j * rng.normal(size=n))
+        lams = np.array([0.3 + 1j, -0.2 + 1j])[:m]
+        got = _sweep(samples, span / n, lams, 1, 0, True)
+        want = _reference_sweep(samples, span / n, lams, 1, 0, True)
+        assert (got[4] > 0.8 * span).all()
+        assert np.abs(got[:4]).max() <= 2.0 * RESCALE_LIMIT
+        _assert_sweeps_agree(got, want, rtol=1e-11)
 
 
 class TestFindEigenvalues:
@@ -174,7 +275,7 @@ class TestDiscreteAmplitude:
 
     def test_rejects_real_axis(self):
         sig = _soliton_signal(DiscreteSpectrum.from_arrays([0.5]))
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParameterError):
             discrete_amplitude(sig, 0.5)
 
 
