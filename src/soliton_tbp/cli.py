@@ -115,6 +115,10 @@ def _cmd_measure(args) -> int:
     if (args.signal is None) == (args.spectrum is None):
         raise InvalidParameterError("measure needs exactly one of --signal or --spectrum")
     if args.signal is not None:
+        spectrum_only = [flag for flag, value in (("--phases", args.phases),
+                         ("--z-samples", args.z_samples), ("--csv", args.csv)) if value is not None]
+        if spectrum_only:
+            raise InvalidParameterError(f"{', '.join(spectrum_only)} apply only to --spectrum input")
         report = measure(sio.load_signal(args.signal), config)
         _report(
             [

@@ -11,11 +11,15 @@ Two window definitions are supported:
   value for which both definitions coincide on a first-order soliton (the
   sech is self-dual, so one alpha serves time and frequency).
 
-On top of the per-signal measures sit the modulation/propagation-aware
-quantities: `t_max_b_max` maximizes T and B over a uniform spectral-phase
-grid at a fixed distance, and `t_hat_b_hat` additionally maximizes T over a
-span of distances while B is maximized over the two endpoints only (the
-bandwidth matters only where the signal is sampled).
+One block evaluator, `_windows`, serves every measurement: for a (rows x
+samples) block on one grid it builds the |q|^2 dt and |Q|^2 df cells, runs
+the edge-leakage and Nyquist checks once over the block and returns each
+row's T and B windows (the scan itself runs row by row).  `measure` is a
+block of one; `t_max_b_max` takes the first maximal T and B over the
+spectral-phase grid, evaluated chunk by chunk, at a fixed distance; and
+`t_hat_b_hat` also maximizes T over a span of distances while B is maximized
+over the two endpoints only (the bandwidth matters only where the signal is
+sampled).
 """
 
 from __future__ import annotations
@@ -151,56 +155,49 @@ def _threshold_window(mags: np.ndarray, x: np.ndarray, alpha: float) -> Band:
     return Band(float(lo), float(hi))
 
 
-def _duration_window(mags: np.ndarray, grid: TimeGrid, config: MeasureConfig) -> Band:
-    cells = mags**2 * grid.dt
-    total = cells.sum()
-    if cells[0] + cells[-1] > EDGE_LEAKAGE_FRACTION * config.epsilon * total:
-        raise MeasurementUnreliableError(
-            "grid edges carry too much energy for the requested epsilon"
-        )
+def _nyquist_edge_share(power: np.ndarray) -> np.ndarray:
+    """Share of ``power`` (fftshift order) in the two bins at either end, along the last axis."""
+    total = power.sum(axis=-1)
+    edge = power[..., :2].sum(axis=-1) + power[..., -2:].sum(axis=-1)
+    return np.divide(edge, total, out=np.zeros(np.shape(total)), where=total > 0)
+
+
+def _scan(cells: np.ndarray, mags: np.ndarray, x: np.ndarray, dx: float,
+          config: MeasureConfig) -> list[Band]:
+    """The window of each row; cell i is centred on x[i] and dx wide."""
     if config.definition == "energy":
-        return _smallest_energy_window(cells, grid.t_start - 0.5 * grid.dt, grid.dt, config.epsilon)
-    return _threshold_window(mags, grid.times, config.alpha)
+        return [_smallest_energy_window(row, x[0] - 0.5 * dx, dx, config.epsilon) for row in cells]
+    return [_threshold_window(row, x, config.alpha) for row in mags]
 
 
-def _spectrum_of(samples: np.ndarray, grid: TimeGrid):
-    """Unitary DFT magnitudes along the last axis: frequencies in cycles per unit time."""
+def _windows(samples: np.ndarray, grid: TimeGrid, config: MeasureConfig, with_b: bool = True):
+    """Duration and bandwidth windows of every row of a (rows x samples) block.
+
+    Returns the T windows and, with ``with_b``, the B windows of the rows
+    (None otherwise).  The edge-leakage check runs over the whole block
+    before the T scans, and the Nyquist check before the B scans, so one row
+    reports the same error it would alone.
+    """
+    mags = np.abs(samples)
+    cells = mags**2 * grid.dt
+    if np.any(cells[:, 0] + cells[:, -1] > EDGE_LEAKAGE_FRACTION * config.epsilon * cells.sum(-1)):
+        raise MeasurementUnreliableError("grid edges carry too much energy for the requested epsilon")
+    t_bands = _scan(cells, mags, grid.times, grid.dt, config)
+    if not with_b:
+        return t_bands, None
+    # unitary DFT magnitudes, frequencies in cycles per unit time
     mags = np.abs(np.fft.fftshift(np.fft.fft(samples, axis=-1), axes=-1)) * grid.dt
     freqs = np.fft.fftshift(np.fft.fftfreq(grid.n_samples, d=grid.dt))
-    return freqs, mags
-
-
-def _nyquist_edge_share(power: np.ndarray) -> float:
-    """Share of ``power`` (fftshift order) in the two bins at either end."""
-    total = power.sum()
-    return (power[:2].sum() + power[-2:].sum()) / total if total > 0 else 0.0
-
-
-def _bandwidth_window(mags: np.ndarray, freqs: np.ndarray, config: MeasureConfig) -> Band:
     df = float(freqs[1] - freqs[0])
     cells = mags**2 * df
-    if _nyquist_edge_share(cells) > ALIASING_FRACTION:
+    if np.any(_nyquist_edge_share(cells) > ALIASING_FRACTION):
         raise MeasurementUnreliableError("spectral energy reaches the Nyquist edge (aliasing)")
-    if config.definition == "energy":
-        return _smallest_energy_window(cells, freqs[0] - 0.5 * df, df, config.epsilon)
-    return _threshold_window(mags, freqs, config.alpha)
-
-
-def duration(signal: SampledSignal, config: MeasureConfig) -> Band:
-    """Pulse duration window [T-, T+] of a sampled signal."""
-    return _duration_window(np.abs(signal.samples), signal.grid, config)
-
-
-def bandwidth(signal: SampledSignal, config: MeasureConfig) -> Band:
-    """Bandwidth window [B-, B+] of a sampled signal."""
-    freqs, mags = _spectrum_of(signal.samples, signal.grid)
-    return _bandwidth_window(mags, freqs, config)
+    return t_bands, _scan(cells, mags, freqs, df, config)
 
 
 def measure(signal: SampledSignal, config: MeasureConfig) -> TBReport:
     """Duration and bandwidth of one signal under the configured definition."""
-    t_band = duration(signal, config)
-    b_band = bandwidth(signal, config)
+    (t_band,), (b_band,) = _windows(signal.samples[None], signal.grid, config)
     return TBReport(t=t_band.width, b=b_band.width, t_interval=t_band, b_interval=b_band)
 
 
@@ -261,29 +258,19 @@ def t_max_b_max(
     combos = phase_combinations(
         spectrum.n, config.phase_points, conjugation_reduced=spectrum.is_imaginary()
     )
-    best_t, best_b = -math.inf, -math.inf
-    arg_t, arg_b = None, None
+    best = [(-math.inf, None), (-math.inf, None)]  # (width, phases) of T and B
     for start in range(0, len(combos), CHUNK_SIZE):
         block = combos[start : start + CHUNK_SIZE]
         q_block = synthesize_phases(spec_z, grid, block)
-        mags_block = np.abs(q_block)
-        if with_b:
-            freqs, f_block = _spectrum_of(q_block, grid)
-        for i in range(len(block)):
-            t_band = _duration_window(mags_block[i], grid, config)
-            if t_band.width > best_t:
-                best_t, arg_t = t_band.width, tuple(float(v) for v in block[i])
-            if with_b:
-                b_band = _bandwidth_window(f_block[i], freqs, config)
-                if b_band.width > best_b:
-                    best_b, arg_b = b_band.width, tuple(float(v) for v in block[i])
-    return PhaseSweepResult(
-        t_max=best_t,
-        b_max=best_b if with_b else math.nan,
-        t_argmax=arg_t,
-        b_argmax=arg_b,
-        grid=grid,
-    )
+        for k, bands in enumerate(_windows(q_block, grid, config, with_b)):
+            if bands is None:
+                continue
+            widths = [band.width for band in bands]
+            i = int(np.argmax(widths))  # first maximum; strict > keeps earlier chunks'
+            if widths[i] > best[k][0]:
+                best[k] = (widths[i], tuple(float(v) for v in block[i]))
+    (t_max, t_argmax), (b_max, b_argmax) = best
+    return PhaseSweepResult(t_max, b_max if with_b else math.nan, t_argmax, b_argmax, grid)
 
 
 @dataclass(frozen=True)

@@ -254,11 +254,14 @@ def _read_trace(path: Path | None, header: list) -> dict:
 def _worker_count() -> int:
     env = os.environ.get(THREADS_ENV)
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise InvalidParameterError(f"{THREADS_ENV} must be an integer, got {env!r}") from None
     return min(4, os.cpu_count() or 1)
 
 
-def _run_points(spec: SweepSpec, names, points, done, writer):
+def _run_points(spec: SweepSpec, names, points, done, writer, workers: int):
     """Evaluate points not in `done`, appending rows in enumeration order."""
 
     def evaluate(params):
@@ -273,7 +276,7 @@ def _run_points(spec: SweepSpec, names, points, done, writer):
         return TracePoint(params, r.t_hat, r.b_hat, r.t_hat * r.b_hat)
 
     results = []
-    with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         for point in pool.map(evaluate, points):
             results.append(point)
             if _key(point.params) not in done:
@@ -291,6 +294,7 @@ def run_sweep(spec: SweepSpec, trace_path: str | os.PathLike | None = None) -> S
     point (coarse and refined); ties resolve to the lexicographically
     smallest parameter vector.
     """
+    workers = _worker_count()  # before the trace is touched
     names = tuple(spec.ranges.keys())
     points = _grid_points(spec.ranges)
     trace_path = Path(trace_path) if trace_path is not None else None
@@ -305,7 +309,7 @@ def run_sweep(spec: SweepSpec, trace_path: str | os.PathLike | None = None) -> S
         if new_file:
             writer.writerows(header)
     try:
-        results = _run_points(spec, names, points, done, writer)
+        results = _run_points(spec, names, points, done, writer, workers)
         if spec.refine is not None:
             best = _argmin(results)
             if best is not None:
@@ -318,7 +322,7 @@ def run_sweep(spec: SweepSpec, trace_path: str | os.PathLike | None = None) -> S
                         min(hi, center + step),
                         fine_step,
                     )
-                results += _run_points(spec, names, _grid_points(fine), done, writer)
+                results += _run_points(spec, names, _grid_points(fine), done, writer, workers)
     finally:
         if fh is not None:
             fh.close()

@@ -352,8 +352,9 @@ def find_eigenvalues(
 
     Args:
         signal: sampled pulse, decaying at the grid edges.
-        region: ((re_min, re_max), (im_min, im_max)) search rectangle with
-            im bounds >= 0; sized from the signal when omitted.
+        region: ((re_min, re_max), (im_min, im_max)) search rectangle, finite,
+            with min < max on both axes and im_min >= 0; sized from the signal
+            when omitted.
         seeds_per_axis: seed grid resolution per axis.
 
     Returns:
@@ -365,8 +366,8 @@ def find_eigenvalues(
     if region is None:
         region = _default_region(signal)
     (re_lo, re_hi), (im_lo, im_hi) = region
-    if im_hi <= 0.0 or im_lo < 0.0:
-        raise InvalidParameterError("region must lie in the upper half-plane")
+    if not (np.isfinite(region).all() and re_lo < re_hi and 0.0 <= im_lo < im_hi):
+        raise InvalidParameterError(f"region must be finite, lo < hi, im >= 0; got {region}")
     res = np.linspace(re_lo, re_hi, seeds_per_axis)
     ims = np.linspace(max(im_lo, im_hi / seeds_per_axis), im_hi, seeds_per_axis)
     lam = (res[:, None] + 1j * ims[None, :]).ravel()

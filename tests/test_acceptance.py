@@ -22,7 +22,6 @@ from soliton_tbp.asymptotics import (
 from soliton_tbp.darboux import auto_grid, synthesize, synthesize_samples, union_grid
 from soliton_tbp.metrics import (
     MeasureConfig,
-    duration,
     measure,
     single_soliton_tbp,
     t_max_b_max,
@@ -311,9 +310,9 @@ class TestCriterion7:
             assert abs(sig.energy - s.energy) / s.energy < 1e-4
 
             # smallest-window monotonicity in epsilon (exact by definition)
-            t_small = duration(sig, MeasureConfig(epsilon=1e-5)).width
-            t_large = duration(sig, MeasureConfig(epsilon=1e-3)).width
-            assert t_small >= duration(sig, cfg).width >= t_large
+            t_small = measure(sig, MeasureConfig(epsilon=1e-5)).t_interval.width
+            t_large = measure(sig, MeasureConfig(epsilon=1e-3)).t_interval.width
+            assert t_small >= measure(sig, cfg).t_interval.width >= t_large
 
             # energy/threshold agreement at the derived alpha (first order)
             sigma1 = float(rng.uniform(0.3, 2.0))

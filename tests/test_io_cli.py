@@ -181,6 +181,9 @@ class TestCli:
         ("propagate", ["--z", "inf"]),
         ("synth", ["--z", "nan"]),
         ("measure", ["--L", "nan"]),
+        ("nft", ["--region", "1", "-1", "0", "1"]),
+        ("nft", ["--region", "-1", "1", "1", "0.5"]),
+        ("nft", ["--region", "-1", "1", "nan", "1"]),
     ])
     def test_out_of_range_flag_is_validation_error(
         self, one_soliton_file, tmp_path, capsys, command, flags
@@ -206,6 +209,31 @@ class TestCli:
         # snapshots would be written as out_z000.txt, ...
         assert not list(tmp_path.glob("out*"))
 
+    @pytest.mark.parametrize("flags", [
+        ["--csv", "out.csv"], ["--phases", "8"], ["--z-samples", "5"],
+    ])
+    def test_measure_signal_rejects_spectrum_flags(
+        self, one_soliton_file, tmp_path, capsys, flags
+    ):
+        sig_path = tmp_path / "sig.csv"
+        main(["synth", "--spectrum", str(one_soliton_file), "--out", str(sig_path)])
+        report = tmp_path / "out.txt"
+        capsys.readouterr()
+        flags = [str(tmp_path / f) if f.endswith(".csv") else f for f in flags]
+        assert main(["measure", "--signal", str(sig_path), "--report", str(report)] + flags) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and flags[0] in err
+        assert not list(tmp_path.glob("out*"))
+
+    def test_bad_thread_count_is_validation_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("SOLITON_TBP_THREADS", "two")
+        trace = tmp_path / "trace.csv"
+        capsys.readouterr()
+        assert main(["optimize", "--constellation", "imag", "--n", "2", "--trace", str(trace)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "SOLITON_TBP_THREADS" in err
+        assert not trace.exists()
+
     @pytest.mark.parametrize("argv", [["measure", "--phases", "abc"], ["synth", "--spectrum", "x"]])
     def test_usage_error_returns_one(self, argv, capsys):
         assert main(argv) == 1
@@ -217,7 +245,7 @@ class TestCli:
         main(["synth", "--spectrum", str(one_soliton_file), "--out", str(sig_path)])
         out = tmp_path / "rec.yaml"
         argv = ["nft", "--signal", str(sig_path), "--out", str(out)]
-        assert main(argv + ["--region", "-1", "1", "0.5", "0.2"]) == 2
+        assert main(argv + ["--region", "-1", "1", "0.6", "1"]) == 2
         assert not out.exists()
 
     def test_exit_codes(self, tmp_path):

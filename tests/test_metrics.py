@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 from conftest import smallest_window_oracle
 
+from soliton_tbp import metrics
 from soliton_tbp.darboux import SampledSignal, TimeGrid, auto_grid, synthesize, synthesize_phases
 from soliton_tbp.errors import InvalidParameterError, MeasurementUnreliableError
 from soliton_tbp.metrics import (
     Band,
     MeasureConfig,
-    bandwidth,
-    duration,
     measure,
     phase_combinations,
     single_soliton_tbp,
@@ -99,13 +98,13 @@ class TestWindowSearch:
 class TestDuration:
     def test_single_soliton_energy(self):
         sig = _soliton(DiscreteSpectrum.from_arrays([0.5]))
-        band = duration(sig, MeasureConfig())
+        band = measure(sig, MeasureConfig()).t_interval
         assert band.width == pytest.approx(math.log(2.0 / 1e-4), abs=1e-2)
 
     def test_threshold_agrees_at_derived_alpha(self):
         sig = _soliton(DiscreteSpectrum.from_arrays([0.5]))
-        t_energy = duration(sig, MeasureConfig(definition="energy")).width
-        t_thresh = duration(sig, MeasureConfig(definition="threshold")).width
+        t_energy = measure(sig, MeasureConfig(definition="energy")).t_interval.width
+        t_thresh = measure(sig, MeasureConfig(definition="threshold")).t_interval.width
         assert t_thresh == pytest.approx(t_energy, abs=1e-2)
 
     def test_translation_invariance(self):
@@ -114,7 +113,7 @@ class TestDuration:
         shifted = transform(s, "time_shift", 1.5)
         sig2 = _soliton(shifted)
         cfg = MeasureConfig()
-        b1, b2 = duration(sig, cfg), duration(sig2, cfg)
+        b1, b2 = measure(sig, cfg).t_interval, measure(sig2, cfg).t_interval
         assert b2.width == pytest.approx(b1.width, abs=1e-6)
         assert b2.lo == pytest.approx(b1.lo + 1.5, abs=1e-2)
 
@@ -127,13 +126,13 @@ class TestDuration:
             warnings.simplefilter("ignore", GridTooNarrowWarning)
             sig = synthesize(s, TimeGrid(-4.0, 8.0 / 128, 128))
         with pytest.raises(MeasurementUnreliableError):
-            duration(sig, MeasureConfig(epsilon=1e-6))
+            measure(sig, MeasureConfig(epsilon=1e-6))
 
 
 class TestBandwidth:
     def test_single_soliton_energy(self):
         sig = _soliton(DiscreteSpectrum.from_arrays([0.5]))
-        band = bandwidth(sig, MeasureConfig())
+        band = measure(sig, MeasureConfig()).b_interval
         assert band.width == pytest.approx(math.log(2e4) / math.pi**2, abs=1e-2)
 
     def test_parseval_exact(self):
@@ -152,15 +151,15 @@ class TestBandwidth:
         omega0 = 8 * df * math.pi  # omega/pi = 8 bins
         shifted = _soliton(transform(s, "freq_shift", omega0))
         cfg = MeasureConfig()
-        b0 = bandwidth(SampledSignal(sig.grid, sig.samples), cfg)
-        b1 = bandwidth(SampledSignal(sig.grid, shifted.samples), cfg)
+        b0 = measure(SampledSignal(sig.grid, sig.samples), cfg).b_interval
+        b1 = measure(SampledSignal(sig.grid, shifted.samples), cfg).b_interval
         assert b1.width == pytest.approx(b0.width, abs=1e-6)
 
     def test_freq_shift_moves_band(self):
         s = DiscreteSpectrum.from_arrays([0.5])
         cfg = MeasureConfig()
-        b0 = bandwidth(_soliton(s), cfg)
-        b1 = bandwidth(_soliton(transform(s, "freq_shift", 0.9)), cfg)
+        b0 = measure(_soliton(s), cfg).b_interval
+        b1 = measure(_soliton(transform(s, "freq_shift", 0.9)), cfg).b_interval
         assert b1.width == pytest.approx(b0.width, abs=1e-2)
         # omega -> omega - 0.9 modulates by exp(2j*0.9*t): band moves +0.9/pi
         assert b1.lo - b0.lo == pytest.approx(0.9 / math.pi, abs=2e-2)
@@ -244,6 +243,34 @@ class TestTMaxBMax:
         )
         assert merged.t_max < split.t_max
         assert merged.b_max > split.b_max
+
+    @pytest.mark.parametrize("chunk", [1, 3, 7])
+    def test_chunked_argmax_is_first_maximal_row(self, monkeypatch, chunk):
+        s = DiscreteSpectrum.from_delta_t([0.5, 0.5, 0.5], [0.55, 0.0, -0.55], [-2.2, 0.0, 2.2])
+        cfg = MeasureConfig(phase_points=4)
+        ref = t_max_b_max(s, cfg)
+        monkeypatch.setattr(metrics, "CHUNK_SIZE", chunk)
+        r = t_max_b_max(s, cfg)
+        assert (r.t_max, r.b_max, r.t_argmax, r.b_argmax) == (
+            ref.t_max, ref.b_max, ref.t_argmax, ref.b_argmax)
+        # the first maximal row of a plain loop in lexicographic order
+        combos = phase_combinations(3, 4)
+        reports = [
+            measure(SampledSignal(r.grid, q), cfg)
+            for q in synthesize_phases(s, r.grid, combos)
+        ]
+        ts, bs = [rep.t for rep in reports], [rep.b for rep in reports]
+        i, j = ts.index(max(ts)), bs.index(max(bs))
+        assert (r.t_max, r.t_argmax) == (ts[i], tuple(combos[i]))
+        assert (r.b_max, r.b_argmax) == (bs[j], tuple(combos[j]))
+
+        # every row the same pulse: all rows tie, and the first one wins
+        def unmodulated(spectrum, grid, block):
+            return synthesize_phases(spectrum, grid, np.zeros_like(block))
+
+        monkeypatch.setattr(metrics, "synthesize_phases", unmodulated)
+        tied = t_max_b_max(s, cfg)
+        assert tied.t_argmax == tied.b_argmax == tuple(combos[0])
 
     def test_argmax_reported(self):
         s = DiscreteSpectrum.from_arrays([1.0, 0.5])
