@@ -115,7 +115,7 @@ def _cmd_measure(args) -> int:
     if (args.signal is None) == (args.spectrum is None):
         raise InvalidParameterError("measure needs exactly one of --signal or --spectrum")
     if args.signal is not None:
-        spectrum_only = [flag for flag, value in (("--phases", args.phases),
+        spectrum_only = [flag for flag, value in (("--phases", args.phases), ("--L", args.L),
                          ("--z-samples", args.z_samples), ("--csv", args.csv)) if value is not None]
         if spectrum_only:
             raise InvalidParameterError(f"{', '.join(spectrum_only)} apply only to --spectrum input")
@@ -135,14 +135,15 @@ def _cmd_measure(args) -> int:
         )
         return 0
     spectrum, _ = sio.load_spectrum(args.spectrum)
-    link = t_hat_b_hat(spectrum, config, args.L, with_b_profile=bool(args.csv))
+    link_length = 0.0 if args.L is None else args.L
+    link = t_hat_b_hat(spectrum, config, link_length, with_b_profile=bool(args.csv))
     ratio = tbp_per_eigenvalue(link.t_hat, link.b_hat, spectrum.n) / single_soliton_tbp(config)
     _report(
         [
             f"definition: {config.definition}",
             f"epsilon: {config.epsilon!r}",
             f"phases: {config.phase_points}",
-            f"L: {args.L!r}",
+            f"L: {link_length!r}",
             f"T_hat: {link.t_hat!r}",
             f"B_hat: {link.b_hat!r}",
             f"TBP: {link.t_hat * link.b_hat!r}",
@@ -328,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--signal")
     p.add_argument("--spectrum")
     add_measure_flags(p)
-    p.add_argument("--L", type=float, default=0.0)
+    p.add_argument("--L", type=float, default=None)
     p.add_argument("--z-samples", dest="z_samples", type=int, default=None)
     p.add_argument("--report")
     p.add_argument("--csv", help="write (z, T_max, B_max) profile for spectrum input")

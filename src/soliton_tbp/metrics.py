@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .asymptotics import _check_epsilon
 from .darboux import SampledSignal, TimeGrid, auto_grid, synthesize_phases, union_grid
 from .errors import InvalidParameterError, MeasurementUnreliableError
 from .spectrum import DiscreteSpectrum, evolve
@@ -65,8 +66,7 @@ class MeasureConfig:
     z_samples: int = 41
 
     def __post_init__(self):
-        if not (0.0 < self.epsilon < 1.0):
-            raise InvalidParameterError(f"epsilon must lie in (0, 1), got {self.epsilon}")
+        _check_epsilon(self.epsilon)
         if self.alpha is None:
             object.__setattr__(self, "alpha", math.sqrt(2.0 * self.epsilon))
         if not (0.0 < self.alpha < 1.0):

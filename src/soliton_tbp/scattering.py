@@ -411,29 +411,33 @@ def find_eigenvalues(
     return merged
 
 
-def discrete_amplitude(signal: SampledSignal, lam_k: complex) -> complex:
-    """Spectral amplitude b(lambda_k) / a'(lambda_k) at a located eigenvalue.
+def discrete_amplitude(signal: SampledSignal, lams) -> np.ndarray:
+    """Spectral amplitudes b(lambda_k) / a'(lambda_k) at a batch of eigenvalues.
 
-    The given eigenvalue is first polished onto the root of the discretized
-    a; the proportionality between the two Jost solutions (and with it the
-    midpoint ratio for b) holds only there.
+    Each eigenvalue is first polished onto the root of the discretized a; the
+    proportionality between the two Jost solutions (and with it the midpoint
+    ratio for b) holds only there.  Every Newton step is one `scatter_many`
+    over the eigenvalues whose last step was not yet below 1e-13.
     """
-    lam_k = complex(lam_k)
-    if lam_k.imag <= 0.0:
-        raise InvalidParameterError(f"eigenvalues lie strictly above the real axis, got {lam_k}")
-    a, a_prime = None, None
+    lams = np.atleast_1d(np.asarray(lams, dtype=complex)).copy()
+    if np.any(lams.imag <= 0.0):
+        raise InvalidParameterError(f"eigenvalues lie strictly above the real axis, got {lams}")
+    a_prime = np.empty_like(lams)
+    active = np.arange(len(lams))
     for _ in range(8):
-        a, _, a_prime = scatter_many(signal, [lam_k])
-        if abs(a_prime[0]) < APRIME_TOL:
-            raise DegenerateRootError(f"a'({lam_k}) = {a_prime[0]}; root is not simple")
-        step = a[0] / a_prime[0]
-        lam_k = lam_k - step
-        if lam_k.imag <= 0.0:
-            raise DegenerateRootError(f"polishing left the upper half-plane at {lam_k}")
-        if abs(step) < 1e-13:
+        a, _, a_prime[active] = scatter_many(signal, lams[active])
+        flat = active[np.abs(a_prime[active]) < APRIME_TOL]
+        if flat.size:
+            raise DegenerateRootError(f"a'({lams[flat]}) = {a_prime[flat]}; root is not simple")
+        step = a / a_prime[active]
+        lams[active] -= step
+        below = lams[lams.imag <= 0.0]
+        if below.size:
+            raise DegenerateRootError(f"polishing left the upper half-plane at {below}")
+        active = active[np.abs(step) >= 1e-13]
+        if not active.size:
             break
-    b = _bound_state_b(signal, [lam_k])
-    return complex(b[0] / a_prime[0])
+    return _bound_state_b(signal, lams) / a_prime
 
 
 def recover_spectrum(
@@ -443,23 +447,15 @@ def recover_spectrum(
 ) -> DiscreteSpectrum:
     """Full inverse of synthesis: eigenvalues plus (eta, phi) parameters.
 
-    The measured amplitude at each eigenvalue equals
-    ``eta * exp(j*phi) * qd_init`` for the synthesis convention of this
-    package, so eta and phi follow by dividing out the canonical amplitude
-    of the recovered eigenvalue set.
+    The roots of `find_eigenvalues` are measured by one `discrete_amplitude`
+    call.  The amplitude at each equals ``eta * exp(j*phi) * qd_init`` for the
+    synthesis convention of this package, so eta and phi follow by dividing
+    out the canonical amplitude of the recovered eigenvalue set.
     """
-    lams = find_eigenvalues(signal, region=region, seeds_per_axis=seeds_per_axis)
-    if not lams:
+    lams = np.array(find_eigenvalues(signal, region=region, seeds_per_axis=seeds_per_axis))
+    if not lams.size:
         raise DegenerateSpectrumError("no eigenvalues found in the search region")
-    shell = DiscreteSpectrum.from_arrays(
-        [l.imag for l in lams], [l.real for l in lams]
-    )
-    sigmas, omegas, etas, phis = [], [], [], []
-    for k, lam in enumerate(lams):
-        qd = discrete_amplitude(signal, lam)
-        ref = qd_init(shell, k)
-        sigmas.append(lam.imag)
-        omegas.append(lam.real)
-        etas.append(abs(qd) / abs(ref))
-        phis.append(float(np.angle(qd / ref)))
-    return DiscreteSpectrum.from_arrays(sigmas, omegas, etas, phis)
+    shell = DiscreteSpectrum.from_arrays(lams.imag, lams.real)
+    ref = np.array([qd_init(shell, k) for k in range(shell.n)])
+    qd = discrete_amplitude(signal, lams)
+    return DiscreteSpectrum.from_arrays(lams.imag, lams.real, abs(qd) / abs(ref), np.angle(qd / ref))

@@ -222,10 +222,7 @@ def qd_init(spectrum: DiscreteSpectrum, k: int) -> complex:
     for m in range(spectrum.n):
         if m == k:
             continue
-        diff = lk - lams[m]
-        if abs(diff) < DISTINCTNESS_TOL:
-            raise DegenerateSpectrumError(f"eigenvalues {lk} and {lams[m]} coincide")
-        value *= (lk - np.conj(lams[m])) / diff
+        value *= (lk - np.conj(lams[m])) / (lk - lams[m])
     return complex(value)
 
 

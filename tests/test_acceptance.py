@@ -184,7 +184,7 @@ class TestCriterion5:
                 dists = [abs(r - s.lams[k]) for r in roots]
                 i = int(np.argmin(dists))
                 worst_ev = max(worst_ev, dists[i])
-                qd = discrete_amplitude(sig, roots[i])
+                qd = discrete_amplitude(sig, roots[i])[0]
                 expected = s.etas[k] * np.exp(1j * s.phis[k]) * qd_init(s, k)
                 worst_amp = max(worst_amp, abs(qd - expected) / abs(expected))
         ok = worst_ev < 1e-3 and worst_amp < 0.01

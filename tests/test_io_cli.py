@@ -211,6 +211,7 @@ class TestCli:
 
     @pytest.mark.parametrize("flags", [
         ["--csv", "out.csv"], ["--phases", "8"], ["--z-samples", "5"],
+        ["--L", "6"], ["--L", "0"],
     ])
     def test_measure_signal_rejects_spectrum_flags(
         self, one_soliton_file, tmp_path, capsys, flags

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from conftest import random_spectrum
 
+from soliton_tbp import scattering
 from soliton_tbp.darboux import SampledSignal, TimeGrid, auto_grid, synthesize
-from soliton_tbp.errors import DegenerateSpectrumError, InvalidParameterError
+from soliton_tbp.errors import DegenerateRootError, DegenerateSpectrumError, InvalidParameterError
 from soliton_tbp.scattering import (
     RESCALE_LIMIT,
     _sweep,
@@ -241,11 +242,14 @@ class TestFindEigenvalues:
         assert roots == sorted(roots, key=lambda r: (r.real, r.imag))
 
 
+N2_SPECTRUM = DiscreteSpectrum.from_arrays([1.0, 0.5], [0.3, -0.2], [2.0, 0.7], [1.0, 4.0])
+
+
 class TestDiscreteAmplitude:
     def test_single_soliton_value(self):
         # measured b/a' = eta*e^{j phi}*qd_init = 1j for the unit soliton
         sig = _soliton_signal(DiscreteSpectrum.from_arrays([0.5]))
-        qd = discrete_amplitude(sig, 0.5j)
+        qd = discrete_amplitude(sig, 0.5j)[0]
         assert abs(qd) == pytest.approx(1.0, rel=1e-2)
         assert qd == pytest.approx(1j, rel=1e-2)
 
@@ -253,15 +257,15 @@ class TestDiscreteAmplitude:
         s = DiscreteSpectrum.from_arrays([1.0, 0.5])
         sig = _soliton_signal(s)
         for k, lam in enumerate(s.lams):
-            qd = discrete_amplitude(sig, complex(lam))
+            qd = discrete_amplitude(sig, complex(lam))[0]
             expected = s.etas[k] * np.exp(1j * s.phis[k]) * qd_init(s, k)
             assert qd == pytest.approx(expected, rel=1e-2)
 
     def test_phase_recovery(self):
         base = DiscreteSpectrum.from_arrays([1.0, 0.5], phis=[0.0, 0.0])
         shifted = DiscreteSpectrum.from_arrays([1.0, 0.5], phis=[0.0, math.pi / 2])
-        qd_base = discrete_amplitude(_soliton_signal(base), 0.5j)
-        qd_shift = discrete_amplitude(_soliton_signal(shifted), 0.5j)
+        qd_base = discrete_amplitude(_soliton_signal(base), 0.5j)[0]
+        qd_shift = discrete_amplitude(_soliton_signal(shifted), 0.5j)[0]
         dphi = np.angle(qd_shift / qd_base)
         assert dphi == pytest.approx(math.pi / 2, abs=1e-2)
 
@@ -270,7 +274,7 @@ class TestDiscreteAmplitude:
         s = DiscreteSpectrum.from_arrays([0.5], etas=[2.5], phis=[1.0])
         sig = _soliton_signal(s)
         a, _, ap = scatter_many(sig, [0.5j])
-        qd = discrete_amplitude(sig, 0.5j)
+        qd = discrete_amplitude(sig, 0.5j)[0]
         assert abs(qd * ap[0]) == pytest.approx(2.5, rel=1e-2)
 
     def test_rejects_real_axis(self):
@@ -278,8 +282,25 @@ class TestDiscreteAmplitude:
         with pytest.raises(InvalidParameterError):
             discrete_amplitude(sig, 0.5)
 
+    def test_flat_a_is_degenerate_root(self):
+        # a = 1 everywhere for the zero signal, so a' vanishes
+        sig = SampledSignal(TimeGrid(-10.0, 0.05, 512), np.zeros(512, complex))
+        with pytest.raises(DegenerateRootError, match="not simple"):
+            discrete_amplitude(sig, [0.5j])
 
-N2_SPECTRUM = DiscreteSpectrum.from_arrays([1.0, 0.5], [0.3, -0.2], [2.0, 0.7], [1.0, 4.0])
+    def test_step_below_real_axis_is_degenerate_root(self):
+        # a = (lam - 0.5j) / (lam + 0.5j): one Newton step from 3j lands at -5.75j
+        sig = _soliton_signal(DiscreteSpectrum.from_arrays([0.5]))
+        with pytest.raises(DegenerateRootError, match="upper half-plane"):
+            discrete_amplitude(sig, [0.5j, 3j])
+
+    def test_batch_matches_single_calls(self):
+        sig = _soliton_signal(N2_SPECTRUM)
+        lams = N2_SPECTRUM.lams
+        batch = discrete_amplitude(sig, lams)
+        assert batch.shape == (2,)
+        for lam, qd in zip(lams, batch):
+            assert qd == pytest.approx(discrete_amplitude(sig, lam)[0], rel=1e-13)
 
 
 def _assert_recovers_n2(signal):
@@ -305,6 +326,17 @@ class TestRoundTrip:
         _, _, _, _, log_scale = _sweep(sig.samples, sig.grid.dt, np.array([0.3 + 1j]), 1, 0)
         assert log_scale[0] > 0.0
         _assert_recovers_n2(sig)
+
+    def test_one_amplitude_call(self, monkeypatch):
+        calls = []
+
+        def counted(signal, lams):
+            calls.append(len(lams))
+            return discrete_amplitude(signal, lams)
+
+        monkeypatch.setattr(scattering, "discrete_amplitude", counted)
+        _assert_recovers_n2(_soliton_signal(N2_SPECTRUM))
+        assert calls == [2]
 
     def test_no_roots_is_error(self):
         sig = SampledSignal(TimeGrid(-10.0, 0.05, 512), np.zeros(512, complex))
