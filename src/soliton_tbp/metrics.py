@@ -13,10 +13,14 @@ Two window definitions are supported:
 
 One block evaluator, `_windows`, serves every measurement: for a (rows x
 samples) block on one grid it builds the |q|^2 dt and |Q|^2 df cells, runs
-the edge-leakage and Nyquist checks once over the block and returns each
-row's T and B windows (the scan itself runs row by row).  `measure` is a
-block of one; `t_max_b_max` takes the first maximal T and B over the
-spectral-phase grid, evaluated chunk by chunk, at a fixed distance; and
+the edge-leakage and Nyquist checks once over the block and returns the
+first maximal T and B window of the block.  `measure` is a block of one.
+`t_max_b_max` takes the first maximal T and B over the spectral-phase grid,
+evaluated chunk by chunk, at a fixed distance; it passes the widest windows
+of earlier chunks as floors, and under the energy definition a cheap
+per-row bracket on the window width (`_window_bracket`) then spares the exact
+scan of every row that provably lies below them or below another row of its
+block, so the maxima and argmaxes are those of a full scan.
 `t_hat_b_hat` also maximizes T over a span of distances while B is maximized
 over the two endpoints only (the bandwidth matters only where the signal is
 sampled).
@@ -44,6 +48,9 @@ ALIASING_FRACTION = 1e-8
 DEFINITIONS = ("energy", "threshold")
 # Phase combinations synthesized per batch in `t_max_b_max`.
 CHUNK_SIZE = 512
+# Left-tail shares K of the window bracket that lets `t_max_b_max` skip rows
+# (`_window_bracket`): more shares tighten it at a higher cost per row.
+BRACKET_SHARES = 8
 
 
 @dataclass(frozen=True)
@@ -162,29 +169,120 @@ def _nyquist_edge_share(power: np.ndarray) -> np.ndarray:
     return np.divide(edge, total, out=np.zeros(np.shape(total)), where=total > 0)
 
 
-def _scan(cells: np.ndarray, mags: np.ndarray, x: np.ndarray, dx: float,
-          config: MeasureConfig) -> list[Band]:
-    """The window of each row; cell i is centred on x[i] and dx wide."""
-    if config.definition == "energy":
-        return [_smallest_energy_window(row, x[0] - 0.5 * dx, dx, config.epsilon) for row in cells]
-    return [_threshold_window(row, x, config.alpha) for row in mags]
+def _window_bracket(cells: np.ndarray, x0: float, dx: float, epsilon: float):
+    """Bounds lower <= W <= upper on each row's `_smallest_energy_window` width W.
 
+    Cell i of a row occupies [x0 + i*dx, x0 + (i+1)*dx]; E is the row's
+    piecewise-linear cumulative and C = (1-epsilon)*E_total the scan's
+    capture.  With q-(v) = inf{x : E(x) >= v}, q+(v) = sup{x : E(x) <= v} and
+    left-tail levels l_0 = 0 < ... < l_K covering [0, E_total - C]:
 
-def _windows(samples: np.ndarray, grid: TimeGrid, config: MeasureConfig, with_b: bool = True):
-    """Duration and bandwidth windows of every row of a (rows x samples) block.
+    - the window [q+(l_i), q-(l_i + C)] captures C, so W <= q-(l_i + C) - q+(l_i);
+    - the left edge of any window capturing C has a level in some
+      [l_i, l_(i+1)], so W >= q-(l_i + C) - q+(l_(i+1)).
 
-    Returns the T windows and, with ``with_b``, the B windows of the rows
-    (None otherwise).  The edge-leakage check runs over the whole block
-    before the T scans, and the Nyquist check before the B scans, so one row
-    reports the same error it would alone.
+    K is `BRACKET_SHARES`.  q- and q+ differ only on zero-density plateaus,
+    where q- is the left end and q+ the right end; past the row, q- of a
+    level above E_total is +inf.  The capture is widened by a level margin of
+    2^-46 E_total (up for the upper bound, down for the lower one), which
+    covers the rounding of the scan's own levels however steep E is, and the
+    bounds by a position slack that covers the rounding of its interpolation.
+    Rows whose bounds are not finite get (-inf, inf); so does every row whose
+    total is too small for the margin, a row without energy included.
     """
+    rows, n = cells.shape
+    cum = np.zeros((rows, n + 1))
+    np.cumsum(cells, axis=-1, out=cum[:, 1:])
+    total = cum[:, -1]
+    # below this the level margin would leave the normal floating-point range
+    sound = np.isfinite(total) & (total > 1e-200)
+    cum[~sound] = 0.0  # keeps the search keys ordered
+    total = cum[:, -1:]
+    capture = (1.0 - epsilon) * total
+    margin = 2.0**-46 * total
+    levels = ((total - capture) + margin) * (np.arange(BRACKET_SHARES + 1) / BRACKET_SHARES)
+    # one search for the whole block: complex keys order lexicographically, so
+    # (row, level) lands among the keys (row, cum) of its own row
+    keys = np.empty(cum.shape, dtype=complex)
+    keys.real = np.arange(rows)[:, None]
+    keys.imag = cum
+    keys = keys.ravel()
+    row_start = (n + 1) * np.arange(rows)[:, None]
+    flat = cum.ravel()
+
+    def position(level, side):
+        query = np.empty(level.shape, dtype=complex)
+        query.real = np.arange(rows)[:, None]
+        query.imag = level
+        k = np.searchsorted(keys, query.ravel(), side=side).reshape(level.shape) - row_start
+        j = np.minimum(np.maximum(k, 1), n) - 1  # the cell holding the level
+        c0 = flat[row_start + j]
+        c1 = flat[row_start + j + 1]
+        frac = np.divide(level - c0, c1 - c0, out=np.zeros(level.shape), where=c1 > c0)
+        x = x0 + dx * (j + frac)
+        below, above = (x0, math.inf) if side == "left" else (-math.inf, x0 + n * dx)
+        return np.where(k <= 0, below, np.where(k > n, above, x))
+
+    starts = position(levels, "right")  # q+(l_i)
+    tail = levels[:, :-1]
+    # q-(l_i + C +- margin) in one search
+    ends = position(np.concatenate([tail + (capture + margin), tail + (capture - margin)], axis=1),
+                    "left")
+    upper = (ends[:, :BRACKET_SHARES] - starts[:, :-1]).min(axis=1)
+    lower = (ends[:, BRACKET_SHARES:] - starts[:, 1:]).min(axis=1)
+    slack = 1e-12 * (abs(x0) + (n + 1) * dx)
+    sound &= np.isfinite(lower) & np.isfinite(upper)
+    return np.where(sound, lower - slack, -math.inf), np.where(sound, upper + slack, math.inf)
+
+
+def _first_max(cells: np.ndarray, mags: np.ndarray, x: np.ndarray, dx: float,
+               config: MeasureConfig, floor: float | None):
+    """(row, Band) of the block's first maximal window; cell i is centred on x[i], dx wide.
+
+    With a ``floor`` the energy definition scans exactly only the rows whose
+    `_window_bracket` upper bound reaches max(floor, the block's largest
+    lower bound); every other row is narrower than the floor or than some row
+    of the block, so it can be neither the first maximum nor exceed the
+    floor.  Returns None when no row is left to scan.  The threshold
+    definition scans every row, so each reports its own grid error.
+    """
+    if config.definition == "threshold":
+        bands = [_threshold_window(row, x, config.alpha) for row in mags]
+        rows = np.arange(len(bands))
+    else:
+        if not np.all(cells.sum(-1) > 1e-300):  # pruned rows still report it
+            raise MeasurementUnreliableError("signal carries no energy")
+        x0 = x[0] - 0.5 * dx
+        rows = np.arange(len(cells))
+        if floor is not None:
+            lower, upper = _window_bracket(cells, x0, dx, config.epsilon)
+            rows = rows[~(upper < max(floor, lower.max()))]
+        bands = [_smallest_energy_window(cells[r], x0, dx, config.epsilon) for r in rows]
+    if not bands:
+        return None
+    i = int(np.argmax([band.width for band in bands]))
+    return int(rows[i]), bands[i]
+
+
+def _windows(samples: np.ndarray, grid: TimeGrid, config: MeasureConfig, with_b: bool = True,
+             floors: tuple[float | None, float | None] = (None, None)):
+    """First maximal duration and bandwidth windows of a (rows x samples) block.
+
+    Returns the (row index, Band) of the first widest T window and, with
+    ``with_b``, of the first widest B window (None otherwise).  ``floors``
+    (T, B) lets the energy definition skip rows that cannot exceed them, see
+    `_first_max`; a family is then None when no row can.  The edge-leakage
+    check runs over the whole block before the T scans, and the Nyquist check
+    before the B scans, so one row reports the same error it would alone.
+    """
+    t_floor, b_floor = floors
     mags = np.abs(samples)
     cells = mags**2 * grid.dt
     if np.any(cells[:, 0] + cells[:, -1] > EDGE_LEAKAGE_FRACTION * config.epsilon * cells.sum(-1)):
         raise MeasurementUnreliableError("grid edges carry too much energy for the requested epsilon")
-    t_bands = _scan(cells, mags, grid.times, grid.dt, config)
+    t_max = _first_max(cells, mags, grid.times, grid.dt, config, t_floor)
     if not with_b:
-        return t_bands, None
+        return t_max, None
     # unitary DFT magnitudes, frequencies in cycles per unit time
     mags = np.abs(np.fft.fftshift(np.fft.fft(samples, axis=-1), axes=-1)) * grid.dt
     freqs = np.fft.fftshift(np.fft.fftfreq(grid.n_samples, d=grid.dt))
@@ -192,12 +290,12 @@ def _windows(samples: np.ndarray, grid: TimeGrid, config: MeasureConfig, with_b:
     cells = mags**2 * df
     if np.any(_nyquist_edge_share(cells) > ALIASING_FRACTION):
         raise MeasurementUnreliableError("spectral energy reaches the Nyquist edge (aliasing)")
-    return t_bands, _scan(cells, mags, freqs, df, config)
+    return t_max, _first_max(cells, mags, freqs, df, config, b_floor)
 
 
 def measure(signal: SampledSignal, config: MeasureConfig) -> TBReport:
     """Duration and bandwidth of one signal under the configured definition."""
-    (t_band,), (b_band,) = _windows(signal.samples[None], signal.grid, config)
+    (_, t_band), (_, b_band) = _windows(signal.samples[None], signal.grid, config)
     return TBReport(t=t_band.width, b=b_band.width, t_interval=t_band, b_interval=b_band)
 
 
@@ -262,13 +360,11 @@ def t_max_b_max(
     for start in range(0, len(combos), CHUNK_SIZE):
         block = combos[start : start + CHUNK_SIZE]
         q_block = synthesize_phases(spec_z, grid, block)
-        for k, bands in enumerate(_windows(q_block, grid, config, with_b)):
-            if bands is None:
-                continue
-            widths = [band.width for band in bands]
-            i = int(np.argmax(widths))  # first maximum; strict > keeps earlier chunks'
-            if widths[i] > best[k][0]:
-                best[k] = (widths[i], tuple(float(v) for v in block[i]))
+        floors = (best[0][0], best[1][0])
+        for k, found in enumerate(_windows(q_block, grid, config, with_b, floors)):
+            # strict >: an equal width in a later chunk keeps the earlier row
+            if found is not None and found[1].width > best[k][0]:
+                best[k] = (found[1].width, tuple(float(v) for v in block[found[0]]))
     (t_max, t_argmax), (b_max, b_argmax) = best
     return PhaseSweepResult(t_max, b_max if with_b else math.nan, t_argmax, b_argmax, grid)
 

@@ -240,7 +240,7 @@ def _renormalize(w, dw, log_scale, axes):
     and the log of the factor is added to ``log_scale`` in place.
     """
     flat = w.view(float)
-    if max(flat.max(), -flat.min()) <= RESCALE_LIMIT:
+    if not flat.size or max(flat.max(), -flat.min()) <= RESCALE_LIMIT:
         return
     mag = np.abs(w).max(axis=axes)
     _, exponent = np.frexp(mag)

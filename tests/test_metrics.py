@@ -17,7 +17,7 @@ from soliton_tbp.metrics import (
     t_max_b_max,
     tbp_per_eigenvalue,
 )
-from soliton_tbp.metrics import _smallest_energy_window
+from soliton_tbp.metrics import _smallest_energy_window, _window_bracket
 from soliton_tbp.spectrum import DiscreteSpectrum, transform
 
 
@@ -86,6 +86,32 @@ class TestWindowSearch:
             for eps in (1e-5, 1e-4, 1e-3, 1e-2)
         ]
         assert all(a >= b for a, b in zip(widths, widths[1:]))
+
+    def test_bracket_holds_the_scanned_width(self):
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+        cell = st.one_of(st.just(0.0), st.floats(0.0, 10.0, allow_subnormal=False))
+        row = st.tuples(st.integers(0, 6), st.lists(cell, min_size=1, max_size=40))
+
+        @settings(max_examples=200, deadline=None)
+        @given(st.lists(row, min_size=1, max_size=4), st.floats(1e-6, 0.3),
+               st.floats(-50.0, 50.0), st.floats(1e-3, 2.0))
+        def run(rows, eps, x0, dx):
+            # leading zeros, then the drawn cells, then trailing zeros to a common length
+            n = max(lead + len(body) for lead, body in rows) + 3
+            cells = np.zeros((len(rows), n))
+            for r, (lead, body) in enumerate(rows):
+                cells[r, lead : lead + len(body)] = body
+            cells = cells[cells.sum(-1) > 1e-300]
+            if not len(cells):
+                return
+            lower, upper = _window_bracket(cells, x0, dx, eps)
+            for r, cells_r in enumerate(cells):
+                width = _smallest_energy_window(cells_r, x0, dx, eps).width
+                assert lower[r] <= width <= upper[r]
+
+        run()
 
     def test_multimodal_window_not_centered(self):
         # two unequal bumps: the smallest window hugs the heavy one
@@ -271,6 +297,57 @@ class TestTMaxBMax:
         monkeypatch.setattr(metrics, "synthesize_phases", unmodulated)
         tied = t_max_b_max(s, cfg)
         assert tied.t_argmax == tied.b_argmax == tuple(combos[0])
+
+    @pytest.mark.parametrize("case", ["imag3", "real2", "tied"])
+    @pytest.mark.parametrize("chunk", [3, metrics.CHUNK_SIZE])
+    def test_pruning_matches_full_scan(self, monkeypatch, case, chunk):
+        spectra = {
+            "imag3": (DiscreteSpectrum.from_delta_t([0.7, 0.62, 0.5], delta_ts=[-2.85, 1.05, 0.0]), 16),
+            "real2": (DiscreteSpectrum.from_delta_t([0.5, 0.5], [0.075, -0.075], [-0.9, 0.9]), 16),
+            "tied": (DiscreteSpectrum.from_delta_t([0.5, 0.5, 0.5], [0.55, 0.0, -0.55],
+                                                   [-2.2, 0.0, 2.2]), 4),
+        }
+        s, m = spectra[case]
+        cfg = MeasureConfig(phase_points=m)
+        monkeypatch.setattr(metrics, "CHUNK_SIZE", chunk)
+        if case == "tied":  # every row the same pulse
+            def unmodulated(spectrum, grid, block):
+                return synthesize_phases(spectrum, grid, np.zeros_like(block))
+
+            monkeypatch.setattr(metrics, "synthesize_phases", unmodulated)
+        pruned = t_max_b_max(s, cfg)
+        # a bracket that rules out nothing: every row is scanned exactly
+        monkeypatch.setattr(metrics, "_window_bracket", lambda cells, *_: (
+            np.full(len(cells), -math.inf), np.full(len(cells), math.inf)))
+        full = t_max_b_max(s, cfg)
+        assert (pruned.t_max, pruned.b_max, pruned.t_argmax, pruned.b_argmax, pruned.grid) == (
+            full.t_max, full.b_max, full.t_argmax, full.b_argmax, full.grid)
+
+    def test_pruning_skips_most_exact_scans(self, monkeypatch):
+        s = DiscreteSpectrum.from_delta_t([0.7, 0.62, 0.5], delta_ts=[-2.85, 1.05, 0.0])
+        cfg = MeasureConfig(phase_points=32)
+        scanned = []
+
+        def counted(cells, *args):
+            scanned.append(len(cells))
+            return _smallest_energy_window(cells, *args)
+
+        monkeypatch.setattr(metrics, "_smallest_energy_window", counted)
+        t_max_b_max(s, cfg)
+        rows = len(phase_combinations(3, 32, conjugation_reduced=True))
+        assert 0 < len(scanned) < 2 * rows / 4
+
+    def test_row_without_energy_raises_in_a_pruned_block(self, monkeypatch):
+        s = DiscreteSpectrum.from_delta_t([0.7, 0.62, 0.5], delta_ts=[-2.85, 1.05, 0.0])
+
+        def one_dark_row(spectrum, grid, block):
+            q = synthesize_phases(spectrum, grid, block)
+            q[len(q) // 2] = 0.0
+            return q
+
+        monkeypatch.setattr(metrics, "synthesize_phases", one_dark_row)
+        with pytest.raises(MeasurementUnreliableError, match="no energy"):
+            t_max_b_max(s, MeasureConfig(phase_points=16))
 
     def test_argmax_reported(self):
         s = DiscreteSpectrum.from_arrays([1.0, 0.5])

@@ -302,6 +302,18 @@ class TestDiscreteAmplitude:
         for lam, qd in zip(lams, batch):
             assert qd == pytest.approx(discrete_amplitude(sig, lam)[0], rel=1e-13)
 
+    def test_polish_reaches_the_root(self):
+        # seeds 1e-3 off the roots need more than one Newton step to agree
+        sig = _soliton_signal(DiscreteSpectrum.from_arrays([1.0, 0.5]))
+        roots = np.array(find_eigenvalues(sig))
+        off = discrete_amplitude(sig, roots + 1e-3 * (1 + 1j))
+        assert off == pytest.approx(discrete_amplitude(sig, roots), rel=1e-10)
+
+    def test_empty_batch(self):
+        sig = _soliton_signal(DiscreteSpectrum.from_arrays([0.5]))
+        for out in (*scatter_many(sig, []), discrete_amplitude(sig, [])):
+            assert out.shape == (0,) and out.dtype == complex
+
 
 def _assert_recovers_n2(signal):
     s = N2_SPECTRUM
