@@ -35,7 +35,7 @@ from .metrics import (
 )
 from .optimizer import TABLE_OPTIMA, default_sweep, evaluate_point, run_sweep, spectrum_for_point
 from .propagation import DEFAULT_DZ, PropagationPlan, propagate, propagate_with_snapshots
-from .spectrum import DiscreteSpectrum, denormalize, evolve
+from .spectrum import DiscreteSpectrum, SpectralAmplitude, denormalize, eta_of, evolve
 
 CONSTELLATION_FLAGS = {"imag": "imaginary", "real": "real_axis"}
 
@@ -158,8 +158,6 @@ def _cmd_measure(args) -> int:
 
 
 def _dt_sweep_rows(spectrum, entry, dts, config):
-    from .spectrum import SpectralAmplitude, eta_of
-
     rows = []
     for dt in dts:
         entries = list(spectrum.entries)

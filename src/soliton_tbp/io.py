@@ -18,6 +18,7 @@ identical inputs produce byte-identical files.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -58,7 +59,9 @@ def parse_spectrum_document(text: str) -> tuple[DiscreteSpectrum, PhysicalScalin
     entries = doc.get("entries")
     if not isinstance(entries, list) or not entries:
         raise SpectrumFileError("field 'entries' must be a non-empty list")
-    if not isinstance(n, int) or n != len(entries):
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise SpectrumFileError(f"field 'n' must be an integer, got {n!r}")
+    if n != len(entries):
         raise SpectrumFileError(f"field 'n' = {n!r} does not match {len(entries)} entries")
     rows = []
     for i, entry in enumerate(entries):
@@ -147,10 +150,14 @@ def load_signal(path) -> SampledSignal:
         if len(parts) != 4:
             raise SpectrumFileError(f"{path}:{i}: expected 4 columns")
         try:
-            t.append(float(parts[0]))
-            q.append(complex(float(parts[1]), float(parts[2])))
+            values = [float(part) for part in parts[:3]]
         except ValueError as exc:
             raise SpectrumFileError(f"{path}:{i}: {exc}") from exc
+        bad = [part for part, value in zip(parts, values) if not math.isfinite(value)]
+        if bad:
+            raise SpectrumFileError(f"{path}:{i}: non-finite value {bad[0].strip()!r}")
+        t.append(values[0])
+        q.append(complex(values[1], values[2]))
     t = np.asarray(t)
     n = len(t)
     if n < 2 or (n & (n - 1)) != 0:

@@ -14,13 +14,13 @@ Two window definitions are supported:
 One block evaluator, `_windows`, serves every measurement: for a (rows x
 samples) block on one grid it builds the |q|^2 dt and |Q|^2 df cells, runs
 the edge-leakage and Nyquist checks once over the block and returns the
-first maximal T and B window of the block.  `measure` is a block of one.
-`t_max_b_max` takes the first maximal T and B over the spectral-phase grid,
-evaluated chunk by chunk, at a fixed distance; it passes the widest windows
-of earlier chunks as floors, and under the energy definition a cheap
-per-row bracket on the window width (`_window_bracket`) then spares the exact
-scan of every row that provably lies below them or below another row of its
-block, so the maxima and argmaxes are those of a full scan.
+first maximal T and B window of the block.  Under the energy definition a
+cheap per-row bracket on the window width (`_window_bracket`) spares the
+exact scan of every row that provably lies below a floor or below another
+row of its block, so the maxima and argmaxes are those of a full scan.
+`measure` is a block of one without floors.  `t_max_b_max` takes the first
+maximal T and B over the spectral-phase grid, evaluated chunk by chunk, at a
+fixed distance, and passes the widest windows of earlier chunks as floors.
 `t_hat_b_hat` also maximizes T over a span of distances while B is maximized
 over the two endpoints only (the bandwidth matters only where the signal is
 sampled).
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .asymptotics import _check_epsilon
-from .darboux import SampledSignal, TimeGrid, auto_grid, synthesize_phases, union_grid
+from .darboux import SampledSignal, TimeGrid, auto_grid, synthesize, synthesize_phases, union_grid
 from .errors import InvalidParameterError, MeasurementUnreliableError
 from .spectrum import DiscreteSpectrum, evolve
 
@@ -174,21 +174,21 @@ def _window_bracket(cells: np.ndarray, x0: float, dx: float, epsilon: float):
 
     Cell i of a row occupies [x0 + i*dx, x0 + (i+1)*dx]; E is the row's
     piecewise-linear cumulative and C = (1-epsilon)*E_total the scan's
-    capture.  With q-(v) = inf{x : E(x) >= v}, q+(v) = sup{x : E(x) <= v} and
-    left-tail levels l_0 = 0 < ... < l_K covering [0, E_total - C]:
+    capture.  With the one quantile q(v) = sup{x : E(x) <= v}, +inf at or
+    above E_total, a level margin m > 0 and left-tail levels
+    l_0 = 0 < ... < l_K covering [0, E_total - C + m]:
 
-    - the window [q+(l_i), q-(l_i + C)] captures C, so W <= q-(l_i + C) - q+(l_i);
+    - E is continuous, so E(q(v)) = v and the window [q(l_i), q(l_i + C + m)]
+      captures C + m: W <= q(l_i + C + m) - q(l_i);
     - the left edge of any window capturing C has a level in some
-      [l_i, l_(i+1)], so W >= q-(l_i + C) - q+(l_(i+1)).
+      [l_i, l_(i+1)], and its right edge lies at or past
+      inf{x : E(x) >= l_i + C} >= q(l_i + C - m): W >= q(l_i + C - m) - q(l_(i+1)).
 
-    K is `BRACKET_SHARES`.  q- and q+ differ only on zero-density plateaus,
-    where q- is the left end and q+ the right end; past the row, q- of a
-    level above E_total is +inf.  The capture is widened by a level margin of
-    2^-46 E_total (up for the upper bound, down for the lower one), which
-    covers the rounding of the scan's own levels however steep E is, and the
-    bounds by a position slack that covers the rounding of its interpolation.
-    Rows whose bounds are not finite get (-inf, inf); so does every row whose
-    total is too small for the margin, a row without energy included.
+    K is `BRACKET_SHARES`.  The margin m = 2^-46 E_total covers the rounding
+    of the scan's own levels however steep E is, and a position slack covers
+    the rounding of its interpolation.  Rows whose bounds are not finite get
+    (-inf, inf); so does every row whose total is too small for the margin, a
+    row without energy included.
     """
     rows, n = cells.shape
     cum = np.zeros((rows, n + 1))
@@ -201,50 +201,45 @@ def _window_bracket(cells: np.ndarray, x0: float, dx: float, epsilon: float):
     capture = (1.0 - epsilon) * total
     margin = 2.0**-46 * total
     levels = ((total - capture) + margin) * (np.arange(BRACKET_SHARES + 1) / BRACKET_SHARES)
+    tail = levels[:, :-1]
+    levels = np.concatenate([levels, tail + (capture + margin), tail + (capture - margin)], axis=1)
     # one search for the whole block: complex keys order lexicographically, so
     # (row, level) lands among the keys (row, cum) of its own row
     keys = np.empty(cum.shape, dtype=complex)
     keys.real = np.arange(rows)[:, None]
     keys.imag = cum
-    keys = keys.ravel()
+    query = np.empty(levels.shape, dtype=complex)
+    query.real = np.arange(rows)[:, None]
+    query.imag = levels
     row_start = (n + 1) * np.arange(rows)[:, None]
+    k = np.searchsorted(keys.ravel(), query.ravel(), side="right").reshape(levels.shape) - row_start
+    j = np.minimum(np.maximum(k, 1), n) - 1  # the cell holding the level
     flat = cum.ravel()
-
-    def position(level, side):
-        query = np.empty(level.shape, dtype=complex)
-        query.real = np.arange(rows)[:, None]
-        query.imag = level
-        k = np.searchsorted(keys, query.ravel(), side=side).reshape(level.shape) - row_start
-        j = np.minimum(np.maximum(k, 1), n) - 1  # the cell holding the level
-        c0 = flat[row_start + j]
-        c1 = flat[row_start + j + 1]
-        frac = np.divide(level - c0, c1 - c0, out=np.zeros(level.shape), where=c1 > c0)
-        x = x0 + dx * (j + frac)
-        below, above = (x0, math.inf) if side == "left" else (-math.inf, x0 + n * dx)
-        return np.where(k <= 0, below, np.where(k > n, above, x))
-
-    starts = position(levels, "right")  # q+(l_i)
-    tail = levels[:, :-1]
-    # q-(l_i + C +- margin) in one search
-    ends = position(np.concatenate([tail + (capture + margin), tail + (capture - margin)], axis=1),
-                    "left")
-    upper = (ends[:, :BRACKET_SHARES] - starts[:, :-1]).min(axis=1)
-    lower = (ends[:, BRACKET_SHARES:] - starts[:, 1:]).min(axis=1)
+    c0 = flat[row_start + j]
+    c1 = flat[row_start + j + 1]
+    frac = np.divide(levels - c0, c1 - c0, out=np.zeros(levels.shape), where=c1 > c0)
+    # a level below 0 (capture - margin, at epsilon within 2^-46 of 1) has no position
+    x = np.where(k <= 0, -math.inf, np.where(k > n, math.inf, x0 + dx * (j + frac)))
+    starts, ends = x[:, : BRACKET_SHARES + 1], x[:, BRACKET_SHARES + 1 :]
+    with np.errstate(invalid="ignore"):  # inf - inf on the rows zeroed above
+        upper = (ends[:, :BRACKET_SHARES] - starts[:, :-1]).min(axis=1)
+        lower = (ends[:, BRACKET_SHARES:] - starts[:, 1:]).min(axis=1)
     slack = 1e-12 * (abs(x0) + (n + 1) * dx)
     sound &= np.isfinite(lower) & np.isfinite(upper)
     return np.where(sound, lower - slack, -math.inf), np.where(sound, upper + slack, math.inf)
 
 
 def _first_max(cells: np.ndarray, mags: np.ndarray, x: np.ndarray, dx: float,
-               config: MeasureConfig, floor: float | None):
+               config: MeasureConfig, floor: float):
     """(row, Band) of the block's first maximal window; cell i is centred on x[i], dx wide.
 
-    With a ``floor`` the energy definition scans exactly only the rows whose
-    `_window_bracket` upper bound reaches max(floor, the block's largest
-    lower bound); every other row is narrower than the floor or than some row
-    of the block, so it can be neither the first maximum nor exceed the
-    floor.  Returns None when no row is left to scan.  The threshold
-    definition scans every row, so each reports its own grid error.
+    The energy definition scans exactly only the rows whose `_window_bracket`
+    upper bound reaches max(floor, the block's largest lower bound); every
+    other row is narrower than the floor or than some row of the block, so it
+    can be neither the first maximum nor exceed the floor.  A row's upper
+    bound is at least its lower bound, so a block of one is always scanned.
+    Returns None when no row is left to scan.  The threshold definition scans
+    every row, so each reports its own grid error.
     """
     if config.definition == "threshold":
         bands = [_threshold_window(row, x, config.alpha) for row in mags]
@@ -253,10 +248,8 @@ def _first_max(cells: np.ndarray, mags: np.ndarray, x: np.ndarray, dx: float,
         if not np.all(cells.sum(-1) > 1e-300):  # pruned rows still report it
             raise MeasurementUnreliableError("signal carries no energy")
         x0 = x[0] - 0.5 * dx
-        rows = np.arange(len(cells))
-        if floor is not None:
-            lower, upper = _window_bracket(cells, x0, dx, config.epsilon)
-            rows = rows[~(upper < max(floor, lower.max()))]
+        lower, upper = _window_bracket(cells, x0, dx, config.epsilon)
+        rows = np.nonzero(~(upper < max(floor, lower.max())))[0]
         bands = [_smallest_energy_window(cells[r], x0, dx, config.epsilon) for r in rows]
     if not bands:
         return None
@@ -265,13 +258,13 @@ def _first_max(cells: np.ndarray, mags: np.ndarray, x: np.ndarray, dx: float,
 
 
 def _windows(samples: np.ndarray, grid: TimeGrid, config: MeasureConfig, with_b: bool = True,
-             floors: tuple[float | None, float | None] = (None, None)):
+             floors: tuple[float, float] = (-math.inf, -math.inf)):
     """First maximal duration and bandwidth windows of a (rows x samples) block.
 
     Returns the (row index, Band) of the first widest T window and, with
     ``with_b``, of the first widest B window (None otherwise).  ``floors``
     (T, B) lets the energy definition skip rows that cannot exceed them, see
-    `_first_max`; a family is then None when no row can.  The edge-leakage
+    `_first_max`; a family is None when no row can.  The edge-leakage
     check runs over the whole block before the T scans, and the Nyquist check
     before the B scans, so one row reports the same error it would alone.
     """
@@ -313,14 +306,11 @@ def phase_combinations(n: int, m: int, conjugation_reduced: bool = False) -> np.
     idx = np.stack(np.meshgrid(*([np.arange(m)] * (n - 1)), indexing="ij"), axis=-1)
     idx = idx.reshape(-1, n - 1)
     if conjugation_reduced:
+        # idx <= mirror lexicographically: compare at the first differing column
         mirror = (m - idx) % m
-        keep = np.ones(len(idx), dtype=bool)
-        for col in range(n - 1):
-            decided = np.zeros(len(idx), dtype=bool)
-            for prev in range(col):
-                decided |= idx[:, prev] != mirror[:, prev]
-            keep &= decided | (idx[:, col] <= mirror[:, col])
-        idx = idx[keep]
+        first = np.argmax(idx != mirror, axis=1)  # 0 when idx is its own mirror
+        rows = np.arange(len(idx))
+        idx = idx[idx[rows, first] <= mirror[rows, first]]
     free = 2.0 * math.pi * idx / m
     return np.concatenate([free, np.zeros((free.shape[0], 1))], axis=1)
 
@@ -430,8 +420,6 @@ def single_soliton_tbp(config: MeasureConfig) -> float:
     The product is invariant under dilation, so this one number normalizes
     every per-eigenvalue ratio for the configured definition and epsilon.
     """
-    from .darboux import synthesize
-
     ref = DiscreteSpectrum.from_arrays([0.5])
     report = measure(synthesize(ref, auto_grid(ref, config.epsilon)), config)
     return report.tbp

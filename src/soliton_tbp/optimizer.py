@@ -11,15 +11,19 @@ components drift together, collide, and separate; the link length is then
 fixed by the precompensation, L = |dt_1 / (2*omega_1)|, and T is maximized
 over [0, L].
 
-Both families share one objective, `t_hat_b_hat` at the point's link
-length (zero on the imaginary axis).  Every evaluated grid point lands in an
-append-only trace (CSV), written in enumeration order regardless of worker
-scheduling, so long sweeps are resumable and the reported optimum is always
-the argmin over the full trace.  The trace header records what fixes a
-point's value (constellation, order, parameter names and measurement
-config), and a resume under another header is refused.  Grid points whose
-spectra are degenerate (coinciding eigenvalues, unordered sigmas) or whose
-measurement fails are recorded with NaN objectives.
+The grids are one table, `SWEEP_GRIDS`: a desk-scale and a published grid
+per (constellation, order), refined around the coarse argmin with the
+family steps of `FINE_STEPS`.  Both families share one objective,
+`t_hat_b_hat` at the point's link length (zero on the imaginary axis),
+evaluated by one function for the sweep workers and `evaluate_point` alike.
+Every evaluated grid point lands in an append-only trace (CSV), written in
+enumeration order regardless of worker scheduling, so long sweeps are
+resumable and the reported optimum is always the argmin over the full
+trace.  The trace header records what fixes a point's value (constellation,
+order, parameter names and measurement config), and a resume under another
+header is refused.  Grid points whose spectra are degenerate (coinciding
+eigenvalues, unordered sigmas) or whose measurement fails are recorded with
+NaN objectives.
 """
 
 from __future__ import annotations
@@ -29,25 +33,18 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
-from itertools import zip_longest
+from itertools import product, zip_longest
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DegenerateSpectrumError, InvalidParameterError, SolitonError, SpectrumFileError
-from .metrics import MeasureConfig, single_soliton_tbp, t_hat_b_hat
+from .metrics import MeasureConfig, single_soliton_tbp, t_hat_b_hat, tbp_per_eigenvalue
 from .spectrum import DiscreteSpectrum
 
 CONSTELLATIONS = ("imaginary", "real_axis")
 
 THREADS_ENV = "SOLITON_TBP_THREADS"
-
-
-@dataclass(frozen=True)
-class RefineSpec:
-    """Local refinement box: +-1 coarse step around the optimum."""
-
-    steps: dict = field(default_factory=dict)  # param name -> fine step
 
 
 @dataclass(frozen=True)
@@ -58,7 +55,8 @@ class SweepSpec:
         constellation: "imaginary" or "real_axis".
         n: soliton order, 2 or 3 for exhaustive mode.
         ranges: ordered {param name: (lo, hi, step)}.
-        refine: optional refinement around the coarse argmin.
+        refine: {param name: fine step} for every range, or None; the
+            refinement box spans +-1 coarse step around the coarse argmin.
         measure: measurement configuration (epsilon, definition, M,
             distance samples of the real-axis objective, ...).
     """
@@ -66,7 +64,7 @@ class SweepSpec:
     constellation: str
     n: int
     ranges: dict
-    refine: RefineSpec | None = None
+    refine: dict | None = None
     measure: MeasureConfig = field(default_factory=MeasureConfig)
 
     def __post_init__(self):
@@ -79,6 +77,11 @@ class SweepSpec:
         for name, (lo, hi, step) in self.ranges.items():
             if not (step > 0 and hi >= lo):
                 raise InvalidParameterError(f"bad range for {name}: {(lo, hi, step)}")
+        if self.refine is not None and (self.refine.keys() != self.ranges.keys()
+                                        or not all(step > 0 for step in self.refine.values())):
+            raise InvalidParameterError(
+                f"refine needs one step > 0 for each of {tuple(self.ranges)}, got {self.refine}"
+            )
 
 
 def default_sweep(
@@ -89,47 +92,20 @@ def default_sweep(
 ) -> SweepSpec:
     """Published grids (paper_fidelity) or 2x-thinned desk-scale grids.
 
-    Desk-scale sweeps sample each real-axis link at 9 distances.
+    Both come from `SWEEP_GRIDS`.  Published grids and the desk N=2 grids
+    are refined with the steps of `FINE_STEPS`.  Desk-scale sweeps sample
+    each real-axis link at 9 distances.
     """
     if measure is None:
         measure = MeasureConfig(phase_points=128 if paper_fidelity else 16)
     if not paper_fidelity:
         measure = replace(measure, z_samples=9)
-    if constellation == "imaginary":
-        s_step, d_step = (0.1, 0.25) if paper_fidelity else (0.2, 0.5)
-        if n == 2:
-            ranges = {"sigma_1": (0.5, 1.5, s_step), "dt_1": (0.0, 5.0, d_step)}
-            if not paper_fidelity:
-                ranges["sigma_1"] = (0.54, 1.5, s_step)
-        else:
-            ranges = {
-                "sigma_1": (0.5, 1.5, s_step),
-                "sigma_2": (0.5, 1.5, s_step),
-                "dt_1": (-5.0, 5.0, 2 * d_step if not paper_fidelity else d_step),
-                "dt_2": (0.0, 5.0, d_step),
-            }
-            if not paper_fidelity:
-                # interleave the thinned grids with the pinned smallest sigma
-                # so ordered pairs near it stay reachable
-                ranges["sigma_1"] = (0.7, 1.5, s_step)
-                ranges["sigma_2"] = (0.6, 1.4, s_step)
-        refine = RefineSpec(steps={name: (0.02 if name.startswith("sigma") else 0.05)
-                                   for name in ranges})
-    else:
-        w_step, d_step = (0.05, 0.2) if paper_fidelity else (0.1, 0.4)
-        ranges = {"omega_1": (0.0, 1.0, w_step), "dt_1": (-4.0, 0.0, d_step)}
-        if n == 3:
-            ranges["omega_3"] = (-1.0, 1.0, 2 * w_step)
-            ranges["dt_3"] = (-3.0, 0.0, d_step)
-        refine = RefineSpec(steps={name: (0.01 if name.startswith("omega") else 0.05)
-                                   for name in ranges})
-    return SweepSpec(
-        constellation=constellation,
-        n=n,
-        ranges=ranges,
-        refine=refine if paper_fidelity or n == 2 else None,
-        measure=measure,
-    )
+    # an unsupported (constellation, n) gets no ranges and fails SweepSpec's checks
+    desk, published = SWEEP_GRIDS.get((constellation, n), ({}, {}))
+    ranges = dict(published if paper_fidelity else desk)
+    refine = ({name: FINE_STEPS[name.split("_")[0]] for name in ranges}
+              if paper_fidelity or n == 2 else None)
+    return SweepSpec(constellation, n, ranges, refine, measure)
 
 
 @dataclass(frozen=True)
@@ -161,6 +137,35 @@ class SweepResult:
     def best_params(self) -> dict:
         return dict(zip(self.param_names, self.best.params))
 
+
+# (constellation, n) -> (desk grid, published grid), each an ordered
+# {param name: (lo, hi, step)}.  The desk grids halve the published density;
+# their imaginary-axis sigmas are offset from the pinned smallest sigma (0.5)
+# so that ordered pairs near it stay reachable.
+SWEEP_GRIDS = {
+    ("imaginary", 2): (
+        {"sigma_1": (0.54, 1.5, 0.2), "dt_1": (0.0, 5.0, 0.5)},
+        {"sigma_1": (0.5, 1.5, 0.1), "dt_1": (0.0, 5.0, 0.25)},
+    ),
+    ("imaginary", 3): (
+        {"sigma_1": (0.7, 1.5, 0.2), "sigma_2": (0.6, 1.4, 0.2),
+         "dt_1": (-5.0, 5.0, 1.0), "dt_2": (0.0, 5.0, 0.5)},
+        {"sigma_1": (0.5, 1.5, 0.1), "sigma_2": (0.5, 1.5, 0.1),
+         "dt_1": (-5.0, 5.0, 0.25), "dt_2": (0.0, 5.0, 0.25)},
+    ),
+    ("real_axis", 2): (
+        {"omega_1": (0.0, 1.0, 0.1), "dt_1": (-4.0, 0.0, 0.4)},
+        {"omega_1": (0.0, 1.0, 0.05), "dt_1": (-4.0, 0.0, 0.2)},
+    ),
+    ("real_axis", 3): (
+        {"omega_1": (0.0, 1.0, 0.1), "dt_1": (-4.0, 0.0, 0.4),
+         "omega_3": (-1.0, 1.0, 0.2), "dt_3": (-3.0, 0.0, 0.4)},
+        {"omega_1": (0.0, 1.0, 0.05), "dt_1": (-4.0, 0.0, 0.2),
+         "omega_3": (-1.0, 1.0, 0.1), "dt_3": (-3.0, 0.0, 0.2)},
+    ),
+}
+# refinement step of each parameter family (the name before "_")
+FINE_STEPS = {"sigma": 0.02, "omega": 0.01, "dt": 0.05}
 
 # published optimum parameter vectors, reproduced by `optimize` and plotted
 # as the achieved points of the bound figure
@@ -201,12 +206,9 @@ def spectrum_for_point(constellation: str, n: int, names, values) -> tuple[Discr
 
 
 def _grid_points(ranges: dict) -> list[tuple[float, ...]]:
-    axes = []
-    for lo, hi, step in ranges.values():
-        count = int(round((hi - lo) / step)) + 1
-        axes.append(np.round(lo + step * np.arange(count), 12))
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return [tuple(float(v) for v in row) for row in np.stack([g.ravel() for g in mesh], axis=1)]
+    axes = [np.round(lo + step * np.arange(int(round((hi - lo) / step)) + 1), 12).tolist()
+            for lo, hi, step in ranges.values()]
+    return list(product(*axes))
 
 
 def _key(params) -> tuple:
@@ -261,6 +263,13 @@ def _worker_count() -> int:
     return min(4, os.cpu_count() or 1)
 
 
+def _evaluate(constellation: str, n: int, names, values, measure: MeasureConfig):
+    """(TracePoint, link length) of one parameter vector: T-hat, B-hat and their product."""
+    spectrum, l_star = spectrum_for_point(constellation, n, names, values)
+    r = t_hat_b_hat(spectrum, measure, l_star)
+    return TracePoint(values, r.t_hat, r.b_hat, r.t_hat * r.b_hat), l_star
+
+
 def _run_points(spec: SweepSpec, names, points, done, writer, workers: int):
     """Evaluate points not in `done`, appending rows in enumeration order."""
 
@@ -269,11 +278,9 @@ def _run_points(spec: SweepSpec, names, points, done, writer, workers: int):
         if key in done:
             return done[key]
         try:
-            spectrum, l_star = spectrum_for_point(spec.constellation, spec.n, names, params)
-            r = t_hat_b_hat(spectrum, spec.measure, l_star)
+            return _evaluate(spec.constellation, spec.n, names, params, spec.measure)[0]
         except (SolitonError, ArithmeticError, ValueError):
             return TracePoint(params, math.nan, math.nan, math.nan)
-        return TracePoint(params, r.t_hat, r.b_hat, r.t_hat * r.b_hat)
 
     results = []
     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -309,20 +316,11 @@ def run_sweep(spec: SweepSpec, trace_path: str | os.PathLike | None = None) -> S
         if new_file:
             writer.writerows(header)
     try:
-        results = _run_points(spec, names, points, done, writer, workers)
-        if spec.refine is not None:
-            best = _argmin(results)
-            if best is not None:
-                fine = {}
-                for name, (lo, hi, step) in spec.ranges.items():
-                    center = best.params[names.index(name)]
-                    fine_step = spec.refine.steps.get(name, step / 5.0)
-                    fine[name] = (
-                        max(lo, center - step),
-                        min(hi, center + step),
-                        fine_step,
-                    )
-                results += _run_points(spec, names, _grid_points(fine), done, writer, workers)
+        coarse = _argmin(_run_points(spec, names, points, done, writer, workers))
+        if spec.refine is not None and coarse is not None:
+            fine = {name: (max(lo, center - step), min(hi, center + step), spec.refine[name])
+                    for (name, (lo, hi, step)), center in zip(spec.ranges.items(), coarse.params)}
+            _run_points(spec, names, _grid_points(fine), done, writer, workers)
     finally:
         if fh is not None:
             fh.close()
@@ -332,13 +330,12 @@ def run_sweep(spec: SweepSpec, trace_path: str | os.PathLike | None = None) -> S
         raise DegenerateSpectrumError("no evaluable grid point in the sweep")
     spectrum, l_star = spectrum_for_point(spec.constellation, spec.n, names, best.params)
     reference = single_soliton_tbp(spec.measure)
-    ratio = best.objective / spec.n / reference
     return SweepResult(
         spec=spec,
         param_names=names,
         best=best,
         best_spectrum=spectrum,
-        tbp_per_ev_ratio=ratio,
+        tbp_per_ev_ratio=tbp_per_eigenvalue(best.t_hat, best.b_hat, spec.n) / reference,
         reference_tbp=reference,
         l_star=l_star if spec.constellation == "real_axis" else None,
         trace=tuple(sorted(done.values(), key=lambda p: p.params)),
@@ -365,9 +362,7 @@ def evaluate_point(
 
     Used for direct checks of published optima without running a sweep.
     """
-    names = tuple(params.keys())
     values = tuple(float(v) for v in params.values())
-    spectrum, l_star = spectrum_for_point(constellation, n, names, values)
-    r = t_hat_b_hat(spectrum, measure, l_star)
-    point = TracePoint(values, r.t_hat, r.b_hat, r.t_hat * r.b_hat)
-    return point, point.objective / n / single_soliton_tbp(measure), l_star
+    point, l_star = _evaluate(constellation, n, tuple(params.keys()), values, measure)
+    ratio = tbp_per_eigenvalue(point.t_hat, point.b_hat, n) / single_soliton_tbp(measure)
+    return point, ratio, l_star

@@ -39,6 +39,7 @@ class TestSpectrumFile:
         [
             ("entries:\n- {sigma: 1.0, omega: 0, eta: 1, phi: 0}\n", "missing field 'n'"),
             ("n: 2\nentries:\n- {sigma: 1.0, omega: 0, eta: 1, phi: 0}\n", "does not match"),
+            ("n: true\nentries:\n- {sigma: 1.0, omega: 0, eta: 1, phi: 0}\n", "'n' must be an integer"),
             ("n: 1\nentries:\n- {sigma: 1.0, omega: 0, phi: 0}\n", "missing field 'eta'"),
             ("n: 1\nentries:\n- {sigma: oops, omega: 0, eta: 1, phi: 0}\n", "must be a number"),
             ("n: 1\nentries:\n- {sigma: 1.0, omega: 0, eta: 1, phi: 0, extra: 2}\n", "unknown fields"),
@@ -67,6 +68,15 @@ class TestSignalFile:
         path = tmp_path / "bad.csv"
         path.write_text("time,real\n0,1\n")
         with pytest.raises(SpectrumFileError, match="header"):
+            load_signal(path)
+
+    @pytest.mark.parametrize("value", ["nan", "1e400", "-inf"])
+    def test_non_finite_sample_named(self, tmp_path, value):
+        path = tmp_path / "bad.csv"
+        rows = ["t,re,im,abs"] + [f"{i * 0.1},1.0,0.0,1.0" for i in range(4)]
+        rows[3] = f"0.2,1.0,{value},1.0"
+        path.write_text("\n".join(rows) + "\n")
+        with pytest.raises(SpectrumFileError, match=f"{path.name}:4: non-finite value '{value}'"):
             load_signal(path)
 
     def test_power_of_two_checked(self, tmp_path):
@@ -224,6 +234,29 @@ class TestCli:
         assert main(["measure", "--signal", str(sig_path), "--report", str(report)] + flags) == 1
         out, err = capsys.readouterr()
         assert out == "" and flags[0] in err
+        assert not list(tmp_path.glob("out*"))
+
+    @pytest.mark.parametrize("command", ["measure", "nft", "propagate", "synth"])
+    def test_invalid_input_file_is_validation_error(self, one_soliton_file, tmp_path, capsys,
+                                                    command):
+        sig_path = tmp_path / "sig.csv"
+        main(["synth", "--spectrum", str(one_soliton_file), "--out", str(sig_path)])
+        rows = sig_path.read_text().splitlines()
+        rows[10] = "nan," + rows[10].split(",", 1)[1]
+        sig_path.write_text("\n".join(rows) + "\n")
+        spec_path = tmp_path / "bool.yaml"
+        spec_path.write_text(one_soliton_file.read_text().replace("n: 1", "n: true"))
+        out = tmp_path / "out.txt"
+        argv = {
+            "measure": ["--signal", str(sig_path), "--report", str(out)],
+            "nft": ["--signal", str(sig_path), "--out", str(out)],
+            "propagate": ["--signal", str(sig_path), "--out", str(out), "--z", "0.1"],
+            "synth": ["--spectrum", str(spec_path), "--out", str(out)],
+        }[command]
+        capsys.readouterr()
+        assert main([command] + argv) == 1
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and ("sig.csv:11" in err if command != "synth" else "'n'" in err)
         assert not list(tmp_path.glob("out*"))
 
     def test_bad_thread_count_is_validation_error(self, tmp_path, capsys, monkeypatch):

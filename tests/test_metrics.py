@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -113,6 +114,17 @@ class TestWindowSearch:
 
         run()
 
+    def test_bracket_of_rows_too_small_for_the_margin_warns_nothing(self):
+        cells = np.zeros((4, 16))
+        cells[1, 3] = 1e-250  # totals in (1e-300, 1e-200]
+        cells[2, 5:8] = 1e-201
+        cells[3] = 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lower, upper = _window_bracket(cells, 0.0, 0.1, 1e-4)
+        assert np.all(lower[:3] == -math.inf) and np.all(upper[:3] == math.inf)
+        assert lower[3] <= _smallest_energy_window(cells[3], 0.0, 0.1, 1e-4).width <= upper[3]
+
     def test_multimodal_window_not_centered(self):
         # two unequal bumps: the smallest window hugs the heavy one
         x = np.arange(200)
@@ -126,6 +138,18 @@ class TestDuration:
         sig = _soliton(DiscreteSpectrum.from_arrays([0.5]))
         band = measure(sig, MeasureConfig()).t_interval
         assert band.width == pytest.approx(math.log(2.0 / 1e-4), abs=1e-2)
+
+    def test_measure_scans_each_family_once(self, monkeypatch):
+        sig = _soliton(DiscreteSpectrum.from_arrays([1.0, 0.5]))
+        scanned = []
+
+        def counted(cells, *args):
+            scanned.append(len(cells))
+            return _smallest_energy_window(cells, *args)
+
+        monkeypatch.setattr(metrics, "_smallest_energy_window", counted)
+        measure(sig, MeasureConfig())
+        assert len(scanned) == 2  # a block of one is never pruned
 
     def test_threshold_agrees_at_derived_alpha(self):
         sig = _soliton(DiscreteSpectrum.from_arrays([0.5]))

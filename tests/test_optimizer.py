@@ -3,10 +3,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from soliton_tbp.errors import DegenerateSpectrumError, SpectrumFileError
+from soliton_tbp.errors import DegenerateSpectrumError, InvalidParameterError, SpectrumFileError
 from soliton_tbp.metrics import MeasureConfig
 from soliton_tbp.optimizer import (
-    RefineSpec,
     SweepSpec,
     TracePoint,
     default_sweep,
@@ -49,6 +48,23 @@ class TestSpecValidation:
     def test_bad_range(self):
         with pytest.raises(ValueError):
             SweepSpec("imaginary", 2, {"sigma_1": (1.5, 0.5, 0.1)})
+
+    @pytest.mark.parametrize("refine", [
+        {"sigma_1": 0.05},
+        {"sigma_1": 0.05, "dt_1": 0.25, "dt_2": 0.25},
+        {"sigma_1": 0.05, "dt_1": 0.0},
+        {"sigma_1": -0.05, "dt_1": 0.25},
+        {"sigma_1": float("nan"), "dt_1": 0.25},
+    ], ids=["missing", "extra", "zero", "negative", "nan"])
+    def test_bad_refine(self, refine):
+        with pytest.raises(InvalidParameterError, match="refine"):
+            tiny_imag_spec(refine=refine)
+
+    def test_unsupported_default_sweep(self):
+        with pytest.raises(InvalidParameterError, match="n = 2 or 3"):
+            default_sweep("imaginary", 4)
+        with pytest.raises(InvalidParameterError, match="constellation"):
+            default_sweep("circle", 2, paper_fidelity=True)
 
 
 class TestPointMapping:
@@ -95,7 +111,7 @@ class TestSweep:
     def test_refinement_never_worse(self):
         coarse = run_sweep(tiny_imag_spec())
         refined = run_sweep(
-            tiny_imag_spec(refine=RefineSpec(steps={"sigma_1": 0.05, "dt_1": 0.25}))
+            tiny_imag_spec(refine={"sigma_1": 0.05, "dt_1": 0.25})
         )
         assert refined.best.objective <= coarse.best.objective + 1e-12
 
@@ -197,6 +213,33 @@ class TestDefaults:
         spec = default_sweep("real_axis", 3, paper_fidelity=True)
         assert spec.ranges["omega_1"] == (0.0, 1.0, 0.05)
         assert spec.ranges["dt_3"] == (-3.0, 0.0, 0.2)
+
+    @pytest.mark.parametrize("constellation,n,paper_fidelity,ranges,refine", [
+        ("imaginary", 3, False,
+         {"sigma_1": (0.7, 1.5, 0.2), "sigma_2": (0.6, 1.4, 0.2),
+          "dt_1": (-5.0, 5.0, 1.0), "dt_2": (0.0, 5.0, 0.5)},
+         None),
+        ("imaginary", 3, True,
+         {"sigma_1": (0.5, 1.5, 0.1), "sigma_2": (0.5, 1.5, 0.1),
+          "dt_1": (-5.0, 5.0, 0.25), "dt_2": (0.0, 5.0, 0.25)},
+         {"sigma_1": 0.02, "sigma_2": 0.02, "dt_1": 0.05, "dt_2": 0.05}),
+        ("real_axis", 2, False,
+         {"omega_1": (0.0, 1.0, 0.1), "dt_1": (-4.0, 0.0, 0.4)},
+         {"omega_1": 0.01, "dt_1": 0.05}),
+        ("real_axis", 2, True,
+         {"omega_1": (0.0, 1.0, 0.05), "dt_1": (-4.0, 0.0, 0.2)},
+         {"omega_1": 0.01, "dt_1": 0.05}),
+        ("real_axis", 3, False,
+         {"omega_1": (0.0, 1.0, 0.1), "dt_1": (-4.0, 0.0, 0.4),
+          "omega_3": (-1.0, 1.0, 0.2), "dt_3": (-3.0, 0.0, 0.4)},
+         None),
+    ])
+    def test_grids(self, constellation, n, paper_fidelity, ranges, refine):
+        spec = default_sweep(constellation, n, paper_fidelity=paper_fidelity)
+        assert list(spec.ranges.items()) == list(ranges.items())  # order sets the trace columns
+        assert spec.refine == refine
+        assert spec.measure.phase_points == (128 if paper_fidelity else 16)
+        assert spec.measure.z_samples == (41 if paper_fidelity else 9)
 
 
 class TestDirectEvaluation:
