@@ -15,11 +15,8 @@ inputs and flags.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from . import io as sio
 from .asymptotics import lower_bound_curve
@@ -33,7 +30,8 @@ from .metrics import (
     t_max_b_max,
     tbp_per_eigenvalue,
 )
-from .optimizer import TABLE_OPTIMA, default_sweep, evaluate_point, run_sweep, spectrum_for_point
+from .optimizer import (TABLE_OPTIMA, default_sweep, evaluate_point, grid_axis, run_sweep,
+                        spectrum_for_point)
 from .propagation import DEFAULT_DZ, PropagationPlan, propagate, propagate_with_snapshots
 from .spectrum import DiscreteSpectrum, SpectralAmplitude, denormalize, eta_of, evolve
 
@@ -173,13 +171,8 @@ def _cmd_sweep(args) -> int:
     spectrum, _ = sio.load_spectrum(args.spectrum)
     if not 0 <= args.entry < spectrum.n:
         raise InvalidParameterError(f"--entry {args.entry} out of range for N={spectrum.n}")
-    if not (args.dt_step > 0.0 and args.dt_min <= args.dt_max
-            and math.isfinite(args.dt_min + args.dt_max + args.dt_step)):
-        raise InvalidParameterError(
-            f"--dt-step {args.dt_step} must be finite and > 0 over --dt-min <= --dt-max"
-        )
+    dts = grid_axis(args.dt_min, args.dt_max, args.dt_step)
     config = _measure_config(args)
-    dts = np.round(np.arange(args.dt_min, args.dt_max + 0.5 * args.dt_step, args.dt_step), 12)
     rows = _dt_sweep_rows(spectrum, args.entry, dts, config)
     _write_rows(args.out, ["dt,t_max,b_max"] + [f"{d!r},{t!r},{b!r}" for d, t, b in rows])
     print(f"wrote {len(rows)} rows to {args.out}")
@@ -226,7 +219,7 @@ def _fig3(config: MeasureConfig) -> dict:
         "imaginary": DiscreteSpectrum.from_arrays([0.5, 1.0]),
         "real_axis": DiscreteSpectrum.from_arrays([0.5, 0.5], [0.8, -0.6]),
     }
-    dts = np.round(np.arange(0.0, 6.0 + 1e-9, 0.25), 12)
+    dts = grid_axis(0.0, 6.0, 0.25)
     rows = ["case,dt,t_max,b_max"]
     for name, base in cases.items():
         for dt, t, b in _dt_sweep_rows(base, 1, dts, config):

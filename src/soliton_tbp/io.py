@@ -25,7 +25,7 @@ import numpy as np
 import yaml
 
 from .darboux import SampledSignal, TimeGrid
-from .errors import SpectrumFileError
+from .errors import SolitonError, SpectrumFileError
 from .spectrum import DiscreteSpectrum, PhysicalScaling
 
 ENTRY_FIELDS = ("sigma", "omega", "eta", "phi")
@@ -74,7 +74,7 @@ def parse_spectrum_document(text: str) -> tuple[DiscreteSpectrum, PhysicalScalin
         rows.append(tuple(_require_number(entry, f, where) for f in ENTRY_FIELDS))
     try:
         spectrum = DiscreteSpectrum.from_arrays(*(np.array(col) for col in zip(*rows)))
-    except Exception as exc:
+    except (ValueError, SolitonError) as exc:
         raise SpectrumFileError(f"entries: {exc}") from exc
 
     scaling = None
@@ -88,7 +88,7 @@ def parse_spectrum_document(text: str) -> tuple[DiscreteSpectrum, PhysicalScalin
         values = [_require_number(phys, f, "physical") for f in PHYSICAL_FIELDS]
         try:
             scaling = PhysicalScaling(beta2=values[0], gamma=values[1], T0=values[2])
-        except Exception as exc:
+        except (ValueError, SolitonError) as exc:
             raise SpectrumFileError(f"physical: {exc}") from exc
     return spectrum, scaling
 
@@ -150,7 +150,7 @@ def load_signal(path) -> SampledSignal:
         if len(parts) != 4:
             raise SpectrumFileError(f"{path}:{i}: expected 4 columns")
         try:
-            values = [float(part) for part in parts[:3]]
+            values = [float(part) for part in parts]
         except ValueError as exc:
             raise SpectrumFileError(f"{path}:{i}: {exc}") from exc
         bad = [part for part, value in zip(parts, values) if not math.isfinite(value)]

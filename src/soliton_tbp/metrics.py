@@ -19,11 +19,11 @@ cheap per-row bracket on the window width (`_window_bracket`) spares the
 exact scan of every row that provably lies below a floor or below another
 row of its block, so the maxima and argmaxes are those of a full scan.
 `measure` is a block of one without floors.  `t_max_b_max` takes the first
-maximal T and B over the spectral-phase grid, evaluated chunk by chunk, at a
-fixed distance, and passes the widest windows of earlier chunks as floors.
-`t_hat_b_hat` also maximizes T over a span of distances while B is maximized
-over the two endpoints only (the bandwidth matters only where the signal is
-sampled).
+maximal T and B of the spectrum it is given over the spectral-phase grid,
+chunk by chunk, with the widest windows of earlier chunks as floors.
+`t_hat_b_hat` is one loop over the distances of a link (z = 0 alone when
+imaginary or zero-length): T is maximized over all of them, B over the two
+endpoints only (the bandwidth matters only where the signal is sampled).
 """
 
 from __future__ import annotations
@@ -329,27 +329,25 @@ class PhaseSweepResult:
 def t_max_b_max(
     spectrum: DiscreteSpectrum,
     config: MeasureConfig,
-    at_z: float = 0.0,
     grid: TimeGrid | None = None,
     with_b: bool = True,
 ) -> PhaseSweepResult:
-    """Maximize T (and optionally B) over the spectral-phase grid at one z.
+    """Maximize T (and optionally B) over the spectral-phase grid.
 
     All m^(N-1) phase combinations are evaluated (one phase is pinned: a
     global phase does not change magnitudes); for an imaginary-axis spectrum
     only one of each conjugate pair {phi, -phi}, see `phase_combinations`.
     Ties resolve to the first maximal combination in lexicographic order.
     """
-    spec_z = evolve(spectrum, at_z) if at_z != 0.0 else spectrum
     if grid is None:
-        grid = auto_grid(spec_z, config.epsilon, boundary_clean=False)
+        grid = auto_grid(spectrum, config.epsilon, boundary_clean=False)
     combos = phase_combinations(
         spectrum.n, config.phase_points, conjugation_reduced=spectrum.is_imaginary()
     )
     best = [(-math.inf, None), (-math.inf, None)]  # (width, phases) of T and B
     for start in range(0, len(combos), CHUNK_SIZE):
         block = combos[start : start + CHUNK_SIZE]
-        q_block = synthesize_phases(spec_z, grid, block)
+        q_block = synthesize_phases(spectrum, grid, block)
         floors = (best[0][0], best[1][0])
         for k, found in enumerate(_windows(q_block, grid, config, with_b, floors)):
             # strict >: an equal width in a later chunk keeps the earlier row
@@ -384,22 +382,18 @@ def t_hat_b_hat(
     if not (math.isfinite(link_length) and link_length >= 0.0):
         raise InvalidParameterError(f"link length must be finite and >= 0, got {link_length}")
     if spectrum.is_imaginary() or link_length == 0.0:
-        r = t_max_b_max(spectrum, config, at_z=0.0)
-        return LinkSweepResult(r.t_max, r.b_max, ((0.0, r.t_max, r.b_max),))
-
-    zs = np.linspace(0.0, link_length, config.z_samples)
-    grid = union_grid(
-        [
-            auto_grid(evolve(spectrum, z), config.epsilon, boundary_clean=False)
-            for z in (0.0, link_length / 2.0, link_length)
-        ]
-    )
+        zs, grid = [0.0], None  # the spectrum's own grid
+    else:
+        zs = np.linspace(0.0, link_length, config.z_samples)
+        grid = union_grid([auto_grid(evolve(spectrum, z), config.epsilon, boundary_clean=False)
+                           for z in (0.0, link_length / 2.0, link_length)])
     t_hat, b_hat = -math.inf, -math.inf
     profile = []
     for z in zs:
         endpoint = z == 0.0 or z == link_length
-        r = t_max_b_max(spectrum, config, at_z=float(z), grid=grid,
-                        with_b=endpoint or with_b_profile)
+        # evolve(s, 0.0) can move an eta by one ulp
+        spec_z = evolve(spectrum, float(z)) if z != 0.0 else spectrum
+        r = t_max_b_max(spec_z, config, grid=grid, with_b=endpoint or with_b_profile)
         t_hat = max(t_hat, r.t_max)
         if endpoint:
             b_hat = max(b_hat, r.b_max)

@@ -13,9 +13,10 @@ over [0, L].
 
 The grids are one table, `SWEEP_GRIDS`: a desk-scale and a published grid
 per (constellation, order), refined around the coarse argmin with the
-family steps of `FINE_STEPS`.  Both families share one objective,
-`t_hat_b_hat` at the point's link length (zero on the imaginary axis),
-evaluated by one function for the sweep workers and `evaluate_point` alike.
+family steps of `FINE_STEPS`; every axis is a `grid_axis`, which never
+passes hi.  Both families share one objective, `t_hat_b_hat` at the point's
+link length (zero on the imaginary axis), evaluated by one function for the
+sweep workers and `evaluate_point` alike.
 Every evaluated grid point lands in an append-only trace (CSV), written in
 enumeration order regardless of worker scheduling, so long sweeps are
 resumable and the reported optimum is always the argmin over the full
@@ -47,6 +48,14 @@ CONSTELLATIONS = ("imaginary", "real_axis")
 THREADS_ENV = "SOLITON_TBP_THREADS"
 
 
+def grid_axis(lo: float, hi: float, step: float) -> list[float]:
+    """Points lo, lo + step, ... up to hi (within 1e-9 steps) and never past it."""
+    if not (all(map(math.isfinite, (lo, hi, step))) and step > 0 and lo <= hi):
+        raise InvalidParameterError(f"range needs finite lo <= hi and step > 0, got {(lo, hi, step)}")
+    k = math.floor((hi - lo) / step + 1e-9)
+    return np.round(lo + step * np.arange(k + 1), 12).tolist()
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """Exhaustive sweep description.
@@ -54,9 +63,10 @@ class SweepSpec:
     Attributes:
         constellation: "imaginary" or "real_axis".
         n: soliton order, 2 or 3 for exhaustive mode.
-        ranges: ordered {param name: (lo, hi, step)}.
+        ranges: ordered {param name: (lo, hi, step)}, each a `grid_axis`.
         refine: {param name: fine step} for every range, or None; the
-            refinement box spans +-1 coarse step around the coarse argmin.
+            refinement box spans +-1 coarse step (within the range) around
+            the coarse argmin.
         measure: measurement configuration (epsilon, definition, M,
             distance samples of the real-axis objective, ...).
     """
@@ -74,9 +84,8 @@ class SweepSpec:
             raise InvalidParameterError("exhaustive sweeps support n = 2 or 3")
         if not self.ranges:
             raise InvalidParameterError("ranges must not be empty")
-        for name, (lo, hi, step) in self.ranges.items():
-            if not (step > 0 and hi >= lo):
-                raise InvalidParameterError(f"bad range for {name}: {(lo, hi, step)}")
+        for lo, hi, step in self.ranges.values():
+            grid_axis(lo, hi, step)
         if self.refine is not None and (self.refine.keys() != self.ranges.keys()
                                         or not all(step > 0 for step in self.refine.values())):
             raise InvalidParameterError(
@@ -144,7 +153,7 @@ class SweepResult:
 # so that ordered pairs near it stay reachable.
 SWEEP_GRIDS = {
     ("imaginary", 2): (
-        {"sigma_1": (0.54, 1.5, 0.2), "dt_1": (0.0, 5.0, 0.5)},
+        {"sigma_1": (0.54, 1.54, 0.2), "dt_1": (0.0, 5.0, 0.5)},
         {"sigma_1": (0.5, 1.5, 0.1), "dt_1": (0.0, 5.0, 0.25)},
     ),
     ("imaginary", 3): (
@@ -206,9 +215,7 @@ def spectrum_for_point(constellation: str, n: int, names, values) -> tuple[Discr
 
 
 def _grid_points(ranges: dict) -> list[tuple[float, ...]]:
-    axes = [np.round(lo + step * np.arange(int(round((hi - lo) / step)) + 1), 12).tolist()
-            for lo, hi, step in ranges.values()]
-    return list(product(*axes))
+    return list(product(*(grid_axis(*axis) for axis in ranges.values())))
 
 
 def _key(params) -> tuple:
@@ -256,10 +263,10 @@ def _read_trace(path: Path | None, header: list) -> dict:
 def _worker_count() -> int:
     env = os.environ.get(THREADS_ENV)
     if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise InvalidParameterError(f"{THREADS_ENV} must be an integer, got {env!r}") from None
+        count = int(env) if env.strip().isdecimal() else 0
+        if count < 1:
+            raise InvalidParameterError(f"{THREADS_ENV} must be an integer >= 1, got {env!r}")
+        return count
     return min(4, os.cpu_count() or 1)
 
 

@@ -79,6 +79,14 @@ class TestSignalFile:
         with pytest.raises(SpectrumFileError, match=f"{path.name}:4: non-finite value '{value}'"):
             load_signal(path)
 
+    def test_programming_error_is_not_a_file_error(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("broken constructor")
+
+        monkeypatch.setattr(DiscreteSpectrum, "from_arrays", broken)
+        with pytest.raises(TypeError, match="broken constructor"):
+            parse_spectrum_document("n: 1\nentries:\n- {sigma: 0.5, omega: 0, eta: 1, phi: 0}\n")
+
     def test_power_of_two_checked(self, tmp_path):
         path = tmp_path / "bad.csv"
         rows = ["t,re,im,abs"] + [f"{i * 0.1},1.0,0.0,1.0" for i in range(100)]
@@ -268,6 +276,30 @@ class TestCli:
         assert out == "" and "SOLITON_TBP_THREADS" in err
         assert not trace.exists()
 
+    @pytest.mark.parametrize("value", ["oops", "inf"])
+    def test_bad_abs_cell_is_validation_error(self, one_soliton_file, tmp_path, capsys, value):
+        sig_path = tmp_path / "sig.csv"
+        main(["synth", "--spectrum", str(one_soliton_file), "--out", str(sig_path)])
+        rows = sig_path.read_text().splitlines()
+        rows[5] = rows[5].rsplit(",", 1)[0] + "," + value
+        sig_path.write_text("\n".join(rows) + "\n")
+        report = tmp_path / "out.txt"
+        capsys.readouterr()
+        assert main(["measure", "--signal", str(sig_path), "--report", str(report)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "sig.csv:6" in err
+        assert not report.exists()
+
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_thread_count_below_one_is_validation_error(self, tmp_path, capsys, monkeypatch, count):
+        monkeypatch.setenv("SOLITON_TBP_THREADS", count)
+        trace = tmp_path / "trace.csv"
+        capsys.readouterr()
+        assert main(["optimize", "--constellation", "imag", "--n", "2", "--trace", str(trace)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "SOLITON_TBP_THREADS" in err
+        assert not trace.exists()
+
     @pytest.mark.parametrize("argv", [["measure", "--phases", "abc"], ["synth", "--spectrum", "x"]])
     def test_usage_error_returns_one(self, argv, capsys):
         assert main(argv) == 1
@@ -315,6 +347,18 @@ class TestCli:
         assert rc == 0
         rows = out.read_text().strip().splitlines()
         assert rows[0] == "dt,t_max,b_max" and len(rows) == 4
+
+    def test_sweep_stops_at_dt_max(self, tmp_path):
+        spec_path = tmp_path / "two.yaml"
+        save_spectrum(spec_path, DiscreteSpectrum.from_arrays([0.5, 1.0]))
+        out = tmp_path / "sweep.csv"
+        rc = main([
+            "sweep", "--spectrum", str(spec_path), "--entry", "1",
+            "--dt-max", "1.04", "--dt-step", "0.4", "--phases", "4", "--out", str(out),
+        ])
+        assert rc == 0
+        rows = out.read_text().strip().splitlines()
+        assert [row.split(",")[0] for row in rows] == ["dt", "0.0", "0.4", "0.8"]
 
     def test_optimize_cli_tiny(self, tmp_path, monkeypatch):
         # shrink the desk grids so the CLI path stays fast

@@ -19,7 +19,7 @@ from soliton_tbp.metrics import (
     tbp_per_eigenvalue,
 )
 from soliton_tbp.metrics import _smallest_energy_window, _window_bracket
-from soliton_tbp.spectrum import DiscreteSpectrum, transform
+from soliton_tbp.spectrum import DiscreteSpectrum, evolve, transform
 
 
 def _soliton(spectrum, epsilon=1e-4):
@@ -394,6 +394,23 @@ class TestTHatBHat:
         link = t_hat_b_hat(s, cfg, link_length=0.0)
         flat = t_max_b_max(s, cfg)
         assert link.t_hat == flat.t_max
+
+    @pytest.mark.parametrize("link_length", [0.0, 2.0])
+    def test_z0_measures_the_given_spectrum(self, monkeypatch, link_length):
+        # evolve(s, 0.0) moves eta = 3.0 by one ulp, so z = 0 must not be evolved
+        s = DiscreteSpectrum.from_arrays([0.5, 0.5], [0.3, -0.3], [3.0, 1.0])
+        assert evolve(s, 0.0).etas[0] != s.etas[0]
+        measured = []
+        t_max_b_max = metrics.t_max_b_max
+
+        def spy(spectrum, *args, **kwargs):
+            measured.append(spectrum)
+            return t_max_b_max(spectrum, *args, **kwargs)
+
+        monkeypatch.setattr(metrics, "t_max_b_max", spy)
+        link = t_hat_b_hat(s, MeasureConfig(phase_points=2, z_samples=2), link_length)
+        assert measured[0] is s
+        assert [z for z, _, _ in link.profile] == ([0.0] if link_length == 0.0 else [0.0, 2.0])
 
     def test_table_optimum_endpoint_maxima(self):
         # the mirrored optimum attains its duration maximum at both ends

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from soliton_tbp import optimizer
 from soliton_tbp.errors import DegenerateSpectrumError, InvalidParameterError, SpectrumFileError
 from soliton_tbp.metrics import MeasureConfig
 from soliton_tbp.optimizer import (
@@ -10,6 +11,7 @@ from soliton_tbp.optimizer import (
     TracePoint,
     default_sweep,
     evaluate_point,
+    grid_axis,
     run_sweep,
     spectrum_for_point,
 )
@@ -65,6 +67,58 @@ class TestSpecValidation:
             default_sweep("imaginary", 4)
         with pytest.raises(InvalidParameterError, match="constellation"):
             default_sweep("circle", 2, paper_fidelity=True)
+
+
+class TestGridAxis:
+    def test_hi_is_never_passed(self):
+        axis = grid_axis(0.54, 1.5, 0.2)
+        assert axis == [0.54, 0.74, 0.94, 1.14, 1.34]
+
+    @pytest.mark.parametrize("lo,hi,step,count", [
+        (-4.0, 0.0, 0.4, 11),
+        (0.0, 6.0, 0.25, 25),
+        (0.54, 1.54, 0.2, 6),
+        (0.5, 0.5, 0.1, 1),
+    ])
+    def test_hi_on_the_lattice_is_reached(self, lo, hi, step, count):
+        axis = grid_axis(lo, hi, step)
+        assert len(axis) == count
+        assert axis[0] == lo and axis[-1] == hi
+
+    @pytest.mark.parametrize("lo,hi,step", [
+        (0.0, float("inf"), 0.5),
+        (float("-inf"), 1.0, 0.5),
+        (float("nan"), 1.0, 0.5),
+        (0.0, float("nan"), 0.5),
+        (0.0, 1.0, float("nan")),
+        (0.0, 1.0, float("inf")),
+        (0.0, 1.0, 0.0),
+        (0.0, 1.0, -0.5),
+        (1.0, 0.0, 0.5),
+    ])
+    def test_invalid_range(self, lo, hi, step):
+        with pytest.raises(InvalidParameterError, match="range"):
+            grid_axis(lo, hi, step)
+
+    def test_spec_refuses_an_invalid_range(self):
+        with pytest.raises(InvalidParameterError):
+            SweepSpec("imaginary", 2, {"sigma_1": (0.6, 1.5, 0.1), "dt_1": (0.0, float("inf"), 0.5)})
+
+    def test_desk_real_n3_evaluates_no_positive_shift(self, monkeypatch):
+        evaluated = []
+
+        def record(constellation, n, names, values, measure):
+            evaluated.append(values)
+            objective = 1.0 if values[0] > 0.0 else float("nan")  # omega_1 = 0 is degenerate
+            return TracePoint(values, 1.0, 1.0, objective), 0.0
+
+        monkeypatch.setattr(optimizer, "_evaluate", record)
+        spec = default_sweep("real_axis", 3)
+        assert spec.refine is None  # the coarse grid is all that runs
+        run_sweep(spec)
+        dt_3 = {values[-1] for values in evaluated}
+        assert len(evaluated) == 10648
+        assert max(dt_3) == -0.2 and min(dt_3) == -3.0
 
 
 class TestPointMapping:
@@ -233,6 +287,9 @@ class TestDefaults:
          {"omega_1": (0.0, 1.0, 0.1), "dt_1": (-4.0, 0.0, 0.4),
           "omega_3": (-1.0, 1.0, 0.2), "dt_3": (-3.0, 0.0, 0.4)},
          None),
+        ("imaginary", 2, False,
+         {"sigma_1": (0.54, 1.54, 0.2), "dt_1": (0.0, 5.0, 0.5)},
+         {"sigma_1": 0.02, "dt_1": 0.05}),
     ])
     def test_grids(self, constellation, n, paper_fidelity, ranges, refine):
         spec = default_sweep(constellation, n, paper_fidelity=paper_fidelity)
