@@ -79,13 +79,11 @@ def t_lim_imaginary(sigmas, epsilon: float) -> float:
     _check_epsilon(epsilon)
     sigmas = np.atleast_1d(np.asarray(sigmas, dtype=float))
     s_min = sigmas.min()
-    others = sigmas[sigmas != s_min] if np.sum(sigmas == s_min) == 1 else None
-    if others is None or np.any(np.abs(others - s_min) <= SIGMA_GAP_TOL):
-        if len(sigmas) > 1:
-            raise DegenerateSpectrumError(
-                f"sigmas {sigmas} not separated from the minimum by > {SIGMA_GAP_TOL}"
-            )
-        others = np.array([])
+    others = np.delete(sigmas, np.argmin(sigmas))
+    if not np.all(np.abs(others - s_min) > SIGMA_GAP_TOL):  # a NaN gap fails too
+        raise DegenerateSpectrumError(
+            f"sigmas {sigmas} not separated from the minimum by > {SIGMA_GAP_TOL}"
+        )
     coupling = 2.0 * np.sum(np.log(np.abs((s_min + others) / (s_min - others))))
     return float(
         (math.log((2.0 / epsilon) * s_min / sigmas.sum()) + coupling) / (2.0 * s_min)

@@ -7,9 +7,9 @@ One subcommand per workflow: pulse synthesis (synth), forward transform
 figure-style CSV data sets (figures).
 
 Exit codes: 0 success, 1 validation error (usage errors, out-of-range flag
-values, invalid files), 2 numeric or degenerate-input error.  Diagnostics and
-warnings go to stderr; every output file is byte-deterministic for identical
-inputs and flags.
+values, invalid files, an OS error on any input or output path), 2 numeric
+or degenerate-input error.  Diagnostics and warnings go to stderr; every
+output file is byte-deterministic for identical inputs and flags.
 """
 
 from __future__ import annotations
@@ -370,11 +370,10 @@ def main(argv=None) -> int:
         return 1 if exc.code else 0
     try:
         return args.func(args)
-    except (InvalidParameterError, SpectrumFileError, FileNotFoundError, IsADirectoryError,
-            PermissionError) as exc:
+    except (InvalidParameterError, SpectrumFileError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (SolitonError, OverflowError, ArithmeticError, ValueError) as exc:
+    except (SolitonError, ArithmeticError, ValueError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 2
 

@@ -12,11 +12,12 @@ fixed by the precompensation, L = |dt_1 / (2*omega_1)|, and T is maximized
 over [0, L].
 
 The grids are one table, `SWEEP_GRIDS`: a desk-scale and a published grid
-per (constellation, order), refined around the coarse argmin with the
-family steps of `FINE_STEPS`; every axis is a `grid_axis`, which never
-passes hi.  Both families share one objective, `t_hat_b_hat` at the point's
-link length (zero on the imaginary axis), evaluated by one function for the
-sweep workers and `evaluate_point` alike.
+per supported (constellation, order), over exactly that pair's parameters
+(any other pair or names raise `InvalidParameterError`), refined around the
+coarse argmin with the family steps of `FINE_STEPS`; every axis is a
+`grid_axis`, which never passes hi.  Both families share one objective,
+`t_hat_b_hat` at the point's link length (zero on the imaginary axis),
+evaluated by one function for the sweep workers and `evaluate_point` alike.
 Every evaluated grid point lands in an append-only trace (CSV), written in
 enumeration order regardless of worker scheduling, so long sweeps are
 resumable and the reported optimum is always the argmin over the full
@@ -43,8 +44,6 @@ from .errors import DegenerateSpectrumError, InvalidParameterError, SolitonError
 from .metrics import MeasureConfig, single_soliton_tbp, t_hat_b_hat, tbp_per_eigenvalue
 from .spectrum import DiscreteSpectrum
 
-CONSTELLATIONS = ("imaginary", "real_axis")
-
 THREADS_ENV = "SOLITON_TBP_THREADS"
 
 
@@ -62,11 +61,12 @@ class SweepSpec:
 
     Attributes:
         constellation: "imaginary" or "real_axis".
-        n: soliton order, 2 or 3 for exhaustive mode.
-        ranges: ordered {param name: (lo, hi, step)}, each a `grid_axis`.
-        refine: {param name: fine step} for every range, or None; the
-            refinement box spans +-1 coarse step (within the range) around
-            the coarse argmin.
+        n: soliton order, 2 or 3.
+        ranges: ordered {param name: (lo, hi, step)}, each a `grid_axis`;
+            the names are exactly the pair's parameters in `SWEEP_GRIDS`,
+            and their order sets the trace columns.
+        refine: whether to refine around the coarse argmin, over a box of
+            +-1 coarse step (within the range) at the `FINE_STEPS` steps.
         measure: measurement configuration (epsilon, definition, M,
             distance samples of the real-axis objective, ...).
     """
@@ -74,23 +74,13 @@ class SweepSpec:
     constellation: str
     n: int
     ranges: dict
-    refine: dict | None = None
+    refine: bool = False
     measure: MeasureConfig = field(default_factory=MeasureConfig)
 
     def __post_init__(self):
-        if self.constellation not in CONSTELLATIONS:
-            raise InvalidParameterError(f"constellation must be one of {CONSTELLATIONS}")
-        if self.n not in (2, 3):
-            raise InvalidParameterError("exhaustive sweeps support n = 2 or 3")
-        if not self.ranges:
-            raise InvalidParameterError("ranges must not be empty")
         for lo, hi, step in self.ranges.values():
             grid_axis(lo, hi, step)
-        if self.refine is not None and (self.refine.keys() != self.ranges.keys()
-                                        or not all(step > 0 for step in self.refine.values())):
-            raise InvalidParameterError(
-                f"refine needs one step > 0 for each of {tuple(self.ranges)}, got {self.refine}"
-            )
+        _grids(self.constellation, self.n, self.ranges)
 
 
 def default_sweep(
@@ -109,12 +99,9 @@ def default_sweep(
         measure = MeasureConfig(phase_points=128 if paper_fidelity else 16)
     if not paper_fidelity:
         measure = replace(measure, z_samples=9)
-    # an unsupported (constellation, n) gets no ranges and fails SweepSpec's checks
-    desk, published = SWEEP_GRIDS.get((constellation, n), ({}, {}))
+    desk, published = _grids(constellation, n)
     ranges = dict(published if paper_fidelity else desk)
-    refine = ({name: FINE_STEPS[name.split("_")[0]] for name in ranges}
-              if paper_fidelity or n == 2 else None)
-    return SweepSpec(constellation, n, ranges, refine, measure)
+    return SweepSpec(constellation, n, ranges, paper_fidelity or n == 2, measure)
 
 
 @dataclass(frozen=True)
@@ -186,21 +173,32 @@ TABLE_OPTIMA = {
 }
 
 
+def _grids(constellation: str, n: int, names=None) -> tuple[dict, dict]:
+    """(desk, published) grids of a supported pair whose parameters are `names`, if given."""
+    grids = SWEEP_GRIDS.get((constellation, n))
+    if grids is None:
+        raise InvalidParameterError("sweeps support constellation 'imaginary' or 'real_axis' "
+                                    f"with n = 2 or 3, got {(constellation, n)}")
+    if names is not None and sorted(names) != sorted(grids[0]):
+        raise InvalidParameterError(f"parameters of {constellation} n = {n} are "
+                                    f"{tuple(grids[0])}, got {tuple(names)}")
+    return grids
+
+
 def spectrum_for_point(constellation: str, n: int, names, values) -> tuple[DiscreteSpectrum, float]:
     """Map sweep parameters to a spectrum and its link length.
 
-    Raises DegenerateSpectrumError (or ValueError) for invalid points so the
-    sweep can log and skip them.
+    Raises InvalidParameterError for names other than the pair's parameters,
+    and DegenerateSpectrumError (or ValueError) for points a sweep skips.
     """
+    _grids(constellation, n, names)
     p = dict(zip(names, values))
     if constellation == "imaginary":
-        sigmas = [p.get(f"sigma_{k}", None) for k in range(1, n)] + [0.5]
-        if any(s is None for s in sigmas):
-            raise ValueError("missing sigma parameter")
+        sigmas = [p[f"sigma_{k}"] for k in range(1, n)] + [0.5]
         for a, b in zip(sigmas, sigmas[1:]):
             if not a > b:  # enforce the sorted-eigenvalue convention
                 raise DegenerateSpectrumError(f"sigmas not strictly decreasing: {sigmas}")
-        dts = [p.get(f"dt_{k}", 0.0) for k in range(1, n)] + [0.0]
+        dts = [p[f"dt_{k}"] for k in range(1, n)] + [0.0]
         return DiscreteSpectrum.from_delta_t(sigmas, None, dts), 0.0
     # real_axis: mirrored pair (+ optional third component for n = 3)
     w1, d1 = p["omega_1"], p["dt_1"]
@@ -324,8 +322,9 @@ def run_sweep(spec: SweepSpec, trace_path: str | os.PathLike | None = None) -> S
             writer.writerows(header)
     try:
         coarse = _argmin(_run_points(spec, names, points, done, writer, workers))
-        if spec.refine is not None and coarse is not None:
-            fine = {name: (max(lo, center - step), min(hi, center + step), spec.refine[name])
+        if spec.refine and coarse is not None:
+            fine = {name: (max(lo, center - step), min(hi, center + step),
+                           FINE_STEPS[name.split("_")[0]])
                     for (name, (lo, hi, step)), center in zip(spec.ranges.items(), coarse.params)}
             _run_points(spec, names, _grid_points(fine), done, writer, workers)
     finally:

@@ -83,6 +83,10 @@ class TestDurationEstimates:
         with pytest.raises(DegenerateSpectrumError):
             t_lim_imaginary([0.51, 0.5], 1e-4)
 
+    def test_equal_minimum_sigmas_rejected(self):
+        with pytest.raises(DegenerateSpectrumError):
+            t_lim_imaginary([1.0, 0.5, 0.5], 1e-4)
+
     def test_real_axis_worked_value(self):
         # A_r = sqrt(2) each for the +-0.5 pair, so the log argument is
         # (2/(2 eps)) * (2 sqrt2 / 2)^2 ... = 8e4 at eps = 1e-4

@@ -15,6 +15,7 @@ from soliton_tbp.io import (
     save_signal,
     save_spectrum,
 )
+from soliton_tbp.metrics import MeasureConfig, measure
 from soliton_tbp.spectrum import DiscreteSpectrum, PhysicalScaling
 
 
@@ -118,6 +119,43 @@ class TestCli:
             line.split(": ") for line in report.strip().splitlines() if ": " in line
         )
         assert float(fields["TB"]) == pytest.approx(9.94, abs=0.1)
+
+    def test_measure_signal_threshold_alpha(self, one_soliton_file, tmp_path, capsys):
+        sig_path = tmp_path / "sig.csv"
+        main(["synth", "--spectrum", str(one_soliton_file), "--out", str(sig_path)])
+        capsys.readouterr()
+        argv = ["measure", "--signal", str(sig_path), "--def", "threshold", "--alpha", "0.02"]
+        assert main(argv) == 0
+        fields = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+        report = measure(load_signal(sig_path), MeasureConfig(definition="threshold", alpha=0.02))
+        assert fields["definition"] == "threshold" and fields["alpha"] == "0.02"
+        assert fields["T"] == repr(report.t) and fields["B"] == repr(report.b)
+        assert fields["T_interval"] == f"[{report.t_interval.lo!r}, {report.t_interval.hi!r}]"
+        assert fields["B_interval"] == f"[{report.b_interval.lo!r}, {report.b_interval.hi!r}]"
+        default = measure(load_signal(sig_path), MeasureConfig(definition="threshold"))
+        assert fields["TB"] == repr(report.tbp) != repr(default.tbp)
+
+    def test_synth_physical_units(self, one_soliton_file, tmp_path):
+        physical = tmp_path / "physical.yaml"
+        physical.write_text(one_soliton_file.read_text() + "physical:\n  beta2_s2_per_m: -2.1e-26\n"
+                            "  gamma_per_W_m: 1.3e-3\n  T0_s: 1.0e-11\n")
+        plain, scaled = tmp_path / "plain.csv", tmp_path / "scaled.csv"
+        assert main(["synth", "--spectrum", str(one_soliton_file), "--out", str(plain)]) == 0
+        assert main(["synth", "--spectrum", str(physical), "--out", str(scaled), "--physical"]) == 0
+        _, scaling = load_spectrum(physical)
+        plain, scaled = load_signal(plain), load_signal(scaled)
+        assert scaled.grid.n_samples == plain.grid.n_samples
+        assert scaled.grid.t_start == pytest.approx(plain.grid.t_start * scaling.T0, rel=1e-12)
+        assert scaled.grid.dt == pytest.approx(plain.grid.dt * scaling.T0, rel=1e-12)
+        assert np.array_equal(scaled.samples, plain.samples * math.sqrt(scaling.p0))
+
+    def test_synth_physical_needs_a_physical_block(self, one_soliton_file, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        capsys.readouterr()
+        assert main(["synth", "--spectrum", str(one_soliton_file), "--out", str(out), "--physical"]) == 1
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and "physical" in err
+        assert not out.exists()
 
     def test_nft_round_trip(self, one_soliton_file, tmp_path):
         sig_path = tmp_path / "sig.csv"
@@ -266,6 +304,24 @@ class TestCli:
         stdout, err = capsys.readouterr()
         assert stdout == "" and ("sig.csv:11" in err if command != "synth" else "'n'" in err)
         assert not list(tmp_path.glob("out*"))
+
+    @pytest.mark.parametrize("command", ["synth", "measure", "figures"])
+    def test_os_error_on_a_path_is_validation_error(self, one_soliton_file, tmp_path, capsys,
+                                                    command):
+        regular = tmp_path / "regular"
+        regular.write_text("not a directory\n")
+        argv = {
+            "synth": ["--spectrum", str(one_soliton_file), "--out", str(regular / "x.csv")],
+            "measure": ["--signal", str(regular / "x.csv")],
+            "figures": ["--which", "fig3", "--phases", "2", "--out-dir", str(regular)],
+        }[command]
+        before = sorted(tmp_path.iterdir())
+        capsys.readouterr()
+        assert main([command] + argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ")
+        assert sorted(tmp_path.iterdir()) == before
+        assert regular.read_text() == "not a directory\n"
 
     def test_bad_thread_count_is_validation_error(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("SOLITON_TBP_THREADS", "two")

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
@@ -7,6 +8,9 @@ from soliton_tbp import optimizer
 from soliton_tbp.errors import DegenerateSpectrumError, InvalidParameterError, SpectrumFileError
 from soliton_tbp.metrics import MeasureConfig
 from soliton_tbp.optimizer import (
+    FINE_STEPS,
+    SWEEP_GRIDS,
+    TABLE_OPTIMA,
     SweepSpec,
     TracePoint,
     default_sweep,
@@ -19,7 +23,7 @@ from soliton_tbp.optimizer import (
 FAST = MeasureConfig(phase_points=4, epsilon=1e-4)
 
 
-def tiny_imag_spec(refine=None):
+def tiny_imag_spec(refine=False):
     return SweepSpec(
         constellation="imaginary",
         n=2,
@@ -51,22 +55,34 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             SweepSpec("imaginary", 2, {"sigma_1": (1.5, 0.5, 0.1)})
 
-    @pytest.mark.parametrize("refine", [
-        {"sigma_1": 0.05},
-        {"sigma_1": 0.05, "dt_1": 0.25, "dt_2": 0.25},
-        {"sigma_1": 0.05, "dt_1": 0.0},
-        {"sigma_1": -0.05, "dt_1": 0.25},
-        {"sigma_1": float("nan"), "dt_1": 0.25},
-    ], ids=["missing", "extra", "zero", "negative", "nan"])
-    def test_bad_refine(self, refine):
-        with pytest.raises(InvalidParameterError, match="refine"):
-            tiny_imag_spec(refine=refine)
-
     def test_unsupported_default_sweep(self):
         with pytest.raises(InvalidParameterError, match="n = 2 or 3"):
             default_sweep("imaginary", 4)
         with pytest.raises(InvalidParameterError, match="constellation"):
             default_sweep("circle", 2, paper_fidelity=True)
+
+    @pytest.mark.parametrize("constellation,n,ranges", [
+        ("imaginary", 2, {"sigma_1": (0.58, 0.58, 0.1), "dT_1": (0.0, 2.0, 1.0)}),
+        ("real_axis", 2, {"omega": (0.1, 0.1, 0.1), "dt_1": (-1.0, -1.0, 0.5)}),
+        ("imaginary", 3, {"sigma_1": (0.7, 0.7, 0.1), "sigma_2": (0.6, 0.6, 0.1),
+                          "dt_1": (1.0, 1.0, 0.5)}),
+        ("imaginary", 2, {"sigma_1": (0.58, 0.58, 0.1), "dt_1": (2.0, 2.0, 0.5),
+                          "dt_2": (0.0, 0.0, 0.5)}),
+    ], ids=["misspelled", "misspelled_real", "missing", "extra"])
+    def test_names_other_than_the_pairs_are_refused(self, tmp_path, constellation, n, ranges):
+        trace = tmp_path / "trace.csv"
+        with pytest.raises(InvalidParameterError, match="parameters of"):
+            run_sweep(SweepSpec(constellation, n, ranges, measure=FAST), trace_path=trace)
+        assert not trace.exists()
+
+    def test_names_compare_as_a_set(self):
+        spec = SweepSpec("imaginary", 2, {"dt_1": (1.5, 2.5, 0.5), "sigma_1": (0.54, 0.74, 0.1)})
+        assert list(spec.ranges) == ["dt_1", "sigma_1"]
+
+    def test_table_names_one_parameter_set_per_pair(self):
+        assert SWEEP_GRIDS.keys() == TABLE_OPTIMA.keys()
+        for pair, (desk, published) in SWEEP_GRIDS.items():
+            assert list(desk) == list(published) == list(TABLE_OPTIMA[pair])
 
 
 class TestGridAxis:
@@ -114,7 +130,7 @@ class TestGridAxis:
 
         monkeypatch.setattr(optimizer, "_evaluate", record)
         spec = default_sweep("real_axis", 3)
-        assert spec.refine is None  # the coarse grid is all that runs
+        assert spec.refine is False  # the coarse grid is all that runs
         run_sweep(spec)
         dt_3 = {values[-1] for values in evaluated}
         assert len(evaluated) == 10648
@@ -164,10 +180,25 @@ class TestSweep:
 
     def test_refinement_never_worse(self):
         coarse = run_sweep(tiny_imag_spec())
-        refined = run_sweep(
-            tiny_imag_spec(refine={"sigma_1": 0.05, "dt_1": 0.25})
-        )
+        refined = run_sweep(tiny_imag_spec(refine=True))
         assert refined.best.objective <= coarse.best.objective + 1e-12
+
+    def test_refinement_box_uses_the_fine_steps(self, monkeypatch):
+        evaluated = []
+
+        def record(constellation, n, names, values, measure):
+            evaluated.append(optimizer._key(values))
+            objective = 1.0 + (values[0] - 0.64) ** 2 + (values[1] - 2.0) ** 2
+            return TracePoint(values, 1.0, objective, objective), 0.0
+
+        monkeypatch.setattr(optimizer, "_evaluate", record)
+        run_sweep(tiny_imag_spec(refine=True))
+        coarse = product(grid_axis(0.54, 0.74, 0.1), grid_axis(1.5, 2.5, 0.5))
+        box = product(grid_axis(0.54, 0.74, FINE_STEPS["sigma"]), grid_axis(1.5, 2.5, FINE_STEPS["dt"]))
+        expected = set(map(optimizer._key, coarse)) | set(map(optimizer._key, box))
+        # the coarse points lie on the fine lattice, so the box adds 11 * 21 - 9
+        assert len(evaluated) == len(set(evaluated)) == len(expected) == 11 * 21
+        assert set(evaluated) == expected
 
     def test_all_degenerate_grid_raises(self):
         spec = SweepSpec(
@@ -294,7 +325,10 @@ class TestDefaults:
     def test_grids(self, constellation, n, paper_fidelity, ranges, refine):
         spec = default_sweep(constellation, n, paper_fidelity=paper_fidelity)
         assert list(spec.ranges.items()) == list(ranges.items())  # order sets the trace columns
-        assert spec.refine == refine
+        # refine: the fine step of each parameter, or None for a coarse-only sweep
+        assert spec.refine is (refine is not None)
+        if spec.refine:
+            assert {name: FINE_STEPS[name.split("_")[0]] for name in spec.ranges} == refine
         assert spec.measure.phase_points == (128 if paper_fidelity else 16)
         assert spec.measure.z_samples == (41 if paper_fidelity else 9)
 
@@ -306,3 +340,7 @@ class TestDirectEvaluation:
             MeasureConfig(phase_points=16),
         )
         assert ratio == pytest.approx(0.89, abs=0.03)
+
+    def test_misspelled_name_is_refused(self):
+        with pytest.raises(InvalidParameterError, match="parameters of imaginary n = 2"):
+            evaluate_point("imaginary", 2, {"sigma_1": 0.58, "dt1": 2.0}, FAST)
