@@ -7,7 +7,7 @@ product per eigenvalue by exhaustive search, and evaluates the closed-form
 asymptotic estimates and bound curves.
 """
 
-from .darboux import SampledSignal, TimeGrid, auto_grid, synthesize
+from .darboux import SampledSignal, TimeGrid, auto_grid, denormalize, synthesize
 from .errors import (
     AliasingWarning,
     DegenerateRootError,
@@ -23,12 +23,7 @@ from .metrics import MeasureConfig, TBReport, measure, t_hat_b_hat, t_max_b_max
 from .propagation import PropagationPlan, propagate
 from .spectrum import (
     DiscreteSpectrum,
-    Eigenvalue,
     PhysicalScaling,
-    SpectralAmplitude,
-    delta_t,
-    denormalize,
-    eta_of,
     evolve,
     qd_init,
     qd_value,

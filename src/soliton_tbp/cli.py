@@ -15,12 +15,13 @@ output file is byte-deterministic for identical inputs and flags.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
 from . import io as sio
 from .asymptotics import lower_bound_curve
-from .darboux import auto_grid, synthesize
+from .darboux import auto_grid, denormalize, synthesize
 from .errors import InvalidParameterError, SolitonError, SpectrumFileError
 from .metrics import (
     MeasureConfig,
@@ -33,7 +34,7 @@ from .metrics import (
 from .optimizer import (TABLE_OPTIMA, default_sweep, evaluate_point, grid_axis, run_sweep,
                         spectrum_for_point)
 from .propagation import DEFAULT_DZ, PropagationPlan, propagate, propagate_with_snapshots
-from .spectrum import DiscreteSpectrum, SpectralAmplitude, denormalize, eta_of, evolve
+from .spectrum import DiscreteSpectrum, evolve
 
 CONSTELLATION_FLAGS = {"imag": "imaginary", "real": "real_axis"}
 
@@ -157,11 +158,10 @@ def _cmd_measure(args) -> int:
 
 def _dt_sweep_rows(spectrum, entry, dts, config):
     rows = []
+    sigma, etas = spectrum.sigmas[entry].item(), spectrum.etas.copy()
     for dt in dts:
-        entries = list(spectrum.entries)
-        ev, amp = entries[entry]
-        entries[entry] = (ev, SpectralAmplitude(eta_of(ev, float(dt)), amp.phi))
-        shifted = DiscreteSpectrum(tuple(entries))
+        etas[entry] = math.exp(2.0 * sigma * float(dt))
+        shifted = DiscreteSpectrum(spectrum.sigmas, spectrum.omegas, etas, spectrum.phis)
         r = t_max_b_max(shifted, config)
         rows.append((float(dt), r.t_max, r.b_max))
     return rows
@@ -216,8 +216,8 @@ def _cmd_bound(args) -> int:
 
 def _fig3(config: MeasureConfig) -> dict:
     cases = {
-        "imaginary": DiscreteSpectrum.from_arrays([0.5, 1.0]),
-        "real_axis": DiscreteSpectrum.from_arrays([0.5, 0.5], [0.8, -0.6]),
+        "imaginary": DiscreteSpectrum([0.5, 1.0]),
+        "real_axis": DiscreteSpectrum([0.5, 0.5], [0.8, -0.6]),
     }
     dts = grid_axis(0.0, 6.0, 0.25)
     rows = ["case,dt,t_max,b_max"]
@@ -260,15 +260,22 @@ def _fig6(config: MeasureConfig, n_max: int) -> dict:
 def _cmd_figures(args) -> int:
     config = _measure_config(args)
     wanted = set(args.which or ["fig3", "fig5", "fig6"])
-    files = {}
-    if "fig3" in wanted:
-        files.update(_fig3(config))
-    if "fig5" in wanted:
-        files.update(_fig5(config))
-    if "fig6" in wanted:
-        files.update(_fig6(config, args.n_max))
+    # an unusable directory fails before minutes of computation, not after
     out_dir = Path(args.out_dir)
+    made = [path for path in (out_dir, *out_dir.parents) if not path.exists()]
     out_dir.mkdir(parents=True, exist_ok=True)
+    files = {}
+    try:
+        if "fig3" in wanted:
+            files.update(_fig3(config))
+        if "fig5" in wanted:
+            files.update(_fig5(config))
+        if "fig6" in wanted:
+            files.update(_fig6(config, args.n_max))
+    except BaseException:
+        for path in made:  # leaf first; a failed run leaves no directory behind
+            path.rmdir()
+        raise
     for name, rows in files.items():
         _write_rows(out_dir / name, rows)
     print("wrote " + ", ".join(str(out_dir / name) for name in files))

@@ -35,7 +35,7 @@ import numpy as np
 
 from .asymptotics import _check_epsilon, _sech, envelope_bandwidth, envelope_duration, tail_envelope
 from .errors import GridTooNarrowWarning, InvalidParameterError
-from .spectrum import DiscreteSpectrum
+from .spectrum import DiscreteSpectrum, PhysicalScaling
 
 # Fraction of the peak magnitude tolerated at the grid edges before the
 # synthesized pulse is flagged as truncated.
@@ -96,6 +96,20 @@ class SampledSignal:
     @property
     def energy(self) -> float:
         return float(np.sum(np.abs(self.samples) ** 2) * self.grid.dt)
+
+
+def denormalize(signal: SampledSignal, scaling: PhysicalScaling) -> SampledSignal:
+    """Map a normalized sampled signal to physical units.
+
+    The physical envelope is ``sqrt(P0) * q(tau/T0)`` on the time axis
+    ``tau = t*T0`` (seconds), amplitudes in sqrt(W).
+    """
+    grid = TimeGrid(
+        t_start=signal.grid.t_start * scaling.T0,
+        dt=signal.grid.dt * scaling.T0,
+        n_samples=signal.grid.n_samples,
+    )
+    return SampledSignal(grid=grid, samples=signal.samples * math.sqrt(scaling.p0))
 
 
 def _complex_logsumexp(w1, w2):

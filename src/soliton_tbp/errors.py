@@ -6,7 +6,7 @@ class SolitonError(Exception):
 
 
 class DegenerateSpectrumError(SolitonError):
-    """Eigenvalues coincide (or nearly coincide) and division terms blow up."""
+    """Two eigenvalues coincide (or nearly coincide) and division terms blow up."""
 
 
 class DegenerateRootError(SolitonError):

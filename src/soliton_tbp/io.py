@@ -73,7 +73,7 @@ def parse_spectrum_document(text: str) -> tuple[DiscreteSpectrum, PhysicalScalin
             raise SpectrumFileError(f"{where}: unknown fields {sorted(unknown)}")
         rows.append(tuple(_require_number(entry, f, where) for f in ENTRY_FIELDS))
     try:
-        spectrum = DiscreteSpectrum.from_arrays(*(np.array(col) for col in zip(*rows)))
+        spectrum = DiscreteSpectrum(*zip(*rows))
     except (ValueError, SolitonError) as exc:
         raise SpectrumFileError(f"entries: {exc}") from exc
 
@@ -106,10 +106,11 @@ def format_spectrum_document(
     spectrum: DiscreteSpectrum, scaling: PhysicalScaling | None = None
 ) -> str:
     lines = [f"n: {spectrum.n}", "entries:"]
-    for ev, amp in spectrum.entries:
+    columns = (spectrum.sigmas, spectrum.omegas, spectrum.etas, spectrum.phis)
+    for sigma, omega, eta, phi in zip(*columns):
         lines.append(
-            f"- {{sigma: {_yaml_float(ev.sigma)}, omega: {_yaml_float(ev.omega)}, "
-            f"eta: {_yaml_float(amp.eta)}, phi: {_yaml_float(amp.phi)}}}"
+            f"- {{sigma: {_yaml_float(sigma)}, omega: {_yaml_float(omega)}, "
+            f"eta: {_yaml_float(eta)}, phi: {_yaml_float(phi)}}}"
         )
     if scaling is not None:
         lines.append("physical:")

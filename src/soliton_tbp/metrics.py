@@ -414,6 +414,6 @@ def single_soliton_tbp(config: MeasureConfig) -> float:
     The product is invariant under dilation, so this one number normalizes
     every per-eigenvalue ratio for the configured definition and epsilon.
     """
-    ref = DiscreteSpectrum.from_arrays([0.5])
+    ref = DiscreteSpectrum([0.5])
     report = measure(synthesize(ref, auto_grid(ref, config.epsilon)), config)
     return report.tbp

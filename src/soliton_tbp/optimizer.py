@@ -188,10 +188,14 @@ def _grids(constellation: str, n: int, names=None) -> tuple[dict, dict]:
 def spectrum_for_point(constellation: str, n: int, names, values) -> tuple[DiscreteSpectrum, float]:
     """Map sweep parameters to a spectrum and its link length.
 
-    Raises InvalidParameterError for names other than the pair's parameters,
-    and DegenerateSpectrumError (or ValueError) for points a sweep skips.
+    Raises InvalidParameterError for names other than the pair's parameters
+    or a value count other than theirs, and DegenerateSpectrumError (or
+    ValueError) for points a sweep skips.
     """
     _grids(constellation, n, names)
+    if len(values) != len(names):
+        raise InvalidParameterError(f"parameters {tuple(names)} need {len(names)} values, "
+                                    f"got {len(values)}")
     p = dict(zip(names, values))
     if constellation == "imaginary":
         sigmas = [p[f"sigma_{k}"] for k in range(1, n)] + [0.5]

@@ -455,7 +455,7 @@ def recover_spectrum(
     lams = np.array(find_eigenvalues(signal, region=region, seeds_per_axis=seeds_per_axis))
     if not lams.size:
         raise DegenerateSpectrumError("no eigenvalues found in the search region")
-    shell = DiscreteSpectrum.from_arrays(lams.imag, lams.real)
+    shell = DiscreteSpectrum(lams.imag, lams.real)
     ref = np.array([qd_init(shell, k) for k in range(shell.n)])
     qd = discrete_amplitude(signal, lams)
-    return DiscreteSpectrum.from_arrays(lams.imag, lams.real, abs(qd) / abs(ref), np.angle(qd / ref))
+    return DiscreteSpectrum(lams.imag, lams.real, abs(qd) / abs(ref), np.angle(qd / ref))

@@ -34,128 +34,84 @@ IMAGINARY_TOL = 1e-12
 TWO_PI = 2.0 * math.pi
 
 
-def _wrap_phase(phi: float) -> float:
-    """Normalize a phase into [0, 2*pi)."""
-    phi = math.fmod(float(phi), TWO_PI)
-    if phi < 0.0:
-        phi += TWO_PI
-    # fmod can return exactly TWO_PI after the correction for tiny negatives
-    if phi >= TWO_PI:
-        phi -= TWO_PI
-    return phi
+# the fields of a spectrum in row order, with the default and the exclusive
+# lower bound of each
+_FIELDS = (("sigma", None, 0.0), ("omega", 0.0, -math.inf), ("eta", 1.0, 0.0),
+           ("phi", 0.0, -math.inf))
+_FLOORS = np.array([[floor] for _, _, floor in _FIELDS])
 
 
-@dataclass(frozen=True)
-class Eigenvalue:
-    """Discrete eigenvalue ``omega + j*sigma`` strictly in the upper half-plane.
-
-    Attributes:
-        sigma: imaginary part, > 0 (dimensionless normalized units).
-        omega: real part (dimensionless).
-    """
-
-    sigma: float
-    omega: float = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "sigma", float(self.sigma))
-        object.__setattr__(self, "omega", float(self.omega))
-        if not (math.isfinite(self.sigma) and self.sigma > 0.0):
-            raise ValueError(f"sigma must be finite and > 0, got {self.sigma}")
-        if not math.isfinite(self.omega):
-            raise ValueError(f"omega must be finite, got {self.omega}")
-
-    @property
-    def lam(self) -> complex:
-        return complex(self.omega, self.sigma)
-
-
-@dataclass(frozen=True)
-class SpectralAmplitude:
-    """Amplitude scaling ``eta`` > 0 and phase ``phi``, stored in [0, 2*pi)."""
-
-    eta: float = 1.0
-    phi: float = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "eta", float(self.eta))
-        object.__setattr__(self, "phi", float(self.phi))
-        if not (math.isfinite(self.eta) and self.eta > 0.0):
-            raise ValueError(f"eta must be finite and > 0, got {self.eta}")
-        if not math.isfinite(self.phi):
-            raise ValueError(f"phi must be finite, got {self.phi}")
-        object.__setattr__(self, "phi", _wrap_phase(self.phi))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscreteSpectrum:
-    """Ordered list of (Eigenvalue, SpectralAmplitude) pairs, N >= 1.
+    """N >= 1 eigenvalues ``omega_k + j*sigma_k`` and amplitudes ``(eta_k, phi_k)``.
 
-    All eigenvalues must be pairwise distinct by at least
-    ``DISTINCTNESS_TOL`` in complex distance.
+    The four fields are read-only float arrays of length N, copied from the
+    arguments.  ``omegas`` defaults to zeros, ``etas`` to ones and ``phis`` to
+    zeros.  sigma and eta are finite and > 0, omega and phi finite, and phases
+    are stored wrapped into [0, 2*pi).  All eigenvalues must be pairwise
+    distinct by at least ``DISTINCTNESS_TOL`` in complex distance.  Two
+    spectra are equal when their four arrays are; a spectrum is not hashable.
     """
 
-    entries: tuple[tuple[Eigenvalue, SpectralAmplitude], ...]
+    sigmas: np.ndarray
+    omegas: np.ndarray | None = None
+    etas: np.ndarray | None = None
+    phis: np.ndarray | None = None
 
     def __post_init__(self):
-        entries = tuple(self.entries)
-        object.__setattr__(self, "entries", entries)
-        if len(entries) < 1:
+        n = len(np.atleast_1d(self.sigmas))
+        # the fields become the rows of one read-only (4, N) copy, so a
+        # caller's array (or a view such as lams.imag) is neither aliased nor frozen
+        table = np.empty((4, n))
+        for row, (name, default, _) in enumerate(_FIELDS):
+            value = getattr(self, name + "s")
+            value = default if value is None else np.atleast_1d(np.asarray(value, dtype=float))
+            if np.shape(value) not in ((), (n,)):
+                raise ValueError("sigma/omega/eta/phi arrays must have equal length")
+            table[row] = value
+        if n < 1:
             raise ValueError("spectrum needs at least one entry")
-        lams = [ev.lam for ev, _ in entries]
-        for i in range(len(lams)):
-            for m in range(i + 1, len(lams)):
+        bad = ~(np.isfinite(table) & (table > _FLOORS))
+        if bad.any():
+            row, k = np.argwhere(bad)[0]
+            name, _, floor = _FIELDS[row]
+            rule = "finite" if floor == -math.inf else f"finite and > {floor:g}"
+            raise ValueError(f"{name} must be {rule}, got {table[row, k]}")
+        phis = table[3]
+        np.fmod(phis, TWO_PI, out=phis)
+        phis[phis < 0.0] += TWO_PI
+        # fmod can return exactly TWO_PI after the correction for tiny negatives
+        phis[phis >= TWO_PI] -= TWO_PI
+        lams = (table[1] + 1j * table[0]).tolist()
+        for i in range(n):
+            for m in range(i + 1, n):
                 if abs(lams[i] - lams[m]) < DISTINCTNESS_TOL:
                     raise DegenerateSpectrumError(
-                        f"eigenvalues {lams[i]} and {lams[m]} closer than "
-                        f"{DISTINCTNESS_TOL}"
+                        f"eigenvalues {lams[i]} and {lams[m]} closer than {DISTINCTNESS_TOL}"
                     )
+        table.flags.writeable = False
+        for row, (name, _, _) in enumerate(_FIELDS):
+            object.__setattr__(self, name + "s", table[row])
 
-    @classmethod
-    def from_arrays(cls, sigmas, omegas=None, etas=None, phis=None) -> "DiscreteSpectrum":
-        sigmas = np.atleast_1d(np.asarray(sigmas, dtype=float))
-        n = len(sigmas)
-        omegas = np.zeros(n) if omegas is None else np.atleast_1d(np.asarray(omegas, dtype=float))
-        etas = np.ones(n) if etas is None else np.atleast_1d(np.asarray(etas, dtype=float))
-        phis = np.zeros(n) if phis is None else np.atleast_1d(np.asarray(phis, dtype=float))
-        if not (len(omegas) == len(etas) == len(phis) == n):
-            raise ValueError("sigma/omega/eta/phi arrays must have equal length")
-        return cls(
-            tuple(
-                (Eigenvalue(s, w), SpectralAmplitude(e, p))
-                for s, w, e, p in zip(sigmas, omegas, etas, phis)
-            )
-        )
+    def __eq__(self, other):
+        if not isinstance(other, DiscreteSpectrum):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, name + "s"), getattr(other, name + "s"))
+                   for name, _, _ in _FIELDS)
 
     @classmethod
     def from_delta_t(cls, sigmas, omegas=None, delta_ts=None, phis=None) -> "DiscreteSpectrum":
         """Build a spectrum with ``eta_k = exp(2*sigma_k*delta_t_k)``."""
         sigmas = np.atleast_1d(np.asarray(sigmas, dtype=float))
-        delta_ts = np.zeros(len(sigmas)) if delta_ts is None else np.atleast_1d(
-            np.asarray(delta_ts, dtype=float)
-        )
-        etas = np.exp(2.0 * sigmas * delta_ts)
-        return cls.from_arrays(sigmas, omegas, etas, phis)
+        delta_ts = np.zeros(sigmas.shape) if delta_ts is None else np.atleast_1d(
+            np.asarray(delta_ts, dtype=float))
+        if delta_ts.shape != sigmas.shape:  # numpy would broadcast one shift to all
+            raise ValueError("sigma/delta_t arrays must have equal length")
+        return cls(sigmas, omegas, np.exp(2.0 * sigmas * delta_ts), phis)
 
     @property
     def n(self) -> int:
-        return len(self.entries)
-
-    @property
-    def sigmas(self) -> np.ndarray:
-        return np.array([ev.sigma for ev, _ in self.entries])
-
-    @property
-    def omegas(self) -> np.ndarray:
-        return np.array([ev.omega for ev, _ in self.entries])
-
-    @property
-    def etas(self) -> np.ndarray:
-        return np.array([amp.eta for _, amp in self.entries])
-
-    @property
-    def phis(self) -> np.ndarray:
-        return np.array([amp.phi for _, amp in self.entries])
+        return len(self.sigmas)
 
     @property
     def lams(self) -> np.ndarray:
@@ -163,6 +119,7 @@ class DiscreteSpectrum:
 
     @property
     def delta_ts(self) -> np.ndarray:
+        """Temporal shifts ``ln(eta_k) / (2*sigma_k)`` of the components."""
         return np.log(self.etas) / (2.0 * self.sigmas)
 
     @property
@@ -228,22 +185,9 @@ def qd_init(spectrum: DiscreteSpectrum, k: int) -> complex:
 
 def qd_value(spectrum: DiscreteSpectrum, k: int) -> complex:
     """Modulated spectral amplitude ``eta_k * |qd_init(k)| * exp(j*phi_k)``."""
-    _, amp = spectrum.entries[k] if 0 <= k < spectrum.n else (None, None)
-    if amp is None:
-        raise IndexError(f"entry index {k} out of range for N={spectrum.n}")
-    return amp.eta * abs(qd_init(spectrum, k)) * complex(math.cos(amp.phi), math.sin(amp.phi))
-
-
-def delta_t(eigenvalue: Eigenvalue, eta: float) -> float:
-    """Temporal shift ``ln(eta) / (2*sigma)`` of one solitonic component."""
-    if not (math.isfinite(eta) and eta > 0.0):
-        raise ValueError(f"eta must be finite and > 0, got {eta}")
-    return math.log(eta) / (2.0 * eigenvalue.sigma)
-
-
-def eta_of(eigenvalue: Eigenvalue, dt: float) -> float:
-    """Inverse of `delta_t`: ``eta = exp(2*sigma*dt)``."""
-    return math.exp(2.0 * eigenvalue.sigma * dt)
+    magnitude = abs(qd_init(spectrum, k))  # qd_init refuses k out of range
+    eta, phi = spectrum.etas[k].item(), spectrum.phis[k].item()
+    return eta * magnitude * complex(math.cos(phi), math.sin(phi))
 
 
 def evolve(spectrum: DiscreteSpectrum, z: float) -> DiscreteSpectrum:
@@ -252,22 +196,24 @@ def evolve(spectrum: DiscreteSpectrum, z: float) -> DiscreteSpectrum:
     Each amplitude picks up exp(-4j*lam_k^2*z):
     ``eta_k *= exp(8*sigma_k*omega_k*z)`` and
     ``phi_k -= 4*(omega_k^2 - sigma_k^2)*z`` (mod 2*pi).
-    Eigenvalues are invariant.
+    The eigenvalues are invariant.
     """
     if not math.isfinite(z):
         raise InvalidParameterError(f"z must be finite, got {z}")
-    new_entries = []
-    for ev, amp in spectrum.entries:
-        growth = 8.0 * ev.sigma * ev.omega * z
-        log_eta = math.log(amp.eta) + growth
+    etas, phis = [], []
+    # scalar math.log/exp and float ** 2 round differently from their numpy
+    # array forms, and evolved spectra are written to files byte for byte
+    for sigma, omega, eta, phi in zip(spectrum.sigmas.tolist(), spectrum.omegas.tolist(),
+                                      spectrum.etas.tolist(), spectrum.phis.tolist()):
+        log_eta = math.log(eta) + 8.0 * sigma * omega * z
         if log_eta > 700.0:  # exp would overflow; never clamp silently
             raise OverflowError(
-                f"eta overflow for eigenvalue {ev.lam} at z={z} (log eta = {log_eta:.1f})"
+                f"eta overflow for eigenvalue {complex(omega, sigma)} at z={z} "
+                f"(log eta = {log_eta:.1f})"
             )
-        eta = math.exp(log_eta)
-        phi = amp.phi - 4.0 * (ev.omega**2 - ev.sigma**2) * z
-        new_entries.append((ev, SpectralAmplitude(eta, phi)))
-    return DiscreteSpectrum(tuple(new_entries))
+        etas.append(math.exp(log_eta))
+        phis.append(phi - 4.0 * (omega**2 - sigma**2) * z)
+    return DiscreteSpectrum(spectrum.sigmas, spectrum.omegas, etas, phis)
 
 
 TRANSFORM_KINDS = (
@@ -299,41 +245,24 @@ def transform(spectrum: DiscreteSpectrum, kind: str, parameter: float | None = N
     needs_param = kind in ("global_phase", "time_shift", "dilate", "freq_shift")
     if needs_param and parameter is None:
         raise ValueError(f"transform {kind!r} requires a parameter")
-    out = []
-    for ev, amp in spectrum.entries:
-        if kind == "global_phase":
-            out.append((ev, SpectralAmplitude(amp.eta, amp.phi - parameter)))
-        elif kind == "time_shift":
-            log_eta = math.log(amp.eta) + 2.0 * ev.sigma * parameter
-            if log_eta > 700.0:
-                raise OverflowError(f"eta overflow in time_shift(t0={parameter})")
-            out.append(
-                (ev, SpectralAmplitude(math.exp(log_eta), amp.phi - 2.0 * ev.omega * parameter))
-            )
-        elif kind == "dilate":
-            if not parameter > 0.0:
-                raise ValueError(f"dilate requires sigma0 > 0, got {parameter}")
-            out.append((Eigenvalue(ev.sigma / parameter, ev.omega / parameter), amp))
-        elif kind == "freq_shift":
-            out.append((Eigenvalue(ev.sigma, ev.omega - parameter), amp))
-        elif kind == "time_reverse":
-            out.append((Eigenvalue(ev.sigma, -ev.omega), SpectralAmplitude(1.0 / amp.eta, amp.phi)))
-        else:  # conjugate
-            out.append((Eigenvalue(ev.sigma, -ev.omega), SpectralAmplitude(amp.eta, -amp.phi)))
-    return DiscreteSpectrum(tuple(out))
-
-
-def denormalize(signal, scaling: PhysicalScaling):
-    """Map a normalized sampled signal to physical units.
-
-    The physical envelope is ``sqrt(P0) * q(tau/T0)`` on the time axis
-    ``tau = t*T0`` (seconds), amplitudes in sqrt(W).
-    """
-    from .darboux import SampledSignal, TimeGrid
-
-    grid = TimeGrid(
-        t_start=signal.grid.t_start * scaling.T0,
-        dt=signal.grid.dt * scaling.T0,
-        n_samples=signal.grid.n_samples,
-    )
-    return SampledSignal(grid=grid, samples=signal.samples * math.sqrt(scaling.p0))
+    sigmas, omegas, etas, phis = spectrum.sigmas, spectrum.omegas, spectrum.etas, spectrum.phis
+    if kind == "global_phase":
+        phis = phis - parameter
+    elif kind == "time_shift":
+        log_etas = [math.log(eta) + 2.0 * sigma * parameter
+                    for sigma, eta in zip(sigmas.tolist(), etas.tolist())]
+        if any(v > 700.0 for v in log_etas):
+            raise OverflowError(f"eta overflow in time_shift(t0={parameter})")
+        etas = [math.exp(v) for v in log_etas]
+        phis = phis - 2.0 * omegas * parameter
+    elif kind == "dilate":
+        if not parameter > 0.0:
+            raise ValueError(f"dilate requires sigma0 > 0, got {parameter}")
+        sigmas, omegas = sigmas / parameter, omegas / parameter
+    elif kind == "freq_shift":
+        omegas = omegas - parameter
+    elif kind == "time_reverse":
+        omegas, etas = -omegas, 1.0 / etas
+    else:  # conjugate
+        omegas, phis = -omegas, -phis
+    return DiscreteSpectrum(sigmas, omegas, etas, phis)

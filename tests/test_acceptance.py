@@ -54,7 +54,7 @@ def _achieved_ratio(constellation, n, params, phases):
 
 class TestCriterion1:
     def test_single_soliton_anchor(self):
-        s = DiscreteSpectrum.from_arrays([0.5])
+        s = DiscreteSpectrum([0.5])
         report = measure(synthesize(s, auto_grid(s, 1e-4)), MeasureConfig(epsilon=1e-4))
         ok = abs(report.tbp - 9.9) <= 0.1
         _verdict("criterion 1 (single-soliton T*B = 9.9 +- 0.1)", ok, f"T*B = {report.tbp:.4f}")
@@ -154,7 +154,7 @@ class TestCriterion4:
         )
 
     def test_second_order_step_decay(self):
-        s = DiscreteSpectrum.from_arrays([1.0, 0.5], [0.2, -0.3], [1.5, 0.8])
+        s = DiscreteSpectrum([1.0, 0.5], [0.2, -0.3], [1.5, 0.8])
         grid = union_grid([auto_grid(s, 1e-4), auto_grid(evolve(s, 2.0), 1e-4)])
         sig = synthesize(s, grid)
         oracle = synthesize(evolve(s, 2.0), grid)
@@ -233,12 +233,12 @@ class TestCriterion6:
         cases = {
             "T imag": (
                 lambda e: t_lim_imaginary([1.0, 0.5], e),
-                DiscreteSpectrum.from_arrays([1.0, 0.5]),
+                DiscreteSpectrum([1.0, 0.5]),
                 False,
             ),
             "T real": (
                 lambda e: t_lim_real(0.5, [0.5, -0.5], e),
-                DiscreteSpectrum.from_arrays([0.5, 0.5], [0.5, -0.5]),
+                DiscreteSpectrum([0.5, 0.5], [0.5, -0.5]),
                 False,
             ),
             "B imag": (
@@ -299,7 +299,7 @@ class TestCriterion7:
             assert np.abs(synth(transform(s, "conjugate"), t) - np.conj(q)).max() < 1e-8
 
             # unit-scaling imaginary spectra give even magnitude profiles
-            s_sym = DiscreteSpectrum.from_arrays(
+            s_sym = DiscreteSpectrum(
                 s.sigmas, phis=rng.uniform(0, 2 * np.pi, s.n)
             )
             q_sym = synth(s_sym, t)
@@ -316,7 +316,7 @@ class TestCriterion7:
 
             # energy/threshold agreement at the derived alpha (first order)
             sigma1 = float(rng.uniform(0.3, 2.0))
-            one = DiscreteSpectrum.from_arrays([sigma1])
+            one = DiscreteSpectrum([sigma1])
             pulse = synthesize(one, auto_grid(one, eps))
             r_energy = measure(pulse, MeasureConfig(epsilon=eps, definition="energy"))
             r_thresh = measure(pulse, MeasureConfig(epsilon=eps, definition="threshold"))

@@ -140,12 +140,12 @@ class TestBandwidthEstimates:
 
 class TestEnvelopes:
     def test_single_soliton_envelope(self):
-        env = tail_envelope(DiscreteSpectrum.from_arrays([0.5]))
+        env = tail_envelope(DiscreteSpectrum([0.5]))
         assert env.right_coeffs[0] == pytest.approx(2.0)  # 4 * sigma * |a11| * eta
         assert env.rates[0] == pytest.approx(1.0)
 
     def test_two_imaginary_slow_tail(self):
-        env = tail_envelope(DiscreteSpectrum.from_arrays([1.0, 0.5]))
+        env = tail_envelope(DiscreteSpectrum([1.0, 0.5]))
         i = int(np.argmin(env.rates))
         assert env.rates[i] == pytest.approx(1.0)
         assert env.right_coeffs[i] == pytest.approx(6.0)  # 4 * 0.5 * |-3|
@@ -161,7 +161,7 @@ class TestEnvelopes:
         assert np.all(q <= bound * (1.0 + 1e-6) + 1e-12)
 
     def test_spectral_envelope_at_zero(self):
-        s = DiscreteSpectrum.from_arrays([0.5])
+        s = DiscreteSpectrum([0.5])
         assert separated_spectrum_envelope(s, 0.0) == pytest.approx(math.pi)
 
     def test_exp_tail_crossing_closed_form(self):
@@ -170,12 +170,12 @@ class TestEnvelopes:
         assert T == pytest.approx(math.log(4.0 / (2.0 * 1e-4)) / 2.0, rel=1e-9)
 
     def test_envelope_duration_matches_formula(self):
-        s = DiscreteSpectrum.from_arrays([0.5])
+        s = DiscreteSpectrum([0.5])
         lo, hi = envelope_duration(s, 1e-4)
         assert hi - lo == pytest.approx(t_lim_imaginary([0.5], 1e-4), rel=1e-9)
 
     def test_envelope_bandwidth_matches_formula(self):
-        s = DiscreteSpectrum.from_arrays([0.5])
+        s = DiscreteSpectrum([0.5])
         lo, hi = envelope_bandwidth(s, 1e-4)
         assert hi - lo == pytest.approx(b_lim_imaginary([0.5], 1e-4), rel=1e-9)
 
@@ -186,7 +186,7 @@ class TestFormulaVsMeasurement:
     def test_duration_imaginary(self):
         from soliton_tbp.metrics import MeasureConfig, t_max_b_max
 
-        s = DiscreteSpectrum.from_arrays([1.0, 0.5])  # equal shifts (dt = 0)
+        s = DiscreteSpectrum([1.0, 0.5])  # equal shifts (dt = 0)
         r = t_max_b_max(s, MeasureConfig(phase_points=16), with_b=False)
         est = t_lim_imaginary([1.0, 0.5], 1e-4)
         assert abs(est - r.t_max) / r.t_max < 0.05
@@ -194,7 +194,7 @@ class TestFormulaVsMeasurement:
     def test_duration_real_axis(self):
         from soliton_tbp.metrics import MeasureConfig, t_max_b_max
 
-        s = DiscreteSpectrum.from_arrays([0.5, 0.5], [0.5, -0.5])
+        s = DiscreteSpectrum([0.5, 0.5], [0.5, -0.5])
         r = t_max_b_max(s, MeasureConfig(phase_points=32), with_b=False)
         est = t_lim_real(0.5, [0.5, -0.5], 1e-4)
         assert abs(est - r.t_max) / r.t_max < 0.05

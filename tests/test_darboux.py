@@ -38,7 +38,7 @@ class TestGridTypes:
 
 class TestSynthesize:
     def test_fundamental_soliton_shape(self):
-        s = DiscreteSpectrum.from_arrays([0.5])
+        s = DiscreteSpectrum([0.5])
         g = TimeGrid(-16.0, 32.0 / 1024, 1024)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", GridTooNarrowWarning)
@@ -59,7 +59,7 @@ class TestSynthesize:
         assert np.abs(np.abs(q) - 1.0 / np.cosh(t - 2.0)).max() < 1e-10
 
     def test_symmetric_two_soliton(self):
-        s = DiscreteSpectrum.from_arrays([1.0, 0.5])
+        s = DiscreteSpectrum([1.0, 0.5])
         g = TimeGrid(-16.0, 32.0 / 2048, 2048)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", GridTooNarrowWarning)
@@ -104,7 +104,7 @@ class TestSynthesize:
         assert np.abs(q - q_log).max() < 1e-12 * np.abs(q_log).max()
 
     def test_grid_past_the_bound_takes_the_stabilized_path(self):
-        s = DiscreteSpectrum.from_arrays([1.0, 0.5], etas=[3.0, 0.2])
+        s = DiscreteSpectrum([1.0, 0.5], etas=[3.0, 0.2])
         t = np.linspace(-2000.0, 2000.0, 4097)
         ln_etas = np.log(s.etas)
         assert not darboux._seeds_in_range(s.lams, ln_etas[None], t)
@@ -136,14 +136,14 @@ class TestSynthesize:
         for _ in range(5):
             s = random_spectrum(rng, n=3)
             perm = rng.permutation(3)
-            sp = DiscreteSpectrum(tuple(s.entries[i] for i in perm))
+            sp = DiscreteSpectrum(s.sigmas[perm], s.omegas[perm], s.etas[perm], s.phis[perm])
             t = np.linspace(-12.0, 12.0, 301)
             qa = synthesize_samples(s.lams, np.log(s.etas), s.phis, t)
             qb = synthesize_samples(sp.lams, np.log(sp.etas), sp.phis, t)
             assert np.abs(qa - qb).max() < 1e-8
 
     def test_log_domain_survives_huge_times(self):
-        s = DiscreteSpectrum.from_arrays([1.0, 0.5], etas=[3.0, 0.2])
+        s = DiscreteSpectrum([1.0, 0.5], etas=[3.0, 0.2])
         t = np.linspace(-2000.0, 2000.0, 4097)
         q = synthesize_samples(s.lams, np.log(s.etas), s.phis, t)
         assert np.all(np.isfinite(q))
@@ -151,7 +151,7 @@ class TestSynthesize:
         assert np.abs(q[0]) < 1e-300 and np.abs(q[-1]) < 1e-300
 
     def test_narrow_grid_warns(self):
-        s = DiscreteSpectrum.from_arrays([0.5])
+        s = DiscreteSpectrum([0.5])
         with pytest.warns(GridTooNarrowWarning):
             synthesize(s, TimeGrid(-4.0, 8.0 / 128, 128))
 
@@ -213,7 +213,7 @@ class TestTransformConsistency:
         for _ in range(5):
             n = int(rng.integers(1, 4))
             sig = np.sort(rng.uniform(0.3, 1.5, n))[::-1] + 0.2 * np.arange(n)[::-1]
-            s = DiscreteSpectrum.from_arrays(sig, phis=rng.uniform(0, 2 * np.pi, n))
+            s = DiscreteSpectrum(sig, phis=rng.uniform(0, 2 * np.pi, n))
             t = np.linspace(-14.0, 14.0, 501)
             q = self._synth(s, t)
             qm = self._synth(s, -t)
@@ -222,7 +222,7 @@ class TestTransformConsistency:
 
 class TestAutoGrid:
     def test_single_soliton_width_and_dt(self):
-        s = DiscreteSpectrum.from_arrays([0.5])
+        s = DiscreteSpectrum([0.5])
         g = auto_grid(s, 1e-4)
         # half-width at least 1.5x half the duration estimate at epsilon/100
         t_est = math.log(2.0 / 1e-6) / (2.0 * 0.5)
@@ -241,17 +241,17 @@ class TestAutoGrid:
     def test_monotone_in_sigma(self):
         widths = []
         for sigma in (0.4, 0.6, 0.9):
-            g = auto_grid(DiscreteSpectrum.from_arrays([sigma]), 1e-4)
+            g = auto_grid(DiscreteSpectrum([sigma]), 1e-4)
             widths.append(g.t_end - g.t_start)
         assert widths[0] >= widths[1] >= widths[2]
 
     def test_monotone_in_epsilon(self):
-        s = DiscreteSpectrum.from_arrays([0.5])
+        s = DiscreteSpectrum([0.5])
         w = [auto_grid(s, eps).t_end - auto_grid(s, eps).t_start for eps in (1e-3, 1e-5, 1e-7)]
         assert w[0] <= w[1] <= w[2]
 
     def test_rejects_bad_epsilon(self):
-        s = DiscreteSpectrum.from_arrays([0.5])
+        s = DiscreteSpectrum([0.5])
         with pytest.raises(ValueError):
             auto_grid(s, 0.0)
 

@@ -21,7 +21,7 @@ from soliton_tbp.spectrum import DiscreteSpectrum, PhysicalScaling
 
 class TestSpectrumFile:
     def test_round_trip(self, tmp_path):
-        s = DiscreteSpectrum.from_arrays([1.0, 0.5], [0.2, -0.3], [2.0, 0.7], [1.0, 4.0])
+        s = DiscreteSpectrum([1.0, 0.5], [0.2, -0.3], [2.0, 0.7], [1.0, 4.0])
         scaling = PhysicalScaling(beta2=-2.1e-26, gamma=1.3e-3, T0=1e-11)
         path = tmp_path / "spec.yaml"
         save_spectrum(path, s, scaling)
@@ -32,7 +32,7 @@ class TestSpectrumFile:
         assert scaling2 == scaling
 
     def test_write_is_deterministic(self):
-        s = DiscreteSpectrum.from_arrays([1 / 3.0], [0.1], [math.e], [1.0])
+        s = DiscreteSpectrum([1 / 3.0], [0.1], [math.e], [1.0])
         assert format_spectrum_document(s) == format_spectrum_document(s)
 
     @pytest.mark.parametrize(
@@ -56,7 +56,7 @@ class TestSpectrumFile:
 
 class TestSignalFile:
     def test_round_trip(self, tmp_path):
-        s = DiscreteSpectrum.from_arrays([0.5])
+        s = DiscreteSpectrum([0.5])
         sig = synthesize(s, auto_grid(s, 1e-4))
         path = tmp_path / "sig.csv"
         save_signal(path, sig)
@@ -84,7 +84,7 @@ class TestSignalFile:
         def broken(*args, **kwargs):
             raise TypeError("broken constructor")
 
-        monkeypatch.setattr(DiscreteSpectrum, "from_arrays", broken)
+        monkeypatch.setattr(DiscreteSpectrum, "__post_init__", broken)
         with pytest.raises(TypeError, match="broken constructor"):
             parse_spectrum_document("n: 1\nentries:\n- {sigma: 0.5, omega: 0, eta: 1, phi: 0}\n")
 
@@ -323,6 +323,24 @@ class TestCli:
         assert sorted(tmp_path.iterdir()) == before
         assert regular.read_text() == "not a directory\n"
 
+    def test_figures_checks_out_dir_before_computing(self, tmp_path, capsys, monkeypatch):
+        from soliton_tbp import cli
+
+        def fig3(config):
+            raise AssertionError("computed before the output directory was made")
+
+        monkeypatch.setattr(cli, "_fig3", fig3)
+        regular = tmp_path / "regular"
+        regular.write_text("not a directory\n")
+        capsys.readouterr()
+        assert main(["figures", "--which", "fig3", "--out-dir", str(regular)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ")
+        # a failed computation removes the directories the command made
+        with pytest.raises(AssertionError, match="computed before"):
+            main(["figures", "--which", "fig3", "--out-dir", str(tmp_path / "a" / "b")])
+        assert sorted(tmp_path.iterdir()) == [regular]
+
     def test_bad_thread_count_is_validation_error(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("SOLITON_TBP_THREADS", "two")
         trace = tmp_path / "trace.csv"
@@ -393,7 +411,7 @@ class TestCli:
 
     def test_sweep_csv(self, tmp_path):
         spec_path = tmp_path / "two.yaml"
-        save_spectrum(spec_path, DiscreteSpectrum.from_arrays([0.5, 1.0]))
+        save_spectrum(spec_path, DiscreteSpectrum([0.5, 1.0]))
         out = tmp_path / "sweep.csv"
         rc = main([
             "sweep", "--spectrum", str(spec_path), "--entry", "1",
@@ -406,7 +424,7 @@ class TestCli:
 
     def test_sweep_stops_at_dt_max(self, tmp_path):
         spec_path = tmp_path / "two.yaml"
-        save_spectrum(spec_path, DiscreteSpectrum.from_arrays([0.5, 1.0]))
+        save_spectrum(spec_path, DiscreteSpectrum([0.5, 1.0]))
         out = tmp_path / "sweep.csv"
         rc = main([
             "sweep", "--spectrum", str(spec_path), "--entry", "1",

@@ -135,12 +135,12 @@ class TestWindowSearch:
 
 class TestDuration:
     def test_single_soliton_energy(self):
-        sig = _soliton(DiscreteSpectrum.from_arrays([0.5]))
+        sig = _soliton(DiscreteSpectrum([0.5]))
         band = measure(sig, MeasureConfig()).t_interval
         assert band.width == pytest.approx(math.log(2.0 / 1e-4), abs=1e-2)
 
     def test_measure_scans_each_family_once(self, monkeypatch):
-        sig = _soliton(DiscreteSpectrum.from_arrays([1.0, 0.5]))
+        sig = _soliton(DiscreteSpectrum([1.0, 0.5]))
         scanned = []
 
         def counted(cells, *args):
@@ -152,13 +152,13 @@ class TestDuration:
         assert len(scanned) == 2  # a block of one is never pruned
 
     def test_threshold_agrees_at_derived_alpha(self):
-        sig = _soliton(DiscreteSpectrum.from_arrays([0.5]))
+        sig = _soliton(DiscreteSpectrum([0.5]))
         t_energy = measure(sig, MeasureConfig(definition="energy")).t_interval.width
         t_thresh = measure(sig, MeasureConfig(definition="threshold")).t_interval.width
         assert t_thresh == pytest.approx(t_energy, abs=1e-2)
 
     def test_translation_invariance(self):
-        s = DiscreteSpectrum.from_arrays([0.7, 0.4], phis=[0.4, 1.9])
+        s = DiscreteSpectrum([0.7, 0.4], phis=[0.4, 1.9])
         sig = _soliton(s)
         shifted = transform(s, "time_shift", 1.5)
         sig2 = _soliton(shifted)
@@ -171,7 +171,7 @@ class TestDuration:
         import warnings
         from soliton_tbp.errors import GridTooNarrowWarning
 
-        s = DiscreteSpectrum.from_arrays([0.5])
+        s = DiscreteSpectrum([0.5])
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", GridTooNarrowWarning)
             sig = synthesize(s, TimeGrid(-4.0, 8.0 / 128, 128))
@@ -181,12 +181,12 @@ class TestDuration:
 
 class TestBandwidth:
     def test_single_soliton_energy(self):
-        sig = _soliton(DiscreteSpectrum.from_arrays([0.5]))
+        sig = _soliton(DiscreteSpectrum([0.5]))
         band = measure(sig, MeasureConfig()).b_interval
         assert band.width == pytest.approx(math.log(2e4) / math.pi**2, abs=1e-2)
 
     def test_parseval_exact(self):
-        sig = _soliton(DiscreteSpectrum.from_arrays([0.8, 0.4]))
+        sig = _soliton(DiscreteSpectrum([0.8, 0.4]))
         freqs = np.fft.fftshift(np.fft.fftfreq(sig.grid.n_samples, sig.grid.dt))
         mags = np.abs(np.fft.fftshift(np.fft.fft(sig.samples))) * sig.grid.dt
         df = freqs[1] - freqs[0]
@@ -195,7 +195,7 @@ class TestBandwidth:
     def test_freq_shift_band_width_invariant_exactly(self):
         # shift by an integer number of DFT bins: the sampled spectrum is
         # identical up to relabeling, so the width matches to rounding
-        s = DiscreteSpectrum.from_arrays([0.5])
+        s = DiscreteSpectrum([0.5])
         sig = _soliton(s)
         df = 1.0 / (sig.grid.n_samples * sig.grid.dt)
         omega0 = 8 * df * math.pi  # omega/pi = 8 bins
@@ -206,7 +206,7 @@ class TestBandwidth:
         assert b1.width == pytest.approx(b0.width, abs=1e-6)
 
     def test_freq_shift_moves_band(self):
-        s = DiscreteSpectrum.from_arrays([0.5])
+        s = DiscreteSpectrum([0.5])
         cfg = MeasureConfig()
         b0 = measure(_soliton(s), cfg).b_interval
         b1 = measure(_soliton(transform(s, "freq_shift", 0.9)), cfg).b_interval
@@ -215,13 +215,13 @@ class TestBandwidth:
         assert b1.lo - b0.lo == pytest.approx(0.9 / math.pi, abs=2e-2)
 
     def test_single_soliton_product(self):
-        rep = measure(_soliton(DiscreteSpectrum.from_arrays([0.5])), MeasureConfig())
+        rep = measure(_soliton(DiscreteSpectrum([0.5])), MeasureConfig())
         assert rep.tbp == pytest.approx(9.94, abs=0.05)
 
 
 class TestDilationCovariance:
     def test_t_and_b_scale_oppositely(self):
-        s = DiscreteSpectrum.from_arrays([0.8, 0.5], phis=[0.3, 2.0])
+        s = DiscreteSpectrum([0.8, 0.5], phis=[0.3, 2.0])
         cfg = MeasureConfig()
         r0 = measure(_soliton(s), cfg)
         scaled = transform(s, "dilate", 2.0)  # sigma -> sigma/2: wider pulse
@@ -261,7 +261,7 @@ class TestPhaseCombinations:
 
 class TestTMaxBMax:
     def test_single_entry_no_phase_effect(self):
-        s = DiscreteSpectrum.from_arrays([0.5])
+        s = DiscreteSpectrum([0.5])
         cfg2 = MeasureConfig(phase_points=2)
         cfg16 = MeasureConfig(phase_points=16)
         r2, r16 = t_max_b_max(s, cfg2), t_max_b_max(s, cfg16)
@@ -276,7 +276,7 @@ class TestTMaxBMax:
         assert r2.t_max == pytest.approx(rep.t, abs=1e-9)
 
     def test_monotone_in_phase_points(self):
-        s = DiscreteSpectrum.from_arrays([1.0, 0.5])
+        s = DiscreteSpectrum([1.0, 0.5])
         grid = auto_grid(s, 1e-4, boundary_clean=False)
         r2 = t_max_b_max(s, MeasureConfig(phase_points=2), grid=grid)
         r16 = t_max_b_max(s, MeasureConfig(phase_points=16), grid=grid)
@@ -287,7 +287,7 @@ class TestTMaxBMax:
     def test_overlap_vs_separation_tradeoff(self):
         # zero shift minimizes duration and maximizes bandwidth
         cfg = MeasureConfig(phase_points=8)
-        merged = t_max_b_max(DiscreteSpectrum.from_arrays([1.0, 0.5]), cfg)
+        merged = t_max_b_max(DiscreteSpectrum([1.0, 0.5]), cfg)
         split = t_max_b_max(
             DiscreteSpectrum.from_delta_t([1.0, 0.5], delta_ts=[0.0, 4.0]), cfg
         )
@@ -374,14 +374,14 @@ class TestTMaxBMax:
             t_max_b_max(s, MeasureConfig(phase_points=16))
 
     def test_argmax_reported(self):
-        s = DiscreteSpectrum.from_arrays([1.0, 0.5])
+        s = DiscreteSpectrum([1.0, 0.5])
         r = t_max_b_max(s, MeasureConfig(phase_points=4))
         assert len(r.t_argmax) == 2 and r.t_argmax[-1] == 0.0
 
 
 class TestTHatBHat:
     def test_imaginary_skips_distance_sweep(self):
-        s = DiscreteSpectrum.from_arrays([1.0, 0.5])
+        s = DiscreteSpectrum([1.0, 0.5])
         cfg = MeasureConfig(phase_points=4)
         link = t_hat_b_hat(s, cfg, link_length=7.0)
         flat = t_max_b_max(s, cfg)
@@ -389,7 +389,7 @@ class TestTHatBHat:
         assert len(link.profile) == 1
 
     def test_zero_length_link(self):
-        s = DiscreteSpectrum.from_arrays([0.5, 0.5], [0.3, -0.3])
+        s = DiscreteSpectrum([0.5, 0.5], [0.3, -0.3])
         cfg = MeasureConfig(phase_points=4)
         link = t_hat_b_hat(s, cfg, link_length=0.0)
         flat = t_max_b_max(s, cfg)
@@ -398,7 +398,7 @@ class TestTHatBHat:
     @pytest.mark.parametrize("link_length", [0.0, 2.0])
     def test_z0_measures_the_given_spectrum(self, monkeypatch, link_length):
         # evolve(s, 0.0) moves eta = 3.0 by one ulp, so z = 0 must not be evolved
-        s = DiscreteSpectrum.from_arrays([0.5, 0.5], [0.3, -0.3], [3.0, 1.0])
+        s = DiscreteSpectrum([0.5, 0.5], [0.3, -0.3], [3.0, 1.0])
         assert evolve(s, 0.0).etas[0] != s.etas[0]
         measured = []
         t_max_b_max = metrics.t_max_b_max
@@ -424,7 +424,7 @@ class TestTHatBHat:
         assert min(ts) < 0.97 * link.t_hat  # dips mid-link
 
     def test_rejects_negative_length(self):
-        s = DiscreteSpectrum.from_arrays([0.5])
+        s = DiscreteSpectrum([0.5])
         with pytest.raises(ValueError):
             t_hat_b_hat(s, MeasureConfig(), -1.0)
 

@@ -75,6 +75,11 @@ class TestSpecValidation:
             run_sweep(SweepSpec(constellation, n, ranges, measure=FAST), trace_path=trace)
         assert not trace.exists()
 
+    @pytest.mark.parametrize("values", [(0.58,), (0.58, 2.0, 7.0)], ids=["short", "long"])
+    def test_value_count_other_than_the_names_is_refused(self, values):
+        with pytest.raises(InvalidParameterError, match="need 2 values"):
+            spectrum_for_point("imaginary", 2, ("sigma_1", "dt_1"), values)
+
     def test_names_compare_as_a_set(self):
         spec = SweepSpec("imaginary", 2, {"dt_1": (1.5, 2.5, 0.5), "sigma_1": (0.54, 0.74, 0.1)})
         assert list(spec.ranges) == ["dt_1", "sigma_1"]

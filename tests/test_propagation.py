@@ -32,13 +32,13 @@ class TestPlan:
 
 class TestPropagate:
     def test_soliton_keeps_shape(self):
-        s = DiscreteSpectrum.from_arrays([0.5])
+        s = DiscreteSpectrum([0.5])
         sig = synthesize(s, auto_grid(s, 1e-4))
         out = propagate(sig, PropagationPlan.with_dz(1.0, 1e-3))
         assert np.abs(np.abs(out.samples) - np.abs(sig.samples)).max() < 1e-6
 
     def test_energy_conserved_per_step(self):
-        s = DiscreteSpectrum.from_arrays([1.0, 0.5])
+        s = DiscreteSpectrum([1.0, 0.5])
         sig = synthesize(s, auto_grid(s, 1e-4))
         out = propagate(sig, PropagationPlan(z_total=0.5, n_steps=1))
         assert out.energy == pytest.approx(sig.energy, rel=1e-10)
@@ -46,7 +46,7 @@ class TestPropagate:
     def test_matches_spectral_evolution_n2(self):
         # fully overlapped breather: the splitting constant is ~4e3, so the
         # step-size study puts dz = 1.25e-4 for the 1e-4 target
-        s = DiscreteSpectrum.from_arrays([1.0, 0.5])
+        s = DiscreteSpectrum([1.0, 0.5])
         grid = _grid_for(s, 2.0)
         sig = synthesize(s, grid)
         out = propagate(sig, PropagationPlan.with_dz(2.0, 1.25e-4))
@@ -54,7 +54,7 @@ class TestPropagate:
         assert np.abs(out.samples - oracle.samples).max() < 1e-4
 
     def test_second_order_convergence(self):
-        s = DiscreteSpectrum.from_arrays([1.0, 0.5], [0.2, -0.3], [1.5, 0.8])
+        s = DiscreteSpectrum([1.0, 0.5], [0.2, -0.3], [1.5, 0.8])
         grid = _grid_for(s, 2.0)
         sig = synthesize(s, grid)
         oracle = synthesize(evolve(s, 2.0), grid)
@@ -66,7 +66,7 @@ class TestPropagate:
         assert errs[1] / errs[2] > 3.0
 
     def test_back_propagation_inverts(self):
-        s = DiscreteSpectrum.from_arrays([0.8, 0.4])
+        s = DiscreteSpectrum([0.8, 0.4])
         grid = _grid_for(s, 1.0)
         sig = synthesize(s, grid)
         there = propagate(sig, PropagationPlan.with_dz(1.0, 1e-3))
@@ -112,7 +112,7 @@ class TestPropagate:
 
 class TestSnapshots:
     def test_snapshot_count_and_final_state(self):
-        s = DiscreteSpectrum.from_arrays([0.5])
+        s = DiscreteSpectrum([0.5])
         sig = synthesize(s, auto_grid(s, 1e-4))
         shots = propagate_with_snapshots(sig, PropagationPlan(1.0, 100), 4)
         assert len(shots) == 5
@@ -121,7 +121,7 @@ class TestSnapshots:
         assert np.abs(shots[-1][1].samples - direct.samples).max() < 1e-8
 
     def test_segments_take_the_plans_steps(self):
-        s = DiscreteSpectrum.from_arrays([0.5])
+        s = DiscreteSpectrum([0.5])
         sig = synthesize(s, auto_grid(s, 1e-4))
         plan = PropagationPlan(1.0, 1000)
         shots = propagate_with_snapshots(sig, plan, 3)

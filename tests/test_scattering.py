@@ -36,7 +36,7 @@ class TestScatter:
             scatter_many(sig, [-0.5j])
 
     def test_sech_eigenvalue(self):
-        sig = _soliton_signal(DiscreteSpectrum.from_arrays([0.5]))
+        sig = _soliton_signal(DiscreteSpectrum([0.5]))
         assert abs(scatter_many(sig, [0.5j])[0][0]) < 1e-3
         assert abs(scatter_many(sig, [2j])[0][0]) > 0.1
 
@@ -52,7 +52,7 @@ class TestScatter:
         # independent oracle: integrate the printed first-order system
         from scipy.integrate import solve_ivp
 
-        s = DiscreteSpectrum.from_arrays([0.5], etas=[1.3], phis=[0.8])
+        s = DiscreteSpectrum([0.5], etas=[1.3], phis=[0.8])
         grid = TimeGrid(-12.0, 24.0 / 1024, 1024)
         import warnings
         from soliton_tbp.errors import GridTooNarrowWarning
@@ -89,7 +89,7 @@ class TestScatter:
         assert scatter_many(sig, [0.3 + 0.4j])[0][0] == pytest.approx(a_ode, abs=2e-4)
 
     def test_derivative_matches_finite_difference(self):
-        s = DiscreteSpectrum.from_arrays([0.6], etas=[0.7])
+        s = DiscreteSpectrum([0.6], etas=[0.7])
         sig = _soliton_signal(s)
         lam = 0.2 + 0.5j
         h = 1e-6
@@ -217,14 +217,14 @@ class TestFindEigenvalues:
         assert find_eigenvalues(sig, region=((-1.0, 1.0), (0.0, 1.0))) == []
 
     def test_two_imaginary(self):
-        s = DiscreteSpectrum.from_arrays([1.0, 0.5])
+        s = DiscreteSpectrum([1.0, 0.5])
         roots = find_eigenvalues(_soliton_signal(s))
         assert len(roots) == 2
         for lam in (0.5j, 1j):
             assert min(abs(r - lam) for r in roots) < 1e-3
 
     def test_complex_pair(self):
-        s = DiscreteSpectrum.from_arrays([0.5, 0.5], [0.5, -0.5])
+        s = DiscreteSpectrum([0.5, 0.5], [0.5, -0.5])
         roots = find_eigenvalues(_soliton_signal(s))
         assert len(roots) == 2
         for lam in (0.5 + 0.5j, -0.5 + 0.5j):
@@ -236,25 +236,25 @@ class TestFindEigenvalues:
             find_eigenvalues(sig, region=((-1.0, 1.0), (-0.5, 1.0)))
 
     def test_deterministic_order(self):
-        s = DiscreteSpectrum.from_arrays([0.8, 0.4], [0.3, -0.6])
+        s = DiscreteSpectrum([0.8, 0.4], [0.3, -0.6])
         sig = _soliton_signal(s)
         roots = find_eigenvalues(sig)
         assert roots == sorted(roots, key=lambda r: (r.real, r.imag))
 
 
-N2_SPECTRUM = DiscreteSpectrum.from_arrays([1.0, 0.5], [0.3, -0.2], [2.0, 0.7], [1.0, 4.0])
+N2_SPECTRUM = DiscreteSpectrum([1.0, 0.5], [0.3, -0.2], [2.0, 0.7], [1.0, 4.0])
 
 
 class TestDiscreteAmplitude:
     def test_single_soliton_value(self):
         # measured b/a' = eta*e^{j phi}*qd_init = 1j for the unit soliton
-        sig = _soliton_signal(DiscreteSpectrum.from_arrays([0.5]))
+        sig = _soliton_signal(DiscreteSpectrum([0.5]))
         qd = discrete_amplitude(sig, 0.5j)[0]
         assert abs(qd) == pytest.approx(1.0, rel=1e-2)
         assert qd == pytest.approx(1j, rel=1e-2)
 
     def test_two_soliton_values(self):
-        s = DiscreteSpectrum.from_arrays([1.0, 0.5])
+        s = DiscreteSpectrum([1.0, 0.5])
         sig = _soliton_signal(s)
         for k, lam in enumerate(s.lams):
             qd = discrete_amplitude(sig, complex(lam))[0]
@@ -262,8 +262,8 @@ class TestDiscreteAmplitude:
             assert qd == pytest.approx(expected, rel=1e-2)
 
     def test_phase_recovery(self):
-        base = DiscreteSpectrum.from_arrays([1.0, 0.5], phis=[0.0, 0.0])
-        shifted = DiscreteSpectrum.from_arrays([1.0, 0.5], phis=[0.0, math.pi / 2])
+        base = DiscreteSpectrum([1.0, 0.5], phis=[0.0, 0.0])
+        shifted = DiscreteSpectrum([1.0, 0.5], phis=[0.0, math.pi / 2])
         qd_base = discrete_amplitude(_soliton_signal(base), 0.5j)[0]
         qd_shift = discrete_amplitude(_soliton_signal(shifted), 0.5j)[0]
         dphi = np.angle(qd_shift / qd_base)
@@ -271,14 +271,14 @@ class TestDiscreteAmplitude:
 
     def test_eta_equals_b_magnitude(self):
         # the amplitude scaling coordinate is |b| at the eigenvalue
-        s = DiscreteSpectrum.from_arrays([0.5], etas=[2.5], phis=[1.0])
+        s = DiscreteSpectrum([0.5], etas=[2.5], phis=[1.0])
         sig = _soliton_signal(s)
         a, _, ap = scatter_many(sig, [0.5j])
         qd = discrete_amplitude(sig, 0.5j)[0]
         assert abs(qd * ap[0]) == pytest.approx(2.5, rel=1e-2)
 
     def test_rejects_real_axis(self):
-        sig = _soliton_signal(DiscreteSpectrum.from_arrays([0.5]))
+        sig = _soliton_signal(DiscreteSpectrum([0.5]))
         with pytest.raises(InvalidParameterError):
             discrete_amplitude(sig, 0.5)
 
@@ -290,7 +290,7 @@ class TestDiscreteAmplitude:
 
     def test_step_below_real_axis_is_degenerate_root(self):
         # a = (lam - 0.5j) / (lam + 0.5j): one Newton step from 3j lands at -5.75j
-        sig = _soliton_signal(DiscreteSpectrum.from_arrays([0.5]))
+        sig = _soliton_signal(DiscreteSpectrum([0.5]))
         with pytest.raises(DegenerateRootError, match="upper half-plane"):
             discrete_amplitude(sig, [0.5j, 3j])
 
@@ -304,13 +304,13 @@ class TestDiscreteAmplitude:
 
     def test_polish_reaches_the_root(self):
         # seeds 1e-3 off the roots need more than one Newton step to agree
-        sig = _soliton_signal(DiscreteSpectrum.from_arrays([1.0, 0.5]))
+        sig = _soliton_signal(DiscreteSpectrum([1.0, 0.5]))
         roots = np.array(find_eigenvalues(sig))
         off = discrete_amplitude(sig, roots + 1e-3 * (1 + 1j))
         assert off == pytest.approx(discrete_amplitude(sig, roots), rel=1e-10)
 
     def test_empty_batch(self):
-        sig = _soliton_signal(DiscreteSpectrum.from_arrays([0.5]))
+        sig = _soliton_signal(DiscreteSpectrum([0.5]))
         for out in (*scatter_many(sig, []), discrete_amplitude(sig, [])):
             assert out.shape == (0,) and out.dtype == complex
 
@@ -358,7 +358,7 @@ class TestRoundTrip:
     def test_eigenvalues_invariant_under_propagation(self):
         from soliton_tbp.propagation import PropagationPlan, propagate
 
-        s = DiscreteSpectrum.from_arrays([0.9, 0.45], [0.2, -0.1])
+        s = DiscreteSpectrum([0.9, 0.45], [0.2, -0.1])
         sig = _soliton_signal(s)
         out = propagate(sig, PropagationPlan.with_dz(1.0, 1e-3))
         roots = find_eigenvalues(out)

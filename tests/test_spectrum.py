@@ -5,15 +5,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from soliton_tbp.darboux import denormalize
 from soliton_tbp.errors import DegenerateSpectrumError
 from soliton_tbp.spectrum import (
     DiscreteSpectrum,
-    Eigenvalue,
     PhysicalScaling,
-    SpectralAmplitude,
-    delta_t,
-    denormalize,
-    eta_of,
     evolve,
     qd_init,
     qd_value,
@@ -23,28 +19,61 @@ from soliton_tbp.spectrum import (
 
 class TestTypes:
     def test_eigenvalue_requires_positive_sigma(self):
-        with pytest.raises(ValueError):
-            Eigenvalue(sigma=-0.5)
-        with pytest.raises(ValueError):
-            Eigenvalue(sigma=0.0)
-        assert Eigenvalue(0.5, 0.3).lam == 0.3 + 0.5j
+        with pytest.raises(ValueError, match="sigma"):
+            DiscreteSpectrum([-0.5])
+        with pytest.raises(ValueError, match="sigma"):
+            DiscreteSpectrum([0.5, 0.0])
+        assert DiscreteSpectrum([0.5], [0.3]).lams[0] == 0.3 + 0.5j
 
     def test_amplitude_phase_normalized(self):
-        assert SpectralAmplitude(1.0, 7.0).phi == pytest.approx(7.0 - 2 * math.pi)
-        assert SpectralAmplitude(1.0, -0.5).phi == pytest.approx(2 * math.pi - 0.5)
-        with pytest.raises(ValueError):
-            SpectralAmplitude(eta=0.0)
+        s = DiscreteSpectrum([0.5, 1.0], phis=[7.0, -0.5])
+        assert s.phis[0] == pytest.approx(7.0 - 2 * math.pi)
+        assert s.phis[1] == pytest.approx(2 * math.pi - 0.5)
+        with pytest.raises(ValueError, match="eta"):
+            DiscreteSpectrum([0.5], etas=[0.0])
+
+    def test_non_finite_and_unequal_lengths_refused(self):
+        with pytest.raises(ValueError, match="omega"):
+            DiscreteSpectrum([0.5], [math.inf])
+        with pytest.raises(ValueError, match="phi"):
+            DiscreteSpectrum([0.5], phis=[math.nan])
+        with pytest.raises(ValueError, match="equal length"):
+            DiscreteSpectrum([0.5, 1.0], [0.0])
+
+    def test_arrays_are_read_only_copies(self):
+        sigmas = np.array([1.0, 0.5])
+        lams = np.array([0.2 + 0.5j, -0.2 + 0.5j])
+        s = DiscreteSpectrum(sigmas)
+        shell = DiscreteSpectrum(lams.imag, lams.real)
+        for values in (s.sigmas, s.omegas, s.etas, s.phis, shell.sigmas, shell.omegas):
+            assert not values.flags.writeable
+            with pytest.raises(ValueError):
+                values[0] = 2.0
+        assert not np.shares_memory(s.sigmas, sigmas)
+        assert not np.shares_memory(shell.sigmas, lams)
+        assert sigmas.flags.writeable and lams.flags.writeable
+        sigmas[0] = 3.0
+        assert s.sigmas[0] == 1.0
+
+    def test_equality_compares_the_arrays(self):
+        s = DiscreteSpectrum([1.0, 0.5], phis=[0.0, 7.0])
+        assert s == DiscreteSpectrum(np.array([1.0, 0.5]), [0.0, 0.0], [1.0, 1.0],
+                                     [0.0, 7.0 - 2 * math.pi])
+        assert s != DiscreteSpectrum([1.0, 0.5], etas=[1.0, 2.0])
+        assert s != DiscreteSpectrum([1.0])
+        with pytest.raises(TypeError):
+            hash(s)
 
     def test_spectrum_rejects_duplicate_eigenvalues(self):
         with pytest.raises(DegenerateSpectrumError):
-            DiscreteSpectrum.from_arrays([0.5, 0.5])
+            DiscreteSpectrum([0.5, 0.5])
         with pytest.raises(DegenerateSpectrumError):
-            DiscreteSpectrum.from_arrays([0.5, 0.5 + 1e-8], [0.1, 0.1])
-        DiscreteSpectrum.from_arrays([0.5, 0.5], [0.1, -0.1])  # distinct via omega
+            DiscreteSpectrum([0.5, 0.5 + 1e-8], [0.1, 0.1])
+        DiscreteSpectrum([0.5, 0.5], [0.1, -0.1])  # distinct via omega
 
     def test_spectrum_needs_entries(self):
-        with pytest.raises(ValueError):
-            DiscreteSpectrum(())
+        with pytest.raises(ValueError, match="at least one entry"):
+            DiscreteSpectrum([])
 
     def test_physical_scaling_invariants(self):
         with pytest.raises(ValueError):
@@ -55,18 +84,18 @@ class TestTypes:
 
 class TestQd:
     def test_qd_init_single(self):
-        s = DiscreteSpectrum.from_arrays([0.5])
+        s = DiscreteSpectrum([0.5])
         assert qd_init(s, 0) == pytest.approx(1j)
 
     def test_qd_init_two_imaginary(self):
         # direct evaluation: (lam2 - conj lam2) * (lam2 - conj lam1)/(lam2 - lam1)
-        s = DiscreteSpectrum.from_arrays([1.0, 0.5])
+        s = DiscreteSpectrum([1.0, 0.5])
         expected = (1j) * (0.5j + 1j) / (0.5j - 1j)
         assert qd_init(s, 1) == pytest.approx(expected)
         assert abs(qd_init(s, 1)) == pytest.approx(3.0)
 
     def test_qd_init_complex_pair(self):
-        s = DiscreteSpectrum.from_arrays([0.5, 0.5], [0.5, -0.5])
+        s = DiscreteSpectrum([0.5, 0.5], [0.5, -0.5])
         lam1, lam2 = s.lams
         expected = (lam1 - lam1.conjugate()) * (lam1 - lam2.conjugate()) / (lam1 - lam2)
         value = qd_init(s, 0)
@@ -74,50 +103,59 @@ class TestQd:
         assert abs(value) > 0.0 and np.isfinite(value)
 
     def test_qd_init_index_range(self):
-        s = DiscreteSpectrum.from_arrays([0.5])
+        s = DiscreteSpectrum([0.5])
         with pytest.raises(IndexError):
             qd_init(s, 1)
         with pytest.raises(IndexError):
             qd_value(s, -1)
 
     def test_qd_value_examples(self):
-        s = DiscreteSpectrum.from_arrays([0.5], etas=[1.0], phis=[0.0])
+        s = DiscreteSpectrum([0.5], etas=[1.0], phis=[0.0])
         assert qd_value(s, 0) == pytest.approx(1.0)
-        s = DiscreteSpectrum.from_arrays([0.5], etas=[2.0], phis=[math.pi / 2])
+        s = DiscreteSpectrum([0.5], etas=[2.0], phis=[math.pi / 2])
         assert qd_value(s, 0) == pytest.approx(2j)
-        s = DiscreteSpectrum.from_arrays([1.0, 0.5], etas=[1.0, 1.0], phis=[0.0, 0.0])
+        s = DiscreteSpectrum([1.0, 0.5], etas=[1.0, 1.0], phis=[0.0, 0.0])
         assert qd_value(s, 1) == pytest.approx(3.0)
 
 
 class TestDeltaT:
     def test_examples(self):
-        assert delta_t(Eigenvalue(0.5), 1.0) == 0.0
-        assert eta_of(Eigenvalue(0.5), 2.0) == pytest.approx(math.e**2)
-        assert delta_t(Eigenvalue(1.0), math.e**2) == pytest.approx(1.0)
+        assert DiscreteSpectrum([0.5]).delta_ts[0] == 0.0
+        assert DiscreteSpectrum.from_delta_t([0.5], delta_ts=[2.0]).etas[0] == pytest.approx(
+            math.e**2)
+        assert DiscreteSpectrum([1.0], etas=[math.e**2]).delta_ts[0] == pytest.approx(1.0)
 
     def test_rejects_nonpositive_eta(self):
-        with pytest.raises(ValueError):
-            delta_t(Eigenvalue(0.5), 0.0)
+        with pytest.raises(ValueError, match="eta"):
+            DiscreteSpectrum([0.5], etas=[0.0])
+        with pytest.raises(ValueError, match="eta"):
+            DiscreteSpectrum([0.5, 1.0], etas=[1.0, -2.0])
+
+    def test_one_shift_is_not_broadcast(self):
+        with pytest.raises(ValueError, match="equal length"):
+            DiscreteSpectrum.from_delta_t([0.5, 0.7], None, [1.0])
 
     @given(
         sigma=st.floats(0.1, 5.0),
         eta=st.floats(1e-6, 1e6),
     )
     def test_round_trip(self, sigma, eta):
-        ev = Eigenvalue(sigma)
-        assert eta_of(ev, delta_t(ev, eta)) == pytest.approx(eta, rel=1e-12)
+        dt = DiscreteSpectrum([sigma], etas=[eta]).delta_ts
+        back = DiscreteSpectrum.from_delta_t([sigma], delta_ts=dt)
+        assert back.etas[0] == pytest.approx(eta, rel=1e-12)
+        assert back.delta_ts[0] == pytest.approx(dt[0], rel=1e-12, abs=1e-12)
 
 
 class TestEvolve:
     def test_imaginary_is_phase_rotation(self):
-        s = DiscreteSpectrum.from_arrays([0.5], etas=[2.0], phis=[0.3])
+        s = DiscreteSpectrum([0.5], etas=[2.0], phis=[0.3])
         out = evolve(s, 1.7)
         assert out.etas[0] == pytest.approx(2.0)
         # -4j lam^2 z = +j z for sigma = 0.5
         assert out.phis[0] == pytest.approx(0.3 + 1.7)
 
     def test_magnitude_growth_off_axis(self):
-        s = DiscreteSpectrum.from_arrays([0.5], [0.5], [1.0], [0.0])
+        s = DiscreteSpectrum([0.5], [0.5], [1.0], [0.0])
         out = evolve(s, 1.0)
         assert out.etas[0] == pytest.approx(math.e**2, rel=1e-12)
 
@@ -141,20 +179,20 @@ class TestEvolve:
         assert np.array_equal(out.etas, s.etas)
 
     def test_eta_overflow_is_an_error(self):
-        s = DiscreteSpectrum.from_arrays([2.0], [2.0])
+        s = DiscreteSpectrum([2.0], [2.0])
         with pytest.raises(OverflowError):
             evolve(s, 1e4)
 
 
 class TestTransform:
     def test_time_shift_zero_is_identity(self):
-        s = DiscreteSpectrum.from_arrays([0.7, 0.5], [0.1, -0.2], [2.0, 1.0], [0.5, 1.5])
+        s = DiscreteSpectrum([0.7, 0.5], [0.1, -0.2], [2.0, 1.0], [0.5, 1.5])
         out = transform(s, "time_shift", 0.0)
         assert np.array_equal(out.etas, s.etas)
         assert np.array_equal(out.phis, s.phis)
 
     def test_time_shift_example(self):
-        s = DiscreteSpectrum.from_arrays([0.5], etas=[1.0], phis=[0.4])
+        s = DiscreteSpectrum([0.5], etas=[1.0], phis=[0.4])
         out = transform(s, "time_shift", 2.0)
         assert out.etas[0] == pytest.approx(math.e**2, rel=1e-12)
         assert out.phis[0] == pytest.approx(0.4)  # omega = 0
@@ -168,20 +206,20 @@ class TestTransform:
         assert np.array_equal(out.omegas, s.omegas)
 
     def test_conjugate_involution_and_maps(self):
-        s = DiscreteSpectrum.from_arrays([0.5], [0.3], [2.0], [1.0])
+        s = DiscreteSpectrum([0.5], [0.3], [2.0], [1.0])
         out = transform(s, "conjugate")
         assert out.omegas[0] == -0.3
         assert out.phis[0] == pytest.approx(2 * math.pi - 1.0)
 
     def test_dilate_requires_positive(self):
-        s = DiscreteSpectrum.from_arrays([0.5])
+        s = DiscreteSpectrum([0.5])
         with pytest.raises(ValueError):
             transform(s, "dilate", -1.0)
         out = transform(s, "dilate", 2.0)
         assert out.sigmas[0] == pytest.approx(0.25)
 
     def test_unknown_kind(self):
-        s = DiscreteSpectrum.from_arrays([0.5])
+        s = DiscreteSpectrum([0.5])
         with pytest.raises(ValueError):
             transform(s, "mirror")
         with pytest.raises(ValueError):
