@@ -253,15 +253,6 @@ class BoundPoint:
     converged: bool = True
 
 
-@dataclass(frozen=True)
-class BoundCurve:
-    """Per-order lower-bound estimates, normalized so the N=1 entry is 1."""
-
-    constellation: str
-    epsilon: float
-    entries: tuple[BoundPoint, ...]
-
-
 def _single_soliton_product(epsilon: float) -> float:
     # T*B of one soliton from the two estimates; sigma-independent.
     return math.log(2.0 / epsilon) ** 2 / PI2
@@ -301,13 +292,14 @@ def _minimize_multistart(objective, starts):
     return best_x, best_f, converged
 
 
-def lower_bound_curve(n_max: int, constellation: str, epsilon: float = 1e-4) -> BoundCurve:
+def lower_bound_curve(n_max: int, constellation: str, epsilon: float = 1e-4) -> tuple[BoundPoint, ...]:
     """Minimize the duration*bandwidth estimate per eigenvalue for each order.
 
     For the imaginary family the free parameters are the sigmas above the
     pinned smallest one (0.5); for the real-axis family the frequency offsets
     with one pinned to 0 and sigma = 0.5.  Coarse multi-start seeds feed a
-    Nelder-Mead refinement; non-convergence is flagged on the entry.
+    Nelder-Mead refinement.  Returns one `BoundPoint` per order 1..n_max,
+    normalized so the N=1 entry is 1; non-convergence is flagged on the entry.
     """
     if n_max < 1:
         raise InvalidParameterError("n_max must be >= 1")
@@ -338,7 +330,7 @@ def lower_bound_curve(n_max: int, constellation: str, epsilon: float = 1e-4) -> 
             continue
         prev_x = x
         entries.append(BoundPoint(n, f / ref, tuple(float(v) for v in x) + pinned, converged=ok))
-    return BoundCurve(constellation=constellation, epsilon=epsilon, entries=tuple(entries))
+    return tuple(entries)
 
 
 def _sech(x):

@@ -23,14 +23,7 @@ from . import io as sio
 from .asymptotics import lower_bound_curve
 from .darboux import auto_grid, denormalize, synthesize
 from .errors import InvalidParameterError, SolitonError, SpectrumFileError
-from .metrics import (
-    MeasureConfig,
-    measure,
-    single_soliton_tbp,
-    t_hat_b_hat,
-    t_max_b_max,
-    tbp_per_eigenvalue,
-)
+from .metrics import MeasureConfig, measure, single_soliton_tbp, t_hat_b_hat, tbp_per_eigenvalue
 from .optimizer import (TABLE_OPTIMA, default_sweep, evaluate_point, grid_axis, run_sweep,
                         spectrum_for_point)
 from .propagation import DEFAULT_DZ, PropagationPlan, propagate, propagate_with_snapshots
@@ -162,8 +155,8 @@ def _dt_sweep_rows(spectrum, entry, dts, config):
     for dt in dts:
         etas[entry] = math.exp(2.0 * sigma * float(dt))
         shifted = DiscreteSpectrum(spectrum.sigmas, spectrum.omegas, etas, spectrum.phis)
-        r = t_max_b_max(shifted, config)
-        rows.append((float(dt), r.t_max, r.b_max))
+        link = t_hat_b_hat(shifted, config, 0.0)
+        rows.append((float(dt), link.t_hat, link.b_hat))
     return rows
 
 
@@ -204,9 +197,8 @@ def _cmd_optimize(args) -> int:
 
 def _cmd_bound(args) -> int:
     constellation = CONSTELLATION_FLAGS[args.constellation]
-    curve = lower_bound_curve(args.n_max, constellation, args.epsilon)
     rows = ["n,normalized_bound,converged,params"]
-    for e in curve.entries:
+    for e in lower_bound_curve(args.n_max, constellation, args.epsilon):
         params = ";".join(repr(v) for v in e.params)
         rows.append(f"{e.n},{e.normalized_bound!r},{int(e.converged)},{params}")
     _write_rows(args.out, rows)
@@ -244,8 +236,7 @@ def _fig6(config: MeasureConfig, n_max: int) -> dict:
     files = {}
     for constellation in ("imaginary", "real_axis"):
         rows = ["kind,n,value,params"]
-        curve = lower_bound_curve(n_max, constellation, config.epsilon)
-        for e in curve.entries:
+        for e in lower_bound_curve(n_max, constellation, config.epsilon):
             params = ";".join(repr(v) for v in e.params)
             rows.append(f"bound,{e.n},{e.normalized_bound!r},{params}")
         for n in (2, 3):
@@ -317,8 +308,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("propagate", help="split-step propagation of a signal CSV")
     p.add_argument("--signal", required=True)
     p.add_argument("--z", type=float, required=True)
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--dz", type=float, default=DEFAULT_DZ)
+    step = p.add_mutually_exclusive_group()
+    step.add_argument("--steps", type=int, default=None)
+    step.add_argument("--dz", type=float, default=DEFAULT_DZ)
     p.add_argument("--out", required=True)
     p.add_argument("--snapshots", type=int, default=0)
     p.set_defaults(func=_cmd_propagate)

@@ -6,13 +6,14 @@ exp(2j*omega_k*t) * exp(-2*sigma_k*t)`` and folded in one eigenvalue at a
 time, accumulating the signal as ``q += -4*sigma_p*conj(rho_p) / (1 +
 |rho_p|^2)``, which is ``-2*sigma_p*sech(ln|rho_p|) * exp(-j*arg(rho_p))``.
 
-Two evaluations of the same recursion:
+One entry, `synthesize_samples(spectrum, phis, t)`, serves `synthesize` and
+`synthesize_phases`.  It chooses between two evaluations of the recursion:
 
 - Direct: plain complex arithmetic on rho, batched over phase rows.  It is
   taken whenever every seed exponent |ln eta_k - 2*sigma_k*t| stays below
   ``DIRECT_EXPONENT_LIMIT`` at both ends of the time range, so |rho|^2 stays
-  far inside the double range.  The choice depends on ``ln_etas``, the
-  eigenvalues and ``t`` only, never on the phases.
+  far inside the double range.  The choice depends on the spectrum and ``t``
+  only, never on the phases.
 - Stabilized: the seeds span e^(-2*sigma*t) over the full grid, which
   overflows doubles for |t| of a few hundred over sigma.  Every rho is then
   carried as a complex logarithm zeta = ln|rho| + j*arg(rho) and the two-term
@@ -119,34 +120,32 @@ def _complex_logsumexp(w1, w2):
     return m + np.log(np.exp(w1 - m) + np.exp(w2 - m))
 
 
-def synthesize_samples(lams, ln_etas, phis, t) -> np.ndarray:
-    """Evaluate the multi-soliton for eigenvalues ``lams`` at times ``t``.
+def synthesize_samples(spectrum: DiscreteSpectrum, phis, t) -> np.ndarray:
+    """Evaluate the multi-soliton of ``spectrum`` under spectral phases ``phis``.
 
     Args:
-        lams: (N,) complex eigenvalues.
-        ln_etas: (N,) or (C, N) log amplitude scalings.
-        phis: (N,) or (C, N) spectral phases; batch axes broadcast against
-            ln_etas.
+        spectrum: eigenvalues and amplitude scalings; its phases are not read.
+        phis: (N,) spectral phases, or a (C, N) batch of phase rows.
         t: (n,) sample times.
 
     Returns:
-        Complex samples with shape (n,) or (C, n).
+        Complex samples with shape (n,), or (C, n) for a batch.
     """
-    lams = np.atleast_1d(np.asarray(lams, dtype=complex))
+    lams = spectrum.lams
+    ln_etas = np.log(spectrum.etas)
     t = np.asarray(t, dtype=float)
-    ln_etas = np.asarray(ln_etas, dtype=float)
     phis = np.asarray(phis, dtype=float)
-    batched = ln_etas.ndim > 1 or phis.ndim > 1
-    ln_etas, phis = np.broadcast_arrays(np.atleast_2d(ln_etas), np.atleast_2d(phis))
-
+    if phis.ndim not in (1, 2) or phis.shape[-1] != spectrum.n:
+        raise ValueError(f"phase rows must have length {spectrum.n}, got shape {phis.shape}")
+    rows = np.atleast_2d(phis)
     if _seeds_in_range(lams, ln_etas, t):
-        q = _synthesize_direct(lams, ln_etas, phis, t)
+        q = _synthesize_direct(lams, ln_etas, rows, t)
         bad = ~np.all(np.isfinite(q.view(float)), axis=-1)
         if bad.any():
-            q[bad] = _synthesize_log(lams, ln_etas[bad], phis[bad], t)
+            q[bad] = _synthesize_log(lams, ln_etas, rows[bad], t)
     else:
-        q = _synthesize_log(lams, ln_etas, phis, t)
-    return q if batched else q[0]
+        q = _synthesize_log(lams, ln_etas, rows, t)
+    return q if phis.ndim > 1 else q[0]
 
 
 def _seeds_in_range(lams, ln_etas, t) -> bool:
@@ -158,12 +157,12 @@ def _seeds_in_range(lams, ln_etas, t) -> bool:
     if t.size == 0:
         return False  # nothing to evaluate; the stabilized path takes any shape
     ends = np.array([t.min(), t.max()])
-    exponents = ln_etas[:, :, None] - 2.0 * lams.imag[:, None] * ends
+    exponents = ln_etas[:, None] - 2.0 * lams.imag[:, None] * ends
     return bool(np.all(np.abs(exponents) < DIRECT_EXPONENT_LIMIT))
 
 
 def _synthesize_direct(lams, ln_etas, phis, t) -> np.ndarray:
-    """The recursion in plain complex arithmetic; (C, N) rows to (C, n).
+    """The recursion in plain complex arithmetic; (C, N) phase rows to (C, n).
 
     Only valid while |rho|^2 stays finite (see `_seeds_in_range`); a pole of
     an intermediate rho shows up as a non-finite sample.
@@ -202,7 +201,7 @@ def _synthesize_direct(lams, ln_etas, phis, t) -> np.ndarray:
 
 
 def _synthesize_log(lams, ln_etas, phis, t) -> np.ndarray:
-    """The recursion on complex logarithms of rho; (C, N) rows to (C, n).
+    """The recursion on complex logarithms of rho; (C, N) phase rows to (C, n).
 
     Stays finite at any |t|; the fallback of `synthesize_samples`.
     """
@@ -212,7 +211,7 @@ def _synthesize_log(lams, ln_etas, phis, t) -> np.ndarray:
 
     # zeta[k] = ln eta_k - 2 sigma_k t + j (phi_k + 2 omega_k t), shape (C, n)
     zetas = [
-        (ln_etas[:, k, None] - 2.0 * sig[k] * t)
+        (ln_etas[k] - 2.0 * sig[k] * t)
         + 1j * (phis[:, k, None] + 2.0 * om[k] * t)
         for k in range(n_ev)
     ]
@@ -254,7 +253,7 @@ def synthesize(spectrum: DiscreteSpectrum, grid: TimeGrid) -> SampledSignal:
     ``BOUNDARY_FRACTION`` of the peak magnitude (truncation perturbs the
     spectrum of the sampled pulse).
     """
-    q = synthesize_samples(spectrum.lams, np.log(spectrum.etas), spectrum.phis, grid.times)
+    q = synthesize_samples(spectrum, spectrum.phis, grid.times)
     signal = SampledSignal(grid=grid, samples=q)
     mags = np.abs(q)
     peak = mags.max()
@@ -270,10 +269,7 @@ def synthesize(spectrum: DiscreteSpectrum, grid: TimeGrid) -> SampledSignal:
 
 def synthesize_phases(spectrum: DiscreteSpectrum, grid: TimeGrid, phis) -> np.ndarray:
     """Synthesize one signal per row of ``phis`` (shape (C, N)) on ``grid``."""
-    phis = np.atleast_2d(np.asarray(phis, dtype=float))
-    if phis.shape[1] != spectrum.n:
-        raise ValueError(f"phase rows must have length {spectrum.n}")
-    return synthesize_samples(spectrum.lams, np.log(spectrum.etas), phis, grid.times)
+    return synthesize_samples(spectrum, np.atleast_2d(phis), grid.times)
 
 
 def auto_grid(

@@ -120,8 +120,17 @@ def format_spectrum_document(
     return "\n".join(lines) + "\n"
 
 
+def _decode_text(data: bytes, where) -> str:
+    """``data`` as UTF-8 text; a `SpectrumFileError` names ``where`` and the line if it is not."""
+    try:
+        return data.decode()
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise SpectrumFileError(f"{where}:{line}: not UTF-8 text") from exc
+
+
 def load_spectrum(path) -> tuple[DiscreteSpectrum, PhysicalScaling | None]:
-    return parse_spectrum_document(Path(path).read_text())
+    return parse_spectrum_document(_decode_text(Path(path).read_bytes(), path))
 
 
 def save_spectrum(path, spectrum: DiscreteSpectrum, scaling: PhysicalScaling | None = None):
@@ -142,7 +151,7 @@ def save_signal(path, signal: SampledSignal):
 
 def load_signal(path) -> SampledSignal:
     """Read a signal CSV back into a uniform power-of-two sampled signal."""
-    rows = Path(path).read_text().strip().splitlines()
+    rows = _decode_text(Path(path).read_bytes(), path).strip().splitlines()
     if not rows or rows[0].strip() != "t,re,im,abs":
         raise SpectrumFileError(f"{path}: expected header 't,re,im,abs'")
     t, q = [], []

@@ -19,11 +19,12 @@ cheap per-row bracket on the window width (`_window_bracket`) spares the
 exact scan of every row that provably lies below a floor or below another
 row of its block, so the maxima and argmaxes are those of a full scan.
 `measure` is a block of one without floors.  `t_max_b_max` takes the first
-maximal T and B of the spectrum it is given over the spectral-phase grid,
-chunk by chunk, with the widest windows of earlier chunks as floors.
-`t_hat_b_hat` is one loop over the distances of a link (z = 0 alone when
-imaginary or zero-length): T is maximized over all of them, B over the two
-endpoints only (the bandwidth matters only where the signal is sampled).
+maximal T and B of a spectrum over the spectral-phase grid on a given time
+grid, chunk by chunk, with the widest windows of earlier chunks as floors.
+`t_hat_b_hat`, the one way from a spectrum to T-hat and B-hat, picks that
+time grid and loops over the distances of a link (z = 0 alone when imaginary
+or zero-length): T is maximized over all of them, B over the two endpoints
+only (the bandwidth matters only where the signal is sampled).
 """
 
 from __future__ import annotations
@@ -100,12 +101,18 @@ class Band:
 
 @dataclass(frozen=True)
 class TBReport:
-    """Measured duration and bandwidth of one signal."""
+    """Measured duration and bandwidth windows of one signal."""
 
-    t: float
-    b: float
     t_interval: Band
     b_interval: Band
+
+    @property
+    def t(self) -> float:
+        return self.t_interval.width
+
+    @property
+    def b(self) -> float:
+        return self.b_interval.width
 
     @property
     def tbp(self) -> float:
@@ -289,7 +296,7 @@ def _windows(samples: np.ndarray, grid: TimeGrid, config: MeasureConfig, with_b:
 def measure(signal: SampledSignal, config: MeasureConfig) -> TBReport:
     """Duration and bandwidth of one signal under the configured definition."""
     (_, t_band), (_, b_band) = _windows(signal.samples[None], signal.grid, config)
-    return TBReport(t=t_band.width, b=b_band.width, t_interval=t_band, b_interval=b_band)
+    return TBReport(t_band, b_band)
 
 
 def phase_combinations(n: int, m: int, conjugation_reduced: bool = False) -> np.ndarray:
@@ -323,24 +330,21 @@ class PhaseSweepResult:
     b_max: float
     t_argmax: tuple[float, ...]
     b_argmax: tuple[float, ...] | None
-    grid: TimeGrid
 
 
 def t_max_b_max(
     spectrum: DiscreteSpectrum,
     config: MeasureConfig,
-    grid: TimeGrid | None = None,
+    grid: TimeGrid,
     with_b: bool = True,
 ) -> PhaseSweepResult:
-    """Maximize T (and optionally B) over the spectral-phase grid.
+    """Maximize T (and optionally B) over the spectral-phase grid, on ``grid``.
 
     All m^(N-1) phase combinations are evaluated (one phase is pinned: a
     global phase does not change magnitudes); for an imaginary-axis spectrum
     only one of each conjugate pair {phi, -phi}, see `phase_combinations`.
     Ties resolve to the first maximal combination in lexicographic order.
     """
-    if grid is None:
-        grid = auto_grid(spectrum, config.epsilon, boundary_clean=False)
     combos = phase_combinations(
         spectrum.n, config.phase_points, conjugation_reduced=spectrum.is_imaginary()
     )
@@ -354,7 +358,7 @@ def t_max_b_max(
             if found is not None and found[1].width > best[k][0]:
                 best[k] = (found[1].width, tuple(float(v) for v in block[found[0]]))
     (t_max, t_argmax), (b_max, b_argmax) = best
-    return PhaseSweepResult(t_max, b_max if with_b else math.nan, t_argmax, b_argmax, grid)
+    return PhaseSweepResult(t_max, b_max if with_b else math.nan, t_argmax, b_argmax)
 
 
 @dataclass(frozen=True)
@@ -377,12 +381,14 @@ def t_hat_b_hat(
     T is maximized over the phase grid and over ``config.z_samples``
     distances in [0, L]; B over the phase grid at z in {0, L} only.  For
     spectra with all eigenvalues on the imaginary axis the amplitude magnitudes are
-    z-invariant, so the distance sweep collapses to z = 0.
+    z-invariant, so the distance sweep collapses to z = 0, as for L = 0.  All
+    distances share one grid: the lean `auto_grid` (the union of those at
+    z = 0, L/2 and L for a link).
     """
     if not (math.isfinite(link_length) and link_length >= 0.0):
         raise InvalidParameterError(f"link length must be finite and >= 0, got {link_length}")
     if spectrum.is_imaginary() or link_length == 0.0:
-        zs, grid = [0.0], None  # the spectrum's own grid
+        zs, grid = [0.0], auto_grid(spectrum, config.epsilon, boundary_clean=False)
     else:
         zs = np.linspace(0.0, link_length, config.z_samples)
         grid = union_grid([auto_grid(evolve(spectrum, z), config.epsilon, boundary_clean=False)
@@ -393,7 +399,7 @@ def t_hat_b_hat(
         endpoint = z == 0.0 or z == link_length
         # evolve(s, 0.0) can move an eta by one ulp
         spec_z = evolve(spectrum, float(z)) if z != 0.0 else spectrum
-        r = t_max_b_max(spec_z, config, grid=grid, with_b=endpoint or with_b_profile)
+        r = t_max_b_max(spec_z, config, grid, with_b=endpoint or with_b_profile)
         t_hat = max(t_hat, r.t_max)
         if endpoint:
             b_hat = max(b_hat, r.b_max)

@@ -41,6 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DegenerateSpectrumError, InvalidParameterError, SolitonError, SpectrumFileError
+from .io import _decode_text
 from .metrics import MeasureConfig, single_soliton_tbp, t_hat_b_hat, tbp_per_eigenvalue
 from .spectrum import DiscreteSpectrum
 
@@ -120,7 +121,6 @@ class TracePoint:
 class SweepResult:
     """Optimizer output with the full evaluation trace."""
 
-    spec: SweepSpec
     param_names: tuple[str, ...]
     best: TracePoint
     best_spectrum: DiscreteSpectrum
@@ -235,30 +235,35 @@ def _read_trace(path: Path | None, header: list) -> dict:
     """Points of an existing trace, which must carry this sweep's header.
 
     Every row ends with a line terminator, so a final line without one was
-    cut by a crash mid-write: it is dropped and the file truncated back to the
-    last complete row, and the sweep evaluates that point again.
+    cut by a crash mid-write: once every complete row has parsed, it is
+    dropped and the file truncated back to the last complete row, and the
+    sweep evaluates that point again.  A refused trace is left as it is.
     """
     if path is None or not path.exists():
         return {}
     data = path.read_bytes()
     end = data.rfind(b"\n") + 1
-    rows = list(csv.reader(data[:end].decode().splitlines()))
+    rows = list(csv.reader(_decode_text(data[:end], f"trace {path}").splitlines()))
     if rows:
         if len(rows) < 2 or rows[0][:1] != ["#"]:
             raise SpectrumFileError(f"trace {path} has no measurement header")
         for theirs, ours in zip_longest(rows[0] + rows[1], header[0] + header[1], fillvalue=""):
             if theirs != ours:
                 raise SpectrumFileError(f"trace {path} has {theirs!r} where this sweep has {ours!r}")
+    n_params = len(header[1]) - 3
+    done = {}
+    for line, row in enumerate(rows[2:], start=3):
+        if len(row) != n_params + 3:
+            raise SpectrumFileError(f"trace {path}:{line}: expected {n_params + 3} columns, "
+                                    f"got {len(row)}")
+        try:
+            values = tuple(float(v) for v in row)
+        except ValueError as exc:
+            raise SpectrumFileError(f"trace {path}:{line}: {exc}") from exc
+        done[_key(values[:n_params])] = TracePoint(values[:n_params], *values[n_params:])
     if end < len(data):
         with open(path, "r+b") as fh:
             fh.truncate(end)
-    n_params = len(header[1]) - 3
-    done = {}
-    for row in rows[2:]:
-        if len(row) != n_params + 3:
-            raise SpectrumFileError(f"trace {path}: row {row} does not have {n_params + 3} columns")
-        params = tuple(float(v) for v in row[:n_params])
-        done[_key(params)] = TracePoint(params, *(float(v) for v in row[n_params:]))
     return done
 
 
@@ -341,7 +346,6 @@ def run_sweep(spec: SweepSpec, trace_path: str | os.PathLike | None = None) -> S
     spectrum, l_star = spectrum_for_point(spec.constellation, spec.n, names, best.params)
     reference = single_soliton_tbp(spec.measure)
     return SweepResult(
-        spec=spec,
         param_names=names,
         best=best,
         best_spectrum=spectrum,

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from soliton_tbp.darboux import auto_grid
 from soliton_tbp.spectrum import DiscreteSpectrum
 
 
@@ -37,6 +38,11 @@ def naive_darboux(spectrum: DiscreteSpectrum, t: np.ndarray) -> np.ndarray:
             den = lams[k] - np.conj(lams[j]) - cc * (1.0 + np.conj(p) * rho[k])
             rho[k] = num / den
     return q
+
+
+def lean_grid(spectrum: DiscreteSpectrum, config):
+    """The measurement grid `t_hat_b_hat` picks for ``spectrum`` at a single distance."""
+    return auto_grid(spectrum, config.epsilon, boundary_clean=False)
 
 
 def smallest_window_oracle(cells: np.ndarray, x0: float, dx: float, epsilon: float,

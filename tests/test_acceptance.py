@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import random_spectrum
+from conftest import lean_grid, random_spectrum
 
 from soliton_tbp.asymptotics import (
     b_lim_imaginary,
@@ -225,7 +225,7 @@ class TestCriterion6:
 
     def _regime_error(self, estimate, spectrum, epsilon, with_b):
         cfg = MeasureConfig(epsilon=epsilon, phase_points=16)
-        r = t_max_b_max(spectrum, cfg, with_b=with_b)
+        r = t_max_b_max(spectrum, cfg, lean_grid(spectrum, cfg), with_b=with_b)
         meas = r.b_max if with_b else r.t_max
         return abs(estimate(epsilon) - meas) / meas
 
@@ -285,10 +285,10 @@ class TestCriterion7:
         checked = 0
         for case in range(self.N_CASES):
             s = random_spectrum(rng, dt_range=(-1.5, 1.5), min_gap=0.2)
-            q = synthesize_samples(s.lams, np.log(s.etas), s.phis, t)
+            q = synthesize_samples(s, s.phis, t)
 
             def synth(sp, tt):
-                return synthesize_samples(sp.lams, np.log(sp.etas), sp.phis, tt)
+                return synthesize_samples(sp, sp.phis, tt)
 
             # invariance transformations against their signal actions
             assert np.abs(synth(transform(s, "global_phase", 1.1), t) - np.exp(1.1j) * q).max() < 1e-8
@@ -344,7 +344,7 @@ class TestCriterion8:
         ok = True
         for constellation in ("imaginary", "real_axis"):
             curve = lower_bound_curve(10, constellation, 1e-4)
-            values = [e.normalized_bound for e in curve.entries]
+            values = [e.normalized_bound for e in curve]
             if values[0] != 1.0:
                 ok = False
             if not all(b <= a + 1e-9 for a, b in zip(values[:6], values[1:6])):

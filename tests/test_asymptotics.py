@@ -2,10 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from conftest import random_spectrum
+from conftest import lean_grid, random_spectrum
 
 from soliton_tbp.asymptotics import (
-    BoundCurve,
     b_lim_imaginary,
     b_lim_real,
     envelope_bandwidth,
@@ -156,7 +155,7 @@ class TestEnvelopes:
         s = random_spectrum(rng, n=2, dt_range=(-1.0, 1.0))
         env = tail_envelope(s)
         t = np.linspace(6.0, 14.0, 50)
-        q = np.abs(synthesize_samples(s.lams, np.log(s.etas), s.phis, t))
+        q = np.abs(synthesize_samples(s, s.phis, t))
         bound = (env.right_coeffs[:, None] * np.exp(-env.rates[:, None] * t)).sum(axis=0)
         assert np.all(q <= bound * (1.0 + 1e-6) + 1e-12)
 
@@ -187,7 +186,8 @@ class TestFormulaVsMeasurement:
         from soliton_tbp.metrics import MeasureConfig, t_max_b_max
 
         s = DiscreteSpectrum([1.0, 0.5])  # equal shifts (dt = 0)
-        r = t_max_b_max(s, MeasureConfig(phase_points=16), with_b=False)
+        cfg = MeasureConfig(phase_points=16)
+        r = t_max_b_max(s, cfg, lean_grid(s, cfg), with_b=False)
         est = t_lim_imaginary([1.0, 0.5], 1e-4)
         assert abs(est - r.t_max) / r.t_max < 0.05
 
@@ -195,7 +195,8 @@ class TestFormulaVsMeasurement:
         from soliton_tbp.metrics import MeasureConfig, t_max_b_max
 
         s = DiscreteSpectrum([0.5, 0.5], [0.5, -0.5])
-        r = t_max_b_max(s, MeasureConfig(phase_points=32), with_b=False)
+        cfg = MeasureConfig(phase_points=32)
+        r = t_max_b_max(s, cfg, lean_grid(s, cfg), with_b=False)
         est = t_lim_real(0.5, [0.5, -0.5], 1e-4)
         assert abs(est - r.t_max) / r.t_max < 0.05
 
@@ -203,7 +204,8 @@ class TestFormulaVsMeasurement:
         from soliton_tbp.metrics import MeasureConfig, t_max_b_max
 
         s = DiscreteSpectrum.from_delta_t([1.0, 0.5], delta_ts=[0.0, 12.0])
-        r = t_max_b_max(s, MeasureConfig(phase_points=16))
+        cfg = MeasureConfig(phase_points=16)
+        r = t_max_b_max(s, cfg, lean_grid(s, cfg))
         est = b_lim_imaginary([1.0, 0.5], 1e-4)
         assert abs(est - r.b_max) / r.b_max < 0.05
 
@@ -211,7 +213,8 @@ class TestFormulaVsMeasurement:
         from soliton_tbp.metrics import MeasureConfig, t_max_b_max
 
         s = DiscreteSpectrum.from_delta_t([0.5, 0.5], [0.4, -0.4], [-6.0, 6.0])
-        r = t_max_b_max(s, MeasureConfig(phase_points=16))
+        cfg = MeasureConfig(phase_points=16)
+        r = t_max_b_max(s, cfg, lean_grid(s, cfg))
         est = b_lim_real(0.5, [0.4, -0.4], 1e-4)
         assert abs(est - r.b_max) / r.b_max < 0.05
 
@@ -219,11 +222,11 @@ class TestFormulaVsMeasurement:
 class TestBoundCurve:
     def test_first_order_is_one(self):
         curve = lower_bound_curve(1, "imaginary")
-        assert curve.entries[0].normalized_bound == 1.0
+        assert curve[0].normalized_bound == 1.0
 
     def test_two_soliton_bounds(self):
-        imag = lower_bound_curve(2, "imaginary").entries[-1]
-        real = lower_bound_curve(2, "real_axis").entries[-1]
+        imag = lower_bound_curve(2, "imaginary")[-1]
+        real = lower_bound_curve(2, "real_axis")[-1]
         # must sit below the brute-force achieved optima
         assert imag.normalized_bound <= 0.89
         assert real.normalized_bound <= 0.74
@@ -232,7 +235,7 @@ class TestBoundCurve:
     def test_monotone_through_six(self):
         for constellation in ("imaginary", "real_axis"):
             curve = lower_bound_curve(6, constellation)
-            values = [e.normalized_bound for e in curve.entries]
+            values = [e.normalized_bound for e in curve]
             assert all(b <= a + 1e-9 for a, b in zip(values, values[1:])), values
 
     def test_rejects_bad_args(self):

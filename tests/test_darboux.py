@@ -65,7 +65,7 @@ class TestSynthesize:
             warnings.simplefilter("ignore", GridTooNarrowWarning)
             q = synthesize(s, g).samples
         # grid symmetric around -dt/2 offset: resample explicitly at -t
-        qm = synthesize_samples(s.lams, np.log(s.etas), s.phis, -g.times)
+        qm = synthesize_samples(s, s.phis, -g.times)
         assert np.abs(np.abs(q) - np.abs(qm)).max() < 1e-12
 
     def test_energy_is_four_sum_sigma(self, rng):
@@ -78,17 +78,15 @@ class TestSynthesize:
         t = np.linspace(-15.0, 15.0, 601)
         for _ in range(10):
             s = random_spectrum(rng)
-            assert darboux._seeds_in_range(s.lams, np.log(s.etas)[None], t)
-            q = synthesize_samples(s.lams, np.log(s.etas), s.phis, t)
+            assert darboux._seeds_in_range(s.lams, np.log(s.etas), t)
+            q = synthesize_samples(s, s.phis, t)
             assert np.abs(q - naive_darboux(s, t)).max() < 1e-12
 
     def test_stabilized_path_matches_naive_recursion(self, rng):
         t = np.linspace(-15.0, 15.0, 601)
         for _ in range(10):
             s = random_spectrum(rng)
-            q = darboux._synthesize_log(
-                s.lams, np.log(s.etas)[None], s.phis[None], t
-            )[0]
+            q = darboux._synthesize_log(s.lams, np.log(s.etas), s.phis[None], t)[0]
             assert np.abs(q - naive_darboux(s, t)).max() < 1e-12
 
     def test_paths_agree_near_the_bound(self):
@@ -96,9 +94,9 @@ class TestSynthesize:
         s = DiscreteSpectrum.from_delta_t([1.0, 0.7, 0.5], [0.3, -0.2, 0.0],
                                           [1.0, -2.0, 0.5], [0.4, 2.0, 5.0])
         t = np.linspace(-140.0, 140.0, 4097)
-        ln_etas = np.log(s.etas)[None]
+        ln_etas = np.log(s.etas)
         assert darboux._seeds_in_range(s.lams, ln_etas, t)
-        q = synthesize_samples(s.lams, np.log(s.etas), s.phis, t)
+        q = synthesize_samples(s, s.phis, t)
         q_log = darboux._synthesize_log(s.lams, ln_etas, s.phis[None], t)[0]
         assert np.all(np.isfinite(q))
         assert np.abs(q - q_log).max() < 1e-12 * np.abs(q_log).max()
@@ -107,16 +105,16 @@ class TestSynthesize:
         s = DiscreteSpectrum([1.0, 0.5], etas=[3.0, 0.2])
         t = np.linspace(-2000.0, 2000.0, 4097)
         ln_etas = np.log(s.etas)
-        assert not darboux._seeds_in_range(s.lams, ln_etas[None], t)
-        q = synthesize_samples(s.lams, ln_etas, s.phis, t)
-        q_log = darboux._synthesize_log(s.lams, ln_etas[None], s.phis[None], t)[0]
+        assert not darboux._seeds_in_range(s.lams, ln_etas, t)
+        q = synthesize_samples(s, s.phis, t)
+        q_log = darboux._synthesize_log(s.lams, ln_etas, s.phis[None], t)[0]
         assert np.array_equal(q, q_log)
 
     def test_non_finite_direct_row_falls_back(self, rng, monkeypatch):
         s = random_spectrum(rng, n=3)
         t = np.linspace(-12.0, 12.0, 257)
         phis = rng.uniform(0, 2 * np.pi, (4, 3))
-        ln_etas = np.broadcast_to(np.log(s.etas), phis.shape)
+        ln_etas = np.log(s.etas)
         direct = darboux._synthesize_direct(s.lams, ln_etas, phis, t)
         stabilized = darboux._synthesize_log(s.lams, ln_etas, phis, t)
         real_direct = darboux._synthesize_direct
@@ -127,7 +125,7 @@ class TestSynthesize:
             return q
 
         monkeypatch.setattr(darboux, "_synthesize_direct", direct_with_pole)
-        q = synthesize_samples(s.lams, np.log(s.etas), phis, t)
+        q = synthesize_samples(s, phis, t)
         assert np.array_equal(q[2], stabilized[2])
         for i in (0, 1, 3):
             assert np.array_equal(q[i], direct[i])
@@ -138,14 +136,14 @@ class TestSynthesize:
             perm = rng.permutation(3)
             sp = DiscreteSpectrum(s.sigmas[perm], s.omegas[perm], s.etas[perm], s.phis[perm])
             t = np.linspace(-12.0, 12.0, 301)
-            qa = synthesize_samples(s.lams, np.log(s.etas), s.phis, t)
-            qb = synthesize_samples(sp.lams, np.log(sp.etas), sp.phis, t)
+            qa = synthesize_samples(s, s.phis, t)
+            qb = synthesize_samples(sp, sp.phis, t)
             assert np.abs(qa - qb).max() < 1e-8
 
     def test_log_domain_survives_huge_times(self):
         s = DiscreteSpectrum([1.0, 0.5], etas=[3.0, 0.2])
         t = np.linspace(-2000.0, 2000.0, 4097)
-        q = synthesize_samples(s.lams, np.log(s.etas), s.phis, t)
+        q = synthesize_samples(s, s.phis, t)
         assert np.all(np.isfinite(q))
         # naive evaluation overflows out there; tails must decay to zero
         assert np.abs(q[0]) < 1e-300 and np.abs(q[-1]) < 1e-300
@@ -161,7 +159,7 @@ class TestSynthesize:
         phis = rng.uniform(0, 2 * np.pi, (5, 3))
         block = synthesize_phases(s, g, phis)
         for i in range(5):
-            single = synthesize_samples(s.lams, np.log(s.etas), phis[i], g.times)
+            single = synthesize_samples(s, phis[i], g.times)
             assert np.array_equal(block[i], single)
 
 
@@ -172,11 +170,11 @@ class TestTransformConsistency:
     def case(self, rng):
         s = random_spectrum(rng, n=3, dt_range=(-1.5, 1.5))
         t = np.linspace(-14.0, 14.0, 501)
-        q = synthesize_samples(s.lams, np.log(s.etas), s.phis, t)
+        q = synthesize_samples(s, s.phis, t)
         return s, t, q
 
     def _synth(self, s, t):
-        return synthesize_samples(s.lams, np.log(s.etas), s.phis, t)
+        return synthesize_samples(s, s.phis, t)
 
     def test_global_phase(self, case):
         s, t, q = case

@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -16,7 +17,10 @@ from soliton_tbp.io import (
     save_spectrum,
 )
 from soliton_tbp.metrics import MeasureConfig, measure
+from soliton_tbp.optimizer import _trace_header, default_sweep
 from soliton_tbp.spectrum import DiscreteSpectrum, PhysicalScaling
+
+IMAG_OPTIMIZE = ["optimize", "--constellation", "imag", "--n", "2"]
 
 
 class TestSpectrumFile:
@@ -101,6 +105,14 @@ def one_soliton_file(tmp_path):
     path = tmp_path / "one.yaml"
     path.write_text("n: 1\nentries:\n- {sigma: 0.5, omega: 0.0, eta: 1.0, phi: 0.0}\n")
     return path
+
+
+def write_imag_trace(path, rows, tail=b""):
+    """A trace of the desk imag N=2 sweep holding ``rows``, then the bytes ``tail``."""
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(_trace_header(default_sweep("imaginary", 2), ("sigma_1", "dt_1")) + rows)
+    with open(path, "ab") as fh:
+        fh.write(tail)
 
 
 class TestCli:
@@ -363,6 +375,58 @@ class TestCli:
         out, err = capsys.readouterr()
         assert out == "" and "sig.csv:6" in err
         assert not report.exists()
+
+    def test_non_numeric_trace_row_is_validation_error(self, tmp_path, capsys):
+        trace = tmp_path / "trace.csv"
+        write_imag_trace(trace, [["0.54", "1.5", "1.0", "2.0", "2.0"], ["0.54", "abc", "1.0", "2.0", "2.0"]])
+        written = trace.read_bytes()
+        capsys.readouterr()
+        assert main(IMAG_OPTIMIZE + ["--trace", str(trace)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "trace.csv:4" in err and "'abc'" in err
+        assert trace.read_bytes() == written
+
+    def test_refused_torn_trace_is_left_unchanged(self, tmp_path, capsys):
+        trace = tmp_path / "trace.csv"
+        write_imag_trace(trace, [["0.54", "abc", "1.0", "2.0", "2.0"]], tail=b"0.54,2.0,1.0")
+        written = trace.read_bytes()
+        capsys.readouterr()
+        assert main(IMAG_OPTIMIZE + ["--trace", str(trace)]) == 1
+        assert "trace.csv:3" in capsys.readouterr().err
+        assert trace.read_bytes() == written  # the torn tail is cut only from a trace that is read
+
+    @pytest.mark.parametrize("kind", ["trace", "signal", "spectrum"])
+    def test_non_utf8_file_is_validation_error(self, one_soliton_file, tmp_path, capsys, kind):
+        bad = tmp_path / {"trace": "trace.csv", "signal": "sig.csv", "spectrum": "bad.yaml"}[kind]
+        out = tmp_path / "out.csv"
+        if kind == "trace":
+            write_imag_trace(bad, [["0.54", "1.5", "1.0", "2.0", "2.0"]], tail=b"0.54,2.0,\xff,1,1\n")
+            argv, line = IMAG_OPTIMIZE + ["--trace", str(bad)], 4
+        elif kind == "signal":
+            main(["synth", "--spectrum", str(one_soliton_file), "--out", str(bad)])
+            rows = bad.read_bytes().split(b"\n")
+            rows[5] = rows[5].replace(b",", b"\xff,", 1)
+            bad.write_bytes(b"\n".join(rows))
+            argv, line = ["measure", "--signal", str(bad), "--report", str(out)], 6
+        else:
+            bad.write_bytes(b"n: 1\n# caf\xe9\n" + one_soliton_file.read_bytes().split(b"\n", 1)[1])
+            argv, line = ["synth", "--spectrum", str(bad), "--out", str(out)], 2
+        written = bad.read_bytes()
+        capsys.readouterr()
+        assert main(argv) == 1
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and f"{bad.name}:{line}: not UTF-8" in err
+        assert bad.read_bytes() == written and not out.exists()
+
+    def test_steps_with_dz_is_usage_error(self, one_soliton_file, tmp_path, capsys):
+        sig_path = tmp_path / "sig.csv"
+        main(["synth", "--spectrum", str(one_soliton_file), "--out", str(sig_path)])
+        out = tmp_path / "out.csv"
+        capsys.readouterr()
+        argv = ["propagate", "--signal", str(sig_path), "--z", "0.1", "--out", str(out)]
+        assert main(argv + ["--steps", "5", "--dz", "1e-3"]) == 1
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("count", ["0", "-3"])
     def test_thread_count_below_one_is_validation_error(self, tmp_path, capsys, monkeypatch, count):

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import smallest_window_oracle
+from conftest import lean_grid, smallest_window_oracle
 
 from soliton_tbp import metrics
 from soliton_tbp.darboux import SampledSignal, TimeGrid, auto_grid, synthesize, synthesize_phases
@@ -249,11 +249,12 @@ class TestPhaseCombinations:
     def test_conjugation_reduction_preserves_maxima(self, rng):
         s = DiscreteSpectrum.from_delta_t([0.9, 0.5], delta_ts=[1.0, 0.0])
         cfg = MeasureConfig(phase_points=8)
-        red = t_max_b_max(s, cfg)  # imaginary spectrum: the reduced grid
+        grid = lean_grid(s, cfg)
+        red = t_max_b_max(s, cfg, grid)  # imaginary spectrum: the reduced grid
         assert len(phase_combinations(2, 8, conjugation_reduced=True)) == 5
         reports = [
-            measure(SampledSignal(red.grid, q), cfg)
-            for q in synthesize_phases(s, red.grid, phase_combinations(2, 8))
+            measure(SampledSignal(grid, q), cfg)
+            for q in synthesize_phases(s, grid, phase_combinations(2, 8))
         ]
         assert red.t_max == pytest.approx(max(r.t for r in reports), rel=1e-14)
         assert red.b_max == pytest.approx(max(r.b for r in reports), rel=1e-14)
@@ -264,7 +265,8 @@ class TestTMaxBMax:
         s = DiscreteSpectrum([0.5])
         cfg2 = MeasureConfig(phase_points=2)
         cfg16 = MeasureConfig(phase_points=16)
-        r2, r16 = t_max_b_max(s, cfg2), t_max_b_max(s, cfg16)
+        grid = lean_grid(s, cfg2)
+        r2, r16 = t_max_b_max(s, cfg2, grid), t_max_b_max(s, cfg16, grid)
         assert r2.t_max == r16.t_max and r2.b_max == r16.b_max
         import warnings
         from soliton_tbp.errors import GridTooNarrowWarning
@@ -272,14 +274,14 @@ class TestTMaxBMax:
         with warnings.catch_warnings():
             # the sweep grid is the lean measurement one, not boundary-clean
             warnings.simplefilter("ignore", GridTooNarrowWarning)
-            rep = measure(synthesize(s, r2.grid), cfg2)
+            rep = measure(synthesize(s, grid), cfg2)
         assert r2.t_max == pytest.approx(rep.t, abs=1e-9)
 
     def test_monotone_in_phase_points(self):
         s = DiscreteSpectrum([1.0, 0.5])
         grid = auto_grid(s, 1e-4, boundary_clean=False)
-        r2 = t_max_b_max(s, MeasureConfig(phase_points=2), grid=grid)
-        r16 = t_max_b_max(s, MeasureConfig(phase_points=16), grid=grid)
+        r2 = t_max_b_max(s, MeasureConfig(phase_points=2), grid)
+        r16 = t_max_b_max(s, MeasureConfig(phase_points=16), grid)
         # the coarse grid's combos are a subset of the fine one's
         assert r16.t_max >= r2.t_max - 1e-12
         assert r16.b_max >= r2.b_max - 1e-12
@@ -287,10 +289,10 @@ class TestTMaxBMax:
     def test_overlap_vs_separation_tradeoff(self):
         # zero shift minimizes duration and maximizes bandwidth
         cfg = MeasureConfig(phase_points=8)
-        merged = t_max_b_max(DiscreteSpectrum([1.0, 0.5]), cfg)
-        split = t_max_b_max(
-            DiscreteSpectrum.from_delta_t([1.0, 0.5], delta_ts=[0.0, 4.0]), cfg
-        )
+        merged_s = DiscreteSpectrum([1.0, 0.5])
+        split_s = DiscreteSpectrum.from_delta_t([1.0, 0.5], delta_ts=[0.0, 4.0])
+        merged = t_max_b_max(merged_s, cfg, lean_grid(merged_s, cfg))
+        split = t_max_b_max(split_s, cfg, lean_grid(split_s, cfg))
         assert merged.t_max < split.t_max
         assert merged.b_max > split.b_max
 
@@ -298,16 +300,17 @@ class TestTMaxBMax:
     def test_chunked_argmax_is_first_maximal_row(self, monkeypatch, chunk):
         s = DiscreteSpectrum.from_delta_t([0.5, 0.5, 0.5], [0.55, 0.0, -0.55], [-2.2, 0.0, 2.2])
         cfg = MeasureConfig(phase_points=4)
-        ref = t_max_b_max(s, cfg)
+        grid = lean_grid(s, cfg)
+        ref = t_max_b_max(s, cfg, grid)
         monkeypatch.setattr(metrics, "CHUNK_SIZE", chunk)
-        r = t_max_b_max(s, cfg)
+        r = t_max_b_max(s, cfg, grid)
         assert (r.t_max, r.b_max, r.t_argmax, r.b_argmax) == (
             ref.t_max, ref.b_max, ref.t_argmax, ref.b_argmax)
         # the first maximal row of a plain loop in lexicographic order
         combos = phase_combinations(3, 4)
         reports = [
-            measure(SampledSignal(r.grid, q), cfg)
-            for q in synthesize_phases(s, r.grid, combos)
+            measure(SampledSignal(grid, q), cfg)
+            for q in synthesize_phases(s, grid, combos)
         ]
         ts, bs = [rep.t for rep in reports], [rep.b for rep in reports]
         i, j = ts.index(max(ts)), bs.index(max(bs))
@@ -319,7 +322,7 @@ class TestTMaxBMax:
             return synthesize_phases(spectrum, grid, np.zeros_like(block))
 
         monkeypatch.setattr(metrics, "synthesize_phases", unmodulated)
-        tied = t_max_b_max(s, cfg)
+        tied = t_max_b_max(s, cfg, grid)
         assert tied.t_argmax == tied.b_argmax == tuple(combos[0])
 
     @pytest.mark.parametrize("case", ["imag3", "real2", "tied"])
@@ -339,13 +342,14 @@ class TestTMaxBMax:
                 return synthesize_phases(spectrum, grid, np.zeros_like(block))
 
             monkeypatch.setattr(metrics, "synthesize_phases", unmodulated)
-        pruned = t_max_b_max(s, cfg)
+        grid = lean_grid(s, cfg)
+        pruned = t_max_b_max(s, cfg, grid)
         # a bracket that rules out nothing: every row is scanned exactly
         monkeypatch.setattr(metrics, "_window_bracket", lambda cells, *_: (
             np.full(len(cells), -math.inf), np.full(len(cells), math.inf)))
-        full = t_max_b_max(s, cfg)
-        assert (pruned.t_max, pruned.b_max, pruned.t_argmax, pruned.b_argmax, pruned.grid) == (
-            full.t_max, full.b_max, full.t_argmax, full.b_argmax, full.grid)
+        full = t_max_b_max(s, cfg, grid)
+        assert (pruned.t_max, pruned.b_max, pruned.t_argmax, pruned.b_argmax) == (
+            full.t_max, full.b_max, full.t_argmax, full.b_argmax)
 
     def test_pruning_skips_most_exact_scans(self, monkeypatch):
         s = DiscreteSpectrum.from_delta_t([0.7, 0.62, 0.5], delta_ts=[-2.85, 1.05, 0.0])
@@ -357,7 +361,7 @@ class TestTMaxBMax:
             return _smallest_energy_window(cells, *args)
 
         monkeypatch.setattr(metrics, "_smallest_energy_window", counted)
-        t_max_b_max(s, cfg)
+        t_max_b_max(s, cfg, lean_grid(s, cfg))
         rows = len(phase_combinations(3, 32, conjugation_reduced=True))
         assert 0 < len(scanned) < 2 * rows / 4
 
@@ -370,12 +374,14 @@ class TestTMaxBMax:
             return q
 
         monkeypatch.setattr(metrics, "synthesize_phases", one_dark_row)
+        cfg = MeasureConfig(phase_points=16)
         with pytest.raises(MeasurementUnreliableError, match="no energy"):
-            t_max_b_max(s, MeasureConfig(phase_points=16))
+            t_max_b_max(s, cfg, lean_grid(s, cfg))
 
     def test_argmax_reported(self):
         s = DiscreteSpectrum([1.0, 0.5])
-        r = t_max_b_max(s, MeasureConfig(phase_points=4))
+        cfg = MeasureConfig(phase_points=4)
+        r = t_max_b_max(s, cfg, lean_grid(s, cfg))
         assert len(r.t_argmax) == 2 and r.t_argmax[-1] == 0.0
 
 
@@ -384,7 +390,7 @@ class TestTHatBHat:
         s = DiscreteSpectrum([1.0, 0.5])
         cfg = MeasureConfig(phase_points=4)
         link = t_hat_b_hat(s, cfg, link_length=7.0)
-        flat = t_max_b_max(s, cfg)
+        flat = t_max_b_max(s, cfg, lean_grid(s, cfg))
         assert link.t_hat == flat.t_max and link.b_hat == flat.b_max
         assert len(link.profile) == 1
 
@@ -392,7 +398,7 @@ class TestTHatBHat:
         s = DiscreteSpectrum([0.5, 0.5], [0.3, -0.3])
         cfg = MeasureConfig(phase_points=4)
         link = t_hat_b_hat(s, cfg, link_length=0.0)
-        flat = t_max_b_max(s, cfg)
+        flat = t_max_b_max(s, cfg, lean_grid(s, cfg))
         assert link.t_hat == flat.t_max
 
     @pytest.mark.parametrize("link_length", [0.0, 2.0])
