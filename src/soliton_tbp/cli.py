@@ -23,13 +23,14 @@ from . import io as sio
 from .asymptotics import lower_bound_curve
 from .darboux import auto_grid, denormalize, synthesize
 from .errors import InvalidParameterError, SolitonError, SpectrumFileError
-from .metrics import MeasureConfig, measure, single_soliton_tbp, t_hat_b_hat, tbp_per_eigenvalue
+from .metrics import DEFINITIONS, MeasureConfig, measure, t_hat_b_hat, tbp_per_eigenvalue_ratio
 from .optimizer import (TABLE_OPTIMA, default_sweep, evaluate_point, grid_axis, run_sweep,
                         spectrum_for_point)
 from .propagation import DEFAULT_DZ, PropagationPlan, propagate, propagate_with_snapshots
 from .spectrum import DiscreteSpectrum, evolve
 
 CONSTELLATION_FLAGS = {"imag": "imaginary", "real": "real_axis"}
+_FIGURES = ("fig3", "fig5", "fig6")
 
 
 def _measure_config(args, phase_default=16) -> MeasureConfig:
@@ -106,6 +107,7 @@ def _cmd_measure(args) -> int:
     config = _measure_config(args)
     if (args.signal is None) == (args.spectrum is None):
         raise InvalidParameterError("measure needs exactly one of --signal or --spectrum")
+    head = [f"definition: {config.definition}", f"epsilon: {config.epsilon!r}"]
     if args.signal is not None:
         spectrum_only = [flag for flag, value in (("--phases", args.phases), ("--L", args.L),
                          ("--z-samples", args.z_samples), ("--csv", args.csv)) if value is not None]
@@ -113,9 +115,7 @@ def _cmd_measure(args) -> int:
             raise InvalidParameterError(f"{', '.join(spectrum_only)} apply only to --spectrum input")
         report = measure(sio.load_signal(args.signal), config)
         _report(
-            [
-                f"definition: {config.definition}",
-                f"epsilon: {config.epsilon!r}",
+            head + [
                 f"alpha: {config.alpha!r}",
                 f"T: {report.t!r}",
                 f"T_interval: [{report.t_interval.lo!r}, {report.t_interval.hi!r}]",
@@ -129,17 +129,15 @@ def _cmd_measure(args) -> int:
     spectrum, _ = sio.load_spectrum(args.spectrum)
     link_length = 0.0 if args.L is None else args.L
     link = t_hat_b_hat(spectrum, config, link_length, with_b_profile=bool(args.csv))
-    ratio = tbp_per_eigenvalue(link.t_hat, link.b_hat, spectrum.n) / single_soliton_tbp(config)
+    tbp = link.t_hat * link.b_hat
     _report(
-        [
-            f"definition: {config.definition}",
-            f"epsilon: {config.epsilon!r}",
+        head + [
             f"phases: {config.phase_points}",
             f"L: {link_length!r}",
             f"T_hat: {link.t_hat!r}",
             f"B_hat: {link.b_hat!r}",
-            f"TBP: {link.t_hat * link.b_hat!r}",
-            f"TBP_per_eigenvalue_ratio: {ratio!r}",
+            f"TBP: {tbp!r}",
+            f"TBP_per_eigenvalue_ratio: {tbp_per_eigenvalue_ratio(tbp, spectrum.n, config)!r}",
         ],
         args.report,
     )
@@ -195,12 +193,15 @@ def _cmd_optimize(args) -> int:
     return 0
 
 
+def _joined(values) -> str:
+    return ";".join(repr(v) for v in values)
+
+
 def _cmd_bound(args) -> int:
     constellation = CONSTELLATION_FLAGS[args.constellation]
     rows = ["n,normalized_bound,converged,params"]
     for e in lower_bound_curve(args.n_max, constellation, args.epsilon):
-        params = ";".join(repr(v) for v in e.params)
-        rows.append(f"{e.n},{e.normalized_bound!r},{int(e.converged)},{params}")
+        rows.append(f"{e.n},{e.normalized_bound!r},{int(e.converged)},{_joined(e.params)}")
     _write_rows(args.out, rows)
     print(f"wrote bound curve for N <= {args.n_max} to {args.out}")
     return 0
@@ -234,11 +235,10 @@ def _fig5(config: MeasureConfig) -> dict:
 
 def _fig6(config: MeasureConfig, n_max: int) -> dict:
     files = {}
-    for constellation in ("imaginary", "real_axis"):
+    for constellation in CONSTELLATION_FLAGS.values():
         rows = ["kind,n,value,params"]
         for e in lower_bound_curve(n_max, constellation, config.epsilon):
-            params = ";".join(repr(v) for v in e.params)
-            rows.append(f"bound,{e.n},{e.normalized_bound!r},{params}")
+            rows.append(f"bound,{e.n},{e.normalized_bound!r},{_joined(e.params)}")
         for n in (2, 3):
             params = TABLE_OPTIMA[(constellation, n)]
             _, ratio, _ = evaluate_point(constellation, n, params, config)
@@ -250,7 +250,7 @@ def _fig6(config: MeasureConfig, n_max: int) -> dict:
 
 def _cmd_figures(args) -> int:
     config = _measure_config(args)
-    wanted = set(args.which or ["fig3", "fig5", "fig6"])
+    wanted = set(args.which or _FIGURES)
     # an unusable directory fails before minutes of computation, not after
     out_dir = Path(args.out_dir)
     made = [path for path in (out_dir, *out_dir.parents) if not path.exists()]
@@ -283,8 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_measure_flags(p):
         p.add_argument("--epsilon", type=float, default=1e-4)
         p.add_argument("--alpha", type=float, default=None)
-        p.add_argument("--def", dest="definition", choices=["energy", "threshold"],
-                       default="energy")
+        p.add_argument("--def", dest="definition", choices=DEFINITIONS, default="energy")
         p.add_argument("--phases", type=int, default=None,
                        help="phase-grid size per eigenvalue (default 16; 128 under --paper-fidelity)")
 
@@ -336,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("optimize", help="brute-force minimization of T_hat * B_hat")
-    p.add_argument("--constellation", choices=["imag", "real"], required=True)
+    p.add_argument("--constellation", choices=list(CONSTELLATION_FLAGS), required=True)
     p.add_argument("--n", type=int, required=True)
     add_measure_flags(p)
     p.add_argument("--paper-fidelity", action="store_true",
@@ -348,13 +347,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bound", help="normalized lower-bound estimate per soliton order")
     p.add_argument("--n-max", type=int, default=10)
-    p.add_argument("--constellation", choices=["imag", "real"], required=True)
+    p.add_argument("--constellation", choices=list(CONSTELLATION_FLAGS), required=True)
     p.add_argument("--epsilon", type=float, default=1e-4)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_bound)
 
     p = sub.add_parser("figures", help="regenerate the figure-style CSV bundles")
-    p.add_argument("--which", nargs="*", choices=["fig3", "fig5", "fig6"])
+    p.add_argument("--which", nargs="*", choices=_FIGURES)
     p.add_argument("--out-dir", default="figures")
     add_measure_flags(p)
     p.add_argument("--n-max", type=int, default=10)

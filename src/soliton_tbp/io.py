@@ -19,6 +19,7 @@ identical inputs produce byte-identical files.
 from __future__ import annotations
 
 import math
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -26,19 +27,27 @@ import yaml
 
 from .darboux import SampledSignal, TimeGrid
 from .errors import SolitonError, SpectrumFileError
-from .spectrum import DiscreteSpectrum, PhysicalScaling
+from .spectrum import _FIELDS, DiscreteSpectrum, PhysicalScaling
 
-ENTRY_FIELDS = ("sigma", "omega", "eta", "phi")
+_ENTRY_NAMES = tuple(name for name, _, _ in _FIELDS)
+# the file keys of the PhysicalScaling fields, in their order
 PHYSICAL_FIELDS = ("beta2_s2_per_m", "gamma_per_W_m", "T0_s")
 
 
-def _require_number(mapping, field, where):
-    if field not in mapping:
-        raise SpectrumFileError(f"{where}: missing field {field!r}")
-    value = mapping[field]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SpectrumFileError(f"{where}: field {field!r} must be a number, got {value!r}")
-    return float(value)
+def _require_numbers(mapping, fields, where) -> list[float]:
+    """The numbers under ``fields``, in order; the mapping may hold no other key."""
+    unknown = set(mapping) - set(fields)
+    if unknown:
+        raise SpectrumFileError(f"{where}: unknown fields {sorted(unknown)}")
+    values = []
+    for field in fields:
+        if field not in mapping:
+            raise SpectrumFileError(f"{where}: missing field {field!r}")
+        value = mapping[field]
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise SpectrumFileError(f"{where}: field {field!r} must be a number, got {value!r}")
+        values.append(float(value))
+    return values
 
 
 def parse_spectrum_document(text: str) -> tuple[DiscreteSpectrum, PhysicalScaling | None]:
@@ -68,10 +77,7 @@ def parse_spectrum_document(text: str) -> tuple[DiscreteSpectrum, PhysicalScalin
         where = f"entries[{i}]"
         if not isinstance(entry, dict):
             raise SpectrumFileError(f"{where}: must be a mapping")
-        unknown = set(entry) - set(ENTRY_FIELDS)
-        if unknown:
-            raise SpectrumFileError(f"{where}: unknown fields {sorted(unknown)}")
-        rows.append(tuple(_require_number(entry, f, where) for f in ENTRY_FIELDS))
+        rows.append(_require_numbers(entry, _ENTRY_NAMES, where))
     try:
         spectrum = DiscreteSpectrum(*zip(*rows))
     except (ValueError, SolitonError) as exc:
@@ -82,12 +88,9 @@ def parse_spectrum_document(text: str) -> tuple[DiscreteSpectrum, PhysicalScalin
         phys = doc["physical"]
         if not isinstance(phys, dict):
             raise SpectrumFileError("field 'physical' must be a mapping")
-        unknown = set(phys) - set(PHYSICAL_FIELDS)
-        if unknown:
-            raise SpectrumFileError(f"physical: unknown fields {sorted(unknown)}")
-        values = [_require_number(phys, f, "physical") for f in PHYSICAL_FIELDS]
+        values = _require_numbers(phys, PHYSICAL_FIELDS, "physical")
         try:
-            scaling = PhysicalScaling(beta2=values[0], gamma=values[1], T0=values[2])
+            scaling = PhysicalScaling(*values)
         except (ValueError, SolitonError) as exc:
             raise SpectrumFileError(f"physical: {exc}") from exc
     return spectrum, scaling
@@ -106,17 +109,12 @@ def format_spectrum_document(
     spectrum: DiscreteSpectrum, scaling: PhysicalScaling | None = None
 ) -> str:
     lines = [f"n: {spectrum.n}", "entries:"]
-    columns = (spectrum.sigmas, spectrum.omegas, spectrum.etas, spectrum.phis)
-    for sigma, omega, eta, phi in zip(*columns):
-        lines.append(
-            f"- {{sigma: {_yaml_float(sigma)}, omega: {_yaml_float(omega)}, "
-            f"eta: {_yaml_float(eta)}, phi: {_yaml_float(phi)}}}"
-        )
+    for row in zip(*(getattr(spectrum, name + "s") for name in _ENTRY_NAMES)):
+        cells = ", ".join(f"{name}: {_yaml_float(v)}" for name, v in zip(_ENTRY_NAMES, row))
+        lines.append(f"- {{{cells}}}")
     if scaling is not None:
         lines.append("physical:")
-        lines.append(f"  beta2_s2_per_m: {_yaml_float(scaling.beta2)}")
-        lines.append(f"  gamma_per_W_m: {_yaml_float(scaling.gamma)}")
-        lines.append(f"  T0_s: {_yaml_float(scaling.T0)}")
+        lines += [f"  {key}: {_yaml_float(v)}" for key, v in zip(PHYSICAL_FIELDS, astuple(scaling))]
     return "\n".join(lines) + "\n"
 
 

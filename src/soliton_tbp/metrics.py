@@ -407,11 +407,11 @@ def t_hat_b_hat(
     return LinkSweepResult(t_hat, b_hat, tuple(profile))
 
 
-def tbp_per_eigenvalue(t_hat: float, b_hat: float, n: int) -> float:
-    """Time-bandwidth product per eigenvalue, T-hat * B-hat / N."""
+def tbp_per_eigenvalue_ratio(tbp: float, n: int, config: MeasureConfig) -> float:
+    """T-hat * B-hat per eigenvalue relative to one soliton: (tbp / N) / `single_soliton_tbp`."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return t_hat * b_hat / n
+    return tbp / n / single_soliton_tbp(config)
 
 
 def single_soliton_tbp(config: MeasureConfig) -> float:

@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import DegenerateSpectrumError, InvalidParameterError, SolitonError, SpectrumFileError
 from .io import _decode_text
-from .metrics import MeasureConfig, single_soliton_tbp, t_hat_b_hat, tbp_per_eigenvalue
+from .metrics import MeasureConfig, t_hat_b_hat, tbp_per_eigenvalue_ratio
 from .spectrum import DiscreteSpectrum
 
 THREADS_ENV = "SOLITON_TBP_THREADS"
@@ -125,7 +125,6 @@ class SweepResult:
     best: TracePoint
     best_spectrum: DiscreteSpectrum
     tbp_per_ev_ratio: float
-    reference_tbp: float
     l_star: float | None
     trace: tuple[TracePoint, ...]
 
@@ -344,13 +343,11 @@ def run_sweep(spec: SweepSpec, trace_path: str | os.PathLike | None = None) -> S
     if best is None:
         raise DegenerateSpectrumError("no evaluable grid point in the sweep")
     spectrum, l_star = spectrum_for_point(spec.constellation, spec.n, names, best.params)
-    reference = single_soliton_tbp(spec.measure)
     return SweepResult(
         param_names=names,
         best=best,
         best_spectrum=spectrum,
-        tbp_per_ev_ratio=tbp_per_eigenvalue(best.t_hat, best.b_hat, spec.n) / reference,
-        reference_tbp=reference,
+        tbp_per_ev_ratio=tbp_per_eigenvalue_ratio(best.objective, spec.n, spec.measure),
         l_star=l_star if spec.constellation == "real_axis" else None,
         trace=tuple(sorted(done.values(), key=lambda p: p.params)),
     )
@@ -378,5 +375,4 @@ def evaluate_point(
     """
     values = tuple(float(v) for v in params.values())
     point, l_star = _evaluate(constellation, n, tuple(params.keys()), values, measure)
-    ratio = tbp_per_eigenvalue(point.t_hat, point.b_hat, n) / single_soliton_tbp(measure)
-    return point, ratio, l_star
+    return point, tbp_per_eigenvalue_ratio(point.objective, n, measure), l_star

@@ -281,6 +281,11 @@ def _sweep(samples, dt, lams, w1, w2, with_derivative=False):
     return w[0], w[1], wl[0], wl[1], log_scale
 
 
+def _cell_edges(grid) -> tuple[float, float]:
+    """Outer edges of the first and last sample cells: the ends of the scattering span."""
+    return grid.t_start - 0.5 * grid.dt, grid.t_end + 0.5 * grid.dt
+
+
 def scatter_many(signal: SampledSignal, lams):
     """Jost coefficients a, b and a' = da/dlambda for a batch of lambdas.
 
@@ -293,10 +298,8 @@ def scatter_many(signal: SampledSignal, lams):
         raise InvalidParameterError(
             f"lambda must lie in the closed upper half-plane, got {lams[lams.imag < 0.0]}"
         )
-    grid = signal.grid
-    t_start = grid.t_start - 0.5 * grid.dt
-    t_end = grid.t_end + 0.5 * grid.dt
-    w1, w2, wl1, wl2, log_scale = _sweep(signal.samples, grid.dt, lams, 1, 0, True)
+    t_start, t_end = _cell_edges(signal.grid)
+    w1, w2, wl1, wl2, log_scale = _sweep(signal.samples, signal.grid.dt, lams, 1, 0, True)
     span = t_end - t_start
     a = w1 * np.exp(1j * lams * span + log_scale)
     # combine the exponents before exponentiating: the edge value of b for
@@ -317,8 +320,7 @@ def _bound_state_b(signal: SampledSignal, lams) -> np.ndarray:
     """
     lams = np.atleast_1d(np.asarray(lams, dtype=complex))
     grid = signal.grid
-    t_start = grid.t_start - 0.5 * grid.dt
-    t_end = grid.t_end + 0.5 * grid.dt
+    t_start, t_end = _cell_edges(grid)
     samples = signal.samples
     mags2 = np.abs(samples) ** 2
     total = mags2.sum()

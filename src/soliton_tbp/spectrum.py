@@ -190,6 +190,25 @@ def qd_value(spectrum: DiscreteSpectrum, k: int) -> complex:
     return eta * magnitude * complex(math.cos(phi), math.sin(phi))
 
 
+def _shift_amplitudes(spectrum: DiscreteSpectrum, gains, steps, where: str) -> DiscreteSpectrum:
+    """The spectrum with ``eta_k *= exp(gains[k])`` and ``phi_k -= steps[k]``, entry by entry.
+
+    Scalar math.log/exp and float ** 2 round differently from their numpy
+    array forms, and shifted spectra are written to files byte for byte.
+    """
+    etas, phis = [], []
+    rows = zip(spectrum.sigmas.tolist(), spectrum.omegas.tolist(), spectrum.etas.tolist(),
+               spectrum.phis.tolist(), gains, steps)
+    for sigma, omega, eta, phi, gain, step in rows:
+        log_eta = math.log(eta) + gain
+        if log_eta > 700.0:  # exp would overflow; never clamp silently
+            raise OverflowError(f"eta overflow for eigenvalue {complex(omega, sigma)} {where} "
+                                f"(log eta = {log_eta:.1f})")
+        etas.append(math.exp(log_eta))
+        phis.append(phi - step)
+    return DiscreteSpectrum(spectrum.sigmas, spectrum.omegas, etas, phis)
+
+
 def evolve(spectrum: DiscreteSpectrum, z: float) -> DiscreteSpectrum:
     """Propagate the spectrum a normalized distance z (negative z allowed).
 
@@ -200,20 +219,9 @@ def evolve(spectrum: DiscreteSpectrum, z: float) -> DiscreteSpectrum:
     """
     if not math.isfinite(z):
         raise InvalidParameterError(f"z must be finite, got {z}")
-    etas, phis = [], []
-    # scalar math.log/exp and float ** 2 round differently from their numpy
-    # array forms, and evolved spectra are written to files byte for byte
-    for sigma, omega, eta, phi in zip(spectrum.sigmas.tolist(), spectrum.omegas.tolist(),
-                                      spectrum.etas.tolist(), spectrum.phis.tolist()):
-        log_eta = math.log(eta) + 8.0 * sigma * omega * z
-        if log_eta > 700.0:  # exp would overflow; never clamp silently
-            raise OverflowError(
-                f"eta overflow for eigenvalue {complex(omega, sigma)} at z={z} "
-                f"(log eta = {log_eta:.1f})"
-            )
-        etas.append(math.exp(log_eta))
-        phis.append(phi - 4.0 * (omega**2 - sigma**2) * z)
-    return DiscreteSpectrum(spectrum.sigmas, spectrum.omegas, etas, phis)
+    pairs = list(zip(spectrum.sigmas.tolist(), spectrum.omegas.tolist()))
+    return _shift_amplitudes(spectrum, [8.0 * sigma * omega * z for sigma, omega in pairs],
+                             [4.0 * (omega**2 - sigma**2) * z for sigma, omega in pairs], f"at z={z}")
 
 
 TRANSFORM_KINDS = (
@@ -249,12 +257,8 @@ def transform(spectrum: DiscreteSpectrum, kind: str, parameter: float | None = N
     if kind == "global_phase":
         phis = phis - parameter
     elif kind == "time_shift":
-        log_etas = [math.log(eta) + 2.0 * sigma * parameter
-                    for sigma, eta in zip(sigmas.tolist(), etas.tolist())]
-        if any(v > 700.0 for v in log_etas):
-            raise OverflowError(f"eta overflow in time_shift(t0={parameter})")
-        etas = [math.exp(v) for v in log_etas]
-        phis = phis - 2.0 * omegas * parameter
+        return _shift_amplitudes(spectrum, [2.0 * sigma * parameter for sigma in sigmas.tolist()],
+                                 2.0 * omegas * parameter, f"in time_shift(t0={parameter})")
     elif kind == "dilate":
         if not parameter > 0.0:
             raise ValueError(f"dilate requires sigma0 > 0, got {parameter}")

@@ -23,9 +23,7 @@ from soliton_tbp.darboux import auto_grid, synthesize, synthesize_samples, union
 from soliton_tbp.metrics import (
     MeasureConfig,
     measure,
-    single_soliton_tbp,
     t_max_b_max,
-    tbp_per_eigenvalue,
 )
 from soliton_tbp.optimizer import default_sweep, evaluate_point, run_sweep
 from soliton_tbp.propagation import PropagationPlan, propagate

@@ -17,7 +17,8 @@ from soliton_tbp.io import (
     save_spectrum,
 )
 from soliton_tbp.metrics import MeasureConfig, measure
-from soliton_tbp.optimizer import _trace_header, default_sweep
+from soliton_tbp.optimizer import (TABLE_OPTIMA, SweepSpec, _trace_header, default_sweep,
+                                  evaluate_point, run_sweep, spectrum_for_point)
 from soliton_tbp.spectrum import DiscreteSpectrum, PhysicalScaling
 
 IMAG_OPTIMIZE = ["optimize", "--constellation", "imag", "--n", "2"]
@@ -217,6 +218,21 @@ class TestCli:
         rows = csv_path.read_text().strip().splitlines()
         assert rows[0] == "z,t_max,b_max"
         assert len(rows) == 6
+
+    def test_one_point_has_one_ratio(self, tmp_path, capsys):
+        # measure --spectrum, evaluate_point and a one-point sweep report the same ratio
+        params = TABLE_OPTIMA[("imaginary", 2)]
+        spectrum, _ = spectrum_for_point("imaginary", 2, tuple(params), tuple(params.values()))
+        spec_path = tmp_path / "imag2.yaml"
+        save_spectrum(spec_path, spectrum)
+        capsys.readouterr()
+        assert main(["measure", "--spectrum", str(spec_path), "--phases", "4"]) == 0
+        fields = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+        config = MeasureConfig(phase_points=4)
+        _, direct, _ = evaluate_point("imaginary", 2, params, config)
+        ranges = {name: (value, value, 0.1) for name, value in params.items()}
+        swept = run_sweep(SweepSpec("imaginary", 2, ranges, measure=config)).tbp_per_ev_ratio
+        assert fields["TBP_per_eigenvalue_ratio"] == repr(direct) == repr(swept)
 
     def test_measure_needs_exactly_one_input(self, one_soliton_file):
         assert main(["measure", "--epsilon", "1e-4"]) == 1

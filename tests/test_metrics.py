@@ -16,7 +16,7 @@ from soliton_tbp.metrics import (
     single_soliton_tbp,
     t_hat_b_hat,
     t_max_b_max,
-    tbp_per_eigenvalue,
+    tbp_per_eigenvalue_ratio,
 )
 from soliton_tbp.metrics import _smallest_energy_window, _window_bracket
 from soliton_tbp.spectrum import DiscreteSpectrum, evolve, transform
@@ -437,10 +437,12 @@ class TestTHatBHat:
 
 class TestRatios:
     def test_tbp_per_eigenvalue(self):
-        assert tbp_per_eigenvalue(9.94, 1.0, 1) == pytest.approx(9.94)
-        assert tbp_per_eigenvalue(10.0, 2.0, 4) == pytest.approx(5.0)
+        config = MeasureConfig()
+        reference = single_soliton_tbp(config)
+        assert tbp_per_eigenvalue_ratio(9.94 * 1.0, 1, config) == pytest.approx(9.94 / reference)
+        assert tbp_per_eigenvalue_ratio(10.0 * 2.0, 4, config) == pytest.approx(5.0 / reference)
         with pytest.raises(ValueError):
-            tbp_per_eigenvalue(1.0, 1.0, 0)
+            tbp_per_eigenvalue_ratio(1.0 * 1.0, 0, config)
 
     def test_reference_value(self):
         assert single_soliton_tbp(MeasureConfig()) == pytest.approx(9.94, abs=0.05)

@@ -6,7 +6,7 @@ import pytest
 
 from soliton_tbp import optimizer
 from soliton_tbp.errors import DegenerateSpectrumError, InvalidParameterError, SpectrumFileError
-from soliton_tbp.metrics import MeasureConfig
+from soliton_tbp.metrics import MeasureConfig, single_soliton_tbp
 from soliton_tbp.optimizer import (
     FINE_STEPS,
     SWEEP_GRIDS,
@@ -271,9 +271,10 @@ class TestSweep:
         assert trace.read_bytes() == written
 
     def test_ratio_normalized_by_reference(self):
-        res = run_sweep(tiny_imag_spec())
+        spec = tiny_imag_spec()
+        res = run_sweep(spec)
         assert res.tbp_per_ev_ratio == pytest.approx(
-            res.best.objective / 2.0 / res.reference_tbp, rel=1e-12
+            res.best.objective / 2.0 / single_soliton_tbp(spec.measure), rel=1e-12
         )
         assert res.tbp_per_ev_ratio > 0.0
 
