@@ -26,7 +26,6 @@ from .spectrum import (
     PhysicalScaling,
     evolve,
     qd_init,
-    qd_value,
     transform,
 )
 

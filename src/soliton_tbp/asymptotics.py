@@ -167,19 +167,6 @@ def tail_envelope(spectrum: DiscreteSpectrum) -> TailEnvelope:
     )
 
 
-def separated_spectrum_envelope(spectrum: DiscreteSpectrum, f):
-    """Envelope of |Q(f)| once the pulse has split into first-order parts:
-    ``pi * sum_k sech(pi^2/(2*sigma_k) * (f + omega_k/pi))``."""
-    f = np.asarray(f, dtype=float)
-    scalar = f.ndim == 0
-    f = np.atleast_1d(f)
-    sig = spectrum.sigmas
-    om = spectrum.omegas
-    args = PI2 / (2.0 * sig[:, None]) * (f[None, :] + om[:, None] / math.pi)
-    out = math.pi * _sech(args).sum(axis=0)
-    return float(out[0]) if scalar else out
-
-
 def exp_tail_crossing(coeffs, rates, target: float) -> float:
     """Solve ``integral_T^inf (sum_r c_r e^{-a_r t})^2 dt = target`` for T.
 
@@ -258,11 +245,15 @@ def _single_soliton_product(epsilon: float) -> float:
     return math.log(2.0 / epsilon) ** 2 / PI2
 
 
+def _too_close(x):
+    return len(x) > 1 and np.min(np.abs(np.subtract.outer(x, x))[~np.eye(len(x), dtype=bool)]) < 1e-4
+
+
 def _imag_objective(free_sigmas, epsilon):
     sig = np.concatenate([np.asarray(free_sigmas, dtype=float), [0.5]])
     if np.any(sig[:-1] <= 0.5 + SIGMA_GAP_TOL) or np.any(sig > 20.0):
         return math.inf
-    if len(sig) > 1 and np.min(np.abs(np.subtract.outer(sig, sig))[~np.eye(len(sig), dtype=bool)]) < 1e-4:
+    if _too_close(sig):
         return math.inf
     try:
         return t_lim_imaginary(sig, epsilon) * b_lim_imaginary(sig, epsilon)
@@ -274,7 +265,7 @@ def _real_objective(free_omegas, epsilon):
     om = np.concatenate([np.asarray(free_omegas, dtype=float), [0.0]])
     if np.any(np.abs(om) > 20.0):
         return math.inf
-    if len(om) > 1 and np.min(np.abs(np.subtract.outer(om, om))[~np.eye(len(om), dtype=bool)]) < 1e-4:
+    if _too_close(om):
         return math.inf
     return t_lim_real(0.5, om, epsilon) * b_lim_real(0.5, om, epsilon)
 
@@ -331,12 +322,6 @@ def lower_bound_curve(n_max: int, constellation: str, epsilon: float = 1e-4) -> 
         prev_x = x
         entries.append(BoundPoint(n, f / ref, tuple(float(v) for v in x) + pinned, converged=ok))
     return tuple(entries)
-
-
-def _sech(x):
-    ax = np.abs(x)
-    e = np.exp(-ax)
-    return 2.0 * e / (1.0 + e * e)
 
 
 def _check_epsilon(epsilon):

@@ -281,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_measure_flags(p):
-        p.add_argument("--epsilon", type=float, default=1e-4)
+        p.add_argument("--epsilon", type=float, default=MeasureConfig.epsilon)
         p.add_argument("--alpha", type=float, default=None)
         p.add_argument("--def", dest="definition", choices=DEFINITIONS, default="energy")
         p.add_argument("--phases", type=int, default=None,
@@ -290,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="synthesize a pulse from a spectrum file")
     p.add_argument("--spectrum", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--epsilon", type=float, default=1e-4)
+    p.add_argument("--epsilon", type=float, default=MeasureConfig.epsilon)
     p.add_argument("--oversampling", type=float, default=8.0)
     p.add_argument("--z", type=float, default=0.0, help="evolve the spectrum before synthesis")
     p.add_argument("--physical", action="store_true",
@@ -348,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bound", help="normalized lower-bound estimate per soliton order")
     p.add_argument("--n-max", type=int, default=10)
     p.add_argument("--constellation", choices=list(CONSTELLATION_FLAGS), required=True)
-    p.add_argument("--epsilon", type=float, default=1e-4)
+    p.add_argument("--epsilon", type=float, default=MeasureConfig.epsilon)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_bound)
 

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotics import _check_epsilon, _sech, envelope_bandwidth, envelope_duration, tail_envelope
+from .asymptotics import _check_epsilon, envelope_bandwidth, envelope_duration, tail_envelope
 from .errors import GridTooNarrowWarning, InvalidParameterError
 from .spectrum import DiscreteSpectrum, PhysicalScaling
 
@@ -118,6 +118,12 @@ def _complex_logsumexp(w1, w2):
     m = np.maximum(w1.real, w2.real)
     m = np.where(np.isfinite(m), m, 0.0)
     return m + np.log(np.exp(w1 - m) + np.exp(w2 - m))
+
+
+def _sech(x):
+    ax = np.abs(x)
+    e = np.exp(-ax)
+    return 2.0 * e / (1.0 + e * e)
 
 
 def synthesize_samples(spectrum: DiscreteSpectrum, phis, t) -> np.ndarray:

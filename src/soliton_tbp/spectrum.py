@@ -160,10 +160,6 @@ class PhysicalScaling:
         """Peak-power scale |beta2| / (gamma * T0^2) in W."""
         return abs(self.beta2) / (self.gamma * self.T0**2)
 
-    def physical_distance(self, z: float) -> float:
-        """Map a normalized distance z to meters."""
-        return z * 2.0 * self.T0**2 / abs(self.beta2)
-
 
 def qd_init(spectrum: DiscreteSpectrum, k: int) -> complex:
     """Canonical spectral amplitude of entry k (0-based).
@@ -181,13 +177,6 @@ def qd_init(spectrum: DiscreteSpectrum, k: int) -> complex:
             continue
         value *= (lk - np.conj(lams[m])) / (lk - lams[m])
     return complex(value)
-
-
-def qd_value(spectrum: DiscreteSpectrum, k: int) -> complex:
-    """Modulated spectral amplitude ``eta_k * |qd_init(k)| * exp(j*phi_k)``."""
-    magnitude = abs(qd_init(spectrum, k))  # qd_init refuses k out of range
-    eta, phi = spectrum.etas[k].item(), spectrum.phis[k].item()
-    return eta * magnitude * complex(math.cos(phi), math.sin(phi))
 
 
 def _shift_amplitudes(spectrum: DiscreteSpectrum, gains, steps, where: str) -> DiscreteSpectrum:

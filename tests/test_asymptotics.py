@@ -11,7 +11,6 @@ from soliton_tbp.asymptotics import (
     envelope_duration,
     exp_tail_crossing,
     lower_bound_curve,
-    separated_spectrum_envelope,
     t_approx_real,
     t_lim_imaginary,
     t_lim_real,
@@ -158,10 +157,6 @@ class TestEnvelopes:
         q = np.abs(synthesize_samples(s, s.phis, t))
         bound = (env.right_coeffs[:, None] * np.exp(-env.rates[:, None] * t)).sum(axis=0)
         assert np.all(q <= bound * (1.0 + 1e-6) + 1e-12)
-
-    def test_spectral_envelope_at_zero(self):
-        s = DiscreteSpectrum([0.5])
-        assert separated_spectrum_envelope(s, 0.0) == pytest.approx(math.pi)
 
     def test_exp_tail_crossing_closed_form(self):
         # single exponential c*e^{-a t}: integral c^2 e^{-2aT} / (2a) = target

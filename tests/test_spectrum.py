@@ -12,7 +12,6 @@ from soliton_tbp.spectrum import (
     PhysicalScaling,
     evolve,
     qd_init,
-    qd_value,
     transform,
 )
 
@@ -107,15 +106,7 @@ class TestQd:
         with pytest.raises(IndexError):
             qd_init(s, 1)
         with pytest.raises(IndexError):
-            qd_value(s, -1)
-
-    def test_qd_value_examples(self):
-        s = DiscreteSpectrum([0.5], etas=[1.0], phis=[0.0])
-        assert qd_value(s, 0) == pytest.approx(1.0)
-        s = DiscreteSpectrum([0.5], etas=[2.0], phis=[math.pi / 2])
-        assert qd_value(s, 0) == pytest.approx(2j)
-        s = DiscreteSpectrum([1.0, 0.5], etas=[1.0, 1.0], phis=[0.0, 0.0])
-        assert qd_value(s, 1) == pytest.approx(3.0)
+            qd_init(s, -1)
 
 
 class TestDeltaT:
@@ -249,7 +240,3 @@ class TestDenormalize:
         a = PhysicalScaling(beta2=-2e-26, gamma=1.3e-3, T0=1e-11)
         b = PhysicalScaling(beta2=-2e-26, gamma=1.3e-3, T0=2e-11)
         assert b.p0 == pytest.approx(a.p0 / 4.0)
-
-    def test_distance_map(self):
-        s = PhysicalScaling(beta2=-2e-26, gamma=1.3e-3, T0=1e-11)
-        assert s.physical_distance(1.0) == pytest.approx(2e-22 / 2e-26)
