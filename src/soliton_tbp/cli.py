@@ -128,7 +128,7 @@ def _cmd_measure(args) -> int:
         return 0
     spectrum, _ = sio.load_spectrum(args.spectrum)
     link_length = 0.0 if args.L is None else args.L
-    link = t_hat_b_hat(spectrum, config, link_length, with_b_profile=bool(args.csv))
+    link = t_hat_b_hat(spectrum, config, link_length, profile=bool(args.csv))
     tbp = link.t_hat * link.b_hat
     _report(
         head + [
@@ -227,7 +227,7 @@ def _fig5(config: MeasureConfig) -> dict:
         spectrum, l_star = spectrum_for_point(
             "real_axis", n, tuple(params.keys()), tuple(params.values())
         )
-        link = t_hat_b_hat(spectrum, config, l_star, with_b_profile=True)
+        link = t_hat_b_hat(spectrum, config, l_star, profile=True)
         for z, t, b in link.profile:
             rows.append(f"{n},{z!r},{t!r},{b!r}")
     return {"fig5.csv": rows}

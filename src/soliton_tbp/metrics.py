@@ -20,11 +20,15 @@ exact scan of every row that provably lies below a floor or below another
 row of its block, so the maxima and argmaxes are those of a full scan.
 `measure` is a block of one without floors.  `t_max_b_max` takes the first
 maximal T and B of a spectrum over the spectral-phase grid on a given time
-grid, chunk by chunk, with the widest windows of earlier chunks as floors.
+grid, chunk by chunk, with the widest windows of earlier chunks as floors;
+its ``floors`` argument seeds them, so it returns max(floor, maximum).
 `t_hat_b_hat`, the one way from a spectrum to T-hat and B-hat, picks that
 time grid and loops over the distances of a link (z = 0 alone when imaginary
 or zero-length): T is maximized over all of them, B over the two endpoints
-only (the bandwidth matters only where the signal is sampled).
+only (the bandwidth matters only where the signal is sampled).  With
+``profile`` it records the true T and B maxima at every distance; without,
+it passes the running T-hat and B-hat as floors to each later distance, so
+only the rows that could raise them are scanned exactly.
 """
 
 from __future__ import annotations
@@ -328,7 +332,7 @@ class PhaseSweepResult:
 
     t_max: float
     b_max: float
-    t_argmax: tuple[float, ...]
+    t_argmax: tuple[float, ...] | None
     b_argmax: tuple[float, ...] | None
 
 
@@ -337,6 +341,7 @@ def t_max_b_max(
     config: MeasureConfig,
     grid: TimeGrid,
     with_b: bool = True,
+    floors: tuple[float, float] = (-math.inf, -math.inf),
 ) -> PhaseSweepResult:
     """Maximize T (and optionally B) over the spectral-phase grid, on ``grid``.
 
@@ -344,11 +349,14 @@ def t_max_b_max(
     global phase does not change magnitudes); for an imaginary-axis spectrum
     only one of each conjugate pair {phi, -phi}, see `phase_combinations`.
     Ties resolve to the first maximal combination in lexicographic order.
+    ``floors`` (T, B) start the two maxima: a family whose rows are none
+    wider than its floor returns the floor with a None argmax, and the
+    energy definition skips exactly the rows that cannot beat it.
     """
     combos = phase_combinations(
         spectrum.n, config.phase_points, conjugation_reduced=spectrum.is_imaginary()
     )
-    best = [(-math.inf, None), (-math.inf, None)]  # (width, phases) of T and B
+    best = [(floor, None) for floor in floors]  # (width, phases) of T and B
     for start in range(0, len(combos), CHUNK_SIZE):
         block = combos[start : start + CHUNK_SIZE]
         q_block = synthesize_phases(spectrum, grid, block)
@@ -367,14 +375,14 @@ class LinkSweepResult:
 
     t_hat: float
     b_hat: float
-    profile: tuple[tuple[float, float, float], ...]  # (z, t_max, b_max or nan)
+    profile: tuple[tuple[float, float, float], ...]  # (z, t_max, b_max); () without profile
 
 
 def t_hat_b_hat(
     spectrum: DiscreteSpectrum,
     config: MeasureConfig,
     link_length: float,
-    with_b_profile: bool = False,
+    profile: bool = True,
 ) -> LinkSweepResult:
     """Evaluate the link-aware maxima T-hat and B-hat.
 
@@ -384,6 +392,11 @@ def t_hat_b_hat(
     z-invariant, so the distance sweep collapses to z = 0, as for L = 0.  All
     distances share one grid: the lean `auto_grid` (the union of those at
     z = 0, L/2 and L for a link).
+
+    With ``profile`` the result's profile holds (z, T max, B max) at every
+    distance.  Without it each distance is scanned with the T-hat and B-hat
+    of the distances before it as `t_max_b_max` floors and the profile is
+    empty; T-hat and B-hat are the same, and so is every error raised.
     """
     if not (math.isfinite(link_length) and link_length >= 0.0):
         raise InvalidParameterError(f"link length must be finite and >= 0, got {link_length}")
@@ -394,17 +407,19 @@ def t_hat_b_hat(
         grid = union_grid([auto_grid(evolve(spectrum, z), config.epsilon, boundary_clean=False)
                            for z in (0.0, link_length / 2.0, link_length)])
     t_hat, b_hat = -math.inf, -math.inf
-    profile = []
+    rows = []
     for z in zs:
         endpoint = z == 0.0 or z == link_length
         # evolve(s, 0.0) can move an eta by one ulp
         spec_z = evolve(spectrum, float(z)) if z != 0.0 else spectrum
-        r = t_max_b_max(spec_z, config, grid, with_b=endpoint or with_b_profile)
+        floors = (-math.inf, -math.inf) if profile else (t_hat, b_hat)
+        r = t_max_b_max(spec_z, config, grid, with_b=endpoint or profile, floors=floors)
         t_hat = max(t_hat, r.t_max)
         if endpoint:
             b_hat = max(b_hat, r.b_max)
-        profile.append((float(z), r.t_max, r.b_max))
-    return LinkSweepResult(t_hat, b_hat, tuple(profile))
+        if profile:
+            rows.append((float(z), r.t_max, r.b_max))
+    return LinkSweepResult(t_hat, b_hat, tuple(rows))
 
 
 def tbp_per_eigenvalue_ratio(tbp: float, n: int, config: MeasureConfig) -> float:

@@ -17,7 +17,8 @@ per supported (constellation, order), over exactly that pair's parameters
 coarse argmin with the family steps of `FINE_STEPS`; every axis is a
 `grid_axis`, which never passes hi.  Both families share one objective,
 `t_hat_b_hat` at the point's link length (zero on the imaginary axis),
-evaluated by one function for the sweep workers and `evaluate_point` alike.
+without its per-distance profile, evaluated by one function for the sweep
+workers and `evaluate_point` alike.
 Every evaluated grid point lands in an append-only trace (CSV), written in
 enumeration order regardless of worker scheduling, so long sweeps are
 resumable and the reported optimum is always the argmin over the full
@@ -279,7 +280,7 @@ def _worker_count() -> int:
 def _evaluate(constellation: str, n: int, names, values, measure: MeasureConfig):
     """(TracePoint, link length) of one parameter vector: T-hat, B-hat and their product."""
     spectrum, l_star = spectrum_for_point(constellation, n, names, values)
-    r = t_hat_b_hat(spectrum, measure, l_star)
+    r = t_hat_b_hat(spectrum, measure, l_star, profile=False)
     return TracePoint(values, r.t_hat, r.b_hat, r.t_hat * r.b_hat), l_star
 
 

@@ -82,8 +82,16 @@ def propagate(signal: SampledSignal, plan: PropagationPlan) -> SampledSignal:
     q_freq = np.fft.fft(signal.samples)
     _check_aliasing(q_freq, "before propagation")
     q = np.fft.ifft(q_freq * half)
+    # the Kerr factor exp(-2j*|q|^2*dz) as cos + j*sin of the real phase
+    # |q|^2*(-2*dz): exp(+-0 + j*theta) is cos(theta) + j*sin(theta), and two
+    # real passes into one buffer are cheaper than a complex exp
+    theta = np.empty(grid.n_samples)
+    kerr = np.empty(grid.n_samples, dtype=complex)
     for step in range(plan.n_steps):
-        q = q * np.exp(-2j * (q.real**2 + q.imag**2) * dz)
+        np.multiply(q.real**2 + q.imag**2, -2.0 * dz, out=theta)
+        np.cos(theta, out=kerr.real)
+        np.sin(theta, out=kerr.imag)
+        q = q * kerr
         if step < plan.n_steps - 1:
             q = np.fft.ifft(np.fft.fft(q) * full)
     q_freq = np.fft.fft(q) * half

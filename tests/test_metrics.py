@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import lean_grid, smallest_window_oracle
+from conftest import lean_grid, random_spectrum, smallest_window_oracle
 
 from soliton_tbp import metrics
 from soliton_tbp.darboux import SampledSignal, TimeGrid, auto_grid, synthesize, synthesize_phases
@@ -351,6 +351,21 @@ class TestTMaxBMax:
         assert (pruned.t_max, pruned.b_max, pruned.t_argmax, pruned.b_argmax) == (
             full.t_max, full.b_max, full.t_argmax, full.b_argmax)
 
+    def test_floors_start_the_maxima(self):
+        s = DiscreteSpectrum.from_delta_t([0.5, 0.5], [0.075, -0.075], [-0.9, 0.9])
+        cfg = MeasureConfig(phase_points=8)
+        grid = lean_grid(s, cfg)
+        ref = t_max_b_max(s, cfg, grid)
+        above = t_max_b_max(s, cfg, grid, floors=(1e3, 1e3))
+        assert (above.t_max, above.t_argmax, above.b_max, above.b_argmax) == (1e3, None, 1e3, None)
+        # an equal width does not beat the floor: the floor comes back without a row
+        tied = t_max_b_max(s, cfg, grid, floors=(ref.t_max, ref.b_max))
+        assert (tied.t_max, tied.t_argmax, tied.b_max, tied.b_argmax) == (
+            ref.t_max, None, ref.b_max, None)
+        below = t_max_b_max(s, cfg, grid, floors=(0.5 * ref.t_max, 0.5 * ref.b_max))
+        assert (below.t_max, below.b_max, below.t_argmax, below.b_argmax) == (
+            ref.t_max, ref.b_max, ref.t_argmax, ref.b_argmax)
+
     def test_pruning_skips_most_exact_scans(self, monkeypatch):
         s = DiscreteSpectrum.from_delta_t([0.7, 0.62, 0.5], delta_ts=[-2.85, 1.05, 0.0])
         cfg = MeasureConfig(phase_points=32)
@@ -433,6 +448,49 @@ class TestTHatBHat:
         s = DiscreteSpectrum([0.5])
         with pytest.raises(ValueError):
             t_hat_b_hat(s, MeasureConfig(), -1.0)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_floored_link_matches_profile(self, monkeypatch, n):
+        rng = np.random.default_rng(1700 + n)
+        scanned = []
+
+        def counted(cells, *args):
+            scanned.append(1)
+            return _smallest_energy_window(cells, *args)
+
+        monkeypatch.setattr(metrics, "_smallest_energy_window", counted)
+        cfg = MeasureConfig(phase_points=4, z_samples=5)
+        scans = {True: 0, False: 0}
+        for _ in range(4):
+            s = random_spectrum(rng, n=n, sigma_range=(0.4, 0.8), dt_range=(-1.0, 1.0))
+            link_length = float(rng.uniform(0.5, 3.0))
+            links = {}
+            for profile in (True, False):
+                scanned.clear()
+                links[profile] = t_hat_b_hat(s, cfg, link_length, profile=profile)
+                scans[profile] += len(scanned)
+            assert (links[False].t_hat, links[False].b_hat) == (links[True].t_hat, links[True].b_hat)
+            assert links[False].profile == () and len(links[True].profile) == cfg.z_samples
+            assert links[True].t_hat == max(t for _, t, _ in links[True].profile)
+        assert scans[False] < scans[True]
+
+    @pytest.mark.parametrize("profile", [True, False])
+    def test_interior_leakage_raised_without_profile(self, monkeypatch, profile):
+        # the link dips mid-way, so with floors no row of z = L/2 is scanned exactly
+        s = DiscreteSpectrum.from_delta_t([0.5, 0.5], [0.075, -0.075], [-0.9, 0.9])
+        calls = []
+
+        def leaky_interior(spectrum, grid, block):
+            q = synthesize_phases(spectrum, grid, block)
+            calls.append(len(calls))
+            if len(calls) == 2:  # z = L/2, the one interior distance, in one chunk
+                # 1e-5 of each row's energy in its first cell: 10x the leakage limit
+                q[:, 0] = np.sqrt(1e-5 * (np.abs(q) ** 2).sum(axis=1))
+            return q
+
+        monkeypatch.setattr(metrics, "synthesize_phases", leaky_interior)
+        with pytest.raises(MeasurementUnreliableError, match="grid edges"):
+            t_hat_b_hat(s, MeasureConfig(phase_points=4, z_samples=3), 6.0, profile=profile)
 
 
 class TestRatios:
