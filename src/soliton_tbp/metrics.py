@@ -14,14 +14,28 @@ Two window definitions are supported:
 One block evaluator, `_windows`, serves every measurement: for a (rows x
 samples) block on one grid it builds the |q|^2 dt and |Q|^2 df cells, runs
 the edge-leakage and Nyquist checks once over the block and returns the
-first maximal T and B window of the block.  Under the energy definition a
-cheap per-row bracket on the window width (`_window_bracket`) spares the
-exact scan of every row that provably lies below a floor or below another
-row of its block, so the maxima and argmaxes are those of a full scan.
-`measure` is a block of one without floors.  `t_max_b_max` takes the first
-maximal T and B of a spectrum over the spectral-phase grid on a given time
-grid, chunk by chunk, with the widest windows of earlier chunks as floors;
-its ``floors`` argument seeds them, so it returns max(floor, maximum).
+first maximal T and B window of the block.  It works in two steps: the rows
+that can still win (`_candidates`: under the energy definition a cheap
+per-row bracket on the window width, `_window_bracket`, rules out every row
+that provably lies below a floor or below another row of its block), then
+an exact scan of those rows (`_first_max`), so the maxima and argmaxes are
+those of a full scan.  The block may be an approximation of the exact rows
+within a per-sample bound: the brackets and the checks then widen by what
+that bound allows, and `_windows` reads the exact samples of the rows it
+scans, or cannot decide a check on, from a callable.  Exact samples are the
+case of a zero bound.  `measure` is a block of one without floors.
+`t_max_b_max` takes the first maximal T and B of a spectrum over the
+spectral-phase grid on a given time grid, chunk by chunk, with the widest
+windows of earlier chunks as floors; its ``floors`` argument seeds them, so
+it returns max(floor, maximum).  For an energy-definition grid of three
+eigenvalues with at least `CHUNK_SIZE` rows, on a time grid the direct
+recursion serves, each chunk is first evaluated from the Gram form
+(`darboux._gram_rows`) and only the rows `_windows` reads exactly go
+through the recursion.  A guard checks every such row against its Gram
+bound; if one lies outside it, the chunk is evaluated again from the exact
+rows of the whole chunk.  Smaller grids, such as N=2 and the desk N=3 sweep,
+keep the recursion for every row: there the Gram coefficients cost more
+than they save.
 `t_hat_b_hat`, the one way from a spectrum to T-hat and B-hat, picks that
 time grid and loops over the distances of a link (z = 0 alone when imaginary
 or zero-length): T is maximized over all of them, B over the two endpoints
@@ -39,7 +53,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .asymptotics import _check_epsilon
-from .darboux import SampledSignal, TimeGrid, auto_grid, synthesize, synthesize_phases, union_grid
+from .darboux import (SampledSignal, TimeGrid, _gram_coefficients, _gram_rows, _seeds_in_range,
+                      auto_grid, synthesize, synthesize_phases, union_grid)
 from .errors import InvalidParameterError, MeasurementUnreliableError
 from .spectrum import DiscreteSpectrum, evolve
 
@@ -180,7 +195,7 @@ def _nyquist_edge_share(power: np.ndarray) -> np.ndarray:
     return np.divide(edge, total, out=np.zeros(np.shape(total)), where=total > 0)
 
 
-def _window_bracket(cells: np.ndarray, x0: float, dx: float, epsilon: float):
+def _window_bracket(cells: np.ndarray, x0: float, dx: float, epsilon: float, spread=0.0):
     """Bounds lower <= W <= upper on each row's `_smallest_energy_window` width W.
 
     Cell i of a row occupies [x0 + i*dx, x0 + (i+1)*dx]; E is the row's
@@ -200,17 +215,23 @@ def _window_bracket(cells: np.ndarray, x0: float, dx: float, epsilon: float):
     the rounding of its interpolation.  Rows whose bounds are not finite get
     (-inf, inf); so does every row whose total is too small for the margin, a
     row without energy included.
+
+    When the cells only approximate the scanned ones, ``spread`` (one value
+    per row) bounds the sum of their differences.  The cumulative and the
+    total of the scanned cells then lie within it of these, and the capture
+    within (1-epsilon)*spread, so both bounds hold for the scanned cells with
+    the margin m + 3*spread.
     """
     rows, n = cells.shape
     cum = np.zeros((rows, n + 1))
     np.cumsum(cells, axis=-1, out=cum[:, 1:])
     total = cum[:, -1]
     # below this the level margin would leave the normal floating-point range
-    sound = np.isfinite(total) & (total > 1e-200)
+    sound = np.isfinite(total) & (total > 1e-200) & np.isfinite(spread)
     cum[~sound] = 0.0  # keeps the search keys ordered
     total = cum[:, -1:]
     capture = (1.0 - epsilon) * total
-    margin = 2.0**-46 * total
+    margin = 2.0**-46 * total + 3.0 * np.where(sound, spread, 0.0)[:, None]
     levels = ((total - capture) + margin) * (np.arange(BRACKET_SHARES + 1) / BRACKET_SHARES)
     tail = levels[:, :-1]
     levels = np.concatenate([levels, tail + (capture + margin), tail + (capture - margin)], axis=1)
@@ -240,61 +261,142 @@ def _window_bracket(cells: np.ndarray, x0: float, dx: float, epsilon: float):
     return np.where(sound, lower - slack, -math.inf), np.where(sound, upper + slack, math.inf)
 
 
-def _first_max(cells: np.ndarray, mags: np.ndarray, x: np.ndarray, dx: float,
-               config: MeasureConfig, floor: float):
-    """(row, Band) of the block's first maximal window; cell i is centred on x[i], dx wide.
+def _candidates(cells: np.ndarray, x0: float, dx: float, config: MeasureConfig, floor: float,
+                spread=0.0) -> np.ndarray:
+    """Indices of the rows that can still be the block's first maximum and beat ``floor``.
 
-    The energy definition scans exactly only the rows whose `_window_bracket`
-    upper bound reaches max(floor, the block's largest lower bound); every
-    other row is narrower than the floor or than some row of the block, so it
-    can be neither the first maximum nor exceed the floor.  A row's upper
-    bound is at least its lower bound, so a block of one is always scanned.
-    Returns None when no row is left to scan.  The threshold definition scans
-    every row, so each reports its own grid error.
+    The energy definition keeps only the rows whose `_window_bracket` upper
+    bound reaches max(floor, the block's largest lower bound); every other
+    row is narrower than the floor or than some row of the block.  A row's
+    upper bound is at least its lower bound, so without a floor a block of
+    one is always kept.  The threshold definition keeps every row, so each
+    reports its own grid error.
     """
     if config.definition == "threshold":
-        bands = [_threshold_window(row, x, config.alpha) for row in mags]
-        rows = np.arange(len(bands))
+        return np.arange(len(cells))
+    lower, upper = _window_bracket(cells, x0, dx, config.epsilon, spread)
+    return np.nonzero(~(upper < max(floor, lower.max())))[0]
+
+
+def _first_max(mags: np.ndarray, rows: np.ndarray, x: np.ndarray, dx: float, config: MeasureConfig):
+    """(row, Band) of the first widest window among ``rows``, from their exact magnitudes ``mags``.
+
+    Cell i is centred on x[i], dx wide.  Returns None when no row is given.
+    """
+    if config.definition == "threshold":
+        bands = [_threshold_window(m, x, config.alpha) for m in mags]
     else:
-        if not np.all(cells.sum(-1) > 1e-300):  # pruned rows still report it
-            raise MeasurementUnreliableError("signal carries no energy")
         x0 = x[0] - 0.5 * dx
-        lower, upper = _window_bracket(cells, x0, dx, config.epsilon)
-        rows = np.nonzero(~(upper < max(floor, lower.max())))[0]
-        bands = [_smallest_energy_window(cells[r], x0, dx, config.epsilon) for r in rows]
+        bands = [_smallest_energy_window(c, x0, dx, config.epsilon) for c in mags**2 * dx]
     if not bands:
         return None
     i = int(np.argmax([band.width for band in bands]))
     return int(rows[i]), bands[i]
 
 
+def _spectrum_mags(samples: np.ndarray, dt: float) -> np.ndarray:
+    """Unitary DFT magnitudes of each row, in fftshift order."""
+    return np.abs(np.fft.fftshift(np.fft.fft(samples, axis=-1), axes=-1)) * dt
+
+
+def _passes(approx: np.ndarray, exact_passes, message: str):
+    """Raise unless every row passes a check: the rows that ``approx`` does not clear, exactly."""
+    rows = np.nonzero(~approx)[0]
+    if len(rows) and not np.all(exact_passes(rows)):
+        raise MeasurementUnreliableError(message)
+
+
 def _windows(samples: np.ndarray, grid: TimeGrid, config: MeasureConfig, with_b: bool = True,
-             floors: tuple[float, float] = (-math.inf, -math.inf)):
+             floors: tuple[float, float] = (-math.inf, -math.inf), delta=None, exact=None):
     """First maximal duration and bandwidth windows of a (rows x samples) block.
 
     Returns the (row index, Band) of the first widest T window and, with
     ``with_b``, of the first widest B window (None otherwise).  ``floors``
     (T, B) lets the energy definition skip rows that cannot exceed them, see
-    `_first_max`; a family is None when no row can.  The edge-leakage
+    `_candidates`; a family is None when no row can.  The edge-leakage
     check runs over the whole block before the T scans, and the Nyquist check
     before the B scans, so one row reports the same error it would alone.
+
+    ``samples`` are the exact rows unless ``delta`` is given.  Then
+    |samples - exact| <= delta on every sample, and ``exact(rows)`` returns
+    the exact samples of the given rows.  With l2 = ||delta||_2 (dt-weighted)
+    each row's cells are within Delta = 2*sqrt(E)*l2 + l2^2 of the exact
+    ones in sum, E the row's approximate energy (Cauchy-Schwarz on
+    ||q|^2 - |q_exact|^2| <= (2|q| + delta)*delta); by Parseval the same
+    holds for the frequency cells with l2 grown by the FFT's rounding
+    (Higham, ch. 24), and each DFT bin is within ||delta||_1 plus that
+    rounding.  The brackets take Delta as their spread, and a check passes
+    on the approximation when its bounds clear the limit by a relative
+    2^-40, which covers the rounding of the exact check.  Every row the
+    bounds leave open, and every row that can still win, is read through
+    ``exact`` and decided or scanned on its exact samples, so every error,
+    width and row is that of the exact block.  Exact samples are the case
+    delta = 0.
     """
     t_floor, b_floor = floors
+    dt, x = grid.dt, grid.times
     mags = np.abs(samples)
-    cells = mags**2 * grid.dt
-    if np.any(cells[:, 0] + cells[:, -1] > EDGE_LEAKAGE_FRACTION * config.epsilon * cells.sum(-1)):
-        raise MeasurementUnreliableError("grid edges carry too much energy for the requested epsilon")
-    t_max = _first_max(cells, mags, grid.times, grid.dt, config, t_floor)
+    cells = mags**2 * dt
+    total = cells.sum(-1)
+    if delta is None:
+        edge_err = rel = spread = 0.0
+    else:
+        edge_err = delta[:, [0, -1]]
+        rel = 2.0**-40
+        l2 = np.sqrt((delta * delta).sum(-1) * dt)
+        spread = (2.0 * np.sqrt(total) + l2) * l2
+
+    def exact_mags(rows, spectral):
+        if delta is None:
+            return (f_mags if spectral else mags)[rows]
+        q = exact(rows)
+        return _spectrum_mags(q, dt) if spectral else np.abs(q)
+
+    def exact_cells(rows, spectral):
+        return exact_mags(rows, spectral) ** 2 * (df if spectral else dt)
+
+    leak = EDGE_LEAKAGE_FRACTION * config.epsilon
+    edge = ((mags[:, [0, -1]] + edge_err) ** 2 * dt).sum(-1)
+
+    def no_leak(rows):
+        c = exact_cells(rows, False)
+        return ~(c[:, 0] + c[:, -1] > leak * c.sum(-1))
+
+    _passes(edge * (1.0 + rel) <= leak * (total - spread), no_leak,
+            "grid edges carry too much energy for the requested epsilon")
+    energy = config.definition == "energy"
+    if energy:
+        _passes(total - spread > 1e-300 * (1.0 + rel),
+                lambda rows: exact_cells(rows, False).sum(-1) > 1e-300, "signal carries no energy")
+    t_rows = _candidates(cells, x[0] - 0.5 * dt, dt, config, t_floor, spread)
+    t_max = _first_max(exact_mags(t_rows, False), t_rows, x, dt, config)
     if not with_b:
         return t_max, None
     # unitary DFT magnitudes, frequencies in cycles per unit time
-    mags = np.abs(np.fft.fftshift(np.fft.fft(samples, axis=-1), axes=-1)) * grid.dt
-    freqs = np.fft.fftshift(np.fft.fftfreq(grid.n_samples, d=grid.dt))
+    f_mags = _spectrum_mags(samples, dt)
+    freqs = np.fft.fftshift(np.fft.fftfreq(grid.n_samples, d=dt))
     df = float(freqs[1] - freqs[0])
-    cells = mags**2 * df
-    if np.any(_nyquist_edge_share(cells) > ALIASING_FRACTION):
-        raise MeasurementUnreliableError("spectral energy reaches the Nyquist edge (aliasing)")
-    return t_max, _first_max(cells, mags, freqs, df, config, b_floor)
+    cells = f_mags**2 * df
+    total = cells.sum(-1)
+    bin_err = 0.0
+    if delta is not None:
+        # 16u log2(n) of each transform's norm, both transforms
+        rounding = 2.0**-49 * math.log2(grid.n_samples) * (2.0 * np.sqrt(total) + l2)
+        bin_err = (delta.sum(-1) * dt + rounding / math.sqrt(df))[:, None]
+        l2 = (l2 + rounding) * (1.0 + 2.0**-20)
+        spread = (2.0 * np.sqrt(total) + l2) * l2
+    edge = (f_mags[:, [0, 1, -2, -1]] + bin_err) ** 2 * df
+    edge = edge[:, :2].sum(-1) + edge[:, 2:].sum(-1)
+    clear = total - spread
+    share = np.divide(edge, clear, out=np.full(len(edge), math.inf), where=clear > 0)
+    _passes(share * (1.0 + rel) <= ALIASING_FRACTION,
+            lambda rows: ~(_nyquist_edge_share(exact_cells(rows, True)) > ALIASING_FRACTION),
+            "spectral energy reaches the Nyquist edge (aliasing)")
+    if energy:
+        _passes(total - spread > 1e-300 * (1.0 + rel),
+                lambda rows: exact_cells(rows, True).sum(-1) > 1e-300, "signal carries no energy")
+    b_rows = _candidates(cells, freqs[0] - 0.5 * df, df, config, b_floor, spread)
+    return t_max, _first_max(exact_mags(b_rows, True), b_rows, freqs, df, config)
 
 
 def measure(signal: SampledSignal, config: MeasureConfig) -> TBReport:
@@ -324,6 +426,38 @@ def phase_combinations(n: int, m: int, conjugation_reduced: bool = False) -> np.
         idx = idx[idx[rows, first] <= mirror[rows, first]]
     free = 2.0 * math.pi * idx / m
     return np.concatenate([free, np.zeros((free.shape[0], 1))], axis=1)
+
+
+class _GuardTripped(Exception):
+    """A row synthesized by the recursion lies outside its Gram-form error bound."""
+
+
+def _ranked_windows(spectrum: DiscreteSpectrum, grid: TimeGrid, block: np.ndarray, gram,
+                    config: MeasureConfig, with_b: bool, floors: tuple[float, float]):
+    """`_windows` of a chunk of phase rows ranked by their Gram form; None if the guard trips.
+
+    Only the rows `_windows` reads exactly go through `synthesize_phases`.
+    Each of them must lie within its bound of the Gram-form row on every
+    sample; when one does not, the chunk is left to the caller to evaluate
+    from the exact rows of the whole chunk.
+    """
+    q, delta = _gram_rows(gram, block)
+    synthesized = {}
+
+    def exact(rows):
+        new = [r for r in rows if r not in synthesized]
+        if new:
+            q_new = synthesize_phases(spectrum, grid, block[new])
+            if np.any(np.abs(q_new - q[new]) > delta[new]):
+                raise _GuardTripped
+            synthesized.update(zip(new, q_new))
+        exact_rows = np.array([synthesized[r] for r in rows], dtype=complex)
+        return exact_rows.reshape(len(rows), grid.n_samples)
+
+    try:
+        return _windows(q, grid, config, with_b, floors, delta, exact)
+    except _GuardTripped:
+        return None
 
 
 @dataclass(frozen=True)
@@ -356,12 +490,19 @@ def t_max_b_max(
     combos = phase_combinations(
         spectrum.n, config.phase_points, conjugation_reduced=spectrum.is_imaginary()
     )
+    gram = None
+    if (config.definition == "energy" and spectrum.n == 3 and len(combos) >= CHUNK_SIZE
+            and _seeds_in_range(spectrum.lams, np.log(spectrum.etas), grid.times)):
+        gram = _gram_coefficients(spectrum, grid.times)
     best = [(floor, None) for floor in floors]  # (width, phases) of T and B
     for start in range(0, len(combos), CHUNK_SIZE):
         block = combos[start : start + CHUNK_SIZE]
-        q_block = synthesize_phases(spectrum, grid, block)
         floors = (best[0][0], best[1][0])
-        for k, found in enumerate(_windows(q_block, grid, config, with_b, floors)):
+        chunk = None if gram is None else _ranked_windows(spectrum, grid, block, gram, config,
+                                                          with_b, floors)
+        if chunk is None:
+            chunk = _windows(synthesize_phases(spectrum, grid, block), grid, config, with_b, floors)
+        for k, found in enumerate(chunk):
             # strict >: an equal width in a later chunk keeps the earlier row
             if found is not None and found[1].width > best[k][0]:
                 best[k] = (found[1].width, tuple(float(v) for v in block[found[0]]))

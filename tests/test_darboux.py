@@ -16,7 +16,7 @@ from soliton_tbp.darboux import (
     union_grid,
 )
 from soliton_tbp.errors import GridTooNarrowWarning
-from soliton_tbp.spectrum import DiscreteSpectrum, transform
+from soliton_tbp.spectrum import DiscreteSpectrum, evolve, transform
 
 
 class TestGridTypes:
@@ -161,6 +161,29 @@ class TestSynthesize:
         for i in range(5):
             single = synthesize_samples(s, phis[i], g.times)
             assert np.array_equal(block[i], single)
+
+
+class TestGramForm:
+    @pytest.mark.parametrize("kind", ["imaginary", "real", "evolved"])
+    def test_rows_within_their_bound_of_the_recursion(self, kind):
+        rng = np.random.default_rng({"imaginary": 31, "real": 32, "evolved": 33}[kind])
+        worst = 0.0
+        for n_samples in (512, 1024, 2048):
+            s = random_spectrum(rng, n=3, imaginary=kind == "imaginary")
+            if kind == "evolved":
+                s = evolve(s, float(rng.uniform(0.5, 3.0)))
+            half = float(rng.uniform(15.0, 30.0))
+            t = TimeGrid(-half, 2.0 * half / n_samples, n_samples).times
+            assert darboux._seeds_in_range(s.lams, np.log(s.etas), t)
+            phis = np.concatenate([rng.uniform(0.0, 2 * np.pi, (12, 2)), np.zeros((12, 1))], axis=1)
+            q, delta = darboux._gram_rows(darboux._gram_coefficients(s, t), phis)
+            assert np.all(np.isfinite(delta))
+            ratios = [np.abs(q - synthesize_samples(s, phis, t)) / delta]
+            for row in (0, 5):
+                naive = naive_darboux(DiscreteSpectrum(s.sigmas, s.omegas, s.etas, phis[row]), t)
+                ratios.append(np.abs(q[row] - naive) / delta[row])
+            worst = max(worst, max(float(r.max()) for r in ratios))
+        assert worst <= 1.0, f"largest |q_gram - q_rec| / delta: {worst:.3g}"
 
 
 class TestTransformConsistency:

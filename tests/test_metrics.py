@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from conftest import lean_grid, random_spectrum, smallest_window_oracle
 
-from soliton_tbp import metrics
+from soliton_tbp import darboux, metrics
 from soliton_tbp.darboux import SampledSignal, TimeGrid, auto_grid, synthesize, synthesize_phases
 from soliton_tbp.errors import InvalidParameterError, MeasurementUnreliableError
 from soliton_tbp.metrics import (
@@ -111,6 +111,29 @@ class TestWindowSearch:
             for r, cells_r in enumerate(cells):
                 width = _smallest_energy_window(cells_r, x0, dx, eps).width
                 assert lower[r] <= width <= upper[r]
+
+        run()
+
+    def test_bracket_of_perturbed_cells_holds_the_scanned_width(self):
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+        cells = st.lists(st.floats(0.0, 10.0, allow_subnormal=False), min_size=2, max_size=40)
+
+        @settings(max_examples=200, deadline=None)
+        @given(cells, st.lists(st.floats(-1.0, 1.0), min_size=40, max_size=40),
+               st.floats(0.0, 0.5), st.floats(1e-6, 0.3))
+        def run(exact, shifts, size, eps):
+            # the bracket of approximate cells, given the sum of their errors as
+            # the spread, must hold the width scanned on the exact cells
+            exact = np.asarray(exact)
+            if not exact.sum() > 1e-300:
+                return
+            approx = np.maximum(exact + size * np.asarray(shifts[: len(exact)]), 0.0)
+            spread = np.abs(approx - exact).sum()
+            lower, upper = _window_bracket(approx[None], 0.0, 0.5, eps, np.array([spread]))
+            width = _smallest_energy_window(exact, 0.0, 0.5, eps).width
+            assert lower[0] <= width <= upper[0]
 
         run()
 
@@ -398,6 +421,131 @@ class TestTMaxBMax:
         cfg = MeasureConfig(phase_points=4)
         r = t_max_b_max(s, cfg, lean_grid(s, cfg))
         assert len(r.t_argmax) == 2 and r.t_argmax[-1] == 0.0
+
+
+def _no_bracket(monkeypatch):
+    """A bracket that rules out nothing: every row is scanned exactly."""
+    monkeypatch.setattr(metrics, "_window_bracket", lambda cells, *_: (
+        np.full(len(cells), -math.inf), np.full(len(cells), math.inf)))
+
+
+def _count_gram_builds(monkeypatch):
+    builds = []
+    real = metrics._gram_coefficients
+
+    def counted(*args):
+        builds.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(metrics, "_gram_coefficients", counted)
+    return builds
+
+
+def _fields(r):
+    return (r.t_max, r.b_max, r.t_argmax, r.b_argmax)
+
+
+class TestGramRanking:
+    SPECTRUM = DiscreteSpectrum.from_delta_t([0.7, 0.62, 0.5], delta_ts=[-2.85, 1.05, 0.0])
+
+    @pytest.mark.parametrize("kind", ["imaginary", "real", "evolved"])
+    @pytest.mark.parametrize("chunk", [3, metrics.CHUNK_SIZE])
+    def test_ranked_matches_full_scan(self, monkeypatch, kind, chunk):
+        rng = np.random.default_rng({"imaginary": 41, "real": 42, "evolved": 43}[kind] + chunk)
+        monkeypatch.setattr(metrics, "CHUNK_SIZE", chunk)
+        builds = _count_gram_builds(monkeypatch)
+        s = random_spectrum(rng, n=3, imaginary=kind == "imaginary", sigma_range=(0.4, 1.0))
+        if kind == "evolved":
+            s = evolve(s, float(rng.uniform(0.5, 3.0)))
+        # at the default chunk size the grid needs at least that many rows
+        m = 8 if chunk == 3 else (32 if kind == "imaginary" else 23)
+        cfg = MeasureConfig(phase_points=m)
+        assert len(phase_combinations(3, m, conjugation_reduced=s.is_imaginary())) >= chunk
+        grid = lean_grid(s, cfg)
+        ranked = t_max_b_max(s, cfg, grid)
+        t, b = ranked.t_max, ranked.b_max
+        seeded = [t_max_b_max(s, cfg, grid, floors=f) for f in ((0.97 * t, 0.97 * b), (t, b))]
+        assert len(builds) == 3
+        _no_bracket(monkeypatch)
+        assert _fields(ranked) == _fields(t_max_b_max(s, cfg, grid))
+        assert _fields(seeded[0]) == _fields(ranked)
+        assert _fields(seeded[1]) == (t, b, None, None)
+
+    def test_floored_real_link_matches_full_scan(self, monkeypatch):
+        builds = _count_gram_builds(monkeypatch)
+        s = DiscreteSpectrum.from_delta_t([0.5, 0.5, 0.5], [0.55, -0.55, 0.0], [-2.2, 2.2, 0.0])
+        cfg = MeasureConfig(phase_points=23, z_samples=3)  # 529 rows
+        link = t_hat_b_hat(s, cfg, 2.0, profile=False)
+        assert len(builds) == 3
+        _no_bracket(monkeypatch)
+        full = t_hat_b_hat(s, cfg, 2.0, profile=False)
+        assert (link.t_hat, link.b_hat) == (full.t_hat, full.b_hat)
+
+    def test_zero_bound_falls_back_in_every_chunk(self, monkeypatch):
+        cfg = MeasureConfig(phase_points=8)
+        grid = lean_grid(self.SPECTRUM, cfg)
+        monkeypatch.setattr(metrics, "CHUNK_SIZE", 3)
+        ref = t_max_b_max(self.SPECTRUM, cfg, grid)
+        real_rows, real_ranked = metrics._gram_rows, metrics._ranked_windows
+        synthesized, chunks = [], []
+
+        def zero_bound(gram, phis):
+            q, delta = real_rows(gram, phis)
+            return q, np.zeros_like(delta)
+
+        def counted_synthesis(spectrum, grid, block):
+            synthesized.append(len(block))
+            return synthesize_phases(spectrum, grid, block)
+
+        def ranked(*args):
+            before = len(synthesized)
+            found = real_ranked(*args)
+            chunks.append((found is None, len(synthesized) > before))
+            return found
+
+        monkeypatch.setattr(metrics, "_gram_rows", zero_bound)
+        monkeypatch.setattr(metrics, "synthesize_phases", counted_synthesis)
+        monkeypatch.setattr(metrics, "_ranked_windows", ranked)
+        assert _fields(t_max_b_max(self.SPECTRUM, cfg, grid)) == _fields(ref)
+        # a chunk falls back exactly when it reads a row exactly
+        assert any(fell_back for fell_back, _ in chunks)
+        assert all(fell_back == read for fell_back, read in chunks)
+
+    @pytest.mark.parametrize("grid, message", [
+        (TimeGrid(-6.0, 12.0 / 512, 512), "grid edges"),
+        (TimeGrid(-20.0, 40.0 / 64, 64), "Nyquist edge"),
+    ])
+    def test_checks_raise_as_on_the_recursion(self, monkeypatch, grid, message):
+        cfg = MeasureConfig(phase_points=8)
+        builds = _count_gram_builds(monkeypatch)
+        errors = []
+        for chunk in (3, 10**6):  # the Gram path, then one chunk of the recursion
+            monkeypatch.setattr(metrics, "CHUNK_SIZE", chunk)
+            with pytest.raises(MeasurementUnreliableError, match=message) as raised:
+                t_max_b_max(self.SPECTRUM, cfg, grid)
+            errors.append(str(raised.value))
+        assert len(builds) == 1 and errors[0] == errors[1]
+
+    def test_gate(self, monkeypatch):
+        from soliton_tbp.optimizer import TABLE_OPTIMA, evaluate_point
+
+        builds = _count_gram_builds(monkeypatch)
+        n3, cfg = self.SPECTRUM, MeasureConfig(phase_points=8)
+        # the desk imaginary N=3 sweep: 130 rows at M=16, below the chunk size
+        evaluate_point("imaginary", 3, TABLE_OPTIMA[("imaginary", 3)], MeasureConfig())
+        # a real N=2 link, as the desk real N=2 sweep evaluates it
+        t_hat_b_hat(DiscreteSpectrum.from_delta_t([0.5, 0.5], [0.075, -0.075], [-0.9, 0.9]),
+                    MeasureConfig(phase_points=32, z_samples=3), 6.0, profile=False)
+        monkeypatch.setattr(metrics, "CHUNK_SIZE", 3)
+        n2 = DiscreteSpectrum.from_delta_t([0.7, 0.5], delta_ts=[-1.0, 0.0])
+        t_max_b_max(n2, cfg, lean_grid(n2, cfg))
+        t_max_b_max(n3, MeasureConfig(phase_points=8, definition="threshold"), lean_grid(n3, cfg))
+        wide = TimeGrid(-700.0, 1400.0 / 4096, 4096)  # seed exponents up to 980
+        assert not darboux._seeds_in_range(n3.lams, np.log(n3.etas), wide.times)
+        t_max_b_max(n3, MeasureConfig(phase_points=4), wide)
+        assert builds == []
+        t_max_b_max(n3, cfg, lean_grid(n3, cfg))
+        assert builds == [1]
 
 
 class TestTHatBHat:
