@@ -19,6 +19,14 @@ coarse argmin with the family steps of `FINE_STEPS`; every axis is a
 `t_hat_b_hat` at the point's link length (zero on the imaginary axis),
 without its per-distance profile, evaluated by one function for the sweep
 workers and `evaluate_point` alike.
+The points are evaluated in worker processes forked from the caller (at
+most `SOLITON_TBP_THREADS` of them), because each point is thousands of
+short numpy calls and threads would serialize on the GIL; only a point's
+parameters and its `TracePoint` cross between processes, so pooled and
+serial sweeps agree bit for bit.  With one worker, at most one point to
+evaluate, other threads running in the caller, or no "fork" start method,
+the points are evaluated in-process.
+No worker outlives the sweep, on success or error.
 Every evaluated grid point lands in an append-only trace (CSV), written in
 enumeration order regardless of worker scheduling, so long sweeps are
 resumable and the reported optimum is always the argmin over the full
@@ -34,8 +42,9 @@ from __future__ import annotations
 import csv
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 from itertools import product, zip_longest
 from pathlib import Path
 
@@ -274,7 +283,9 @@ def _worker_count() -> int:
         if count < 1:
             raise InvalidParameterError(f"{THREADS_ENV} must be an integer >= 1, got {env!r}")
         return count
-    return min(4, os.cpu_count() or 1)
+    # the CPUs this process may run on: a cpuset-limited container's, not the host's
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return min(4, cpus or 1)
 
 
 def _evaluate(constellation: str, n: int, names, values, measure: MeasureConfig):
@@ -284,27 +295,54 @@ def _evaluate(constellation: str, n: int, names, values, measure: MeasureConfig)
     return TracePoint(values, r.t_hat, r.b_hat, r.t_hat * r.b_hat), l_star
 
 
-def _run_points(spec: SweepSpec, names, points, done, writer, workers: int):
-    """Evaluate points not in `done`, appending rows in enumeration order."""
+def _evaluate_or_nan(constellation: str, n: int, names, measure: MeasureConfig, values) -> TracePoint:
+    """The sweep workers' task: `_evaluate`'s point, or a NaN row where the point fails."""
+    try:
+        return _evaluate(constellation, n, names, values, measure)[0]
+    except (SolitonError, ArithmeticError, ValueError):
+        return TracePoint(values, math.nan, math.nan, math.nan)
 
-    def evaluate(params):
-        key = _key(params)
-        if key in done:
-            return done[key]
-        try:
-            return _evaluate(spec.constellation, spec.n, names, params, spec.measure)[0]
-        except (SolitonError, ArithmeticError, ValueError):
-            return TracePoint(params, math.nan, math.nan, math.nan)
 
+def _run_points(spec: SweepSpec, names, points, done, fh, workers: int):
+    """Evaluate points not in `done`, appending rows to `fh` in enumeration order.
+
+    The rows are written as their points come next in order, so an
+    interrupted sweep leaves a trace prefix that a resume completes.
+    """
+    import multiprocessing
+    from concurrent.futures.process import ProcessPoolExecutor
+
+    evaluate = partial(_evaluate_or_nan, spec.constellation, spec.n, names, spec.measure)
+    todo = {}
+    for params in points:
+        if _key(params) not in done:
+            todo.setdefault(_key(params), params)
+    pool = None
+    # Fork, not spawn or forkserver: those re-import __main__, which breaks a caller's
+    # script without a __main__ guard, and re-import scipy.  A fork copies only the
+    # calling thread, so a caller with other threads (whose locks the copy could
+    # inherit held) evaluates in-process.
+    if (workers > 1 and len(todo) > 1 and threading.active_count() == 1
+            and "fork" in multiprocessing.get_all_start_methods()):
+        if fh is not None:  # a forked worker holds a copy of the buffered rows
+            fh.flush()
+        pool = ProcessPoolExecutor(min(workers, len(todo)),
+                                   mp_context=multiprocessing.get_context("fork"))
+    writer = csv.writer(fh) if fh is not None else None
     results = []
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for point in pool.map(evaluate, points):
-            results.append(point)
-            if _key(point.params) not in done:
-                done[_key(point.params)] = point
+    try:
+        fresh = pool.map(evaluate, todo.values()) if pool is not None else map(evaluate, todo.values())
+        for params in points:
+            key = _key(params)
+            if key not in done:
+                point = done[key] = next(fresh)
                 if writer is not None:
                     writer.writerow([repr(v) for v in point.params]
                                     + [repr(point.t_hat), repr(point.b_hat), repr(point.objective)])
+            results.append(done[key])
+    finally:
+        if pool is not None:  # after an error, cancel what has not started and reap every worker
+            pool.shutdown(wait=True, cancel_futures=True)
     return results
 
 
@@ -322,20 +360,19 @@ def run_sweep(spec: SweepSpec, trace_path: str | os.PathLike | None = None) -> S
     header = _trace_header(spec, names)
     done = _read_trace(trace_path, header)
 
-    fh = writer = None
+    fh = None
     if trace_path is not None:
         new_file = not trace_path.exists() or trace_path.stat().st_size == 0
         fh = open(trace_path, "a", newline="")
-        writer = csv.writer(fh)
         if new_file:
-            writer.writerows(header)
+            csv.writer(fh).writerows(header)
     try:
-        coarse = _argmin(_run_points(spec, names, points, done, writer, workers))
+        coarse = _argmin(_run_points(spec, names, points, done, fh, workers))
         if spec.refine and coarse is not None:
             fine = {name: (max(lo, center - step), min(hi, center + step),
                            FINE_STEPS[name.split("_")[0]])
                     for (name, (lo, hi, step)), center in zip(spec.ranges.items(), coarse.params)}
-            _run_points(spec, names, _grid_points(fine), done, writer, workers)
+            _run_points(spec, names, _grid_points(fine), done, fh, workers)
     finally:
         if fh is not None:
             fh.close()

@@ -1,5 +1,14 @@
+import errno
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 from itertools import product
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -40,6 +49,56 @@ def tiny_real_spec():
         ranges={"omega_1": (0.1, 0.3, 0.1), "dt_1": (-1.0, -0.5, 0.5)},
         measure=replace(FAST, z_samples=3),
     )
+
+
+def degenerate_imag_spec():
+    # sigma_1 = 0.5 collides with the pinned 0.5: NaN rows among finite ones
+    return SweepSpec("imaginary", 2, {"sigma_1": (0.5, 0.7, 0.1), "dt_1": (1.5, 2.5, 0.5)},
+                     measure=FAST)
+
+
+def sweep_with(monkeypatch, workers, spec, trace=None):
+    monkeypatch.setenv("SOLITON_TBP_THREADS", str(workers))
+    return run_sweep(spec, trace_path=trace)
+
+
+def record_calls(monkeypatch):
+    """Parameters of the `_evaluate` calls made in this process, not in forked workers."""
+    evaluated = []
+    evaluate = optimizer._evaluate
+
+    def record(constellation, n, names, values, measure):
+        evaluated.append(values)
+        return evaluate(constellation, n, names, values, measure)
+
+    monkeypatch.setattr(optimizer, "_evaluate", record)
+    return evaluated
+
+
+def wide_imag_spec():
+    """153 points: enough that cancelling the rest after an error is seen."""
+    return replace(tiny_imag_spec(), ranges={"sigma_1": (0.54, 1.54, 0.02), "dt_1": (1.5, 2.5, 0.5)})
+
+
+def log_calls(monkeypatch, tmp_path, fail_at=None):
+    """A file that `_evaluate`'s calls append to, from forked workers too; raise at `fail_at`."""
+    log = tmp_path / "evaluated.txt"
+    log.touch()
+    evaluate = optimizer._evaluate
+
+    def logged(constellation, n, names, values, measure):
+        with open(log, "a") as fh:
+            fh.write(f"{values}\n")
+        if optimizer._key(values) == fail_at:
+            raise TypeError(f"no objective at {values}")
+        return evaluate(constellation, n, names, values, measure)
+
+    monkeypatch.setattr(optimizer, "_evaluate", logged)
+    return log
+
+
+needs_fork = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                                reason="sweeps evaluate in-process without the fork start method")
 
 
 class TestSpecValidation:
@@ -126,6 +185,7 @@ class TestGridAxis:
             SweepSpec("imaginary", 2, {"sigma_1": (0.6, 1.5, 0.1), "dt_1": (0.0, float("inf"), 0.5)})
 
     def test_desk_real_n3_evaluates_no_positive_shift(self, monkeypatch):
+        monkeypatch.setenv("SOLITON_TBP_THREADS", "1")  # a forked worker's calls land in its copy
         evaluated = []
 
         def record(constellation, n, names, values, measure):
@@ -189,6 +249,7 @@ class TestSweep:
         assert refined.best.objective <= coarse.best.objective + 1e-12
 
     def test_refinement_box_uses_the_fine_steps(self, monkeypatch):
+        monkeypatch.setenv("SOLITON_TBP_THREADS", "1")  # a forked worker's calls land in its copy
         evaluated = []
 
         def record(constellation, n, names, values, measure):
@@ -277,6 +338,153 @@ class TestSweep:
             res.best.objective / 2.0 / single_soliton_tbp(spec.measure), rel=1e-12
         )
         assert res.tbp_per_ev_ratio > 0.0
+
+
+POOL_SPECS = {
+    "imaginary": tiny_imag_spec,
+    "imaginary_refined": lambda: tiny_imag_spec(refine=True),
+    "real_axis": tiny_real_spec,
+    "degenerate": degenerate_imag_spec,
+}
+
+
+class TestWorkerPool:
+    @pytest.mark.parametrize("make_spec", POOL_SPECS.values(), ids=POOL_SPECS.keys())
+    def test_pooled_equals_serial(self, tmp_path, monkeypatch, make_spec):
+        serial = sweep_with(monkeypatch, 1, make_spec(), tmp_path / "serial.csv")
+        pooled = sweep_with(monkeypatch, 2, make_spec(), tmp_path / "pooled.csv")
+        expected = (tmp_path / "serial.csv").read_bytes()
+        assert (tmp_path / "pooled.csv").read_bytes() == expected
+        # compared by repr, where NaN cells are equal: unpickled NaNs are distinct objects
+        assert repr(pooled) == repr(serial)
+        # a crash mid-write of the fourth row: the resume has more than one point left
+        lines = expected.splitlines(keepends=True)
+        torn = tmp_path / "torn.csv"
+        torn.write_bytes(b"".join(lines[:5]) + lines[5][:-5])
+        resumed = sweep_with(monkeypatch, 2, make_spec(), torn)
+        assert torn.read_bytes() == expected
+        assert repr(resumed) == repr(serial)
+        assert multiprocessing.active_children() == []
+
+    def test_one_point_left_is_evaluated_in_process(self, tmp_path, monkeypatch):
+        trace = tmp_path / "trace.csv"
+        fresh = sweep_with(monkeypatch, 2, tiny_imag_spec(), trace)
+        complete = trace.read_bytes()
+        body, last = complete.rstrip(b"\n").rsplit(b"\n", 1)
+        trace.write_bytes(body + b"\n" + last[:-5])
+        evaluated = record_calls(monkeypatch)
+        assert sweep_with(monkeypatch, 2, tiny_imag_spec(), trace) == fresh
+        assert evaluated == [fresh.trace[-1].params]
+        assert trace.read_bytes() == complete
+
+    def test_a_caller_with_threads_evaluates_in_process(self, monkeypatch):
+        evaluated = record_calls(monkeypatch)
+        release = threading.Event()
+        waiter = threading.Thread(target=release.wait)
+        waiter.start()
+        try:
+            res = sweep_with(monkeypatch, 2, tiny_imag_spec())
+        finally:
+            release.set()
+            waiter.join(timeout=10)
+        assert not waiter.is_alive()
+        assert len(evaluated) == len(res.trace) == 9
+        assert multiprocessing.active_children() == []
+
+    @needs_fork
+    def test_a_script_without_a_main_guard_sweeps_in_workers(self, tmp_path):
+        # a start method that re-imports __main__ would run the sweep again in each worker
+        script = tmp_path / "sweep.py"
+        script.write_text(
+            "from soliton_tbp.metrics import MeasureConfig\n"
+            "from soliton_tbp.optimizer import SweepSpec, run_sweep\n"
+            "print('before')\n"
+            "run_sweep(SweepSpec('imaginary', 2, {'sigma_1': (0.54, 0.74, 0.1), "
+            "'dt_1': (1.5, 2.5, 0.5)}, measure=MeasureConfig(phase_points=4, epsilon=1e-4)))\n"
+            "print('after')\n")
+        src = str(Path(optimizer.__file__).parents[1])
+        env = {**os.environ, "SOLITON_TBP_THREADS": "2",
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, str(script)], env=env, cwd=tmp_path,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "before\nafter\n"  # stdout is a pipe: written once, not per worker
+
+    @needs_fork
+    def test_worker_error_reraises_in_the_parent(self, tmp_path, monkeypatch):
+        log = log_calls(monkeypatch, tmp_path, fail_at=(0.54, 2.0))
+        with pytest.raises(TypeError, match=r"^no objective at \(0\.54, 2\.0\)$"):
+            sweep_with(monkeypatch, 2, wide_imag_spec(), tmp_path / "trace.csv")
+        assert multiprocessing.active_children() == []
+        # the points not started when the error came back are cancelled, not all evaluated
+        assert len(log.read_text().splitlines()) < 153
+
+    @needs_fork
+    def test_parent_error_cancels_the_points_not_started(self, tmp_path, monkeypatch):
+        class FullDisk:  # the trace's second row fails to write
+            def __init__(self, fh):
+                self.rows = 0
+
+            def writerows(self, rows):
+                pass
+
+            def writerow(self, row):
+                self.rows += 1
+                if self.rows == 2:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+
+        log = log_calls(monkeypatch, tmp_path)
+        monkeypatch.setattr(optimizer, "csv", SimpleNamespace(writer=FullDisk))
+        with pytest.raises(OSError, match="No space left"):
+            sweep_with(monkeypatch, 2, wide_imag_spec(), tmp_path / "trace.csv")
+        assert multiprocessing.active_children() == []
+        assert len(log.read_text().splitlines()) < 153
+
+    @needs_fork
+    def test_dead_worker_leaves_a_resumable_prefix(self, tmp_path, monkeypatch):
+        fresh_trace, trace = tmp_path / "fresh.csv", tmp_path / "trace.csv"
+        fresh = sweep_with(monkeypatch, 1, tiny_imag_spec(), fresh_trace)
+        evaluate = optimizer._evaluate
+        parent = os.getpid()
+
+        def crash(constellation, n, names, values, measure):
+            if optimizer._key(values) == (0.64, 2.0):  # the fifth of nine points
+                assert os.getpid() != parent, "the crashing point ran in the test process"
+                os._exit(1)
+            return evaluate(constellation, n, names, values, measure)
+
+        monkeypatch.setattr(optimizer, "_evaluate", crash)
+        with pytest.raises(BrokenProcessPool):
+            sweep_with(monkeypatch, 2, tiny_imag_spec(), trace)
+        assert multiprocessing.active_children() == []
+        prefix = trace.read_bytes()
+        assert fresh_trace.read_bytes().startswith(prefix)
+        assert len(prefix.splitlines()) <= 2 + 4  # header, then at most the four points before it
+        monkeypatch.setattr(optimizer, "_evaluate", evaluate)
+        assert sweep_with(monkeypatch, 1, tiny_imag_spec(), trace) == fresh
+        assert trace.read_bytes() == fresh_trace.read_bytes()
+
+
+class TestWorkerCount:
+    def test_default_counts_the_cpus_this_process_may_run_on(self, monkeypatch):
+        monkeypatch.delenv("SOLITON_TBP_THREADS", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)  # the host's, in a cpuset-limited container
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+        assert optimizer._worker_count() == 3
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+        assert optimizer._worker_count() == 4
+
+    def test_default_without_affinity_counts_the_cpus(self, monkeypatch):
+        monkeypatch.delenv("SOLITON_TBP_THREADS", raising=False)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert optimizer._worker_count() == 2
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert optimizer._worker_count() == 1
+
+    def test_the_variable_overrides_the_default(self, monkeypatch):
+        monkeypatch.setenv("SOLITON_TBP_THREADS", "7")
+        assert optimizer._worker_count() == 7
 
 
 class TestRealAxisSweep:
