@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, minimize
 
 from .errors import DegenerateSpectrumError, InvalidParameterError
 from .spectrum import DiscreteSpectrum
@@ -200,7 +199,69 @@ def exp_tail_crossing(coeffs, rates, target: float) -> float:
         hi *= 2.0
         if hi > 1e6:
             raise ArithmeticError("tail crossing bracket expansion failed (high side)")
-    return float(brentq(log_residual, lo, hi, xtol=1e-10))
+    return _brentq(log_residual, lo, hi, xtol=1e-10)
+
+
+def _brentq(f, xa: float, xb: float, xtol: float,
+            rtol: float = 4.0 * float(np.finfo(float).eps), maxiter: int = 100) -> float:
+    """Root of f in [xa, xb] by Brent's method (Brent 1973).
+
+    A step-for-step port of scipy's ``Zeros/brentq.c`` behind
+    ``scipy.optimize.brentq``, so it returns the same double for the same
+    function, bracket and tolerances; rtol and maxiter default to scipy's
+    (its smallest accepted rtol, and 100).  The tail crossing sizes every grid,
+    and this keeps the CLI from importing ``scipy.optimize`` for one call.
+    Like scipy, it returns an endpoint where f vanishes and raises
+    ValueError when f is NaN or f(xa), f(xb) share a sign; it raises
+    ArithmeticError where scipy raises RuntimeError (no convergence).
+    """
+    xpre, xcur = float(xa), float(xb)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = _checked(f, xpre), _checked(f, xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = _checked(f, xcur)
+    raise ArithmeticError(f"brentq did not converge in {maxiter} iterations (at x={xcur!r})")
+
+
+def _checked(f, x: float) -> float:
+    fx = float(f(x))
+    if math.isnan(fx):
+        raise ValueError(f"the function value at x={x:.6g} is NaN")
+    return fx
 
 
 def envelope_duration(spectrum: DiscreteSpectrum, epsilon: float) -> tuple[float, float]:
@@ -271,6 +332,8 @@ def _real_objective(free_omegas, epsilon):
 
 
 def _minimize_multistart(objective, starts):
+    from scipy.optimize import minimize  # only `bound` and `figures` get here
+
     best_x, best_f, converged = None, math.inf, False
     for x0 in starts:
         x0 = np.asarray(x0, dtype=float)

@@ -319,9 +319,9 @@ def _run_points(spec: SweepSpec, names, points, done, fh, workers: int):
             todo.setdefault(_key(params), params)
     pool = None
     # Fork, not spawn or forkserver: those re-import __main__, which breaks a caller's
-    # script without a __main__ guard, and re-import scipy.  A fork copies only the
-    # calling thread, so a caller with other threads (whose locks the copy could
-    # inherit held) evaluates in-process.
+    # script without a __main__ guard, and re-import numpy and the package in every
+    # worker.  A fork copies only the calling thread, so a caller with other threads
+    # (whose locks the copy could inherit held) evaluates in-process.
     if (workers > 1 and len(todo) > 1 and threading.active_count() == 1
             and "fork" in multiprocessing.get_all_start_methods()):
         if fh is not None:  # a forked worker holds a copy of the buffered rows

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from conftest import lean_grid, random_spectrum
 
+from soliton_tbp import asymptotics
 from soliton_tbp.asymptotics import (
+    _brentq,
     b_lim_imaginary,
     b_lim_real,
     envelope_bandwidth,
@@ -172,6 +174,82 @@ class TestEnvelopes:
         s = DiscreteSpectrum([0.5])
         lo, hi = envelope_bandwidth(s, 1e-4)
         assert hi - lo == pytest.approx(b_lim_imaginary([0.5], 1e-4), rel=1e-9)
+
+
+class TestBrentq:
+    """The local Brent solver against scipy's brentq, which it ports."""
+
+    @staticmethod
+    def scipy_brentq(f, xa, xb, xtol):
+        from scipy.optimize import brentq
+
+        return float(brentq(f, xa, xb, xtol=xtol))
+
+    @staticmethod
+    def outcome(solver, f, xa, xb, xtol):
+        # scipy reports no convergence as RuntimeError, the port as ArithmeticError
+        try:
+            return solver(f, xa, xb, xtol)
+        except (ArithmeticError, RuntimeError):
+            return "no convergence"
+
+    def test_tail_crossings_match_scipy_bitwise(self, monkeypatch):
+        rng = np.random.default_rng(2020)
+        cases = []
+        for _ in range(3000):
+            k = int(rng.integers(1, 5))
+            cases.append((10 ** rng.uniform(-3, 3, k), rng.uniform(0.05, 4.0, k),
+                          10 ** rng.uniform(-12, 0)))
+        ours = [exp_tail_crossing(*case) for case in cases]
+        monkeypatch.setattr(asymptotics, "_brentq", self.scipy_brentq)
+        assert ours == [exp_tail_crossing(*case) for case in cases]
+
+    @pytest.mark.parametrize("xtol", [1e-14, 1e-12, 1e-10, 1e-6, 1e-2])
+    def test_generic_brackets_match_scipy_bitwise(self, xtol):
+        funcs = [
+            lambda x: math.cos(x) - x,
+            lambda x: x**3 - 2.0 * x - 5.0,
+            lambda x: math.exp(x) - 3.0,
+            lambda x: 1e-3 * math.atan(x - 0.3),
+            lambda x: (x - 1.5) ** 3,
+            lambda x: math.tanh(20.0 * (x - 0.123)),
+            lambda x: 1.0 if x > 0.7 else -1.0,
+        ]
+        rng = np.random.default_rng(int(-math.log10(xtol)))
+        compared = 0
+        for i in range(700):
+            f = funcs[i % len(funcs)]
+            xa, xb = float(rng.uniform(-4.0, 0.1)), float(rng.uniform(2.0, 6.0))
+            if (f(xa) < 0) == (f(xb) < 0):
+                continue
+            assert self.outcome(_brentq, f, xa, xb, xtol) == \
+                self.outcome(self.scipy_brentq, f, xa, xb, xtol), (i, xa, xb)
+            compared += 1
+        assert compared > 500
+
+    def test_root_at_endpoint_is_returned(self):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return x - 1.0
+
+        assert _brentq(f, 1.0, 2.0, 1e-10) == 1.0
+        assert _brentq(f, 0.0, 1.0, 1e-10) == 1.0
+        assert calls == [1.0, 2.0, 0.0, 1.0]
+
+    def test_same_signs_rejected(self):
+        with pytest.raises(ValueError, match="different signs"):
+            _brentq(lambda x: x * x + 1.0, -1.0, 1.0, 1e-10)
+
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError, match="NaN"):
+            _brentq(lambda x: math.nan, 0.0, 1.0, 1e-10)
+
+    def test_no_convergence_is_arithmetic_error(self):
+        # a jump at 0: converging onto it to xtol 1e-300 takes ~1000 halvings
+        with pytest.raises(ArithmeticError, match="100 iterations"):
+            _brentq(lambda x: 1.0 if x > 0 else -1.0, -1.0, 1.0, 1e-300)
 
 
 class TestFormulaVsMeasurement:

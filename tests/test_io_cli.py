@@ -1,5 +1,9 @@
 import csv
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -575,6 +579,17 @@ class TestCli:
             rows = (out / name).read_text().strip().splitlines()
             first_bound = rows[1].split(",")
             assert first_bound[0] == "bound" and float(first_bound[2]) == 1.0
+
+    def test_cli_import_loads_no_scipy(self):
+        # scipy.optimize is about 0.45 s of import; only bound and figures need it
+        import soliton_tbp
+
+        env = dict(os.environ, PYTHONPATH=str(Path(soliton_tbp.__file__).parents[1]))
+        code = ("import sys, soliton_tbp.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=120, check=True)
+        assert run.stdout.strip() == "[]"
 
     def test_bound_cli(self, tmp_path):
         out = tmp_path / "bound.csv"
