@@ -202,14 +202,17 @@ def exp_tail_crossing(coeffs, rates, target: float) -> float:
     return _brentq(log_residual, lo, hi, xtol=1e-10)
 
 
-def _brentq(f, xa: float, xb: float, xtol: float,
-            rtol: float = 4.0 * float(np.finfo(float).eps), maxiter: int = 100) -> float:
+_BRENTQ_RTOL = 4.0 * float(np.finfo(float).eps)
+_BRENTQ_MAXITER = 100
+
+
+def _brentq(f, xa: float, xb: float, xtol: float) -> float:
     """Root of f in [xa, xb] by Brent's method (Brent 1973).
 
     A step-for-step port of scipy's ``Zeros/brentq.c`` behind
     ``scipy.optimize.brentq``, so it returns the same double for the same
-    function, bracket and tolerances; rtol and maxiter default to scipy's
-    (its smallest accepted rtol, and 100).  The tail crossing sizes every grid,
+    function, bracket and xtol at scipy's defaults (`_BRENTQ_RTOL`, its
+    smallest accepted rtol, and 100 iterations).  The tail crossing sizes every grid,
     and this keeps the CLI from importing ``scipy.optimize`` for one call.
     Like scipy, it returns an endpoint where f vanishes and raises
     ValueError when f is NaN or f(xa), f(xb) share a sign; it raises
@@ -224,14 +227,14 @@ def _brentq(f, xa: float, xb: float, xtol: float,
         return xcur
     if (fpre < 0.0) == (fcur < 0.0):
         raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(maxiter):
+    for _ in range(_BRENTQ_MAXITER):
         if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
             xblk, fblk = xpre, fpre
             spre = scur = xcur - xpre
         if abs(fblk) < abs(fcur):
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
+        delta = (xtol + _BRENTQ_RTOL * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0.0 or abs(sbis) < delta:
             return xcur
@@ -254,7 +257,7 @@ def _brentq(f, xa: float, xb: float, xtol: float,
         else:
             xcur += delta if sbis > 0 else -delta
         fcur = _checked(f, xcur)
-    raise ArithmeticError(f"brentq did not converge in {maxiter} iterations (at x={xcur!r})")
+    raise ArithmeticError(f"brentq did not converge in {_BRENTQ_MAXITER} iterations (at x={xcur!r})")
 
 
 def _checked(f, x: float) -> float:

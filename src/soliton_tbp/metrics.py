@@ -12,10 +12,11 @@ Two window definitions are supported:
   sech is self-dual, so one alpha serves time and frequency).
 
 One block evaluator, `_windows`, serves every measurement: for a (rows x
-samples) block on one grid it builds the |q|^2 dt and |Q|^2 df cells, runs
-the edge-leakage and Nyquist checks once over the block and returns the
-first maximal T and B window of the block.  It works in two steps: the rows
-that can still win (`_candidates`: under the energy definition a cheap
+samples) block on one grid it returns the first maximal T and B window of
+the block.  One body runs per domain, on the |q|^2 dt and the |Q|^2 df
+cells: it checks the block's edge shares (`_edge_share`: leakage past the
+time grid, aliasing at the Nyquist edge) and then works in two steps: the
+rows that can still win (`_candidates`: under the energy definition a cheap
 per-row bracket on the window width, `_window_bracket`, rules out every row
 that provably lies below a floor or below another row of its block), then
 an exact scan of those rows (`_first_max`), so the maxima and argmaxes are
@@ -65,6 +66,10 @@ EDGE_LEAKAGE_FRACTION = 1e-2
 # which the DFT is considered aliased.
 ALIASING_FRACTION = 1e-8
 
+# Smallest epsilon a measurement accepts: below it the cumulative energy sum no longer
+# resolves 1 - eps (one-soliton T misses ln((2-eps)/eps) by 3e-5 at 1e-12, 39% at 1e-17).
+_EPSILON_FLOOR = 1e-12
+
 DEFINITIONS = ("energy", "threshold")
 # Phase combinations synthesized per batch in `t_max_b_max`.
 CHUNK_SIZE = 512
@@ -78,7 +83,7 @@ class MeasureConfig:
     """Measurement parameters.
 
     Attributes:
-        epsilon: discarded energy fraction for the energy definition.
+        epsilon: discarded energy fraction, in [1e-12, 1); below 0.5 when alpha is derived.
         alpha: magnitude threshold for the threshold definition; derived as
             sqrt(2*epsilon) when not given.
         definition: "energy" or "threshold".
@@ -94,8 +99,14 @@ class MeasureConfig:
 
     def __post_init__(self):
         _check_epsilon(self.epsilon)
+        if self.epsilon < _EPSILON_FLOOR:
+            raise InvalidParameterError(f"epsilon must be >= {_EPSILON_FLOOR} for a measurement "
+                                        f"to resolve it, got {self.epsilon}")
         if self.alpha is None:
             object.__setattr__(self, "alpha", math.sqrt(2.0 * self.epsilon))
+            if not self.alpha < 1.0:
+                raise InvalidParameterError("epsilon must lie below 0.5 when alpha is derived as "
+                                            f"sqrt(2*epsilon), got {self.epsilon}")
         if not (0.0 < self.alpha < 1.0):
             raise InvalidParameterError(f"alpha must lie in (0, 1), got {self.alpha}")
         if self.definition not in DEFINITIONS:
@@ -188,10 +199,10 @@ def _threshold_window(mags: np.ndarray, x: np.ndarray, alpha: float) -> Band:
     return Band(float(lo), float(hi))
 
 
-def _nyquist_edge_share(power: np.ndarray) -> np.ndarray:
-    """Share of ``power`` (fftshift order) in the two bins at either end, along the last axis."""
+def _edge_share(power: np.ndarray, k: int) -> np.ndarray:
+    """Share of ``power`` in the k cells at either end of the last axis; 0 where it sums to 0."""
     total = power.sum(axis=-1)
-    edge = power[..., :2].sum(axis=-1) + power[..., -2:].sum(axis=-1)
+    edge = power[..., :k].sum(axis=-1) + power[..., -k:].sum(axis=-1)
     return np.divide(edge, total, out=np.zeros(np.shape(total)), where=total > 0)
 
 
@@ -313,9 +324,11 @@ def _windows(samples: np.ndarray, grid: TimeGrid, config: MeasureConfig, with_b:
     Returns the (row index, Band) of the first widest T window and, with
     ``with_b``, of the first widest B window (None otherwise).  ``floors``
     (T, B) lets the energy definition skip rows that cannot exceed them, see
-    `_candidates`; a family is None when no row can.  The edge-leakage
-    check runs over the whole block before the T scans, and the Nyquist check
-    before the B scans, so one row reports the same error it would alone.
+    `_candidates`; a family is None when no row can.  One body runs for T
+    and, with ``with_b``, again for B.  Before its scans each checks the
+    whole block, so one row reports the same error it would alone: the
+    `_edge_share` of k cells per side (time: 1, against leakage; frequency:
+    2, at the Nyquist edge) and, under the energy definition, the energy.
 
     ``samples`` are the exact rows unless ``delta`` is given.  Then
     |samples - exact| <= delta on every sample, and ``exact(rows)`` returns
@@ -325,78 +338,59 @@ def _windows(samples: np.ndarray, grid: TimeGrid, config: MeasureConfig, with_b:
     ||q|^2 - |q_exact|^2| <= (2|q| + delta)*delta); by Parseval the same
     holds for the frequency cells with l2 grown by the FFT's rounding
     (Higham, ch. 24), and each DFT bin is within ||delta||_1 plus that
-    rounding.  The brackets take Delta as their spread, and a check passes
-    on the approximation when its bounds clear the limit by a relative
-    2^-40, which covers the rounding of the exact check.  Every row the
-    bounds leave open, and every row that can still win, is read through
-    ``exact`` and decided or scanned on its exact samples, so every error,
-    width and row is that of the exact block.  Exact samples are the case
-    delta = 0.
+    rounding.  This error model is all the two domains do differently.  The
+    brackets take Delta as their spread, and a check passes on the
+    approximation when its bounds clear the limit by a relative 2^-40, which
+    covers the rounding of the exact check.  Every row the bounds leave
+    open, and every row that can still win, is read through ``exact`` and
+    decided or scanned on its exact samples, so every error, width and row
+    is that of the exact block.  Exact samples are the case delta = 0.
     """
-    t_floor, b_floor = floors
-    dt, x = grid.dt, grid.times
-    mags = np.abs(samples)
-    cells = mags**2 * dt
-    total = cells.sum(-1)
-    if delta is None:
-        edge_err = rel = spread = 0.0
-    else:
-        edge_err = delta[:, [0, -1]]
-        rel = 2.0**-40
-        l2 = np.sqrt((delta * delta).sum(-1) * dt)
-        spread = (2.0 * np.sqrt(total) + l2) * l2
+    dt = grid.dt
+    domains = [(False, grid.times, dt, 1, EDGE_LEAKAGE_FRACTION * config.epsilon, floors[0],
+                "grid edges carry too much energy for the requested epsilon")]
+    if with_b:
+        freqs = np.fft.fftshift(np.fft.fftfreq(grid.n_samples, d=dt))
+        domains.append((True, freqs, float(freqs[1] - freqs[0]), 2, ALIASING_FRACTION, floors[1],
+                        "spectral energy reaches the Nyquist edge (aliasing)"))
+    rel, l2 = (0.0, None) if delta is None else (2.0**-40, np.sqrt((delta * delta).sum(-1) * dt))
+    found = [None, None]
+    for d, (spectral, x, dx, k, limit, floor, message) in enumerate(domains):
 
-    def exact_mags(rows, spectral):
-        if delta is None:
-            return (f_mags if spectral else mags)[rows]
-        q = exact(rows)
-        return _spectrum_mags(q, dt) if spectral else np.abs(q)
+        def magnitudes(q):
+            return _spectrum_mags(q, dt) if spectral else np.abs(q)
 
-    def exact_cells(rows, spectral):
-        return exact_mags(rows, spectral) ** 2 * (df if spectral else dt)
+        def exact_mags(rows):
+            return mags[rows] if delta is None else magnitudes(exact(rows))
 
-    leak = EDGE_LEAKAGE_FRACTION * config.epsilon
-    edge = ((mags[:, [0, -1]] + edge_err) ** 2 * dt).sum(-1)
+        def exact_cells(rows):
+            return exact_mags(rows) ** 2 * dx
 
-    def no_leak(rows):
-        c = exact_cells(rows, False)
-        return ~(c[:, 0] + c[:, -1] > leak * c.sum(-1))
-
-    _passes(edge * (1.0 + rel) <= leak * (total - spread), no_leak,
-            "grid edges carry too much energy for the requested epsilon")
-    energy = config.definition == "energy"
-    if energy:
-        _passes(total - spread > 1e-300 * (1.0 + rel),
-                lambda rows: exact_cells(rows, False).sum(-1) > 1e-300, "signal carries no energy")
-    t_rows = _candidates(cells, x[0] - 0.5 * dt, dt, config, t_floor, spread)
-    t_max = _first_max(exact_mags(t_rows, False), t_rows, x, dt, config)
-    if not with_b:
-        return t_max, None
-    # unitary DFT magnitudes, frequencies in cycles per unit time
-    f_mags = _spectrum_mags(samples, dt)
-    freqs = np.fft.fftshift(np.fft.fftfreq(grid.n_samples, d=dt))
-    df = float(freqs[1] - freqs[0])
-    cells = f_mags**2 * df
-    total = cells.sum(-1)
-    bin_err = 0.0
-    if delta is not None:
-        # 16u log2(n) of each transform's norm, both transforms
-        rounding = 2.0**-49 * math.log2(grid.n_samples) * (2.0 * np.sqrt(total) + l2)
-        bin_err = (delta.sum(-1) * dt + rounding / math.sqrt(df))[:, None]
-        l2 = (l2 + rounding) * (1.0 + 2.0**-20)
-        spread = (2.0 * np.sqrt(total) + l2) * l2
-    edge = (f_mags[:, [0, 1, -2, -1]] + bin_err) ** 2 * df
-    edge = edge[:, :2].sum(-1) + edge[:, 2:].sum(-1)
-    clear = total - spread
-    share = np.divide(edge, clear, out=np.full(len(edge), math.inf), where=clear > 0)
-    _passes(share * (1.0 + rel) <= ALIASING_FRACTION,
-            lambda rows: ~(_nyquist_edge_share(exact_cells(rows, True)) > ALIASING_FRACTION),
-            "spectral energy reaches the Nyquist edge (aliasing)")
-    if energy:
-        _passes(total - spread > 1e-300 * (1.0 + rel),
-                lambda rows: exact_cells(rows, True).sum(-1) > 1e-300, "signal carries no energy")
-    b_rows = _candidates(cells, freqs[0] - 0.5 * df, df, config, b_floor, spread)
-    return t_max, _first_max(exact_mags(b_rows, True), b_rows, freqs, df, config)
+        mags = magnitudes(samples)
+        cells = mags**2 * dx
+        total = cells.sum(-1)
+        err = spread = 0.0
+        if delta is not None:
+            if spectral:
+                # 16u log2(n) of each transform's norm, both transforms
+                rounding = 2.0**-49 * math.log2(grid.n_samples) * (2.0 * np.sqrt(total) + l2)
+                err = (delta.sum(-1) * dt + rounding / math.sqrt(dx))[:, None]
+                l2 = (l2 + rounding) * (1.0 + 2.0**-20)
+            else:
+                err = delta[:, [0, -1]]
+            spread = (2.0 * np.sqrt(total) + l2) * l2
+        edge = (mags[:, list(range(k)) + list(range(-k, 0))] + err) ** 2 * dx
+        edge = edge[:, :k].sum(-1) + edge[:, k:].sum(-1)
+        clear = total - spread
+        share = np.divide(edge, clear, out=np.full(len(edge), math.inf), where=clear > 0)
+        _passes(share * (1.0 + rel) <= limit,
+                lambda rows: ~(_edge_share(exact_cells(rows), k) > limit), message)
+        if config.definition == "energy":
+            _passes(clear > 1e-300 * (1.0 + rel), lambda rows: exact_cells(rows).sum(-1) > 1e-300,
+                    "signal carries no energy")
+        rows = _candidates(cells, x[0] - 0.5 * dx, dx, config, floor, spread)
+        found[d] = _first_max(exact_mags(rows), rows, x, dx, config)
+    return tuple(found)
 
 
 def measure(signal: SampledSignal, config: MeasureConfig) -> TBReport:

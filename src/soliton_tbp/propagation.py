@@ -22,7 +22,7 @@ import numpy as np
 
 from .darboux import SampledSignal
 from .errors import AliasingWarning, InvalidParameterError
-from .metrics import ALIASING_FRACTION, _nyquist_edge_share
+from .metrics import ALIASING_FRACTION, _edge_share
 
 DEFAULT_DZ = 1e-3
 
@@ -57,7 +57,7 @@ class PropagationPlan:
 
 
 def _check_aliasing(q_freq: np.ndarray, where: str):
-    share = _nyquist_edge_share(np.fft.fftshift(np.abs(q_freq) ** 2))
+    share = _edge_share(np.fft.fftshift(np.abs(q_freq) ** 2), 2)
     if share > ALIASING_FRACTION:
         warnings.warn(
             f"spectral energy at the Nyquist edge ({share:.2e} of total) {where}",

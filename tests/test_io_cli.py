@@ -272,6 +272,8 @@ class TestCli:
         ("nft", ["--region", "1", "-1", "0", "1"]),
         ("nft", ["--region", "-1", "1", "1", "0.5"]),
         ("nft", ["--region", "-1", "1", "nan", "1"]),
+        ("measure", ["--epsilon", "1e-13"]),
+        ("measure", ["--epsilon", "0.6"]),
     ])
     def test_out_of_range_flag_is_validation_error(
         self, one_soliton_file, tmp_path, capsys, command, flags
@@ -296,6 +298,11 @@ class TestCli:
         assert capsys.readouterr().out == ""
         # snapshots would be written as out_z000.txt, ...
         assert not list(tmp_path.glob("out*"))
+
+    def test_epsilon_too_large_for_derived_alpha_names_epsilon(self, one_soliton_file, capsys):
+        capsys.readouterr()
+        assert main(["measure", "--spectrum", str(one_soliton_file), "--epsilon", "0.6"]) == 1
+        assert capsys.readouterr().err.startswith("error: epsilon must lie below 0.5")
 
     @pytest.mark.parametrize("flags", [
         ["--csv", "out.csv"], ["--phases", "8"], ["--z-samples", "5"],

@@ -7,7 +7,7 @@ from conftest import lean_grid, random_spectrum, smallest_window_oracle
 
 from soliton_tbp import darboux, metrics
 from soliton_tbp.darboux import SampledSignal, TimeGrid, auto_grid, synthesize, synthesize_phases
-from soliton_tbp.errors import InvalidParameterError, MeasurementUnreliableError
+from soliton_tbp.errors import AliasingWarning, InvalidParameterError, MeasurementUnreliableError
 from soliton_tbp.metrics import (
     Band,
     MeasureConfig,
@@ -18,7 +18,8 @@ from soliton_tbp.metrics import (
     t_max_b_max,
     tbp_per_eigenvalue_ratio,
 )
-from soliton_tbp.metrics import _smallest_energy_window, _window_bracket
+from soliton_tbp.metrics import _edge_share, _smallest_energy_window, _window_bracket
+from soliton_tbp.propagation import PropagationPlan, propagate
 from soliton_tbp.spectrum import DiscreteSpectrum, evolve, transform
 
 
@@ -44,6 +45,14 @@ class TestConfig:
         assert issubclass(InvalidParameterError, ValueError)
         with pytest.raises(InvalidParameterError, match="z_samples"):
             MeasureConfig(z_samples=1)
+        assert MeasureConfig(epsilon=1e-12).epsilon == 1e-12
+        # the cumulative energy sum no longer resolves 1 - epsilon below 1e-12
+        with pytest.raises(InvalidParameterError, match="epsilon must be >= 1e-12"):
+            MeasureConfig(epsilon=1e-13)
+        # sqrt(2*epsilon) is no threshold from 0.5 on; an explicit alpha still is
+        with pytest.raises(InvalidParameterError, match="epsilon must lie below 0.5"):
+            MeasureConfig(epsilon=0.5)
+        assert MeasureConfig(epsilon=0.6, alpha=0.5).alpha == 0.5
 
 
 class TestWindowSearch:
@@ -252,6 +261,33 @@ class TestDilationCovariance:
         assert r1.t == pytest.approx(2.0 * r0.t, rel=1e-3)
         assert r1.b == pytest.approx(r0.b / 2.0, rel=1e-3)
         assert r1.tbp == pytest.approx(r0.tbp, rel=1e-3)
+
+
+class TestEdgeShare:
+    def test_k_cells_per_side(self):
+        power = np.array([[1.0, 2.0, 3.0, 4.0, 5.0, 6.0], np.zeros(6)])
+        assert _edge_share(power, 1).tolist() == [7.0 / 21.0, 0.0]
+        assert _edge_share(power, 2).tolist() == [14.0 / 21.0, 0.0]
+
+    @pytest.mark.parametrize("factor", [0.5, 2.0])
+    def test_measure_refuses_what_propagate_warns(self, factor):
+        sig = _soliton(DiscreteSpectrum([0.5]))
+        n, dt = sig.grid.n_samples, sig.grid.dt
+        assert n % 2 == 0
+        # (-1)^i lies on the Nyquist bin; give it `factor` times the aliasing limit
+        share = factor * metrics.ALIASING_FRACTION
+        amp = math.sqrt(share / (1.0 - share) * sig.energy / (n * dt))
+        noisy = SampledSignal(sig.grid, sig.samples + amp * (-1.0) ** np.arange(n))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            propagate(noisy, PropagationPlan(z_total=0.1, n_steps=1))
+        warned = any(issubclass(w.category, AliasingWarning) for w in caught)
+        assert warned == (factor > 1.0)
+        if warned:
+            with pytest.raises(MeasurementUnreliableError, match="Nyquist edge"):
+                measure(noisy, MeasureConfig())
+        else:
+            assert measure(noisy, MeasureConfig()).b > 0.0
 
 
 class TestPhaseCombinations:
