@@ -12,6 +12,7 @@ from .errors import (
     AliasingWarning,
     DegenerateRootError,
     DegenerateSpectrumError,
+    EigenvalueCountError,
     GridTooNarrowWarning,
     InvalidParameterError,
     MeasurementUnreliableError,

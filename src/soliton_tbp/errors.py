@@ -13,6 +13,10 @@ class DegenerateRootError(SolitonError):
     """A located root of a(lambda) has vanishing derivative a'(lambda)."""
 
 
+class EigenvalueCountError(SolitonError):
+    """The eigenvalue search found another number of roots than the argument principle counts."""
+
+
 class MeasurementUnreliableError(SolitonError):
     """Duration/bandwidth measurement invalidated by grid leakage or aliasing."""
 

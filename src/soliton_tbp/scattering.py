@@ -16,7 +16,7 @@ of Wahls & Poor, "Fast numerical nonlinear Fourier transforms" (IEEE Trans.
 Inf. Theory, 2015).  The cells are cut into blocks of SWEEP_BUDGET // m
 samples for a batch of m lambdas, so one block always holds about
 SWEEP_BUDGET cell matrices: a single lambda takes the whole signal as one
-block, a batch of 400 about twenty samples at a time.  Each block's cell
+block, a batch of 256 sixteen samples at a time.  Each block's cell
 matrices are built in one vectorized pass, then multiplied pairwise, the
 later cell on the left, in log2(block) levels; an odd last matrix is carried
 to the next level.  A level whose largest entry passes RESCALE_LIMIT is
@@ -28,6 +28,22 @@ The derivative da/dlambda rides along: each cell's lambda derivative comes
 from differentiating its matrix exponential analytically, and every product
 carries its derivative by the product rule (AB)' = A'B + AB'.  This keeps the
 Newton eigenvalue search quadratically convergent.
+
+The eigenvalue search counts before it searches.  By the argument principle
+the number K of roots of a inside the search rectangle is
+(1/2 pi i) oint a'/a dlambda around it, and the higher moments of the same
+integral, oint lambda^p a'/a dlambda for p = 1..K, are the power sums of
+those roots (Delves & Lyness, "A numerical method for locating the zeros of
+an analytic function", Math. Comp. 1967).  One `scatter_many` at
+Gauss-Legendre nodes on the four sides gives them all.  The count is taken
+when it lies within COUNT_TOL of an integer, with 64, 128 or 256 nodes per
+side; the roots of the polynomial with those power sums seed Newton's
+method, which runs every seed to a fixed point of the discretized a.  When
+no node count gives an integer, or fewer than K distinct roots converge,
+Newton runs from a seed grid over the rectangle instead; a grid that then
+finds another number than a certified K raises `EigenvalueCountError`.
+Nodes and polynomial roots are computed by plain iteration (Newton on the
+Legendre recurrence, Aberth-Ehrlich), not by an eigenvalue solver.
 
 Extracting b at the right edge is exact for real lambda but ill-conditioned
 at eigenvalues: round-off seeded into the growing mode is amplified by
@@ -43,21 +59,32 @@ from __future__ import annotations
 import numpy as np
 
 from .darboux import SampledSignal
-from .errors import DegenerateRootError, DegenerateSpectrumError, InvalidParameterError
+from .errors import (
+    DegenerateRootError,
+    DegenerateSpectrumError,
+    EigenvalueCountError,
+    InvalidParameterError,
+)
 from .spectrum import DiscreteSpectrum, qd_init
 
-ROOT_TOL = 1e-6  # |a| below which a Newton iterate counts as an eigenvalue
 NEWTON_MAX_ITER = 50
+STEP_TOL = 1e-13  # a Newton step below this ends the iteration at a fixed point
 DEDUP_DISTANCE = 1e-4
 APRIME_TOL = 1e-10
+
+# The contour count of roots is taken when it lies this close to an integer,
+# trying each number of Gauss-Legendre nodes per side in turn.
+COUNT_TOL = 1e-3
+CONTOUR_NODES = (64, 128, 256)
+POLY_MAX_ITER = 200  # Aberth-Ehrlich iterations for the seeds' polynomial
 
 # Renormalize the propagated components whenever they exceed this magnitude;
 # the accumulated log scale cancels in a/a' and is restored on extraction.
 RESCALE_LIMIT = 1e100
 
 # Cells x lambdas per block of a sweep.  A sweep's buffers then take about
-# 3 MB whatever the batch size, and larger blocks gain little.
-SWEEP_BUDGET = 1 << 13
+# 1.5 MB whatever the batch size, and larger blocks gain little.
+SWEEP_BUDGET = 1 << 12
 
 
 class _BlockProduct:
@@ -345,23 +372,176 @@ def _default_region(signal: SampledSignal):
     return (-2.0 * sigma_scale, 2.0 * sigma_scale), (0.0, 2.0 * sigma_scale)
 
 
+def _gauss_legendre(n: int):
+    """Gauss-Legendre nodes (ascending) and weights of order ``n`` on [-1, 1].
+
+    Newton's method on P_n, evaluated by the three-term recurrence
+    k P_k = (2k - 1) x P_{k-1} - (k - 1) P_{k-2}, from Tricomi's estimates
+    -cos(pi (i - 1/4) / (n + 1/2)); the weights are 2 / ((1 - x^2) P_n'(x)^2).
+    """
+    x = -np.cos(np.pi * (np.arange(1, n + 1) - 0.25) / (n + 0.5))
+    for _ in range(10):
+        p0, p1 = np.ones(n), x.copy()
+        for k in range(2, n + 1):
+            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+        dp = n * (x * p1 - p0) / (x * x - 1.0)
+        step = p1 / dp
+        x -= step
+        if np.abs(step).max() < 1e-15:
+            break
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    # the rule is symmetric about 0
+    return 0.5 * (x - x[::-1]), 0.5 * (w + w[::-1])
+
+
+def _poly_roots(coeffs) -> np.ndarray:
+    """Roots of the monic polynomial with ``coeffs`` (highest power first).
+
+    Aberth-Ehrlich iteration: every root estimate z_i moves by
+    w_i / (1 - w_i sum_{j != i} 1 / (z_i - z_j)) with w_i = p(z_i) / p'(z_i),
+    from a circle around the roots' centroid that holds them all.
+    """
+    coeffs = np.asarray(coeffs, dtype=complex)
+    k = len(coeffs) - 1
+    if k < 1:
+        return np.empty(0, complex)
+    dcoeffs = coeffs[:-1] * np.arange(k, 0, -1)
+    radius = max(abs(c) ** (1.0 / i) for i, c in enumerate(coeffs[1:], 1))
+    z = -coeffs[1] / k + max(radius, 1e-3) * np.exp(2j * np.pi * (np.arange(k) + 0.25) / k)
+    off_diagonal = ~np.eye(k, dtype=bool)
+    for _ in range(POLY_MAX_ITER):
+        p, dp = np.zeros(k, complex), np.zeros(k, complex)
+        for c, dc in zip(coeffs, dcoeffs):
+            p, dp = p * z + c, dp * z + dc
+        p = p * z + coeffs[-1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            w = p / dp
+            repel = np.where(off_diagonal, 1.0 / (z[:, None] - z[None, :]), 0.0).sum(axis=1)
+            step = w / (1.0 - w * repel)
+        step[~np.isfinite(step)] = 0.0
+        z -= step
+        if (np.abs(step) <= 1e-15 * np.maximum(np.abs(z), 1.0)).all():
+            break
+    return z
+
+
+def _contour_seeds(signal: SampledSignal, region):
+    """The number K of roots of a inside ``region``, and a seed for each.
+
+    The moments s_p = (1/2 pi i) oint ((lambda - c)/h)^p a'/a dlambda around
+    the rectangle (centre c, half-size h) are Gauss-Legendre sums over its
+    four sides, from one `scatter_many` at every node.  s_0 is the count: it
+    is taken when within COUNT_TOL of an integer, with CONTOUR_NODES per side
+    in turn.  s_1..s_K are the power sums of the scaled roots, so Newton's
+    identities give their monic polynomial and its roots the seeds.
+
+    Returns (K, seeds), or (None, no seeds) when no node count certifies K.
+    """
+    (re_lo, re_hi), (im_lo, im_hi) = region
+    centre = complex(0.5 * (re_lo + re_hi), 0.5 * (im_lo + im_hi))
+    half_size = 0.5 * max(re_hi - re_lo, im_hi - im_lo)
+    # counterclockwise from the lower left corner
+    starts = np.array([complex(re_lo, im_lo), complex(re_hi, im_lo),
+                       complex(re_hi, im_hi), complex(re_lo, im_hi)])
+    half_sides = 0.5 * (np.roll(starts, -1) - starts)
+    for n in CONTOUR_NODES:
+        x, w = _gauss_legendre(n)
+        lams = (starts + half_sides)[:, None] + half_sides[:, None] * x
+        a, _, a_prime = scatter_many(signal, lams.ravel())
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms = (a_prime / a).reshape(4, n) * half_sides[:, None] * w / (2j * np.pi)
+        count = terms.sum()
+        k = round(count.real) if np.isfinite(count) else -1
+        if k < 0 or abs(count - k) > COUNT_TOL:
+            continue
+        z = (lams - centre) / half_size
+        power_sums = [(terms * z**p).sum() for p in range(1, k + 1)]
+        # Newton's identities: c_j = -(1/j) sum_{i=1..j} c_{j-i} s_i, c_0 = 1
+        coeffs = [1.0 + 0j]
+        for j in range(1, k + 1):
+            coeffs.append(-sum(coeffs[j - i] * power_sums[i - 1] for i in range(1, j + 1)) / j)
+        return k, centre + half_size * _poly_roots(coeffs)
+    return None, np.empty(0, complex)
+
+
+def _newton(signal: SampledSignal, lams, max_iter: int, box=((-np.inf, np.inf), np.inf)):
+    """Newton's method on the discretized a from every lambda of ``lams``.
+
+    Each iteration is one `scatter_many` over the lambdas still moving.  A
+    lambda converges once its step is below STEP_TOL: it is then a fixed
+    point of the iteration, whatever its seed.  It is dropped where a' is
+    below APRIME_TOL or not finite (not stepped), or where its step leaves
+    the upper half-plane or ``box`` = ((re_min, re_max), im_max) (stepped).
+
+    Returns (lams, a_prime, converged): the last iterates, a' at the lambda
+    each last step started from, and which converged.
+    """
+    lams = np.array(lams, dtype=complex)
+    a_prime = np.zeros_like(lams)
+    converged = np.zeros(len(lams), dtype=bool)
+    (re_min, re_max), im_max = box
+    active = np.arange(len(lams))
+    for _ in range(max_iter):
+        if not active.size:
+            break
+        a, _, a_prime[active] = scatter_many(signal, lams[active])
+        ok = (np.abs(a_prime[active]) >= APRIME_TOL) & np.isfinite(a) & np.isfinite(a_prime[active])
+        active = active[ok]
+        step = a[ok] / a_prime[active]
+        lams[active] -= step
+        new = lams[active]
+        inside = (new.imag > 0.0) & (new.real >= re_min) & (new.real <= re_max) & (new.imag <= im_max)
+        still = np.abs(step) >= STEP_TOL
+        converged[active[inside & ~still]] = True
+        active = active[inside & still]
+    return lams, a_prime, converged
+
+
+def _roots_from(signal: SampledSignal, seeds, region) -> list[complex]:
+    """The distinct roots inside ``region`` that Newton reaches from ``seeds``,
+    sorted by real then imaginary part."""
+    (re_lo, re_hi), (im_lo, im_hi) = region
+    margin = 0.5 * (im_hi - im_lo) + 0.5
+    box = ((re_lo - margin, re_hi + margin), im_hi + margin)
+    lams, _, converged = _newton(signal, seeds, NEWTON_MAX_ITER, box)
+    merged: list[complex] = []
+    for r in sorted((complex(r) for r in lams[converged]), key=lambda r: (r.real, r.imag)):
+        if any(abs(r - m) < DEDUP_DISTANCE for m in merged):
+            continue
+        if re_lo - 1e-9 <= r.real <= re_hi + 1e-9 and im_lo < r.imag <= im_hi + 1e-9:
+            merged.append(r)
+    return merged
+
+
 def find_eigenvalues(
     signal: SampledSignal,
     region: tuple[tuple[float, float], tuple[float, float]] | None = None,
     seeds_per_axis: int = 20,
 ) -> list[complex]:
-    """Locate simple upper-half-plane roots of a(lambda) by seeded Newton.
+    """Locate simple upper-half-plane roots of a(lambda), counted by the
+    argument principle and seeded from the same contour integral.
+
+    One `scatter_many` at Gauss-Legendre nodes on the sides of the region
+    gives the count K of roots inside it and K seeds (`_contour_seeds`).
+    Newton runs from the seeds to fixed points of the discretized a.  If the
+    contour gives no certified count, or the seeds do not reach K distinct
+    roots in the region, Newton runs from a seeds_per_axis x seeds_per_axis
+    grid over the region instead.
 
     Args:
         signal: sampled pulse, decaying at the grid edges.
         region: ((re_min, re_max), (im_min, im_max)) search rectangle, finite,
             with min < max on both axes and im_min >= 0; sized from the signal
             when omitted.
-        seeds_per_axis: seed grid resolution per axis.
+        seeds_per_axis: resolution per axis of the fallback seed grid.
 
     Returns:
         Deduplicated converged roots inside the region, sorted by real then
         imaginary part.  No roots found is an empty list, not an error.
+
+    Raises:
+        EigenvalueCountError: the count was certified and the fallback grid
+            found another number of roots.
     """
     if seeds_per_axis < 1:
         raise InvalidParameterError(f"seeds_per_axis must be >= 1, got {seeds_per_axis}")
@@ -370,47 +550,20 @@ def find_eigenvalues(
     (re_lo, re_hi), (im_lo, im_hi) = region
     if not (np.isfinite(region).all() and re_lo < re_hi and 0.0 <= im_lo < im_hi):
         raise InvalidParameterError(f"region must be finite, lo < hi, im >= 0; got {region}")
+    count, seeds = _contour_seeds(signal, region)
+    if count is not None:
+        roots = _roots_from(signal, seeds, region)
+        if len(roots) == count:
+            return roots
     res = np.linspace(re_lo, re_hi, seeds_per_axis)
     ims = np.linspace(max(im_lo, im_hi / seeds_per_axis), im_hi, seeds_per_axis)
-    lam = (res[:, None] + 1j * ims[None, :]).ravel()
-
-    margin = 0.5 * (im_hi - im_lo) + 0.5
-    active = np.ones(len(lam), dtype=bool)
-    roots: list[complex] = []
-    for _ in range(NEWTON_MAX_ITER):
-        if not active.any():
-            break
-        idx = np.nonzero(active)[0]
-        a, _, a_prime = scatter_many(signal, lam[idx])
-        converged = (np.abs(a) < ROOT_TOL) & (np.abs(a_prime) > 0.0)
-        # record one quadratic step past the tolerance so that duplicates
-        # from different seeds cluster far inside the merge radius
-        for i, aa, ap in zip(idx[converged], a[converged], a_prime[converged]):
-            roots.append(complex(lam[i] - aa / ap))
-        active[idx[converged]] = False
-        ok = ~converged & (np.abs(a_prime) > 0.0) & np.isfinite(a) & np.isfinite(a_prime)
-        step = np.zeros_like(a)
-        step[ok] = a[ok] / a_prime[ok]
-        new = lam[idx] - step
-        out = (
-            ~ok
-            | (new.imag <= 0.0)
-            | (new.real < re_lo - margin)
-            | (new.real > re_hi + margin)
-            | (new.imag > im_hi + margin)
+    roots = _roots_from(signal, (res[:, None] + 1j * ims[None, :]).ravel(), region)
+    if count is not None and len(roots) != count:
+        raise EigenvalueCountError(
+            f"the contour integral counts {count} eigenvalues in {region}, "
+            f"Newton from the seed grid finds {len(roots)}"
         )
-        active[idx[out]] = False
-        lam[idx] = new
-
-    # deduplicate, restrict to the region, deterministic order
-    roots.sort(key=lambda r: (r.real, r.imag))
-    merged: list[complex] = []
-    for r in roots:
-        if any(abs(r - m) < DEDUP_DISTANCE for m in merged):
-            continue
-        if re_lo - 1e-9 <= r.real <= re_hi + 1e-9 and im_lo < r.imag <= im_hi + 1e-9:
-            merged.append(r)
-    return merged
+    return roots
 
 
 def discrete_amplitude(signal: SampledSignal, lams) -> np.ndarray:
@@ -418,27 +571,19 @@ def discrete_amplitude(signal: SampledSignal, lams) -> np.ndarray:
 
     Each eigenvalue is first polished onto the root of the discretized a; the
     proportionality between the two Jost solutions (and with it the midpoint
-    ratio for b) holds only there.  Every Newton step is one `scatter_many`
-    over the eigenvalues whose last step was not yet below 1e-13.
+    ratio for b) holds only there.  The polish is `find_eigenvalues`' Newton
+    loop, at most 8 steps; a root it already found takes one.
     """
-    lams = np.atleast_1d(np.asarray(lams, dtype=complex)).copy()
+    lams = np.atleast_1d(np.asarray(lams, dtype=complex))
     if np.any(lams.imag <= 0.0):
         raise InvalidParameterError(f"eigenvalues lie strictly above the real axis, got {lams}")
-    a_prime = np.empty_like(lams)
-    active = np.arange(len(lams))
-    for _ in range(8):
-        a, _, a_prime[active] = scatter_many(signal, lams[active])
-        flat = active[np.abs(a_prime[active]) < APRIME_TOL]
-        if flat.size:
-            raise DegenerateRootError(f"a'({lams[flat]}) = {a_prime[flat]}; root is not simple")
-        step = a / a_prime[active]
-        lams[active] -= step
-        below = lams[lams.imag <= 0.0]
-        if below.size:
-            raise DegenerateRootError(f"polishing left the upper half-plane at {below}")
-        active = active[np.abs(step) >= 1e-13]
-        if not active.size:
-            break
+    lams, a_prime, _ = _newton(signal, lams, 8)
+    flat = np.abs(a_prime) < APRIME_TOL
+    if flat.any():
+        raise DegenerateRootError(f"a'({lams[flat]}) = {a_prime[flat]}; root is not simple")
+    below = lams[lams.imag <= 0.0]
+    if below.size:
+        raise DegenerateRootError(f"polishing left the upper half-plane at {below}")
     return _bound_state_b(signal, lams) / a_prime
 
 

@@ -6,9 +6,20 @@ from conftest import random_spectrum
 
 from soliton_tbp import scattering
 from soliton_tbp.darboux import SampledSignal, TimeGrid, auto_grid, synthesize
-from soliton_tbp.errors import DegenerateRootError, DegenerateSpectrumError, InvalidParameterError
+from soliton_tbp.cli import main
+from soliton_tbp.errors import (
+    DegenerateRootError,
+    DegenerateSpectrumError,
+    EigenvalueCountError,
+    InvalidParameterError,
+)
+from soliton_tbp.io import save_signal
 from soliton_tbp.scattering import (
     RESCALE_LIMIT,
+    _contour_seeds,
+    _default_region,
+    _gauss_legendre,
+    _poly_roots,
     _sweep,
     discrete_amplitude,
     find_eigenvalues,
@@ -172,7 +183,7 @@ class TestSweep:
     @pytest.mark.parametrize("n", [0, 1, 2, 255, 1025])
     @pytest.mark.parametrize("m", [1, 8, 400])
     def test_matches_per_sample_reference(self, m, n):
-        # m = 400 takes blocks of 20 cells, m = 8 of 1024 and m = 1 one block
+        # m = 400 takes blocks of 10 cells, m = 8 of 512 and m = 1 one block
         rng = np.random.default_rng(1000 * m + n)
         samples = 0.8 * (rng.normal(size=n) + 1j * rng.normal(size=n))
         lams = rng.uniform(-2.0, 2.0, m) + 1j * rng.uniform(0.0, 0.6, m)
@@ -198,9 +209,10 @@ class TestSweep:
     @pytest.mark.parametrize("m", [1, 2])
     def test_long_span_renormalizes_levels(self, m, n, span):
         # 250 time units at Im(lambda) = 1 grow by e^250 > RESCALE_LIMIT; for
-        # m <= 2 the whole span is one block, so the levels must renormalize.
-        # 3072 cells over 750 units reach a level of three such products,
-        # whose last one is carried with its scale.
+        # m = 1 the whole span is one block, so the levels must renormalize,
+        # and for m = 2 so must the vector carried between blocks.  3072
+        # cells over 750 units reach a level of three such products, whose
+        # last one is carried with its scale.
         rng = np.random.default_rng(7)
         samples = 0.05 * (rng.normal(size=n) + 1j * rng.normal(size=n))
         lams = np.array([0.3 + 1j, -0.2 + 1j])[:m]
@@ -211,10 +223,89 @@ class TestSweep:
         _assert_sweeps_agree(got, want, rtol=1e-11)
 
 
+N2_SPECTRUM = DiscreteSpectrum([1.0, 0.5], [0.3, -0.2], [2.0, 0.7], [1.0, 4.0])
+
+
+class TestContour:
+    @pytest.mark.parametrize("n", [64, 128, 256])
+    def test_gauss_legendre_matches_numpy(self, n):
+        # numpy's rule (an eigenvalue solve) serves only as the oracle here
+        nodes, weights = np.polynomial.legendre.leggauss(n)
+        x, w = _gauss_legendre(n)
+        np.testing.assert_allclose(x, nodes, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(w, weights, rtol=0, atol=1e-14)
+
+    def test_polynomial_roots_match_numpy(self):
+        rng = np.random.default_rng(31)
+        for _ in range(20):
+            coeffs = np.r_[1.0, rng.normal(size=3) + 1j * rng.normal(size=3)]
+            got = np.sort_complex(_poly_roots(coeffs))
+            np.testing.assert_allclose(got, np.sort_complex(np.roots(coeffs)), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_count_matches_the_spectrum(self, n):
+        rng = np.random.default_rng(505 + n)
+        for _ in range(3):
+            s = random_spectrum(rng, n=n, sigma_range=(0.3, 1.5), dt_range=(-1.5, 1.5), min_gap=0.2)
+            sig = _soliton_signal(s)
+            count, seeds = _contour_seeds(sig, _default_region(sig))
+            assert count == n and len(seeds) == n
+            for lam in s.lams:
+                assert np.abs(seeds - lam).min() < 1e-2
+
+    def test_zero_signal_counts_zero(self):
+        sig = SampledSignal(TimeGrid(-10.0, 0.05, 512), np.zeros(512, complex))
+        count, seeds = _contour_seeds(sig, ((-1.0, 1.0), (0.0, 1.0)))
+        assert count == 0 and seeds.size == 0
+
+
 class TestFindEigenvalues:
     def test_zero_potential_empty(self):
         sig = SampledSignal(TimeGrid(-10.0, 0.05, 512), np.zeros(512, complex))
         assert find_eigenvalues(sig, region=((-1.0, 1.0), (0.0, 1.0))) == []
+
+    @pytest.mark.parametrize("spectrum", [
+        N2_SPECTRUM,
+        DiscreteSpectrum([0.7, 0.5, 0.3], [0.2, -0.4, 0.1], [1.0, 3.0, 0.5]),
+    ])
+    def test_roots_are_fixed_points(self, spectrum):
+        roots = find_eigenvalues(_soliton_signal(spectrum))
+        assert len(roots) == spectrum.n
+        a, _, a_prime = scatter_many(_soliton_signal(spectrum), roots)
+        assert (np.abs(a / a_prime) < 1e-12).all()
+
+    def test_bad_seeds_fall_back_to_the_grid(self, monkeypatch):
+        sig = _soliton_signal(N2_SPECTRUM)
+        want = find_eigenvalues(sig)
+        # one seed off the region and one on a root: one distinct root converges
+        bad = np.array([5.0 + 5.0j, complex(want[0])])
+        monkeypatch.setattr(scattering, "_contour_seeds", lambda signal, region: (2, bad))
+        got = find_eigenvalues(sig)
+        assert len(got) == 2
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_count_the_grid_contradicts_is_an_error(self, monkeypatch, tmp_path):
+        sig = _soliton_signal(N2_SPECTRUM)
+        seeds = _contour_seeds(sig, _default_region(sig))[1]
+        monkeypatch.setattr(scattering, "_contour_seeds", lambda signal, region: (3, seeds))
+        # a coarse fallback grid keeps the test short; it finds the 2 roots
+        with pytest.raises(EigenvalueCountError, match="counts 3 eigenvalues.* finds 2"):
+            find_eigenvalues(sig, seeds_per_axis=10)
+        path = tmp_path / "two.csv"
+        save_signal(path, sig)
+        out = tmp_path / "two.yaml"
+        assert main(["nft", "--signal", str(path), "--out", str(out), "--seeds", "10"]) == 2
+        assert not out.exists()
+
+    def test_no_lapack(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("LAPACK-backed call on the eigenvalue search path")
+
+        for owner, name in ((np, "roots"), (np.linalg, "eigvals"), (np.linalg, "eigvalsh"),
+                            (np.linalg, "eig"), (np.polynomial.legendre, "leggauss")):
+            monkeypatch.setattr(owner, name, refuse)
+        s = DiscreteSpectrum([0.7, 0.5, 0.3], [0.2, -0.4, 0.1])
+        assert recover_spectrum(_soliton_signal(s)).n == 3
 
     def test_two_imaginary(self):
         s = DiscreteSpectrum([1.0, 0.5])
@@ -240,9 +331,6 @@ class TestFindEigenvalues:
         sig = _soliton_signal(s)
         roots = find_eigenvalues(sig)
         assert roots == sorted(roots, key=lambda r: (r.real, r.imag))
-
-
-N2_SPECTRUM = DiscreteSpectrum([1.0, 0.5], [0.3, -0.2], [2.0, 0.7], [1.0, 4.0])
 
 
 class TestDiscreteAmplitude:
