@@ -71,7 +71,7 @@ def _cmd_nft(args) -> int:
     if args.region:
         re_lo, re_hi, im_lo, im_hi = args.region
         region = ((re_lo, re_hi), (im_lo, im_hi))
-    spectrum = recover_spectrum(signal, region=region, seeds_per_axis=args.seeds)
+    spectrum = recover_spectrum(signal, region=region)
     sio.save_spectrum(args.out, spectrum)
     print(f"located {spectrum.n} eigenvalues; wrote {args.out}")
     return 0
@@ -300,7 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("nft", help="recover the discrete spectrum of a signal")
     p.add_argument("--signal", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seeds", type=int, default=20)
     p.add_argument("--region", type=float, nargs=4, metavar=("RE_LO", "RE_HI", "IM_LO", "IM_HI"))
     p.set_defaults(func=_cmd_nft)
 

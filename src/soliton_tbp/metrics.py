@@ -14,17 +14,18 @@ Two window definitions are supported:
 One block evaluator, `_windows`, serves every measurement: for a (rows x
 samples) block on one grid it returns the first maximal T and B window of
 the block.  One body runs per domain, on the |q|^2 dt and the |Q|^2 df
-cells: it checks the block's edge shares (`_edge_share`: leakage past the
-time grid, aliasing at the Nyquist edge) and then works in two steps: the
-rows that can still win (`_candidates`: under the energy definition a cheap
-per-row bracket on the window width, `_window_bracket`, rules out every row
-that provably lies below a floor or below another row of its block), then
-an exact scan of those rows (`_first_max`), so the maxima and argmaxes are
-those of a full scan.  The block may be an approximation of the exact rows
-within a per-sample bound: the brackets and the checks then widen by what
-that bound allows, and `_windows` reads the exact samples of the rows it
-scans, or cannot decide a check on, from a callable.  Exact samples are the
-case of a zero bound.  `measure` is a block of one without floors.
+cells: it checks the block's energy and edge shares (`_edge_share`:
+leakage past the time grid, aliasing at the Nyquist edge) and then works in
+two steps: the rows that can still win (`_candidates`: under the energy
+definition a cheap per-row bracket on the window width, `_window_bracket`,
+rules out every row that provably lies below a floor or below another row
+of its block), then an exact scan of those rows (`_first_max`), so the
+maxima and argmaxes are those of a full scan.  The block may be an
+approximation of the exact rows within a per-sample bound: the brackets and
+the checks then widen by what that bound allows, and `_windows` reads the
+exact samples of the rows it scans, or cannot decide a check on, from a
+callable.  Exact samples are the case of a zero bound.  `measure` is a
+block of one without floors.
 `t_max_b_max` takes the first maximal T and B of a spectrum over the
 spectral-phase grid on a given time grid, chunk by chunk, with the widest
 windows of earlier chunks as floors; its ``floors`` argument seeds them, so
@@ -154,10 +155,9 @@ def _smallest_energy_window(cells: np.ndarray, x0: float, dx: float, epsilon: fl
 
     Cell i occupies [x0 + i*dx, x0 + (i+1)*dx] with uniform density.  The
     cumulative is piecewise linear, so the minimal window has at least one
-    edge on a cell boundary; both edge families are scanned.
+    edge on a cell boundary; both edge families are scanned.  The sum is
+    finite and above 1e-300 (`_windows` refuses other rows).
     """
-    if not cells.sum() > 1e-300:  # also rejects subnormal-only content
-        raise MeasurementUnreliableError("signal carries no energy")
     # strip zero-density margins so interpolation never sits on a plateau edge
     nz = np.nonzero(cells)[0]
     cells = cells[nz[0] : nz[-1] + 1]
@@ -179,17 +179,13 @@ def _smallest_energy_window(cells: np.ndarray, x0: float, dx: float, epsilon: fl
         widths = bounds[mask] - lo
         i = int(np.argmin(widths))
         best = min(best, (float(widths[i]), float(lo[i]), float(bounds[mask][i])))
-    if not math.isfinite(best[0]):
-        raise MeasurementUnreliableError("no window captures the requested energy")
     return Band(best[1], best[2])
 
 
 def _threshold_window(mags: np.ndarray, x: np.ndarray, alpha: float) -> Band:
-    """Smallest interval outside which mags <= alpha * max(mags)."""
+    """Smallest interval outside which mags <= alpha * max(mags), max(mags) > 0."""
     thresh = alpha * mags.max()
     above = np.nonzero(mags > thresh)[0]
-    if len(above) == 0:
-        raise MeasurementUnreliableError("no sample exceeds the threshold")
     i0, i1 = int(above[0]), int(above[-1])
     if i0 == 0 or i1 == len(mags) - 1:
         raise MeasurementUnreliableError("threshold crossing lies outside the grid")
@@ -326,9 +322,10 @@ def _windows(samples: np.ndarray, grid: TimeGrid, config: MeasureConfig, with_b:
     (T, B) lets the energy definition skip rows that cannot exceed them, see
     `_candidates`; a family is None when no row can.  One body runs for T
     and, with ``with_b``, again for B.  Before its scans each checks the
-    whole block, so one row reports the same error it would alone: the
-    `_edge_share` of k cells per side (time: 1, against leakage; frequency:
-    2, at the Nyquist edge) and, under the energy definition, the energy.
+    whole block, so one row reports the same error it would alone: first
+    the energy, under both definitions (it must be finite and above 1e-300),
+    then the `_edge_share` of k cells per side (time: 1, against leakage;
+    frequency: 2, at the Nyquist edge).
 
     ``samples`` are the exact rows unless ``delta`` is given.  Then
     |samples - exact| <= delta on every sample, and ``exact(rows)`` returns
@@ -364,10 +361,12 @@ def _windows(samples: np.ndarray, grid: TimeGrid, config: MeasureConfig, with_b:
             return mags[rows] if delta is None else magnitudes(exact(rows))
 
         def exact_cells(rows):
-            return exact_mags(rows) ** 2 * dx
+            with np.errstate(over="ignore"):  # an overflowing energy is refused
+                return exact_mags(rows) ** 2 * dx
 
         mags = magnitudes(samples)
-        cells = mags**2 * dx
+        with np.errstate(over="ignore"):  # an overflowing energy is refused below
+            cells = mags**2 * dx
         total = cells.sum(-1)
         err = spread = 0.0
         if delta is not None:
@@ -379,15 +378,16 @@ def _windows(samples: np.ndarray, grid: TimeGrid, config: MeasureConfig, with_b:
             else:
                 err = delta[:, [0, -1]]
             spread = (2.0 * np.sqrt(total) + l2) * l2
+        _passes(np.isfinite((total + spread) * (1.0 + rel)),
+                lambda rows: np.isfinite(exact_cells(rows).sum(-1)), "signal energy overflows")
+        clear = total - spread
+        _passes(clear > 1e-300 * (1.0 + rel), lambda rows: exact_cells(rows).sum(-1) > 1e-300,
+                "signal carries no energy")
         edge = (mags[:, list(range(k)) + list(range(-k, 0))] + err) ** 2 * dx
         edge = edge[:, :k].sum(-1) + edge[:, k:].sum(-1)
-        clear = total - spread
         share = np.divide(edge, clear, out=np.full(len(edge), math.inf), where=clear > 0)
         _passes(share * (1.0 + rel) <= limit,
                 lambda rows: ~(_edge_share(exact_cells(rows), k) > limit), message)
-        if config.definition == "energy":
-            _passes(clear > 1e-300 * (1.0 + rel), lambda rows: exact_cells(rows).sum(-1) > 1e-300,
-                    "signal carries no energy")
         rows = _candidates(cells, x[0] - 0.5 * dx, dx, config, floor, spread)
         found[d] = _first_max(exact_mags(rows), rows, x, dx, config)
     return tuple(found)
@@ -531,7 +531,9 @@ def t_hat_b_hat(
     With ``profile`` the result's profile holds (z, T max, B max) at every
     distance.  Without it each distance is scanned with the T-hat and B-hat
     of the distances before it as `t_max_b_max` floors and the profile is
-    empty; T-hat and B-hat are the same, and so is every error raised.
+    empty.  T-hat and B-hat are the same, and so is every error of the T
+    scans, but B is then measured at the endpoints only: aliasing at the
+    Nyquist edge of an interior distance raises with ``profile`` alone.
     """
     if not (math.isfinite(link_length) and link_length >= 0.0):
         raise InvalidParameterError(f"link length must be finite and >= 0, got {link_length}")

@@ -43,7 +43,8 @@ no node count gives an integer, or fewer than K distinct roots converge,
 Newton runs from a seed grid over the rectangle instead; a grid that then
 finds another number than a certified K raises `EigenvalueCountError`.
 Nodes and polynomial roots are computed by plain iteration (Newton on the
-Legendre recurrence, Aberth-Ehrlich), not by an eigenvalue solver.
+Legendre recurrence, Aberth-Ehrlich), not by an eigenvalue solver.  Roots
+are sorted by real part rounded to DEDUP_DISTANCE, then by descending sigma.
 
 Extracting b at the right edge is exact for real lambda but ill-conditioned
 at eigenvalues: round-off seeded into the growing mode is amplified by
@@ -77,6 +78,7 @@ APRIME_TOL = 1e-10
 COUNT_TOL = 1e-3
 CONTOUR_NODES = (64, 128, 256)
 POLY_MAX_ITER = 200  # Aberth-Ehrlich iterations for the seeds' polynomial
+FALLBACK_GRID = 20  # seeds per axis of the grid Newton runs from without contour seeds
 
 # Renormalize the propagated components whenever they exceed this magnitude;
 # the accumulated log scale cancels in a/a' and is restored on extraction.
@@ -499,7 +501,7 @@ def _newton(signal: SampledSignal, lams, max_iter: int, box=((-np.inf, np.inf), 
 
 def _roots_from(signal: SampledSignal, seeds, region) -> list[complex]:
     """The distinct roots inside ``region`` that Newton reaches from ``seeds``,
-    sorted by real then imaginary part."""
+    by real part rounded to DEDUP_DISTANCE, then by descending imaginary part."""
     (re_lo, re_hi), (im_lo, im_hi) = region
     margin = 0.5 * (im_hi - im_lo) + 0.5
     box = ((re_lo - margin, re_hi + margin), im_hi + margin)
@@ -510,13 +512,12 @@ def _roots_from(signal: SampledSignal, seeds, region) -> list[complex]:
             continue
         if re_lo - 1e-9 <= r.real <= re_hi + 1e-9 and im_lo < r.imag <= im_hi + 1e-9:
             merged.append(r)
-    return merged
+    return sorted(merged, key=lambda r: (round(r.real / DEDUP_DISTANCE), -r.imag))
 
 
 def find_eigenvalues(
     signal: SampledSignal,
     region: tuple[tuple[float, float], tuple[float, float]] | None = None,
-    seeds_per_axis: int = 20,
 ) -> list[complex]:
     """Locate simple upper-half-plane roots of a(lambda), counted by the
     argument principle and seeded from the same contour integral.
@@ -525,7 +526,7 @@ def find_eigenvalues(
     gives the count K of roots inside it and K seeds (`_contour_seeds`).
     Newton runs from the seeds to fixed points of the discretized a.  If the
     contour gives no certified count, or the seeds do not reach K distinct
-    roots in the region, Newton runs from a seeds_per_axis x seeds_per_axis
+    roots in the region, Newton runs from a FALLBACK_GRID x FALLBACK_GRID
     grid over the region instead.
 
     Args:
@@ -533,18 +534,16 @@ def find_eigenvalues(
         region: ((re_min, re_max), (im_min, im_max)) search rectangle, finite,
             with min < max on both axes and im_min >= 0; sized from the signal
             when omitted.
-        seeds_per_axis: resolution per axis of the fallback seed grid.
 
     Returns:
-        Deduplicated converged roots inside the region, sorted by real then
-        imaginary part.  No roots found is an empty list, not an error.
+        Deduplicated converged roots inside the region, by real part rounded
+        to DEDUP_DISTANCE, then by descending imaginary part, whatever the
+        seeds.  No roots found is an empty list, not an error.
 
     Raises:
         EigenvalueCountError: the count was certified and the fallback grid
             found another number of roots.
     """
-    if seeds_per_axis < 1:
-        raise InvalidParameterError(f"seeds_per_axis must be >= 1, got {seeds_per_axis}")
     if region is None:
         region = _default_region(signal)
     (re_lo, re_hi), (im_lo, im_hi) = region
@@ -555,8 +554,8 @@ def find_eigenvalues(
         roots = _roots_from(signal, seeds, region)
         if len(roots) == count:
             return roots
-    res = np.linspace(re_lo, re_hi, seeds_per_axis)
-    ims = np.linspace(max(im_lo, im_hi / seeds_per_axis), im_hi, seeds_per_axis)
+    res = np.linspace(re_lo, re_hi, FALLBACK_GRID)
+    ims = np.linspace(max(im_lo, im_hi / FALLBACK_GRID), im_hi, FALLBACK_GRID)
     roots = _roots_from(signal, (res[:, None] + 1j * ims[None, :]).ravel(), region)
     if count is not None and len(roots) != count:
         raise EigenvalueCountError(
@@ -587,19 +586,16 @@ def discrete_amplitude(signal: SampledSignal, lams) -> np.ndarray:
     return _bound_state_b(signal, lams) / a_prime
 
 
-def recover_spectrum(
-    signal: SampledSignal,
-    region=None,
-    seeds_per_axis: int = 20,
-) -> DiscreteSpectrum:
+def recover_spectrum(signal: SampledSignal, region=None) -> DiscreteSpectrum:
     """Full inverse of synthesis: eigenvalues plus (eta, phi) parameters.
 
-    The roots of `find_eigenvalues` are measured by one `discrete_amplitude`
-    call.  The amplitude at each equals ``eta * exp(j*phi) * qd_init`` for the
-    synthesis convention of this package, so eta and phi follow by dividing
-    out the canonical amplitude of the recovered eigenvalue set.
+    The roots of `find_eigenvalues`, in its order, are measured by one
+    `discrete_amplitude` call.  The amplitude at each equals
+    ``eta * exp(j*phi) * qd_init`` for the synthesis convention of this
+    package, so eta and phi follow by dividing out the canonical amplitude
+    of the recovered eigenvalue set.
     """
-    lams = np.array(find_eigenvalues(signal, region=region, seeds_per_axis=seeds_per_axis))
+    lams = np.array(find_eigenvalues(signal, region=region))
     if not lams.size:
         raise DegenerateSpectrumError("no eigenvalues found in the search region")
     shell = DiscreteSpectrum(lams.imag, lams.real)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from soliton_tbp.cli import main
-from soliton_tbp.darboux import auto_grid, synthesize
+from soliton_tbp.darboux import SampledSignal, TimeGrid, auto_grid, synthesize
 from soliton_tbp.errors import SpectrumFileError
 from soliton_tbp.io import (
     format_signal_csv,
@@ -137,6 +137,29 @@ class TestCli:
         )
         assert float(fields["TB"]) == pytest.approx(9.94, abs=0.1)
 
+    def test_measure_report_file_is_the_printed_report(self, one_soliton_file, tmp_path, capsys):
+        sig, report = tmp_path / "sig.csv", tmp_path / "out.txt"
+        main(["synth", "--spectrum", str(one_soliton_file), "--out", str(sig)])
+        capsys.readouterr()
+        assert main(["measure", "--signal", str(sig), "--report", str(report)]) == 0
+        printed = capsys.readouterr().out
+        assert printed.startswith("definition: energy\n")
+        assert report.read_text() == printed
+
+    @pytest.mark.parametrize("definition", ["energy", "threshold"])
+    @pytest.mark.parametrize("peak, message", [(1e160, "energy overflows"),
+                                               (0.0, "carries no energy")])
+    def test_measure_refuses_energy_out_of_range(self, tmp_path, capsys, definition, peak,
+                                                 message):
+        t = np.linspace(-10.0, 10.0, 512)
+        path, report = tmp_path / "sig.csv", tmp_path / "out.txt"
+        save_signal(path, SampledSignal(TimeGrid(-10.0, t[1] - t[0], 512), peak / np.cosh(t) + 0j))
+        argv = ["measure", "--signal", str(path), "--def", definition, "--report", str(report)]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"numeric error: signal {message}\n"
+        assert not report.exists()
+
     def test_measure_signal_threshold_alpha(self, one_soliton_file, tmp_path, capsys):
         sig_path = tmp_path / "sig.csv"
         main(["synth", "--spectrum", str(one_soliton_file), "--out", str(sig_path)])
@@ -252,7 +275,7 @@ class TestCli:
         ("propagate", ["--dz", "0"]),
         ("propagate", ["--dz", "-0.1"]),
         ("propagate", ["--snapshots", "-1"]),
-        ("nft", ["--seeds", "0"]),
+        ("nft", ["--seeds", "10"]),  # no such flag: the seed grid has a fixed size
         ("measure", ["--L", "-1"]),
         ("propagate", ["--steps", "5", "--snapshots", "7"]),
         ("nft", ["--region", "-1", "1", "-0.5", "1"]),
@@ -512,6 +535,14 @@ class TestCli:
         assert rc == 0
         rows = out.read_text().strip().splitlines()
         assert rows[0] == "dt,t_max,b_max" and len(rows) == 4
+
+    def test_sweep_entry_out_of_range(self, tmp_path, capsys):
+        spec_path = tmp_path / "two.yaml"
+        save_spectrum(spec_path, DiscreteSpectrum([0.5, 1.0]))
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--spectrum", str(spec_path), "--entry", "2", "--out", str(out)]) == 1
+        assert "--entry 2 out of range for N=2" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_sweep_stops_at_dt_max(self, tmp_path):
         spec_path = tmp_path / "two.yaml"

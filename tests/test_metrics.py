@@ -9,6 +9,7 @@ from soliton_tbp import darboux, metrics
 from soliton_tbp.darboux import SampledSignal, TimeGrid, auto_grid, synthesize, synthesize_phases
 from soliton_tbp.errors import AliasingWarning, InvalidParameterError, MeasurementUnreliableError
 from soliton_tbp.metrics import (
+    DEFINITIONS,
     Band,
     MeasureConfig,
     measure,
@@ -209,6 +210,18 @@ class TestDuration:
             sig = synthesize(s, TimeGrid(-4.0, 8.0 / 128, 128))
         with pytest.raises(MeasurementUnreliableError):
             measure(sig, MeasureConfig(epsilon=1e-6))
+
+    @pytest.mark.parametrize("definition", DEFINITIONS)
+    @pytest.mark.parametrize("peak, message", [(1e160, "energy overflows"),
+                                               (0.0, "carries no energy")])
+    def test_energy_out_of_range_refused(self, definition, peak, message):
+        # |q|^2 overflows at a peak of 1e160 though every sample is finite
+        t = np.linspace(-10.0, 10.0, 512)
+        sig = SampledSignal(TimeGrid(-10.0, t[1] - t[0], 512), peak / np.cosh(t) + 0j)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MeasurementUnreliableError, match=message):
+                measure(sig, MeasureConfig(definition=definition))
 
 
 class TestBandwidth:
@@ -675,6 +688,32 @@ class TestTHatBHat:
         monkeypatch.setattr(metrics, "synthesize_phases", leaky_interior)
         with pytest.raises(MeasurementUnreliableError, match="grid edges"):
             t_hat_b_hat(s, MeasureConfig(phase_points=4, z_samples=3), 6.0, profile=profile)
+
+    def test_interior_aliasing_raised_with_profile_only(self, monkeypatch):
+        # without the profile B is measured at the endpoints only, so an
+        # aliased interior distance goes unchecked
+        s = DiscreteSpectrum.from_delta_t([0.5, 0.5], [0.075, -0.075], [-0.9, 0.9])
+        calls = []
+
+        def aliased_interior(spectrum, grid, block):
+            q = synthesize_phases(spectrum, grid, block)
+            calls.append(len(calls))
+            if len(calls) == 2:  # z = L/2, the one interior distance, in one chunk
+                # a Nyquist tone with 1e-6 of each row's energy: 100x the aliasing limit
+                n = q.shape[1]
+                tone = np.sqrt(1e-6 * (np.abs(q) ** 2).sum(axis=1) / n)
+                q = q + tone[:, None] * (-1.0) ** np.arange(n)
+            return q
+
+        monkeypatch.setattr(metrics, "synthesize_phases", aliased_interior)
+        cfg = MeasureConfig(phase_points=4, z_samples=3)
+        with pytest.raises(MeasurementUnreliableError, match="Nyquist edge"):
+            t_hat_b_hat(s, cfg, 6.0, profile=True)
+        calls.clear()
+        link = t_hat_b_hat(s, cfg, 6.0, profile=False)
+        assert len(calls) == 3
+        assert link.t_hat == pytest.approx(15.003, abs=1e-3)
+        assert link.b_hat == pytest.approx(1.0006, abs=1e-4)
 
 
 class TestRatios:

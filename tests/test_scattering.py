@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -289,12 +290,13 @@ class TestFindEigenvalues:
         seeds = _contour_seeds(sig, _default_region(sig))[1]
         monkeypatch.setattr(scattering, "_contour_seeds", lambda signal, region: (3, seeds))
         # a coarse fallback grid keeps the test short; it finds the 2 roots
+        monkeypatch.setattr(scattering, "FALLBACK_GRID", 10)
         with pytest.raises(EigenvalueCountError, match="counts 3 eigenvalues.* finds 2"):
-            find_eigenvalues(sig, seeds_per_axis=10)
+            find_eigenvalues(sig)
         path = tmp_path / "two.csv"
         save_signal(path, sig)
         out = tmp_path / "two.yaml"
-        assert main(["nft", "--signal", str(path), "--out", str(out), "--seeds", "10"]) == 2
+        assert main(["nft", "--signal", str(path), "--out", str(out)]) == 2
         assert not out.exists()
 
     def test_no_lapack(self, monkeypatch):
@@ -330,7 +332,52 @@ class TestFindEigenvalues:
         s = DiscreteSpectrum([0.8, 0.4], [0.3, -0.6])
         sig = _soliton_signal(s)
         roots = find_eigenvalues(sig)
-        assert roots == sorted(roots, key=lambda r: (r.real, r.imag))
+        assert roots == sorted(roots, key=lambda r: (round(r.real / 1e-4), -r.imag))
+        assert [round(r.real, 3) for r in roots] == [-0.6, 0.3]
+
+
+class TestEigenvalueOrder:
+    """Roots come back by real part rounded to DEDUP_DISTANCE, then by descending sigma."""
+
+    def test_two_imaginary_in_both_regions(self):
+        two = DiscreteSpectrum([1.0, 0.5])  # the README's two.yaml, sampled as `synth` does
+        sig = synthesize(two, auto_grid(two, 1e-4))
+        want = find_eigenvalues(sig)
+        assert [round(r.imag, 3) for r in want] == [0.998, 0.501]
+        # the region's lower edge lies 6.2e-4 below the sigma = 0.50062 root, so
+        # no node count is within COUNT_TOL of an integer and the grid runs
+        region = ((-1.0, 1.0), (0.5, 1.5))
+        assert _contour_seeds(sig, region)[0] is None
+        np.testing.assert_allclose(find_eigenvalues(sig, region=region), want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("m", [0, 1, 3, 5])
+    @pytest.mark.parametrize("sigmas, dts", [
+        ([0.58, 0.5], [2.0, 0.0]),  # Table-1 N=2
+        ([0.7, 0.62, 0.5], [-2.85, 1.05, 0.0]),  # Table-1 N=3
+    ])
+    def test_table_one_pulses_descend(self, sigmas, dts, m):
+        # off phase 0 the real parts are discretization errors of either sign
+        phis = [2.0 * math.pi * m * (k + 1) / 8 for k in range(len(sigmas) - 1)] + [0.0]
+        s = DiscreteSpectrum.from_delta_t(sigmas, None, dts, phis)
+        roots = find_eigenvalues(synthesize(s, auto_grid(s, 1e-4)))
+        assert len(roots) == s.n
+        assert [round(r.imag, 2) for r in roots] == sigmas
+
+    def test_order_ignores_noise_on_the_real_parts(self, monkeypatch):
+        want = [-0.55 + 0.5j, 0.7j, 0.62j, 0.5j, 0.55 + 0.5j]
+        # every seed converges where it starts
+        monkeypatch.setattr(scattering, "_newton", lambda signal, lams, max_iter, box: (
+            np.array(lams), None, np.ones(len(lams), dtype=bool)))
+        region = ((-1.0, 1.0), (0.0, 1.0))
+        for size in (1e-20, 1e-9):
+            for signs in itertools.product((-1.0, 1.0), repeat=len(want)):
+                noisy = [r + sign * size for r, sign in zip(want, signs)]
+                assert scattering._roots_from(None, noisy[::-1], region) == noisy
+
+    def test_mirrored_pair_ascends_in_omega(self):
+        s = DiscreteSpectrum([0.5, 0.5], [0.3, -0.3])
+        roots = find_eigenvalues(_soliton_signal(s))
+        assert [round(r.real, 2) for r in roots] == [-0.3, 0.3]
 
 
 class TestDiscreteAmplitude:
