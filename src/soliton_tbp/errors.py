@@ -10,7 +10,7 @@ class DegenerateSpectrumError(SolitonError):
 
 
 class DegenerateRootError(SolitonError):
-    """A located root of a(lambda) has vanishing derivative a'(lambda)."""
+    """Newton on a(lambda) reached no simple root: a' vanished, a step left Im > 0, or no fixed point."""
 
 
 class EigenvalueCountError(SolitonError):

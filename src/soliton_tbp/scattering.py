@@ -44,7 +44,7 @@ Newton runs from a seed grid over the rectangle instead; a grid that then
 finds another number than a certified K raises `EigenvalueCountError`.
 Nodes and polynomial roots are computed by plain iteration (Newton on the
 Legendre recurrence, Aberth-Ehrlich), not by an eigenvalue solver.  Roots
-are sorted by real part rounded to DEDUP_DISTANCE, then by descending sigma.
+go by real part, then by descending sigma where real parts tie within ORDER_TOL.
 
 Extracting b at the right edge is exact for real lambda but ill-conditioned
 at eigenvalues: round-off seeded into the growing mode is amplified by
@@ -71,6 +71,7 @@ from .spectrum import DiscreteSpectrum, qd_init
 NEWTON_MAX_ITER = 50
 STEP_TOL = 1e-13  # a Newton step below this ends the iteration at a fixed point
 DEDUP_DISTANCE = 1e-4
+ORDER_TOL = 1e-3  # real parts closer than this share a column of the root order
 APRIME_TOL = 1e-10
 
 # The contour count of roots is taken when it lies this close to an integer,
@@ -97,16 +98,14 @@ class _BlockProduct:
     fresh arrays of this size would be paged in again every time.
     """
 
-    def __init__(self, n_cells: int, dt: float, lams, with_derivative: bool):
+    def __init__(self, n_cells: int, dt: float, lams):
         m = len(lams)
         half = (n_cells + 1) // 2
         self.dt = dt
         self.lams = lams
         # the levels of the product alternate between the two buffers
         self.mats = (np.empty((2, 2, n_cells, m), complex), np.empty((2, 2, half, m), complex))
-        self.dmats = None
-        if with_derivative:
-            self.dmats = (np.empty_like(self.mats[0]), np.empty_like(self.mats[1]))
+        self.dmats = (np.empty_like(self.mats[0]), np.empty_like(self.mats[1]))
         self.scales = (np.empty((n_cells, m)), np.empty((half, m)))
         self.tmp = np.empty((2, 2, n_cells // 2, m), complex)
         self.cplx = np.empty((6, n_cells, m), complex)
@@ -186,8 +185,6 @@ class _BlockProduct:
         np.add(c, t1, out=e[1, 1])
         np.multiply(q, s, out=e[0, 1])
         np.multiply(-np.conj(q), s, out=e[1, 0])
-        if self.dmats is None:
-            return
         # ds = lambda (dt c - s) / kappa^2 (-lambda dt^3 / 3 for small kappa dt),
         # dc = -lambda dt s, and the diagonal of de is dc -+ i (s + lambda ds)
         ds, diag, dc = t1, t2, kappa
@@ -212,9 +209,8 @@ class _BlockProduct:
         """The product of the cells of ``q``, the latest on the left.
 
         Returns (M, M', log_scale): the (2, 2, m) product with the factor
-        exp(log_scale) divided out, and its lambda derivative (None unless
-        built with the derivative).  The arrays are views of the buffers,
-        valid until the next call.
+        exp(log_scale) divided out, and its lambda derivative.  The arrays
+        are views of the buffers, valid until the next call.
         """
         self._cells(q)
         k = len(q)
@@ -228,23 +224,19 @@ class _BlockProduct:
             later, earlier = mats[:, :, 1:2 * h:2], mats[:, :, 0:2 * h:2]
             tmp = self.tmp[:, :, :h]
             _mat_mul(later, earlier, out[:, :, :h], tmp)
-            dout = None
-            if self.dmats is not None:
-                # (AB)' = A'B + AB'
-                dmats, dout = self.dmats[src][:, :, :k], self.dmats[dst][:, :, :k - h]
-                _mat_mul(dmats[:, :, 1:2 * h:2], earlier, dout[:, :, :h], tmp)
-                _mat_mul(later, dmats[:, :, 0:2 * h:2], dout[:, :, :h], tmp, add=True)
+            # (AB)' = A'B + AB'
+            dmats, dout = self.dmats[src][:, :, :k], self.dmats[dst][:, :, :k - h]
+            _mat_mul(dmats[:, :, 1:2 * h:2], earlier, dout[:, :, :h], tmp)
+            _mat_mul(later, dmats[:, :, 0:2 * h:2], dout[:, :, :h], tmp, add=True)
             out_scales = self.scales[dst][:k - h]
             np.add(scales[1:2 * h:2], scales[0:2 * h:2], out=out_scales[:h])
             if k % 2:
                 out[:, :, h] = mats[:, :, k - 1]
                 out_scales[h] = scales[k - 1]
-                if dout is not None:
-                    dout[:, :, h] = dmats[:, :, k - 1]
+                dout[:, :, h] = dmats[:, :, k - 1]
             _renormalize(out, dout, out_scales, axes=(0, 1))
             k, src, scales = k - h, dst, out_scales
-        dmat = None if self.dmats is None else self.dmats[src][:, :, 0]
-        return self.mats[src][:, :, 0], dmat, scales[0]
+        return self.mats[src][:, :, 0], self.dmats[src][:, :, 0], scales[0]
 
 
 def _mat_mul(a, b, out, tmp, add=False):
@@ -276,17 +268,16 @@ def _renormalize(w, dw, log_scale, axes):
     exponent[mag <= RESCALE_LIMIT] = 0
     factor = np.ldexp(1.0, -exponent)
     w *= factor
-    if dw is not None:
-        dw *= factor
+    dw *= factor
     log_scale += exponent * np.log(2.0)
 
 
-def _sweep(samples, dt, lams, w1, w2, with_derivative=False):
+def _sweep(samples, dt, lams, w1, w2):
     """Carry the start vector (w1, w2) across the cells of ``samples`` in order.
 
     Returns (w1, w2, wl1, wl2, log_scale): the end vector, its lambda
-    derivative (zero unless ``with_derivative``) and the log of the factor
-    divided out of all four.  A negative ``dt`` applies the inverse cells.
+    derivative and the log of the factor divided out of all four.  A
+    negative ``dt`` applies the inverse cells.
 
     The cells go in blocks of SWEEP_BUDGET // len(lams) samples.  Each block
     is reduced to one matrix by a pairwise product in log2(block) levels
@@ -299,11 +290,10 @@ def _sweep(samples, dt, lams, w1, w2, with_derivative=False):
     wl = np.zeros((2, m), dtype=complex)
     log_scale = np.zeros(m)
     block = max(1, SWEEP_BUDGET // max(m, 1))
-    work = _BlockProduct(min(block, len(samples)), dt, lams, with_derivative)
+    work = _BlockProduct(min(block, len(samples)), dt, lams)
     for start in range(0, len(samples), block):
         mat, dmat, scale = work.product(samples[start:start + block])
-        if dmat is not None:
-            wl = mat[:, 0] * wl[0] + mat[:, 1] * wl[1] + dmat[:, 0] * w[0] + dmat[:, 1] * w[1]
+        wl = mat[:, 0] * wl[0] + mat[:, 1] * wl[1] + dmat[:, 0] * w[0] + dmat[:, 1] * w[1]
         w = mat[:, 0] * w[0] + mat[:, 1] * w[1]
         log_scale += scale
         _renormalize(w, wl, log_scale, axes=0)
@@ -318,17 +308,18 @@ def _cell_edges(grid) -> tuple[float, float]:
 def scatter_many(signal: SampledSignal, lams):
     """Jost coefficients a, b and a' = da/dlambda for a batch of lambdas.
 
-    Every lambda must lie in the closed upper half-plane.  b is taken at the
-    right edge, which is accurate on and near the real axis; use
+    Every lambda must be finite and lie in the closed upper half-plane.  b is
+    taken at the right edge, which is accurate on and near the real axis; use
     `discrete_amplitude` for amplitudes at eigenvalues.
     """
     lams = np.atleast_1d(np.asarray(lams, dtype=complex))
-    if np.any(lams.imag < 0.0):
+    bad = ~np.isfinite(lams) | (lams.imag < 0.0)
+    if bad.any():
         raise InvalidParameterError(
-            f"lambda must lie in the closed upper half-plane, got {lams[lams.imag < 0.0]}"
+            f"lambda must be finite and lie in the closed upper half-plane, got {lams[bad]}"
         )
     t_start, t_end = _cell_edges(signal.grid)
-    w1, w2, wl1, wl2, log_scale = _sweep(signal.samples, signal.grid.dt, lams, 1, 0, True)
+    w1, w2, wl1, wl2, log_scale = _sweep(signal.samples, signal.grid.dt, lams, 1, 0)
     span = t_end - t_start
     a = w1 * np.exp(1j * lams * span + log_scale)
     # combine the exponents before exponentiating: the edge value of b for
@@ -347,7 +338,6 @@ def _bound_state_b(signal: SampledSignal, lams) -> np.ndarray:
     so the ratio at the energy centroid avoids the exponential error
     amplification of an edge extraction.
     """
-    lams = np.atleast_1d(np.asarray(lams, dtype=complex))
     grid = signal.grid
     t_start, t_end = _cell_edges(grid)
     samples = signal.samples
@@ -466,14 +456,14 @@ def _contour_seeds(signal: SampledSignal, region):
     return None, np.empty(0, complex)
 
 
-def _newton(signal: SampledSignal, lams, max_iter: int, box=((-np.inf, np.inf), np.inf)):
+def _newton(signal: SampledSignal, lams, box=((-np.inf, np.inf), np.inf)):
     """Newton's method on the discretized a from every lambda of ``lams``.
 
-    Each iteration is one `scatter_many` over the lambdas still moving.  A
-    lambda converges once its step is below STEP_TOL: it is then a fixed
-    point of the iteration, whatever its seed.  It is dropped where a' is
-    below APRIME_TOL or not finite (not stepped), or where its step leaves
-    the upper half-plane or ``box`` = ((re_min, re_max), im_max) (stepped).
+    Each of at most NEWTON_MAX_ITER iterations is one `scatter_many` over the
+    lambdas still moving.  A lambda converges once its step is below STEP_TOL:
+    it is then a fixed point of the iteration, whatever its seed.  It is dropped
+    where a' is below APRIME_TOL or not finite (not stepped), or where its step
+    leaves the upper half-plane or ``box`` = ((re_min, re_max), im_max) (stepped).
 
     Returns (lams, a_prime, converged): the last iterates, a' at the lambda
     each last step started from, and which converged.
@@ -483,7 +473,7 @@ def _newton(signal: SampledSignal, lams, max_iter: int, box=((-np.inf, np.inf), 
     converged = np.zeros(len(lams), dtype=bool)
     (re_min, re_max), im_max = box
     active = np.arange(len(lams))
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         if not active.size:
             break
         a, _, a_prime[active] = scatter_many(signal, lams[active])
@@ -501,18 +491,23 @@ def _newton(signal: SampledSignal, lams, max_iter: int, box=((-np.inf, np.inf), 
 
 def _roots_from(signal: SampledSignal, seeds, region) -> list[complex]:
     """The distinct roots inside ``region`` that Newton reaches from ``seeds``,
-    by real part rounded to DEDUP_DISTANCE, then by descending imaginary part."""
+    by real part, then by descending imaginary part where real parts tie within ORDER_TOL."""
     (re_lo, re_hi), (im_lo, im_hi) = region
     margin = 0.5 * (im_hi - im_lo) + 0.5
     box = ((re_lo - margin, re_hi + margin), im_hi + margin)
-    lams, _, converged = _newton(signal, seeds, NEWTON_MAX_ITER, box)
+    lams, _, converged = _newton(signal, seeds, box)
     merged: list[complex] = []
     for r in sorted((complex(r) for r in lams[converged]), key=lambda r: (r.real, r.imag)):
         if any(abs(r - m) < DEDUP_DISTANCE for m in merged):
             continue
         if re_lo - 1e-9 <= r.real <= re_hi + 1e-9 and im_lo < r.imag <= im_hi + 1e-9:
             merged.append(r)
-    return sorted(merged, key=lambda r: (round(r.real / DEDUP_DISTANCE), -r.imag))
+    columns: list[list[complex]] = []
+    for r in merged:  # a gap of ORDER_TOL between real parts starts a column
+        if not columns or r.real - columns[-1][-1].real >= ORDER_TOL:
+            columns.append([])
+        columns[-1].append(r)
+    return [r for column in columns for r in sorted(column, key=lambda r: -r.imag)]
 
 
 def find_eigenvalues(
@@ -536,9 +531,9 @@ def find_eigenvalues(
             when omitted.
 
     Returns:
-        Deduplicated converged roots inside the region, by real part rounded
-        to DEDUP_DISTANCE, then by descending imaginary part, whatever the
-        seeds.  No roots found is an empty list, not an error.
+        Deduplicated converged roots inside the region by real part, then by
+        descending imaginary part where real parts tie within ORDER_TOL,
+        whatever the seeds.  No roots found is an empty list, not an error.
 
     Raises:
         EigenvalueCountError: the count was certified and the fallback grid
@@ -571,19 +566,22 @@ def discrete_amplitude(signal: SampledSignal, lams) -> np.ndarray:
     Each eigenvalue is first polished onto the root of the discretized a; the
     proportionality between the two Jost solutions (and with it the midpoint
     ratio for b) holds only there.  The polish is `find_eigenvalues`' Newton
-    loop, at most 8 steps; a root it already found takes one.
+    loop, run to a fixed point; a root it already found takes one step.  A
+    polish that reaches no simple root raises `DegenerateRootError`.
     """
     lams = np.atleast_1d(np.asarray(lams, dtype=complex))
     if np.any(lams.imag <= 0.0):
         raise InvalidParameterError(f"eigenvalues lie strictly above the real axis, got {lams}")
-    lams, a_prime, _ = _newton(signal, lams, 8)
+    roots, a_prime, converged = _newton(signal, lams)
     flat = np.abs(a_prime) < APRIME_TOL
     if flat.any():
-        raise DegenerateRootError(f"a'({lams[flat]}) = {a_prime[flat]}; root is not simple")
-    below = lams[lams.imag <= 0.0]
+        raise DegenerateRootError(f"a'({roots[flat]}) = {a_prime[flat]}; root is not simple")
+    below = roots[roots.imag <= 0.0]
     if below.size:
         raise DegenerateRootError(f"polishing left the upper half-plane at {below}")
-    return _bound_state_b(signal, lams) / a_prime
+    if not converged.all():
+        raise DegenerateRootError(f"no fixed point within {NEWTON_MAX_ITER} steps from {lams[~converged]}")
+    return _bound_state_b(signal, roots) / a_prime
 
 
 def recover_spectrum(signal: SampledSignal, region=None) -> DiscreteSpectrum:

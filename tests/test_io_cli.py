@@ -1,3 +1,4 @@
+import ast
 import csv
 import math
 import os
@@ -26,6 +27,7 @@ from soliton_tbp.optimizer import (TABLE_OPTIMA, SweepSpec, _trace_header, defau
 from soliton_tbp.spectrum import DiscreteSpectrum, PhysicalScaling
 
 IMAG_OPTIMIZE = ["optimize", "--constellation", "imag", "--n", "2"]
+ONE_ENTRY = "n: 1\nentries:\n- {sigma: 1.0, omega: 0, eta: 1, phi: 0}\n"
 
 
 class TestSpectrumFile:
@@ -56,6 +58,15 @@ class TestSpectrumFile:
             ("n: 1\nentries: []\n", "non-empty list"),
             ("n: 1\nentries:\n- {sigma: -1.0, omega: 0, eta: 1, phi: 0}\n", "sigma"),
             ("n: [\n", "not valid YAML"),
+            ("[1, 2]\n", "root must be a mapping"),
+            ("n: 1\nentries:\n- 0.5\n", r"entries\[0\]: must be a mapping"),
+            (ONE_ENTRY + "physical: 3\n", "'physical' must be a mapping"),
+            (ONE_ENTRY + "physical: {beta2_s2_per_m: 2.1e-26, gamma_per_W_m: 1.3e-3, T0_s: 1.0e-11}\n",
+             "physical: beta2 must be finite and < 0"),
+            (ONE_ENTRY + "physical: {beta2_s2_per_m: -2.1e-26, gamma_per_W_m: 0.0, T0_s: 1.0e-11}\n",
+             "physical: gamma must be finite and > 0"),
+            (ONE_ENTRY + "physical: {beta2_s2_per_m: -2.1e-26, gamma_per_W_m: 1.3e-3, T0_s: -1.0e-11}\n",
+             "physical: T0 must be finite and > 0"),
         ],
     )
     def test_schema_violations(self, text, fragment):
@@ -159,6 +170,19 @@ class TestCli:
         out, err = capsys.readouterr()
         assert out == "" and err == f"numeric error: signal {message}\n"
         assert not report.exists()
+
+    def test_threshold_crossing_off_the_grid_is_numeric_error(self, tmp_path, capsys):
+        # sech(4.5) = 0.022 passes the threshold 0.014 at both edges; the energy
+        # definition measures the same signal
+        t = np.linspace(-4.5, 4.5, 8192)
+        path = tmp_path / "sig.csv"
+        save_signal(path, SampledSignal(TimeGrid(-4.5, t[1] - t[0], 8192), 1.0 / np.cosh(t) + 0j))
+        assert main(["measure", "--signal", str(path), "--def", "threshold"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "numeric error: threshold crossing lies outside the grid\n"
+        assert main(["measure", "--signal", str(path)]) == 0
+        fields = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+        assert float(fields["T"]) == pytest.approx(8.66, abs=5e-3)
 
     def test_measure_signal_threshold_alpha(self, one_soliton_file, tmp_path, capsys):
         sig_path = tmp_path / "sig.csv"
@@ -344,13 +368,23 @@ class TestCli:
         assert out == "" and flags[0] in err
         assert not list(tmp_path.glob("out*"))
 
-    @pytest.mark.parametrize("command", ["measure", "nft", "propagate", "synth"])
+    @pytest.mark.parametrize("command, defect, named", [
+        *(pytest.param(command, "nan time", "sig.csv:11", id=command)
+          for command in ("measure", "nft", "propagate")),
+        pytest.param("synth", "n: true", "'n'", id="synth"),
+        pytest.param("measure", "three cells", "sig.csv:11: expected 4 columns",
+                     id="measure-three-cells"),
+        pytest.param("nft", "uneven time", "sig.csv: time axis is not uniformly ascending",
+                     id="nft-uneven-time"),
+    ])
     def test_invalid_input_file_is_validation_error(self, one_soliton_file, tmp_path, capsys,
-                                                    command):
+                                                    command, defect, named):
         sig_path = tmp_path / "sig.csv"
         main(["synth", "--spectrum", str(one_soliton_file), "--out", str(sig_path)])
         rows = sig_path.read_text().splitlines()
-        rows[10] = "nan," + rows[10].split(",", 1)[1]
+        t, rest = rows[10].split(",", 1)
+        rows[10] = {"three cells": rows[10].rsplit(",", 1)[0],
+                    "uneven time": f"{float(t) + 1e-3},{rest}"}.get(defect, "nan," + rest)
         sig_path.write_text("\n".join(rows) + "\n")
         spec_path = tmp_path / "bool.yaml"
         spec_path.write_text(one_soliton_file.read_text().replace("n: 1", "n: true"))
@@ -364,7 +398,7 @@ class TestCli:
         capsys.readouterr()
         assert main([command] + argv) == 1
         stdout, err = capsys.readouterr()
-        assert stdout == "" and ("sig.csv:11" in err if command != "synth" else "'n'" in err)
+        assert stdout == "" and named in err
         assert not list(tmp_path.glob("out*"))
 
     @pytest.mark.parametrize("command", ["synth", "measure", "figures"])
@@ -434,6 +468,16 @@ class TestCli:
         assert main(IMAG_OPTIMIZE + ["--trace", str(trace)]) == 1
         out, err = capsys.readouterr()
         assert out == "" and "trace.csv:4" in err and "'abc'" in err
+        assert trace.read_bytes() == written
+
+    def test_trace_row_of_other_length_is_validation_error(self, tmp_path, capsys):
+        trace = tmp_path / "trace.csv"
+        write_imag_trace(trace, [["0.54", "1.5", "1.0", "2.0", "2.0"], ["0.54", "2.0", "1.0", "2.0"]])
+        written = trace.read_bytes()
+        capsys.readouterr()
+        assert main(IMAG_OPTIMIZE + ["--trace", str(trace)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "trace.csv:4: expected 5 columns, got 4" in err
         assert trace.read_bytes() == written
 
     def test_refused_torn_trace_is_left_unchanged(self, tmp_path, capsys):
@@ -556,7 +600,7 @@ class TestCli:
         rows = out.read_text().strip().splitlines()
         assert [row.split(",")[0] for row in rows] == ["dt", "0.0", "0.4", "0.8"]
 
-    def test_optimize_cli_tiny(self, tmp_path, monkeypatch):
+    def test_optimize_cli_tiny(self, tmp_path, monkeypatch, capsys):
         # shrink the desk grids so the CLI path stays fast
         import soliton_tbp.cli as cli
         import soliton_tbp.optimizer as opt
@@ -564,6 +608,9 @@ class TestCli:
         def tiny(constellation, n, paper_fidelity=False, measure=None):
             from soliton_tbp.metrics import MeasureConfig
 
+            if constellation == "real_axis":
+                return opt.SweepSpec(constellation, 2, {"omega_1": (0.1, 0.3, 0.1), "dt_1": (-1.0, -0.5, 0.5)},
+                                     measure=MeasureConfig(phase_points=4, z_samples=3))
             return opt.SweepSpec(
                 constellation="imaginary",
                 n=2,
@@ -572,16 +619,22 @@ class TestCli:
             )
 
         monkeypatch.setattr(cli, "default_sweep", tiny)
-        trace = tmp_path / "trace.csv"
-        spectrum_out = tmp_path / "opt.yaml"
-        rc = main([
-            "optimize", "--constellation", "imag", "--n", "2",
-            "--trace", str(trace), "--out-spectrum", str(spectrum_out),
-        ])
-        assert rc == 0
-        assert trace.exists() and spectrum_out.exists()
-        rec, _ = load_spectrum(spectrum_out)
-        assert rec.n == 2
+        for flag in ("imag", "real"):
+            trace = tmp_path / f"{flag}_trace.csv"
+            spectrum_out = tmp_path / f"{flag}.yaml"
+            capsys.readouterr()
+            rc = main([
+                "optimize", "--constellation", flag, "--n", "2",
+                "--trace", str(trace), "--out-spectrum", str(spectrum_out),
+            ])
+            assert rc == 0
+            assert trace.exists() and spectrum_out.exists()
+            rec, _ = load_spectrum(spectrum_out)
+            assert rec.n == 2
+            fields = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+            assert ("L_star" in fields) == (flag == "real")
+        best = ast.literal_eval(fields["best_params"])
+        assert float(fields["L_star"]) == pytest.approx(abs(best["dt_1"] / (2.0 * best["omega_1"])))
 
     def test_optimize_resume_refuses_other_phases(self, tmp_path, capsys):
         trace = tmp_path / "trace.csv"

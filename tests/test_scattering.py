@@ -47,6 +47,14 @@ class TestScatter:
         with pytest.raises(InvalidParameterError):
             scatter_many(sig, [-0.5j])
 
+    @pytest.mark.parametrize("lam", [complex(math.nan, 0.5), complex(0.5, math.nan), complex(0.0, math.inf)])
+    def test_rejects_non_finite_lambda(self, lam):
+        # NaN passes a sign check on Im lambda; the amplitudes inherit the refusal
+        sig = _soliton_signal(DiscreteSpectrum([0.5]))
+        for call in (scatter_many, discrete_amplitude):
+            with pytest.raises(InvalidParameterError, match="finite"):
+                call(sig, [0.5j, lam])
+
     def test_sech_eigenvalue(self):
         sig = _soliton_signal(DiscreteSpectrum([0.5]))
         assert abs(scatter_many(sig, [0.5j])[0][0]) < 1e-3
@@ -112,7 +120,7 @@ class TestScatter:
         assert a_prime[0] == pytest.approx(fd, rel=1e-5)
 
 
-def _reference_cell(q, dt, lams, lam2, with_derivative):
+def _reference_cell(q, dt, lams, lam2):
     """Exact exponential of one constant-potential cell, and its lambda derivative."""
     aq2 = q.real * q.real + q.imag * q.imag
     kappa2 = lam2 + aq2
@@ -123,8 +131,6 @@ def _reference_cell(q, dt, lams, lam2, with_derivative):
         s = np.where(small, dt * (1.0 - kd * kd / 6.0), np.sin(kd) / kappa)
     c = np.cos(kd)
     e = (c - 1j * lams * s, q * s, -np.conj(q) * s, c + 1j * lams * s)
-    if not with_derivative:
-        return e, None
     dc = -lams * dt * s
     with np.errstate(divide="ignore", invalid="ignore"):
         ds = np.where(small, -lams * dt**3 / 3.0, lams * (dt * c - s) / kappa2)
@@ -133,7 +139,7 @@ def _reference_cell(q, dt, lams, lam2, with_derivative):
     return e, de
 
 
-def _reference_sweep(samples, dt, lams, w1, w2, with_derivative=False):
+def _reference_sweep(samples, dt, lams, w1, w2):
     """The sweep one sample at a time, with numpy's complex sqrt, sin and cos."""
     m = len(lams)
     w1 = np.full(m, w1, dtype=complex)
@@ -143,13 +149,11 @@ def _reference_sweep(samples, dt, lams, w1, w2, with_derivative=False):
     log_scale = np.zeros(m)
     lam2 = lams * lams
     for i, q in enumerate(samples):
-        (e11, e12, e21, e22), de = _reference_cell(q, dt, lams, lam2, with_derivative)
-        if with_derivative:
-            d11, d12, d21, d22 = de
-            wl1, wl2 = (
-                e11 * wl1 + e12 * wl2 + d11 * w1 + d12 * w2,
-                e21 * wl1 + e22 * wl2 + d21 * w1 + d22 * w2,
-            )
+        (e11, e12, e21, e22), (d11, d12, d21, d22) = _reference_cell(q, dt, lams, lam2)
+        wl1, wl2 = (
+            e11 * wl1 + e12 * wl2 + d11 * w1 + d12 * w2,
+            e21 * wl1 + e22 * wl2 + d21 * w1 + d22 * w2,
+        )
         w1, w2 = e11 * w1 + e12 * w2, e21 * w1 + e22 * w2
         if (i & 0xFF) == 0xFF:
             mag = np.maximum(np.abs(w1), np.abs(w2))
@@ -191,20 +195,18 @@ class TestSweep:
         lams[0] = 0.0  # kappa -> |q| on the real axis at the origin
         for dt in (0.05, -0.05):
             for start in ((1, 0), (0, 1)):
-                for with_derivative in (False, True):
-                    got = _sweep(samples, dt, lams, *start, with_derivative)
-                    want = _reference_sweep(samples, dt, lams, *start, with_derivative)
-                    _assert_sweeps_agree(got, want, rtol=1e-11)
+                got = _sweep(samples, dt, lams, *start)
+                want = _reference_sweep(samples, dt, lams, *start)
+                _assert_sweeps_agree(got, want, rtol=1e-11)
 
     def test_small_cells_take_the_series_branch(self):
         # zero potential at lambda = 0 makes kappa exactly 0
         samples = np.array([0.0, 1e-9, 0.3 + 0.1j, 0.0, 1e-8j])
         lams = np.array([0.0, 1e-9j, 0.5 + 0.2j])
-        for with_derivative in (False, True):
-            got = _sweep(samples, 0.1, lams, 1, 0, with_derivative)
-            want = _reference_sweep(samples, 0.1, lams, 1, 0, with_derivative)
-            assert all(np.isfinite(v).all() for v in got)
-            _assert_sweeps_agree(got, want, rtol=1e-11)
+        got = _sweep(samples, 0.1, lams, 1, 0)
+        want = _reference_sweep(samples, 0.1, lams, 1, 0)
+        assert all(np.isfinite(v).all() for v in got)
+        _assert_sweeps_agree(got, want, rtol=1e-11)
 
     @pytest.mark.parametrize("n, span", [(4096, 250.0), (3072, 750.0)])
     @pytest.mark.parametrize("m", [1, 2])
@@ -217,8 +219,8 @@ class TestSweep:
         rng = np.random.default_rng(7)
         samples = 0.05 * (rng.normal(size=n) + 1j * rng.normal(size=n))
         lams = np.array([0.3 + 1j, -0.2 + 1j])[:m]
-        got = _sweep(samples, span / n, lams, 1, 0, True)
-        want = _reference_sweep(samples, span / n, lams, 1, 0, True)
+        got = _sweep(samples, span / n, lams, 1, 0)
+        want = _reference_sweep(samples, span / n, lams, 1, 0)
         assert (got[4] > 0.8 * span).all()
         assert np.abs(got[:4]).max() <= 2.0 * RESCALE_LIMIT
         _assert_sweeps_agree(got, want, rtol=1e-11)
@@ -332,12 +334,12 @@ class TestFindEigenvalues:
         s = DiscreteSpectrum([0.8, 0.4], [0.3, -0.6])
         sig = _soliton_signal(s)
         roots = find_eigenvalues(sig)
-        assert roots == sorted(roots, key=lambda r: (round(r.real / 1e-4), -r.imag))
+        assert roots == sorted(roots, key=lambda r: r.real)
         assert [round(r.real, 3) for r in roots] == [-0.6, 0.3]
 
 
 class TestEigenvalueOrder:
-    """Roots come back by real part rounded to DEDUP_DISTANCE, then by descending sigma."""
+    """Roots come back by real part, then by descending sigma where real parts tie within ORDER_TOL."""
 
     def test_two_imaginary_in_both_regions(self):
         two = DiscreteSpectrum([1.0, 0.5])  # the README's two.yaml, sampled as `synth` does
@@ -366,13 +368,22 @@ class TestEigenvalueOrder:
     def test_order_ignores_noise_on_the_real_parts(self, monkeypatch):
         want = [-0.55 + 0.5j, 0.7j, 0.62j, 0.5j, 0.55 + 0.5j]
         # every seed converges where it starts
-        monkeypatch.setattr(scattering, "_newton", lambda signal, lams, max_iter, box: (
+        monkeypatch.setattr(scattering, "_newton", lambda signal, lams, box: (
             np.array(lams), None, np.ones(len(lams), dtype=bool)))
         region = ((-1.0, 1.0), (0.0, 1.0))
-        for size in (1e-20, 1e-9):
+        for size in (1e-20, 1e-9, 1.2e-4):
             for signs in itertools.product((-1.0, 1.0), repeat=len(want)):
                 noisy = [r + sign * size for r, sign in zip(want, signs)]
                 assert scattering._roots_from(None, noisy[::-1], region) == noisy
+
+    @pytest.mark.parametrize("k", [1, 2, 10, 11, 12, 13, 14, 15])
+    def test_coarse_grid_rows_descend(self, k):
+        # Table-1 N=3 at phases (phi, phi, 0) on the grid of `synth --epsilon 1e-2`:
+        # discretization puts its real parts up to 1.1e-4 off zero, on both sides
+        phi = 2.0 * math.pi * k / 16
+        s = DiscreteSpectrum.from_delta_t([0.7, 0.62, 0.5], None, [-2.85, 1.05, 0.0], [phi, phi, 0.0])
+        roots = find_eigenvalues(synthesize(s, auto_grid(s, 1e-2)))
+        assert [round(r.imag, 2) for r in roots] == [0.7, 0.62, 0.5]
 
     def test_mirrored_pair_ascends_in_omega(self):
         s = DiscreteSpectrum([0.5, 0.5], [0.3, -0.3])
@@ -443,6 +454,23 @@ class TestDiscreteAmplitude:
         roots = np.array(find_eigenvalues(sig))
         off = discrete_amplitude(sig, roots + 1e-3 * (1 + 1j))
         assert off == pytest.approx(discrete_amplitude(sig, roots), rel=1e-10)
+
+    def test_polish_runs_to_a_fixed_point(self):
+        # Table-1 N=3 at phases (1, 2, 0): this seed needs more than 8 Newton
+        # steps to reach the root near 0.7j
+        s = DiscreteSpectrum.from_delta_t([0.7, 0.62, 0.5], None, [-2.85, 1.05, 0.0], [1.0, 2.0, 0.0])
+        sig = synthesize(s, auto_grid(s, 1e-4))
+        root = min(find_eigenvalues(sig), key=lambda r: abs(r - 0.7j))
+        got = discrete_amplitude(sig, [1.0753 + 0.6497j])
+        assert got[0] == pytest.approx(discrete_amplitude(sig, [root])[0], rel=1e-12)
+
+    def test_no_fixed_point_is_degenerate_root(self, monkeypatch):
+        # a found root takes one step; the other seed needs more than two
+        sig = _soliton_signal(DiscreteSpectrum([0.5]))
+        root = find_eigenvalues(sig)[0]
+        monkeypatch.setattr(scattering, "NEWTON_MAX_ITER", 2)
+        with pytest.raises(DegenerateRootError, match=r"no fixed point within 2 steps from \[0\.1\+0\.6j\]"):
+            discrete_amplitude(sig, [root, 0.1 + 0.6j])
 
     def test_empty_batch(self):
         sig = _soliton_signal(DiscreteSpectrum([0.5]))
