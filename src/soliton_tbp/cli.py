@@ -360,7 +360,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _retain_freed_memory() -> None:
+    """On glibc, keep numpy's freed temporaries in the heap: by default each evaluation
+    unmaps them and the next faults them in again.  The mmap threshold is glibc's
+    64-bit ceiling and the trim threshold twice it; forked workers inherit both."""
+    import ctypes
+
+    try:
+        libc = ctypes.CDLL(None)
+        libc.gnu_get_libc_version  # glibc only
+    except (OSError, AttributeError, TypeError):
+        return
+    libc.mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+    libc.mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+
+
 def main(argv=None) -> int:
+    _retain_freed_memory()
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse has printed the usage error or the help

@@ -128,7 +128,11 @@ def _decode_text(data: bytes, where) -> str:
 
 
 def load_spectrum(path) -> tuple[DiscreteSpectrum, PhysicalScaling | None]:
-    return parse_spectrum_document(_decode_text(Path(path).read_bytes(), path))
+    text = _decode_text(Path(path).read_bytes(), path)
+    try:
+        return parse_spectrum_document(text)
+    except SpectrumFileError as exc:
+        raise SpectrumFileError(f"{path}: {exc}") from exc
 
 
 def save_spectrum(path, spectrum: DiscreteSpectrum, scaling: PhysicalScaling | None = None):

@@ -3,8 +3,14 @@
 import numpy as np
 import pytest
 
+from soliton_tbp import cli
 from soliton_tbp.darboux import auto_grid
 from soliton_tbp.spectrum import DiscreteSpectrum
+
+
+def pytest_configure(config):
+    # the suite runs under the allocator policy the CLI sets for itself
+    cli._retain_freed_memory()
 
 
 def naive_darboux(spectrum: DiscreteSpectrum, t: np.ndarray) -> np.ndarray:

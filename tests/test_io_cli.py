@@ -2,14 +2,16 @@ import ast
 import csv
 import math
 import os
+import platform
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from soliton_tbp.cli import main
+from soliton_tbp.cli import _retain_freed_memory, main
 from soliton_tbp.darboux import SampledSignal, TimeGrid, auto_grid, synthesize
 from soliton_tbp.errors import SpectrumFileError
 from soliton_tbp.io import (
@@ -371,7 +373,7 @@ class TestCli:
     @pytest.mark.parametrize("command, defect, named", [
         *(pytest.param(command, "nan time", "sig.csv:11", id=command)
           for command in ("measure", "nft", "propagate")),
-        pytest.param("synth", "n: true", "'n'", id="synth"),
+        pytest.param("synth", "n: true", "bool.yaml: field 'n'", id="synth"),
         pytest.param("measure", "three cells", "sig.csv:11: expected 4 columns",
                      id="measure-three-cells"),
         pytest.param("nft", "uneven time", "sig.csv: time axis is not uniformly ascending",
@@ -400,6 +402,15 @@ class TestCli:
         stdout, err = capsys.readouterr()
         assert stdout == "" and named in err
         assert not list(tmp_path.glob("out*"))
+
+    def test_spectrum_file_error_names_the_file(self, one_soliton_file, tmp_path, capsys):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(one_soliton_file.read_text() + "physical: 3\n")
+        capsys.readouterr()
+        assert main(["synth", "--spectrum", str(bad), "--out", str(tmp_path / "out.csv")]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {bad}: field 'physical' must be a mapping\n"
+        assert not (tmp_path / "out.csv").exists()
 
     @pytest.mark.parametrize("command", ["synth", "measure", "figures"])
     def test_os_error_on_a_path_is_validation_error(self, one_soliton_file, tmp_path, capsys,
@@ -690,3 +701,44 @@ class TestCli:
         assert rows[0] == "n,normalized_bound,converged,params"
         assert rows[1].startswith("1,1.0,")
         assert len(rows) == 4
+
+
+class TestFreedMemory:
+    """The CLI keeps freed numpy temporaries in the heap between calls."""
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the policy is set on glibc only")
+    def test_repeated_measure_faults_few_pages(self, tmp_path):
+        import soliton_tbp
+
+        params = TABLE_OPTIMA[("imaginary", 3)]
+        spectrum, _ = spectrum_for_point("imaginary", 3, tuple(params), tuple(params.values()))
+        path = tmp_path / "table1_n3.yaml"
+        path.write_text(format_spectrum_document(spectrum))
+        code = textwrap.dedent("""
+            import contextlib, io, resource, sys
+            from soliton_tbp.cli import main
+            for _ in range(3):
+                before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert main(["measure", "--spectrum", sys.argv[1], "--phases", "32"]) == 0
+                print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        """)
+        env = dict(os.environ, PYTHONPATH=str(Path(soliton_tbp.__file__).parents[1]))
+        run = subprocess.run([sys.executable, "-c", code, str(path)], env=env,
+                             capture_output=True, text=True, timeout=300, check=True)
+        faults = [int(line) for line in run.stdout.split()]
+        # the first call faults its heap in; without the policy the later ones do
+        # it again (about 3 000 faults each), with it they reuse the pages
+        assert len(faults) == 3 and max(faults[1:]) < 1000, faults
+
+    def test_no_libc_leaves_main_working(self, one_soliton_file, tmp_path, monkeypatch):
+        import ctypes
+
+        def refuse(*args, **kwargs):
+            raise OSError("no C library")
+
+        monkeypatch.setattr(ctypes, "CDLL", refuse)
+        assert _retain_freed_memory() is None
+        out = tmp_path / "one.csv"
+        assert main(["synth", "--spectrum", str(one_soliton_file), "--out", str(out)]) == 0
+        assert out.read_text().startswith("t,re,im,abs\n")
