@@ -14,7 +14,7 @@ class DegenerateRootError(SolitonError):
 
 
 class EigenvalueCountError(SolitonError):
-    """The eigenvalue search found another number of roots than the argument principle counts."""
+    """No contour certifies an eigenvalue count, or Newton cannot reach the count it certifies."""
 
 
 class MeasurementUnreliableError(SolitonError):

@@ -39,9 +39,10 @@ Gauss-Legendre nodes on the four sides gives them all.  The count is taken
 when it lies within COUNT_TOL of an integer, with 64, 128 or 256 nodes per
 side; the roots of the polynomial with those power sums seed Newton's
 method, which runs every seed to a fixed point of the discretized a.  When
-no node count gives an integer, or fewer than K distinct roots converge,
-Newton runs from a seed grid over the rectangle instead; a grid that then
-finds another number than a certified K raises `EigenvalueCountError`.
+no node count gives an integer, the rectangle is widened by shares of its
+size until one does, and the roots are filtered back to it; when m < K
+converge, the moments less their power sums seed the rest.  No certified
+count, or a round that adds no root, raises `EigenvalueCountError`.
 Nodes and polynomial roots are computed by plain iteration (Newton on the
 Legendre recurrence, Aberth-Ehrlich), not by an eigenvalue solver.  Roots
 go by real part, then by descending sigma where real parts tie within ORDER_TOL.
@@ -79,7 +80,7 @@ APRIME_TOL = 1e-10
 COUNT_TOL = 1e-3
 CONTOUR_NODES = (64, 128, 256)
 POLY_MAX_ITER = 200  # Aberth-Ehrlich iterations for the seeds' polynomial
-FALLBACK_GRID = 20  # seeds per axis of the grid Newton runs from without contour seeds
+WIDEN_SHARES = (0.0, 0.01, 0.02, 0.04)  # of the region's size, widening the contour in turn
 
 # Renormalize the propagated components whenever they exceed this magnitude;
 # the accumulated log scale cancels in a/a' and is restored on extraction.
@@ -418,16 +419,17 @@ def _poly_roots(coeffs) -> np.ndarray:
 
 
 def _contour_seeds(signal: SampledSignal, region):
-    """The number K of roots of a inside ``region``, and a seed for each.
+    """The number K of roots of a inside ``region``, and their seeds.
 
     The moments s_p = (1/2 pi i) oint ((lambda - c)/h)^p a'/a dlambda around
     the rectangle (centre c, half-size h) are Gauss-Legendre sums over its
     four sides, from one `scatter_many` at every node.  s_0 is the count: it
     is taken when within COUNT_TOL of an integer, with CONTOUR_NODES per side
-    in turn.  s_1..s_K are the power sums of the scaled roots, so Newton's
-    identities give their monic polynomial and its roots the seeds.
+    in turn.  s_1..s_K are the power sums of the scaled roots.
 
-    Returns (K, seeds), or (None, no seeds) when no node count certifies K.
+    Returns (K, seeds), or (None, None) when no node count certifies K.
+    ``seeds(found)`` takes the m found roots' power sums from s_1..s_{K-m}, and
+    the roots of the monic polynomial those give (Newton's identities) seed the rest.
     """
     (re_lo, re_hi), (im_lo, im_hi) = region
     centre = complex(0.5 * (re_lo + re_hi), 0.5 * (im_lo + im_hi))
@@ -448,12 +450,18 @@ def _contour_seeds(signal: SampledSignal, region):
             continue
         z = (lams - centre) / half_size
         power_sums = [(terms * z**p).sum() for p in range(1, k + 1)]
-        # Newton's identities: c_j = -(1/j) sum_{i=1..j} c_{j-i} s_i, c_0 = 1
-        coeffs = [1.0 + 0j]
-        for j in range(1, k + 1):
-            coeffs.append(-sum(coeffs[j - i] * power_sums[i - 1] for i in range(1, j + 1)) / j)
-        return k, centre + half_size * _poly_roots(coeffs)
-    return None, np.empty(0, complex)
+
+        def seeds(found):
+            z_found = (np.asarray(found, dtype=complex) - centre) / half_size
+            rest = [s - (z_found**p).sum() for p, s in enumerate(power_sums[:k - len(found)], 1)]
+            # Newton's identities: c_j = -(1/j) sum_{i=1..j} c_{j-i} s_i, c_0 = 1
+            coeffs = [1.0 + 0j]
+            for j in range(1, len(rest) + 1):
+                coeffs.append(-sum(coeffs[j - i] * rest[i - 1] for i in range(1, j + 1)) / j)
+            return centre + half_size * _poly_roots(coeffs)
+
+        return k, seeds
+    return None, None
 
 
 def _newton(signal: SampledSignal, lams, box=((-np.inf, np.inf), np.inf)):
@@ -489,21 +497,21 @@ def _newton(signal: SampledSignal, lams, box=((-np.inf, np.inf), np.inf)):
     return lams, a_prime, converged
 
 
-def _roots_from(signal: SampledSignal, seeds, region) -> list[complex]:
-    """The distinct roots inside ``region`` that Newton reaches from ``seeds``,
-    by real part, then by descending imaginary part where real parts tie within ORDER_TOL."""
+def _roots_from(signal: SampledSignal, seeds, region, found=()) -> list[complex]:
+    """The distinct roots inside ``region`` among ``found`` (kept as is) and those Newton reaches from the
+    finite ``seeds`` above the real axis, by real part, then by descending imaginary part within ORDER_TOL."""
     (re_lo, re_hi), (im_lo, im_hi) = region
     margin = 0.5 * (im_hi - im_lo) + 0.5
     box = ((re_lo - margin, re_hi + margin), im_hi + margin)
-    lams, _, converged = _newton(signal, seeds, box)
+    lams, _, converged = _newton(signal, [s for s in seeds if np.isfinite(s) and s.imag > 0.0], box)
     merged: list[complex] = []
-    for r in sorted((complex(r) for r in lams[converged]), key=lambda r: (r.real, r.imag)):
+    for r in [*found, *sorted((complex(r) for r in lams[converged]), key=lambda r: (r.real, r.imag))]:
         if any(abs(r - m) < DEDUP_DISTANCE for m in merged):
             continue
         if re_lo - 1e-9 <= r.real <= re_hi + 1e-9 and im_lo < r.imag <= im_hi + 1e-9:
             merged.append(r)
     columns: list[list[complex]] = []
-    for r in merged:  # a gap of ORDER_TOL between real parts starts a column
+    for r in sorted(merged, key=lambda r: (r.real, r.imag)):  # a gap of ORDER_TOL starts a column
         if not columns or r.real - columns[-1][-1].real >= ORDER_TOL:
             columns.append([])
         columns[-1].append(r)
@@ -517,12 +525,12 @@ def find_eigenvalues(
     """Locate simple upper-half-plane roots of a(lambda), counted by the
     argument principle and seeded from the same contour integral.
 
-    One `scatter_many` at Gauss-Legendre nodes on the sides of the region
+    One `scatter_many` at Gauss-Legendre nodes on the sides of the region,
+    widened by the first of WIDEN_SHARES of its size that certifies a count,
     gives the count K of roots inside it and K seeds (`_contour_seeds`).
-    Newton runs from the seeds to fixed points of the discretized a.  If the
-    contour gives no certified count, or the seeds do not reach K distinct
-    roots in the region, Newton runs from a FALLBACK_GRID x FALLBACK_GRID
-    grid over the region instead.
+    Newton runs from the seeds to fixed points of the discretized a; while it
+    has found m < K, it runs from K - m seeds with those m deflated out.  The
+    K roots are then filtered to the region.
 
     Args:
         signal: sampled pulse, decaying at the grid edges.
@@ -536,28 +544,30 @@ def find_eigenvalues(
         whatever the seeds.  No roots found is an empty list, not an error.
 
     Raises:
-        EigenvalueCountError: the count was certified and the fallback grid
-            found another number of roots.
+        EigenvalueCountError: no widened rectangle certifies a count, or a
+            round of seeds adds no root before K are found.
     """
     if region is None:
         region = _default_region(signal)
     (re_lo, re_hi), (im_lo, im_hi) = region
     if not (np.isfinite(region).all() and re_lo < re_hi and 0.0 <= im_lo < im_hi):
         raise InvalidParameterError(f"region must be finite, lo < hi, im >= 0; got {region}")
-    count, seeds = _contour_seeds(signal, region)
-    if count is not None:
-        roots = _roots_from(signal, seeds, region)
-        if len(roots) == count:
-            return roots
-    res = np.linspace(re_lo, re_hi, FALLBACK_GRID)
-    ims = np.linspace(max(im_lo, im_hi / FALLBACK_GRID), im_hi, FALLBACK_GRID)
-    roots = _roots_from(signal, (res[:, None] + 1j * ims[None, :]).ravel(), region)
-    if count is not None and len(roots) != count:
-        raise EigenvalueCountError(
-            f"the contour integral counts {count} eigenvalues in {region}, "
-            f"Newton from the seed grid finds {len(roots)}"
-        )
-    return roots
+    for share in WIDEN_SHARES:
+        pad = share * max(re_hi - re_lo, im_hi - im_lo)
+        contour = ((re_lo - pad, re_hi + pad), (max(0.0, im_lo - pad), im_hi + pad))
+        count, seeds = _contour_seeds(signal, contour)
+        if count is not None:
+            break
+    else:
+        raise EigenvalueCountError(f"no contour around {region} certifies an eigenvalue count")
+    roots: list[complex] = []
+    while len(roots) < count:
+        more = _roots_from(signal, seeds(roots), contour, roots)
+        if len(more) == len(roots):
+            raise EigenvalueCountError(f"the contour integral counts {count} eigenvalues in {contour}, "
+                                       f"Newton from its deflated seeds finds {len(roots)}")
+        roots = more
+    return _roots_from(signal, (), region, roots)  # no seeds: filter and order
 
 
 def discrete_amplitude(signal: SampledSignal, lams) -> np.ndarray:

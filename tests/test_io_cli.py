@@ -301,7 +301,7 @@ class TestCli:
         ("propagate", ["--dz", "0"]),
         ("propagate", ["--dz", "-0.1"]),
         ("propagate", ["--snapshots", "-1"]),
-        ("nft", ["--seeds", "10"]),  # no such flag: the seed grid has a fixed size
+        ("nft", ["--seeds", "10"]),  # no such flag: the seeds come from the contour integral
         ("measure", ["--L", "-1"]),
         ("propagate", ["--steps", "5", "--snapshots", "7"]),
         ("nft", ["--region", "-1", "1", "-0.5", "1"]),

@@ -14,7 +14,7 @@ from soliton_tbp.errors import (
     EigenvalueCountError,
     InvalidParameterError,
 )
-from soliton_tbp.io import save_signal
+from soliton_tbp.io import load_signal, save_signal
 from soliton_tbp.scattering import (
     RESCALE_LIMIT,
     _contour_seeds,
@@ -252,14 +252,18 @@ class TestContour:
             s = random_spectrum(rng, n=n, sigma_range=(0.3, 1.5), dt_range=(-1.5, 1.5), min_gap=0.2)
             sig = _soliton_signal(s)
             count, seeds = _contour_seeds(sig, _default_region(sig))
-            assert count == n and len(seeds) == n
-            for lam in s.lams:
-                assert np.abs(seeds - lam).min() < 1e-2
+            assert count == n
+            # and with the first eigenvalue deflated out, the others
+            for found in ([], list(s.lams[:1])):
+                rest = seeds(found)
+                assert len(rest) == n - len(found)
+                for lam in s.lams[len(found):]:
+                    assert np.abs(rest - lam).min() < 1e-2
 
     def test_zero_signal_counts_zero(self):
         sig = SampledSignal(TimeGrid(-10.0, 0.05, 512), np.zeros(512, complex))
         count, seeds = _contour_seeds(sig, ((-1.0, 1.0), (0.0, 1.0)))
-        assert count == 0 and seeds.size == 0
+        assert count == 0 and seeds([]).size == 0
 
 
 class TestFindEigenvalues:
@@ -277,22 +281,29 @@ class TestFindEigenvalues:
         a, _, a_prime = scatter_many(_soliton_signal(spectrum), roots)
         assert (np.abs(a / a_prime) < 1e-12).all()
 
-    def test_bad_seeds_fall_back_to_the_grid(self, monkeypatch):
+    def test_bad_first_seeds_are_deflated(self, monkeypatch):
         sig = _soliton_signal(N2_SPECTRUM)
         want = find_eigenvalues(sig)
-        # one seed off the region and one on a root: one distinct root converges
+        seeds = _contour_seeds(sig, _default_region(sig))[1]
+        # one seed off the region and one on a root: one distinct root converges,
+        # and the next round seeds the other with that root deflated out
         bad = np.array([5.0 + 5.0j, complex(want[0])])
-        monkeypatch.setattr(scattering, "_contour_seeds", lambda signal, region: (2, bad))
+        monkeypatch.setattr(scattering, "_contour_seeds",
+                            lambda signal, region: (2, lambda found: seeds(found) if found else bad))
+        newton, runs = scattering._newton, []
+        monkeypatch.setattr(scattering, "_newton", lambda signal, lams, box: (
+            runs.append(len(lams)) or newton(signal, lams, box)))
         got = find_eigenvalues(sig)
         assert len(got) == 2
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        # the root found first is kept as it is, not run through Newton again
+        assert runs == [2, 1, 0]
 
-    def test_count_the_grid_contradicts_is_an_error(self, monkeypatch, tmp_path):
+    def test_count_the_seeds_cannot_reach_is_an_error(self, monkeypatch, tmp_path):
         sig = _soliton_signal(N2_SPECTRUM)
         seeds = _contour_seeds(sig, _default_region(sig))[1]
+        # a count of 3 over the moments of 2 roots: once both are found, no seed is left
         monkeypatch.setattr(scattering, "_contour_seeds", lambda signal, region: (3, seeds))
-        # a coarse fallback grid keeps the test short; it finds the 2 roots
-        monkeypatch.setattr(scattering, "FALLBACK_GRID", 10)
         with pytest.raises(EigenvalueCountError, match="counts 3 eigenvalues.* finds 2"):
             find_eigenvalues(sig)
         path = tmp_path / "two.csv"
@@ -300,6 +311,34 @@ class TestFindEigenvalues:
         out = tmp_path / "two.yaml"
         assert main(["nft", "--signal", str(path), "--out", str(out)]) == 2
         assert not out.exists()
+
+    def test_uncertified_count_is_an_error(self, monkeypatch):
+        two = DiscreteSpectrum([1.0, 0.5])
+        sig = synthesize(two, auto_grid(two, 1e-4))
+        # the lower edge lies 6.2e-4 below a root, and the contour may not move
+        monkeypatch.setattr(scattering, "WIDEN_SHARES", (0.0,))
+        with pytest.raises(EigenvalueCountError, match="certifies"):
+            find_eigenvalues(sig, region=((-1.0, 1.0), (0.5, 1.5)))
+
+    def test_seeds_below_the_real_axis_are_dropped(self, tmp_path):
+        # synth's default grid for this N=6 pulse gives two moment seeds below
+        # the real axis; Newton runs from the others and deflation finds the rest
+        s = DiscreteSpectrum([0.77, 0.73, 0.85, 0.64, 0.32, 0.68], [0.36, 0.14, 0.14, -0.11, -0.14, 0.22],
+                             [0.43, 2.08, 2.12, 2.52, 0.48, 0.46])
+        spec = tmp_path / "six.yaml"
+        spec.write_text("n: 6\nentries:\n" + "".join(
+            f"- {{sigma: {sg}, omega: {om}, eta: {et}, phi: 0.0}}\n"
+            for sg, om, et in zip(s.sigmas, s.omegas, s.etas)))
+        path, out = tmp_path / "six.csv", tmp_path / "six_nft.yaml"
+        assert main(["synth", "--spectrum", str(spec), "--out", str(path)]) == 0
+        sig = load_signal(path)
+        roots = find_eigenvalues(sig)
+        assert len(roots) == 6
+        a, _, a_prime = scatter_many(sig, roots)
+        assert (np.abs(a / a_prime) < 1e-12).all()
+        distance = np.abs(np.subtract.outer(roots, s.lams))
+        assert (distance.min(axis=0) < 1e-3).all() and (distance.min(axis=1) < 1e-3).all()
+        assert main(["nft", "--signal", str(path), "--out", str(out)]) == 0
 
     def test_no_lapack(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -347,10 +386,23 @@ class TestEigenvalueOrder:
         want = find_eigenvalues(sig)
         assert [round(r.imag, 3) for r in want] == [0.998, 0.501]
         # the region's lower edge lies 6.2e-4 below the sigma = 0.50062 root, so
-        # no node count is within COUNT_TOL of an integer and the grid runs
+        # no node count is within COUNT_TOL of an integer and a widened contour counts
         region = ((-1.0, 1.0), (0.5, 1.5))
         assert _contour_seeds(sig, region)[0] is None
         np.testing.assert_allclose(find_eigenvalues(sig, region=region), want, rtol=0, atol=1e-12)
+        # an edge 1e-6 from a root, on each side in turn: lower, left, right, upper
+        (lower, upper), reals = sorted(want, key=lambda r: r.imag), [r.real for r in want]
+        for region in (((-1.0, 1.0), (lower.imag - 1e-6, 1.5)),
+                       ((min(reals) - 1e-6, 1.0), (0.25, 1.5)),
+                       ((-1.0, max(reals) + 1e-6), (0.25, 1.5)),
+                       ((-1.0, 1.0), (0.25, upper.imag + 1e-6)),
+                       # the lower edge 1e-4 above a root, which lies outside
+                       ((-1.0, 1.0), (lower.imag + 1e-4, 1.5))):
+            (re_lo, re_hi), (im_lo, im_hi) = region
+            inside = [r for r in want if re_lo <= r.real <= re_hi and im_lo < r.imag <= im_hi]
+            got = find_eigenvalues(sig, region=region)
+            assert len(got) == len(inside)
+            np.testing.assert_allclose(got, inside, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("m", [0, 1, 3, 5])
     @pytest.mark.parametrize("sigmas, dts", [
