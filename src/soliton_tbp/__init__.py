@@ -3,7 +3,7 @@
 Builds N-soliton pulses from a discrete nonlinear spectrum, verifies them by
 forward scattering and split-step propagation, measures duration/bandwidth
 under modulation- and link-aware definitions, optimizes the time-bandwidth
-product per eigenvalue by exhaustive search, and evaluates the closed-form
+product per eigenvalue by a best-first lattice search, and evaluates the closed-form
 asymptotic estimates and bound curves.
 """
 

@@ -339,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_measure_flags(p)
     p.add_argument("--paper-fidelity", action="store_true",
                    help="published grids and 128 phases instead of desk-scale defaults")
-    p.add_argument("--trace", help="append-only CSV of every evaluated point (resumable)")
+    p.add_argument("--trace", help="append-only CSV of every grid point and its status (resumable)")
     p.add_argument("--report")
     p.add_argument("--out-spectrum", help="write the optimum as a spectrum file")
     p.set_defaults(func=_cmd_optimize)

@@ -45,12 +45,17 @@ only (the bandwidth matters only where the signal is sampled).  With
 ``profile`` it records the true T and B maxima at every distance; without,
 it passes the running T-hat and B-hat as floors to each later distance, so
 only the rows that could raise them are scanned exactly.
+`t_hat_b_hat_bound` is a cheap lower bound on T-hat * B-hat: the T and B
+maxima of a two-point phase sub-grid at z = 0 and z = L, on the same grid.
+When M is a power of two the sub-grid rows are full-grid rows, so the bound
+never exceeds the product; a large energy-definition grid also starts its
+floors at those maxima.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -422,6 +427,16 @@ def phase_combinations(n: int, m: int, conjugation_reduced: bool = False) -> np.
     return np.concatenate([free, np.zeros((free.shape[0], 1))], axis=1)
 
 
+def _phase_rows(n: int, m: int, conjugation_reduced: bool) -> int:
+    """len(phase_combinations(n, m, conjugation_reduced)), without building the grid."""
+    rows = m ** (n - 1)
+    if not conjugation_reduced:
+        return rows
+    # mirroring pairs the rows up, except those whose every free index is 0 or m/2
+    own_mirror = (2 if m % 2 == 0 else 1) ** (n - 1)
+    return (rows + own_mirror) // 2
+
+
 class _GuardTripped(Exception):
     """A row synthesized by the recursion lies outside its Gram-form error bound."""
 
@@ -513,6 +528,55 @@ class LinkSweepResult:
     profile: tuple[tuple[float, float, float], ...]  # (z, t_max, b_max); () without profile
 
 
+def _link_grid(spectrum: DiscreteSpectrum, config: MeasureConfig, link_length: float):
+    """The distances of a link and the one time grid `t_hat_b_hat` measures them on."""
+    if not (math.isfinite(link_length) and link_length >= 0.0):
+        raise InvalidParameterError(f"link length must be finite and >= 0, got {link_length}")
+    if spectrum.is_imaginary() or link_length == 0.0:
+        return [0.0], auto_grid(spectrum, config.epsilon, boundary_clean=False)
+    zs = np.linspace(0.0, link_length, config.z_samples)
+    grid = union_grid([auto_grid(evolve(spectrum, z), config.epsilon, boundary_clean=False)
+                       for z in (0.0, link_length / 2.0, link_length)])
+    return zs, grid
+
+
+def _at(spectrum: DiscreteSpectrum, z) -> DiscreteSpectrum:
+    # evolve(s, 0.0) can move an eta by one ulp
+    return evolve(spectrum, float(z)) if z != 0.0 else spectrum
+
+
+def _sub_grid_maxima(spectrum: DiscreteSpectrum, config: MeasureConfig, zs, grid):
+    """(T, B) maxima of the two-point phase sub-grid (phases 0 and pi) at the link's endpoints.
+
+    None unless ``config.phase_points`` is a power of two: only then are the
+    sub-grid's phases 2*pi*idx/m bitwise phases of the full grid, so that its
+    rows are rows of the full grid and its maxima at most the full maxima.
+    """
+    m = config.phase_points
+    if m & (m - 1):
+        return None
+    sub = replace(config, phase_points=2)
+    t_max, b_max = -math.inf, -math.inf
+    for z in sorted({zs[0], zs[-1]}):
+        r = t_max_b_max(_at(spectrum, z), sub, grid, floors=(t_max, b_max))
+        t_max, b_max = r.t_max, r.b_max
+    return t_max, b_max
+
+
+def t_hat_b_hat_bound(spectrum: DiscreteSpectrum, config: MeasureConfig, link_length: float) -> float:
+    """A lower bound on T-hat * B-hat of `t_hat_b_hat`: -inf or the sub-grid's T max * B max.
+
+    The maxima are those of the two-point phase sub-grid on the link's own
+    grid at z = 0 and z = L, so every row behind them is a row
+    `t_hat_b_hat` scans; when ``config.phase_points`` is not a power of two
+    there is no such sub-grid and the bound is -inf.  Raises whatever
+    `t_hat_b_hat` would raise on those rows.
+    """
+    zs, grid = _link_grid(spectrum, config, link_length)
+    maxima = _sub_grid_maxima(spectrum, config, zs, grid)
+    return -math.inf if maxima is None else maxima[0] * maxima[1]
+
+
 def t_hat_b_hat(
     spectrum: DiscreteSpectrum,
     config: MeasureConfig,
@@ -531,26 +595,23 @@ def t_hat_b_hat(
     With ``profile`` the result's profile holds (z, T max, B max) at every
     distance.  Without it each distance is scanned with the T-hat and B-hat
     of the distances before it as `t_max_b_max` floors and the profile is
-    empty.  T-hat and B-hat are the same, and so is every error of the T
-    scans, but B is then measured at the endpoints only: aliasing at the
-    Nyquist edge of an interior distance raises with ``profile`` alone.
+    empty; under the energy definition, a phase grid of at least
+    `CHUNK_SIZE` rows starts those floors at the sub-grid maxima of
+    `t_hat_b_hat_bound`.  T-hat and B-hat are the same, and so is every
+    error of the T scans, but B is then measured at the endpoints only:
+    aliasing at the Nyquist edge of an interior distance raises with
+    ``profile`` alone.
     """
-    if not (math.isfinite(link_length) and link_length >= 0.0):
-        raise InvalidParameterError(f"link length must be finite and >= 0, got {link_length}")
-    if spectrum.is_imaginary() or link_length == 0.0:
-        zs, grid = [0.0], auto_grid(spectrum, config.epsilon, boundary_clean=False)
-    else:
-        zs = np.linspace(0.0, link_length, config.z_samples)
-        grid = union_grid([auto_grid(evolve(spectrum, z), config.epsilon, boundary_clean=False)
-                           for z in (0.0, link_length / 2.0, link_length)])
+    zs, grid = _link_grid(spectrum, config, link_length)
     t_hat, b_hat = -math.inf, -math.inf
+    if (not profile and config.definition == "energy"
+            and _phase_rows(spectrum.n, config.phase_points, spectrum.is_imaginary()) >= CHUNK_SIZE):
+        t_hat, b_hat = _sub_grid_maxima(spectrum, config, zs, grid) or (t_hat, b_hat)
     rows = []
     for z in zs:
         endpoint = z == 0.0 or z == link_length
-        # evolve(s, 0.0) can move an eta by one ulp
-        spec_z = evolve(spectrum, float(z)) if z != 0.0 else spectrum
         floors = (-math.inf, -math.inf) if profile else (t_hat, b_hat)
-        r = t_max_b_max(spec_z, config, grid, with_b=endpoint or profile, floors=floors)
+        r = t_max_b_max(_at(spectrum, z), config, grid, with_b=endpoint or profile, floors=floors)
         t_hat = max(t_hat, r.t_max)
         if endpoint:
             b_hat = max(b_hat, r.b_max)

@@ -19,22 +19,35 @@ coarse argmin with the family steps of `FINE_STEPS`; every axis is a
 `t_hat_b_hat` at the point's link length (zero on the imaginary axis),
 without its per-distance profile, evaluated by one function for the sweep
 workers and `evaluate_point` alike.
-The points are evaluated in worker processes forked from the caller (at
-most `SOLITON_TBP_THREADS` of them), because each point is thousands of
-short numpy calls and threads would serialize on the GIL; only a point's
-parameters and its `TracePoint` cross between processes, so pooled and
-serial sweeps agree bit for bit.  With one worker, at most one point to
-evaluate, other threads running in the caller, or no "fork" start method,
-the points are evaluated in-process.
+The sweep is best first (Land & Doig's branch and bound, Econometrica 28,
+1960).  A first pass bounds every point from below with
+`t_hat_b_hat_bound`, the T max * B max of a two-point phase sub-grid at the
+link's endpoints (-inf when M is not a power of two); a second pass takes
+the points in ascending (bound, params) order, `BATCH_SIZE` at a time, and
+prunes each point whose bound lies strictly above the best objective of the
+earlier batches.  The rest are evaluated in full.  So every point that could
+be the argmin, ties included, is evaluated, and the coarse argmin and the
+reported optimum are those of an exhaustive sweep; which points are
+evaluated depends on the batch size alone.
+Both passes run in worker processes forked from the caller (at most
+`SOLITON_TBP_THREADS` of them), because each point is thousands of short
+numpy calls and threads would serialize on the GIL; only a point's
+parameters, its bound and its `TracePoint` cross between processes, so
+pooled and serial sweeps agree bit for bit.  With one worker, at most one
+point to decide, other threads running in the caller, or no "fork" start
+method, the points are decided in-process.
 No worker outlives the sweep, on success or error.
-Every evaluated grid point lands in an append-only trace (CSV), written in
-enumeration order regardless of worker scheduling, so long sweeps are
-resumable and the reported optimum is always the argmin over the full
-trace.  The trace header records what fixes a point's value (constellation,
-order, parameter names and measurement config), and a resume under another
-header is refused.  Grid points whose spectra are degenerate (coinciding
-eigenvalues, unordered sigmas) or whose measurement fails are recorded with
-NaN objectives.
+Every grid point lands in an append-only trace (CSV) with a status: "ok",
+"pruned" (NaN values), or the class of the error that made a NaN row (a
+degenerate spectrum, such as coinciding eigenvalues or unordered sigmas, or
+a failed measurement).  Rows are written in decision order: the points
+whose bound fails, then the second pass's, regardless of worker scheduling.
+A resume bounds every point again but evaluates only the points the trace
+lacks, so it writes the rows the whole sweep would have; the reported
+optimum is always the argmin over the full trace.  The trace header records
+what fixes a point's value (constellation, order, parameter names and
+measurement config) and the columns, and a resume under another header,
+such as a trace written before the status column, is refused.
 """
 
 from __future__ import annotations
@@ -52,10 +65,15 @@ import numpy as np
 
 from .errors import DegenerateSpectrumError, InvalidParameterError, SolitonError, SpectrumFileError
 from .io import _decode_text
-from .metrics import MeasureConfig, t_hat_b_hat, tbp_per_eigenvalue_ratio
+from .metrics import MeasureConfig, t_hat_b_hat, t_hat_b_hat_bound, tbp_per_eigenvalue_ratio
 from .spectrum import DiscreteSpectrum
 
 THREADS_ENV = "SOLITON_TBP_THREADS"
+# Points decided together in the best-first pass of a sweep: the incumbent is
+# updated between batches, so the points evaluated depend on this size alone.
+BATCH_SIZE = 8
+# What makes a NaN row: a point that is degenerate or whose measurement fails.
+POINT_ERRORS = (SolitonError, ArithmeticError, ValueError)
 
 
 def grid_axis(lo: float, hi: float, step: float) -> list[float]:
@@ -117,10 +135,13 @@ def default_sweep(
 
 @dataclass(frozen=True)
 class TracePoint:
+    """One trace row; ``status`` is "ok", "pruned" or the class of the error behind a NaN row."""
+
     params: tuple[float, ...]
     t_hat: float
     b_hat: float
     objective: float
+    status: str = "ok"
 
     @property
     def ok(self) -> bool:
@@ -129,7 +150,7 @@ class TracePoint:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Optimizer output with the full evaluation trace."""
+    """Optimizer output with the full trace, pruned points included."""
 
     param_names: tuple[str, ...]
     best: TracePoint
@@ -237,7 +258,7 @@ def _trace_header(spec: SweepSpec, names) -> list[list[str]]:
     """Header rows: what fixes a point's value, then the column names."""
     fixed = {"constellation": spec.constellation, "n": spec.n, **asdict(spec.measure)}
     return [["#"] + [f"{k}={v}" for k, v in fixed.items()],
-            list(names) + ["T_hat", "B_hat", "objective"]]
+            list(names) + ["T_hat", "B_hat", "objective", "status"]]
 
 
 def _read_trace(path: Path | None, header: list) -> dict:
@@ -259,17 +280,20 @@ def _read_trace(path: Path | None, header: list) -> dict:
         for theirs, ours in zip_longest(rows[0] + rows[1], header[0] + header[1], fillvalue=""):
             if theirs != ours:
                 raise SpectrumFileError(f"trace {path} has {theirs!r} where this sweep has {ours!r}")
-    n_params = len(header[1]) - 3
+    n_params = len(header[1]) - 4
     done = {}
     for line, row in enumerate(rows[2:], start=3):
-        if len(row) != n_params + 3:
-            raise SpectrumFileError(f"trace {path}:{line}: expected {n_params + 3} columns, "
+        if len(row) != n_params + 4:
+            raise SpectrumFileError(f"trace {path}:{line}: expected {n_params + 4} columns, "
                                     f"got {len(row)}")
+        *cells, status = row
+        if not status.isidentifier():
+            raise SpectrumFileError(f"trace {path}:{line}: status {status!r} is not a name")
         try:
-            values = tuple(float(v) for v in row)
+            values = tuple(float(v) for v in cells)
         except ValueError as exc:
             raise SpectrumFileError(f"trace {path}:{line}: {exc}") from exc
-        done[_key(values[:n_params])] = TracePoint(values[:n_params], *values[n_params:])
+        done[_key(values[:n_params])] = TracePoint(values[:n_params], *values[n_params:], status)
     if end < len(data):
         with open(path, "r+b") as fh:
             fh.truncate(end)
@@ -295,28 +319,51 @@ def _evaluate(constellation: str, n: int, names, values, measure: MeasureConfig)
     return TracePoint(values, r.t_hat, r.b_hat, r.t_hat * r.b_hat), l_star
 
 
+def _nan_point(values, status: str) -> TracePoint:
+    return TracePoint(values, math.nan, math.nan, math.nan, status)
+
+
 def _evaluate_or_nan(constellation: str, n: int, names, measure: MeasureConfig, values) -> TracePoint:
-    """The sweep workers' task: `_evaluate`'s point, or a NaN row where the point fails."""
+    """The evaluation task: `_evaluate`'s point, or a NaN row where the point fails."""
     try:
         return _evaluate(constellation, n, names, values, measure)[0]
-    except (SolitonError, ArithmeticError, ValueError):
-        return TracePoint(values, math.nan, math.nan, math.nan)
+    except POINT_ERRORS as exc:
+        return _nan_point(values, type(exc).__name__)
 
 
-def _run_points(spec: SweepSpec, names, points, done, fh, workers: int):
-    """Evaluate points not in `done`, appending rows to `fh` in enumeration order.
+def _bound_or_nan(constellation: str, n: int, names, measure: MeasureConfig, values):
+    """The bound task: `t_hat_b_hat_bound` of the point, or its NaN row where that fails.
 
-    The rows are written as their points come next in order, so an
-    interrupted sweep leaves a trace prefix that a resume completes.
+    A sub-grid row is a row of the full grid, so a point whose bound fails
+    would fail in full too.
+    """
+    try:
+        spectrum, l_star = spectrum_for_point(constellation, n, names, values)
+        return t_hat_b_hat_bound(spectrum, measure, l_star)
+    except POINT_ERRORS as exc:
+        return _nan_point(values, type(exc).__name__)
+
+
+def _run_points(spec: SweepSpec, names, points, done, fh, workers: int, incumbent: float):
+    """Decide the points not in `done`, best first, appending rows to `fh` in decision order.
+
+    Pass 1 bounds every point (`_bound_or_nan`) and records the points whose
+    bound fails as NaN rows, in enumeration order.  Pass 2 takes the others
+    in ascending (bound, params) order, `BATCH_SIZE` at a time: a point
+    whose bound lies strictly above ``incumbent`` is recorded as pruned, the
+    rest are evaluated, and after each batch ``incumbent`` falls to the best
+    objective in it.  Points already in `done` keep their rows and
+    are not evaluated again, but they are bounded and take their places, so
+    a resume from an interrupted trace writes the rows the whole run would.
+    Returns the points' trace rows in enumeration order.
     """
     import multiprocessing
     from concurrent.futures.process import ProcessPoolExecutor
 
-    evaluate = partial(_evaluate_or_nan, spec.constellation, spec.n, names, spec.measure)
-    todo = {}
+    unique = {}
     for params in points:
-        if _key(params) not in done:
-            todo.setdefault(_key(params), params)
+        unique.setdefault(_key(params), params)
+    todo = [key for key in unique if key not in done]
     pool = None
     # Fork, not spawn or forkserver: those re-import __main__, which breaks a caller's
     # script without a __main__ guard, and re-import numpy and the package in every
@@ -328,30 +375,50 @@ def _run_points(spec: SweepSpec, names, points, done, fh, workers: int):
             fh.flush()
         pool = ProcessPoolExecutor(min(workers, len(todo)),
                                    mp_context=multiprocessing.get_context("fork"))
+    run = pool.map if pool is not None else map
     writer = csv.writer(fh) if fh is not None else None
-    results = []
+
+    def record(point):
+        done[_key(point.params)] = point
+        if writer is not None:
+            writer.writerow([repr(v) for v in point.params] + [repr(point.t_hat), repr(point.b_hat),
+                                                               repr(point.objective), point.status])
+
     try:
-        fresh = pool.map(evaluate, todo.values()) if pool is not None else map(evaluate, todo.values())
-        for params in points:
-            key = _key(params)
-            if key not in done:
-                point = done[key] = next(fresh)
-                if writer is not None:
-                    writer.writerow([repr(v) for v in point.params]
-                                    + [repr(point.t_hat), repr(point.b_hat), repr(point.objective)])
-            results.append(done[key])
+        ranked = []
+        if todo:
+            bound = partial(_bound_or_nan, spec.constellation, spec.n, names, spec.measure)
+            for (key, params), low in zip(unique.items(), run(bound, unique.values())):
+                if not isinstance(low, TracePoint):
+                    ranked.append((low, params))
+                elif key not in done:
+                    record(low)
+        ranked.sort()
+        evaluate = partial(_evaluate_or_nan, spec.constellation, spec.n, names, spec.measure)
+        for start in range(0, len(ranked), BATCH_SIZE):
+            batch = ranked[start : start + BATCH_SIZE]
+            fresh = [params for low, params in batch
+                     if _key(params) not in done and not low > incumbent]
+            evaluated = iter(run(evaluate, fresh) if fresh else ())
+            for low, params in batch:
+                if _key(params) not in done:
+                    record(_nan_point(params, "pruned") if low > incumbent else next(evaluated))
+            incumbent = min([incumbent] + [done[_key(params)].objective for _, params in batch
+                                           if done[_key(params)].ok])
     finally:
         if pool is not None:  # after an error, cancel what has not started and reap every worker
             pool.shutdown(wait=True, cancel_futures=True)
-    return results
+    return [done[_key(params)] for params in points]
 
 
 def run_sweep(spec: SweepSpec, trace_path: str | os.PathLike | None = None) -> SweepResult:
-    """Exhaustive sweep with optional refinement and resumable trace.
+    """Best-first sweep with optional refinement and resumable trace.
 
-    The reported optimum is the argmin of the objective over every evaluated
-    point (coarse and refined); ties resolve to the lexicographically
-    smallest parameter vector.
+    The reported optimum is the argmin of the objective over every point
+    (coarse and refined), as an exhaustive sweep would report it: a pruned
+    point's bound, and so its objective, lies above it.  Ties resolve to the
+    lexicographically smallest parameter vector.  The coarse pass starts
+    with no incumbent, the refinement pass with the coarse argmin.
     """
     workers = _worker_count()  # before the trace is touched
     names = tuple(spec.ranges.keys())
@@ -367,12 +434,12 @@ def run_sweep(spec: SweepSpec, trace_path: str | os.PathLike | None = None) -> S
         if new_file:
             csv.writer(fh).writerows(header)
     try:
-        coarse = _argmin(_run_points(spec, names, points, done, fh, workers))
+        coarse = _argmin(_run_points(spec, names, points, done, fh, workers, math.inf))
         if spec.refine and coarse is not None:
             fine = {name: (max(lo, center - step), min(hi, center + step),
                            FINE_STEPS[name.split("_")[0]])
                     for (name, (lo, hi, step)), center in zip(spec.ranges.items(), coarse.params)}
-            _run_points(spec, names, _grid_points(fine), done, fh, workers)
+            _run_points(spec, names, _grid_points(fine), done, fh, workers, coarse.objective)
     finally:
         if fh is not None:
             fh.close()

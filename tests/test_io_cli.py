@@ -473,7 +473,8 @@ class TestCli:
 
     def test_non_numeric_trace_row_is_validation_error(self, tmp_path, capsys):
         trace = tmp_path / "trace.csv"
-        write_imag_trace(trace, [["0.54", "1.5", "1.0", "2.0", "2.0"], ["0.54", "abc", "1.0", "2.0", "2.0"]])
+        write_imag_trace(trace, [["0.54", "1.5", "1.0", "2.0", "2.0", "ok"],
+                                 ["0.54", "abc", "1.0", "2.0", "2.0", "ok"]])
         written = trace.read_bytes()
         capsys.readouterr()
         assert main(IMAG_OPTIMIZE + ["--trace", str(trace)]) == 1
@@ -483,17 +484,29 @@ class TestCli:
 
     def test_trace_row_of_other_length_is_validation_error(self, tmp_path, capsys):
         trace = tmp_path / "trace.csv"
-        write_imag_trace(trace, [["0.54", "1.5", "1.0", "2.0", "2.0"], ["0.54", "2.0", "1.0", "2.0"]])
+        write_imag_trace(trace, [["0.54", "1.5", "1.0", "2.0", "2.0", "ok"],
+                                 ["0.54", "2.0", "1.0", "2.0"]])
         written = trace.read_bytes()
         capsys.readouterr()
         assert main(IMAG_OPTIMIZE + ["--trace", str(trace)]) == 1
         out, err = capsys.readouterr()
-        assert out == "" and "trace.csv:4: expected 5 columns, got 4" in err
+        assert out == "" and "trace.csv:4: expected 6 columns, got 4" in err
+        assert trace.read_bytes() == written
+
+    def test_trace_status_other_than_a_name_is_validation_error(self, tmp_path, capsys):
+        trace = tmp_path / "trace.csv"
+        write_imag_trace(trace, [["0.54", "1.5", "1.0", "2.0", "2.0", "ok"],
+                                 ["0.54", "2.0", "1.0", "2.0", "2.0", "not ok"]])
+        written = trace.read_bytes()
+        capsys.readouterr()
+        assert main(IMAG_OPTIMIZE + ["--trace", str(trace)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "trace.csv:4: status 'not ok' is not a name" in err
         assert trace.read_bytes() == written
 
     def test_refused_torn_trace_is_left_unchanged(self, tmp_path, capsys):
         trace = tmp_path / "trace.csv"
-        write_imag_trace(trace, [["0.54", "abc", "1.0", "2.0", "2.0"]], tail=b"0.54,2.0,1.0")
+        write_imag_trace(trace, [["0.54", "abc", "1.0", "2.0", "2.0", "ok"]], tail=b"0.54,2.0,1.0")
         written = trace.read_bytes()
         capsys.readouterr()
         assert main(IMAG_OPTIMIZE + ["--trace", str(trace)]) == 1
@@ -505,7 +518,8 @@ class TestCli:
         bad = tmp_path / {"trace": "trace.csv", "signal": "sig.csv", "spectrum": "bad.yaml"}[kind]
         out = tmp_path / "out.csv"
         if kind == "trace":
-            write_imag_trace(bad, [["0.54", "1.5", "1.0", "2.0", "2.0"]], tail=b"0.54,2.0,\xff,1,1\n")
+            write_imag_trace(bad, [["0.54", "1.5", "1.0", "2.0", "2.0", "ok"]],
+                             tail=b"0.54,2.0,\xff,1,1\n")
             argv, line = IMAG_OPTIMIZE + ["--trace", str(bad)], 4
         elif kind == "signal":
             main(["synth", "--spectrum", str(one_soliton_file), "--out", str(bad)])

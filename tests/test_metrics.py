@@ -1,5 +1,6 @@
 import math
 import warnings
+from itertools import product
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from soliton_tbp.metrics import (
     phase_combinations,
     single_soliton_tbp,
     t_hat_b_hat,
+    t_hat_b_hat_bound,
     t_max_b_max,
     tbp_per_eigenvalue_ratio,
 )
@@ -317,6 +319,10 @@ class TestPhaseCombinations:
 
     def test_single_entry(self):
         assert phase_combinations(1, 16).shape == (1, 1)
+
+    def test_row_count(self):
+        for n, m, reduced in product(range(1, 5), range(2, 10), (False, True)):
+            assert metrics._phase_rows(n, m, reduced) == len(phase_combinations(n, m, reduced))
 
     def test_conjugation_reduction_preserves_maxima(self, rng):
         s = DiscreteSpectrum.from_delta_t([0.9, 0.5], delta_ts=[1.0, 0.0])
@@ -714,6 +720,71 @@ class TestTHatBHat:
         assert len(calls) == 3
         assert link.t_hat == pytest.approx(15.003, abs=1e-3)
         assert link.b_hat == pytest.approx(1.0006, abs=1e-4)
+
+
+class TestBound:
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_bound_lies_below_the_product(self, n):
+        rng = np.random.default_rng(2700 + n)
+        for _ in range(3):
+            for imaginary in (True, False):
+                s = random_spectrum(rng, n=n, sigma_range=(0.4, 0.8), dt_range=(-1.0, 1.0),
+                                    imaginary=imaginary)
+                link_length = 0.0 if imaginary else float(rng.uniform(0.5, 3.0))
+                for m in (2, 4, 8):
+                    cfg = MeasureConfig(phase_points=m, z_samples=5)
+                    link = t_hat_b_hat(s, cfg, link_length, profile=False)
+                    bound = t_hat_b_hat_bound(s, cfg, link_length)
+                    assert math.isfinite(bound) and bound <= link.t_hat * link.b_hat
+                    if m == 2 and imaginary:  # the sub-grid is the whole grid, at the one distance
+                        assert bound == link.t_hat * link.b_hat
+                for m in (3, 6, 12):  # no sub-grid of full-grid phases
+                    assert t_hat_b_hat_bound(s, MeasureConfig(phase_points=m), link_length) == -math.inf
+
+    def test_bound_raises_what_the_link_raises(self):
+        s = DiscreteSpectrum([0.5])
+        with pytest.raises(InvalidParameterError, match="link length"):
+            t_hat_b_hat_bound(s, MeasureConfig(), -1.0)
+
+    @pytest.mark.parametrize("spectrum, link_length", [
+        (DiscreteSpectrum.from_delta_t([0.7, 0.62, 0.5], None, [-2.85, 1.05, 0.0]), 0.0),
+        (DiscreteSpectrum.from_delta_t([0.5] * 3, [0.55, -0.55, 0.0], [-2.2, 2.2, 0.0]), 2.0),
+    ], ids=["table1_n3", "table2_n3"])
+    def test_sub_grid_floors_leave_the_link_unchanged(self, monkeypatch, spectrum, link_length):
+        cfg = MeasureConfig(phase_points=32, z_samples=3)
+        assert len(phase_combinations(3, 32, spectrum.is_imaginary())) >= metrics.CHUNK_SIZE
+        scanned, floored = [], []
+        first_max, sub_grid = metrics._first_max, metrics._sub_grid_maxima
+
+        def counted(mags, rows, *args):
+            scanned.append(len(rows))
+            return first_max(mags, rows, *args)
+
+        def spy(*args):
+            floored.append(sub_grid(*args))
+            return floored[-1]
+
+        monkeypatch.setattr(metrics, "_first_max", counted)
+        monkeypatch.setattr(metrics, "_sub_grid_maxima", spy)
+        link = t_hat_b_hat(spectrum, cfg, link_length, profile=False)
+        with_floors = sum(scanned)
+        assert len(floored) == 1
+        profiled = t_hat_b_hat(spectrum, cfg, link_length, profile=True)
+        assert len(floored) == 1  # the profile reads every maximum itself
+        monkeypatch.setattr(metrics, "_sub_grid_maxima", lambda *args: None)
+        scanned.clear()
+        unfloored = t_hat_b_hat(spectrum, cfg, link_length, profile=False)
+        assert (link.t_hat, link.b_hat) == (unfloored.t_hat, unfloored.b_hat)
+        assert (link.t_hat, link.b_hat) == (profiled.t_hat, profiled.b_hat)
+        assert with_floors < sum(scanned)
+
+    def test_no_floors_below_the_chunk_size(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(metrics, "_sub_grid_maxima", lambda *args: calls.append(args))
+        s = DiscreteSpectrum.from_delta_t([0.7, 0.62, 0.5], None, [-2.85, 1.05, 0.0])
+        t_hat_b_hat(s, MeasureConfig(phase_points=16), 0.0, profile=False)  # 136 rows
+        t_hat_b_hat(s, MeasureConfig(phase_points=32, definition="threshold"), 0.0, profile=False)
+        assert calls == []
 
 
 class TestRatios:

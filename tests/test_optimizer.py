@@ -1,4 +1,6 @@
+import csv
 import errno
+import math
 import multiprocessing
 import os
 import subprocess
@@ -14,8 +16,9 @@ import numpy as np
 import pytest
 
 from soliton_tbp import optimizer
+from soliton_tbp.cli import main
 from soliton_tbp.errors import DegenerateSpectrumError, InvalidParameterError, SpectrumFileError
-from soliton_tbp.metrics import MeasureConfig, single_soliton_tbp
+from soliton_tbp.metrics import MeasureConfig, single_soliton_tbp, t_hat_b_hat_bound
 from soliton_tbp.optimizer import (
     FINE_STEPS,
     SWEEP_GRIDS,
@@ -51,10 +54,28 @@ def tiny_real_spec():
     )
 
 
+def pruning_imag_spec():
+    """25 points, more than a batch: later batches hold points that the bound rules out."""
+    return replace(tiny_imag_spec(), ranges={"sigma_1": (0.54, 0.94, 0.1), "dt_1": (1.0, 3.0, 0.5)})
+
+
+def pruning_real_spec():
+    return replace(tiny_real_spec(), ranges={"omega_1": (0.1, 0.5, 0.1), "dt_1": (-2.0, -0.5, 0.5)})
+
+
 def degenerate_imag_spec():
     # sigma_1 = 0.5 collides with the pinned 0.5: NaN rows among finite ones
     return SweepSpec("imaginary", 2, {"sigma_1": (0.5, 0.7, 0.1), "dt_1": (1.5, 2.5, 0.5)},
                      measure=FAST)
+
+
+def no_bound(monkeypatch):
+    """Bound every point by -inf, so that every point is evaluated, in parameter order."""
+    monkeypatch.setattr(optimizer, "t_hat_b_hat_bound", lambda spectrum, measure, l_star: -math.inf)
+
+
+def trace_rows(path):
+    return list(csv.reader(path.read_text().splitlines()))[2:]
 
 
 def sweep_with(monkeypatch, workers, spec, trace=None):
@@ -194,11 +215,14 @@ class TestGridAxis:
             return TracePoint(values, 1.0, 1.0, objective), 0.0
 
         monkeypatch.setattr(optimizer, "_evaluate", record)
+        no_bound(monkeypatch)
         spec = default_sweep("real_axis", 3)
         assert spec.refine is False  # the coarse grid is all that runs
-        run_sweep(spec)
-        dt_3 = {values[-1] for values in evaluated}
-        assert len(evaluated) == 10648
+        res = run_sweep(spec)
+        dt_3 = {p.params[-1] for p in res.trace}
+        assert len(res.trace) == 10648
+        # degenerate points (omega_1 = 0, omega_3 = +-omega_1) fail in the bound pass
+        assert sorted(evaluated) == sorted(p.params for p in res.trace if p.status == "ok")
         assert max(dt_3) == -0.2 and min(dt_3) == -3.0
 
 
@@ -236,7 +260,8 @@ class TestSweep:
             row = trace.read_text().splitlines()[2].split(",")
             params = dict(zip(res.param_names, map(float, row)))
             direct, _, _ = evaluate_point(spec.constellation, spec.n, params, spec.measure)
-            assert float(row[-1]) == direct.objective
+            assert row[-1] == "ok"
+            assert float(row[-2]) == direct.objective
 
     def test_best_is_trace_argmin(self):
         res = run_sweep(tiny_imag_spec())
@@ -258,6 +283,7 @@ class TestSweep:
             return TracePoint(values, 1.0, objective, objective), 0.0
 
         monkeypatch.setattr(optimizer, "_evaluate", record)
+        no_bound(monkeypatch)  # the true bounds lie far above these objectives
         run_sweep(tiny_imag_spec(refine=True))
         coarse = product(grid_axis(0.54, 0.74, 0.1), grid_axis(1.5, 2.5, 0.5))
         box = product(grid_axis(0.54, 0.74, FINE_STEPS["sigma"]), grid_axis(1.5, 2.5, FINE_STEPS["dt"]))
@@ -289,8 +315,8 @@ class TestSweep:
         text = (tmp_path / "trace.csv").read_text().splitlines()
         assert text[0] == ("#,constellation=imaginary,n=2,epsilon=0.0001,alpha=0.01414213562373095,"
                            "definition=energy,phase_points=4,z_samples=41")
-        assert text[1] == "sigma_1,dt_1,T_hat,B_hat,objective"
-        assert any("nan" in row for row in text[2:])
+        assert text[1] == "sigma_1,dt_1,T_hat,B_hat,objective,status"
+        assert text[2] == "0.5,0.0,nan,nan,nan,DegenerateSpectrumError"
 
     def test_resume_skips_completed(self, tmp_path):
         trace = tmp_path / "trace.csv"
@@ -313,9 +339,10 @@ class TestSweep:
         complete = trace.read_bytes()
         body, last = complete.rstrip(b"\r\n").rsplit(b"\n", 1)
         trace.write_bytes(body + b"\n" + tear(last))  # a crash mid-write
-        assert run_sweep(tiny_imag_spec(), trace_path=trace) == fresh
+        # compared by repr, where the NaN cells of a pruned row read back from the trace are equal
+        assert repr(run_sweep(tiny_imag_spec(), trace_path=trace)) == repr(fresh)
         assert trace.read_bytes() == complete
-        assert run_sweep(tiny_imag_spec(), trace_path=trace) == fresh
+        assert repr(run_sweep(tiny_imag_spec(), trace_path=trace)) == repr(fresh)
         assert trace.read_bytes() == complete  # the second resume adds no rows
 
     def test_resume_refuses_another_measurement(self, tmp_path):
@@ -340,11 +367,74 @@ class TestSweep:
         assert res.tbp_per_ev_ratio > 0.0
 
 
+class TestPruning:
+    @pytest.mark.parametrize("make_spec", [pruning_imag_spec, pruning_real_spec],
+                             ids=["imaginary", "real_axis"])
+    def test_pruned_points_lie_above_the_optimum(self, tmp_path, make_spec):
+        spec = make_spec()
+        trace = tmp_path / "trace.csv"
+        res = run_sweep(spec, trace_path=trace)
+        assert {p.status for p in res.trace} == {"ok", "pruned"}
+        bounds = {}
+        for p in res.trace:
+            spectrum, l_star = spectrum_for_point(spec.constellation, spec.n, res.param_names, p.params)
+            bounds[p.params] = t_hat_b_hat_bound(spectrum, spec.measure, l_star)
+            exact, _, _ = evaluate_point(spec.constellation, spec.n,
+                                         dict(zip(res.param_names, p.params)), spec.measure)
+            assert bounds[p.params] <= exact.objective
+            if p.status == "pruned":
+                assert math.isnan(p.t_hat) and math.isnan(p.b_hat) and math.isnan(p.objective)
+                assert exact.objective > res.best.objective
+            else:
+                assert p == exact
+        # decision order: ascending (bound, params); a point is pruned when its bound lies
+        # strictly above the best objective of the batches before its own
+        order = [tuple(map(float, row[:2])) for row in trace_rows(trace)]
+        assert order == sorted(order, key=lambda params: (bounds[params], params))
+        done = {p.params: p for p in res.trace}
+        incumbent = math.inf
+        for start in range(0, len(order), optimizer.BATCH_SIZE):
+            batch = [done[params] for params in order[start : start + optimizer.BATCH_SIZE]]
+            for p in batch:
+                assert (p.status == "pruned") == (bounds[p.params] > incumbent)
+            incumbent = min([incumbent] + [p.objective for p in batch if p.ok])
+
+    def test_a_bound_equal_to_the_incumbent_is_evaluated(self, monkeypatch):
+        # the first batch, bounded by 0.5, sets the incumbent to 1.0; the ninth point's
+        # bound equals it, and it ties the objective with the smallest parameters
+        monkeypatch.setenv("SOLITON_TBP_THREADS", "1")  # a forked worker's calls land in its copy
+        monkeypatch.setattr(optimizer, "_bound_or_nan",
+                            lambda constellation, n, names, measure, values:
+                            1.0 if values == (0.54, 1.5) else 0.5)
+        monkeypatch.setattr(optimizer, "_evaluate", lambda constellation, n, names, values, measure:
+                            (TracePoint(values, 1.0, 1.0, 1.0), 0.0))
+        res = run_sweep(tiny_imag_spec())
+        assert {p.status for p in res.trace} == {"ok"}
+        assert res.best.params == (0.54, 1.5)
+
+    def test_no_bound_off_a_power_of_two(self):
+        spec = replace(pruning_imag_spec(), measure=replace(FAST, phase_points=6))
+        assert {p.status for p in run_sweep(spec).trace} == {"ok"}
+
+    def test_a_trace_without_status_is_refused(self, tmp_path, capsys):
+        trace = tmp_path / "trace.csv"
+        header = optimizer._trace_header(default_sweep("imaginary", 2), ("sigma_1", "dt_1"))
+        with open(trace, "w", newline="") as fh:  # as written before the status column
+            csv.writer(fh).writerows([header[0], header[1][:-1], ["0.54", "1.5", "1.0", "2.0", "2.0"]])
+        written = trace.read_bytes()
+        capsys.readouterr()
+        assert main(["optimize", "--constellation", "imag", "--n", "2", "--trace", str(trace)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "has '' where this sweep has 'status'" in err
+        assert trace.read_bytes() == written
+
+
 POOL_SPECS = {
     "imaginary": tiny_imag_spec,
     "imaginary_refined": lambda: tiny_imag_spec(refine=True),
     "real_axis": tiny_real_spec,
     "degenerate": degenerate_imag_spec,
+    "pruned": pruning_real_spec,
 }
 
 
@@ -367,6 +457,7 @@ class TestWorkerPool:
         assert multiprocessing.active_children() == []
 
     def test_one_point_left_is_evaluated_in_process(self, tmp_path, monkeypatch):
+        no_bound(monkeypatch)  # the last row is then the last point, and it is evaluated
         trace = tmp_path / "trace.csv"
         fresh = sweep_with(monkeypatch, 2, tiny_imag_spec(), trace)
         complete = trace.read_bytes()
@@ -388,7 +479,8 @@ class TestWorkerPool:
             release.set()
             waiter.join(timeout=10)
         assert not waiter.is_alive()
-        assert len(evaluated) == len(res.trace) == 9
+        pruned = [p for p in res.trace if p.status == "pruned"]
+        assert len(evaluated) + len(pruned) == len(res.trace) == 9
         assert multiprocessing.active_children() == []
 
     @needs_fork
@@ -412,6 +504,7 @@ class TestWorkerPool:
 
     @needs_fork
     def test_worker_error_reraises_in_the_parent(self, tmp_path, monkeypatch):
+        no_bound(monkeypatch)  # the failing point is evaluated, in the first batch
         log = log_calls(monkeypatch, tmp_path, fail_at=(0.54, 2.0))
         with pytest.raises(TypeError, match=r"^no objective at \(0\.54, 2\.0\)$"):
             sweep_with(monkeypatch, 2, wide_imag_spec(), tmp_path / "trace.csv")
@@ -442,6 +535,7 @@ class TestWorkerPool:
 
     @needs_fork
     def test_dead_worker_leaves_a_resumable_prefix(self, tmp_path, monkeypatch):
+        no_bound(monkeypatch)  # every point is evaluated, in enumeration order
         fresh_trace, trace = tmp_path / "fresh.csv", tmp_path / "trace.csv"
         fresh = sweep_with(monkeypatch, 1, tiny_imag_spec(), fresh_trace)
         evaluate = optimizer._evaluate
