@@ -155,7 +155,11 @@ def tail_envelope(spectrum: DiscreteSpectrum) -> TailEnvelope:
     In sorted (non-increasing sigma) order r, the right/left tail carries
     ``4 * eta_r^{+/-1} * |sum_{k>=r} sigma_k a[r,k]| * exp(-/+ 2*sigma_r*t)``.
     """
-    tc = tail_coefficients(spectrum.lams)
+    return _tail_envelope(spectrum, tail_coefficients(spectrum.lams))
+
+
+def _tail_envelope(spectrum: DiscreteSpectrum, tc: TailCoefficients) -> TailEnvelope:
+    """`tail_envelope` from the `tail_coefficients` of the spectrum's eigenvalues."""
     sig = spectrum.sigmas[tc.order]
     etas = spectrum.etas[tc.order]
     weights = np.abs((sig[None, :] * tc.a).sum(axis=1))  # |sum_k sigma_k a[r, k]|
@@ -274,7 +278,13 @@ def envelope_duration(spectrum: DiscreteSpectrum, epsilon: float) -> tuple[float
     the closed-form imaginary/common-sigma estimates in their regimes.
     """
     _check_epsilon(epsilon)
-    env = tail_envelope(spectrum)
+    return _envelope_duration(spectrum, epsilon, tail_coefficients(spectrum.lams))
+
+
+def _envelope_duration(spectrum: DiscreteSpectrum, epsilon: float,
+                       tc: TailCoefficients) -> tuple[float, float]:
+    """`envelope_duration` from the `tail_coefficients` of the spectrum's eigenvalues."""
+    env = _tail_envelope(spectrum, tc)
     target = 0.5 * epsilon * spectrum.energy
     t_plus = exp_tail_crossing(env.right_coeffs, env.rates, target)
     t_minus = -exp_tail_crossing(env.left_coeffs, env.rates, target)

@@ -44,7 +44,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotics import _check_epsilon, envelope_bandwidth, envelope_duration, tail_envelope
+from .asymptotics import (_check_epsilon, _envelope_duration, envelope_bandwidth, envelope_duration,
+                          tail_coefficients, tail_envelope)
 from .errors import GridTooNarrowWarning, InvalidParameterError
 from .spectrum import DiscreteSpectrum, PhysicalScaling
 
@@ -55,6 +56,10 @@ BOUNDARY_FRACTION = 1e-12
 # Largest seed exponent |ln eta - 2*sigma*t| served by direct arithmetic:
 # |rho|^2 then stays below e^600, inside the double range (e^709).
 DIRECT_EXPONENT_LIMIT = 300.0
+
+# Default samples per period of the highest frequency the bandwidth estimate
+# admits, in `auto_grid`.
+OVERSAMPLING = 8.0
 
 
 @dataclass(frozen=True)
@@ -425,7 +430,7 @@ def synthesize_phases(spectrum: DiscreteSpectrum, grid: TimeGrid, phis) -> np.nd
 def auto_grid(
     spectrum: DiscreteSpectrum,
     epsilon: float,
-    oversampling: float = 8.0,
+    oversampling: float = OVERSAMPLING,
     boundary_clean: bool = True,
 ) -> TimeGrid:
     """Size a grid from the tail-envelope duration and bandwidth estimates.
@@ -444,14 +449,34 @@ def auto_grid(
     _check_epsilon(epsilon)
     if not (math.isfinite(oversampling) and oversampling > 0.0):
         raise InvalidParameterError(f"oversampling must be finite and > 0, got {oversampling}")
-    f_minus, f_plus = envelope_bandwidth(spectrum, epsilon)
+    band = envelope_bandwidth(spectrum, epsilon)
     if boundary_clean:
         # reference the threshold to the smallest component peak, conservatively
         env = tail_envelope(spectrum)
         target = 0.1 * BOUNDARY_FRACTION * 2.0 * spectrum.sigmas.min()
-        t_minus, t_plus = _envelope_magnitude_crossing(env, target)
+        span = _envelope_magnitude_crossing(env, target)
     else:
-        t_minus, t_plus = envelope_duration(spectrum, epsilon * 1e-4)
+        span = envelope_duration(spectrum, epsilon * 1e-4)
+    return _sized_grid(spectrum, span, band, oversampling)
+
+
+def _lean_grids(spectra, epsilon: float) -> list[TimeGrid]:
+    """``auto_grid(s, epsilon, boundary_clean=False)`` of each of ``spectra``.
+
+    The spectra are evolved copies of one spectrum.  Evolution leaves sigma,
+    omega and the energy alone, so the bandwidth estimate and the tail
+    coefficients of the first spectrum serve every one of them.
+    """
+    band = envelope_bandwidth(spectra[0], epsilon)
+    tc = tail_coefficients(spectra[0].lams)
+    return [_sized_grid(s, _envelope_duration(s, epsilon * 1e-4, tc), band, OVERSAMPLING)
+            for s in spectra]
+
+
+def _sized_grid(spectrum: DiscreteSpectrum, span, band, oversampling: float) -> TimeGrid:
+    """The `auto_grid` of an edge span (T-, T+) and a bandwidth estimate (B-, B+)."""
+    t_minus, t_plus = span
+    f_minus, f_plus = band
     center = 0.5 * (t_plus + t_minus)
     half_width = 1.5 * 0.5 * (t_plus - t_minus) + 1.0 / spectrum.sigmas.min()
     b_est = max(f_plus - f_minus, 2.0 * max(abs(f_plus), abs(f_minus)))

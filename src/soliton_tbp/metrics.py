@@ -27,11 +27,15 @@ exact samples of the rows it scans, or cannot decide a check on, from a
 callable.  Exact samples are the case of a zero bound.  `measure` is a
 block of one without floors.
 `t_max_b_max` takes the first maximal T and B of a spectrum over the
-spectral-phase grid on a given time grid, chunk by chunk, with the widest
-windows of earlier chunks as floors; its ``floors`` argument seeds them, so
-it returns max(floor, maximum).  For an energy-definition grid of three
-eigenvalues with at least `CHUNK_SIZE` rows, on a time grid the direct
-recursion serves, each chunk is first evaluated from the Gram form
+spectral-phase grid at a list of distances on a given time grid, T over
+every distance and B over the first and last, block by block, with the
+widest windows of earlier blocks as floors; its ``floors`` argument seeds
+them, so it returns max(floor, maximum).  A block holds at most
+`CHUNK_SIZE` rows: a phase grid of fewer rows packs as many whole distances
+into one block as fit, so a short link costs one `_windows` call; a larger
+one is measured distance by distance in chunks of `CHUNK_SIZE` rows.  For
+such an energy-definition grid of three eigenvalues, on a time grid the
+direct recursion serves, each chunk is first evaluated from the Gram form
 (`darboux._gram_rows`) and only the rows `_windows` reads exactly go
 through the recursion.  A guard checks every such row against its Gram
 bound; if one lies outside it, the chunk is evaluated again from the exact
@@ -39,17 +43,19 @@ rows of the whole chunk.  Smaller grids, such as N=2 and the desk N=3 sweep,
 keep the recursion for every row: there the Gram coefficients cost more
 than they save.
 `t_hat_b_hat`, the one way from a spectrum to T-hat and B-hat, picks that
-time grid and loops over the distances of a link (z = 0 alone when imaginary
-or zero-length): T is maximized over all of them, B over the two endpoints
-only (the bandwidth matters only where the signal is sampled).  With
-``profile`` it records the true T and B maxima at every distance; without,
-it passes the running T-hat and B-hat as floors to each later distance, so
-only the rows that could raise them are scanned exactly.
+time grid (`_link_grid`: the lean grids at z = 0, L/2 and L share their
+bandwidth estimate and tail coefficients) and measures the distances of a
+link (z = 0 alone when imaginary or zero-length): T is maximized over all of
+them, B over the two endpoints only (the bandwidth matters only where the
+signal is sampled).  With ``profile`` it records the true T and B maxima at
+every distance, one `t_max_b_max` call each; without, one call measures the
+whole link, so only the rows that could raise the maxima of the blocks
+before them are scanned exactly.
 `t_hat_b_hat_bound` is a cheap lower bound on T-hat * B-hat: the T and B
-maxima of a two-point phase sub-grid at z = 0 and z = L, on the same grid.
-When M is a power of two the sub-grid rows are full-grid rows, so the bound
-never exceeds the product; a large energy-definition grid also starts its
-floors at those maxima.
+maxima of a two-point phase sub-grid at z = 0 and z = L, on the same grid,
+in one block.  When M is a power of two the sub-grid rows are full-grid
+rows, so the bound never exceeds the product; a large energy-definition
+grid also starts its floors at those maxima.
 """
 
 from __future__ import annotations
@@ -60,8 +66,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .asymptotics import _check_epsilon
-from .darboux import (SampledSignal, TimeGrid, _gram_coefficients, _gram_rows, _seeds_in_range,
-                      auto_grid, synthesize, synthesize_phases, union_grid)
+from .darboux import (SampledSignal, TimeGrid, _gram_coefficients, _gram_rows, _lean_grids,
+                      _seeds_in_range, auto_grid, synthesize, synthesize_phases, union_grid)
 from .errors import InvalidParameterError, MeasurementUnreliableError
 from .spectrum import DiscreteSpectrum, evolve
 
@@ -318,17 +324,18 @@ def _passes(approx: np.ndarray, exact_passes, message: str):
         raise MeasurementUnreliableError(message)
 
 
-def _windows(samples: np.ndarray, grid: TimeGrid, config: MeasureConfig, with_b: bool = True,
+def _windows(samples: np.ndarray, grid: TimeGrid, config: MeasureConfig, b_rows=slice(None),
              floors: tuple[float, float] = (-math.inf, -math.inf), delta=None, exact=None):
     """First maximal duration and bandwidth windows of a (rows x samples) block.
 
-    Returns the (row index, Band) of the first widest T window and, with
-    ``with_b``, of the first widest B window (None otherwise).  ``floors``
+    Returns the (row index, Band) of the first widest T window over every
+    row and of the first widest B window over the rows ``b_rows`` selects
+    (a slice or an index array; None when it selects none).  ``floors``
     (T, B) lets the energy definition skip rows that cannot exceed them, see
     `_candidates`; a family is None when no row can.  One body runs for T
-    and, with ``with_b``, again for B.  Before its scans each checks the
-    whole block, so one row reports the same error it would alone: first
-    the energy, under both definitions (it must be finite and above 1e-300),
+    and, on its rows, again for B.  Before its scans each checks all its
+    rows, so one row reports the same error it would alone: first the
+    energy, under both definitions (it must be finite and above 1e-300),
     then the `_edge_share` of k cells per side (time: 1, against leakage;
     frequency: 2, at the Nyquist edge).
 
@@ -349,39 +356,43 @@ def _windows(samples: np.ndarray, grid: TimeGrid, config: MeasureConfig, with_b:
     is that of the exact block.  Exact samples are the case delta = 0.
     """
     dt = grid.dt
-    domains = [(False, grid.times, dt, 1, EDGE_LEAKAGE_FRACTION * config.epsilon, floors[0],
-                "grid edges carry too much energy for the requested epsilon")]
-    if with_b:
+    everything = np.arange(len(samples))
+    domains = [(False, slice(None), grid.times, dt, 1, EDGE_LEAKAGE_FRACTION * config.epsilon,
+                floors[0], "grid edges carry too much energy for the requested epsilon")]
+    if everything[b_rows].size:
         freqs = np.fft.fftshift(np.fft.fftfreq(grid.n_samples, d=dt))
-        domains.append((True, freqs, float(freqs[1] - freqs[0]), 2, ALIASING_FRACTION, floors[1],
-                        "spectral energy reaches the Nyquist edge (aliasing)"))
-    rel, l2 = (0.0, None) if delta is None else (2.0**-40, np.sqrt((delta * delta).sum(-1) * dt))
+        domains.append((True, b_rows, freqs, float(freqs[1] - freqs[0]), 2, ALIASING_FRACTION,
+                        floors[1], "spectral energy reaches the Nyquist edge (aliasing)"))
+    rel, l2_rows = ((0.0, None) if delta is None
+                    else (2.0**-40, np.sqrt((delta * delta).sum(-1) * dt)))
     found = [None, None]
-    for d, (spectral, x, dx, k, limit, floor, message) in enumerate(domains):
+    for d, (spectral, selected, x, dx, k, limit, floor, message) in enumerate(domains):
+        index = everything[selected]  # the block's row of each of the domain's rows
 
         def magnitudes(q):
             return _spectrum_mags(q, dt) if spectral else np.abs(q)
 
         def exact_mags(rows):
-            return mags[rows] if delta is None else magnitudes(exact(rows))
+            return mags[rows] if delta is None else magnitudes(exact(index[rows]))
 
         def exact_cells(rows):
             with np.errstate(over="ignore"):  # an overflowing energy is refused
                 return exact_mags(rows) ** 2 * dx
 
-        mags = magnitudes(samples)
+        mags = magnitudes(samples[selected])
         with np.errstate(over="ignore"):  # an overflowing energy is refused below
             cells = mags**2 * dx
         total = cells.sum(-1)
         err = spread = 0.0
         if delta is not None:
+            bound, l2 = delta[selected], l2_rows[selected]
             if spectral:
                 # 16u log2(n) of each transform's norm, both transforms
                 rounding = 2.0**-49 * math.log2(grid.n_samples) * (2.0 * np.sqrt(total) + l2)
-                err = (delta.sum(-1) * dt + rounding / math.sqrt(dx))[:, None]
+                err = (bound.sum(-1) * dt + rounding / math.sqrt(dx))[:, None]
                 l2 = (l2 + rounding) * (1.0 + 2.0**-20)
             else:
-                err = delta[:, [0, -1]]
+                err = bound[:, [0, -1]]
             spread = (2.0 * np.sqrt(total) + l2) * l2
         _passes(np.isfinite((total + spread) * (1.0 + rel)),
                 lambda rows: np.isfinite(exact_cells(rows).sum(-1)), "signal energy overflows")
@@ -394,7 +405,7 @@ def _windows(samples: np.ndarray, grid: TimeGrid, config: MeasureConfig, with_b:
         _passes(share * (1.0 + rel) <= limit,
                 lambda rows: ~(_edge_share(exact_cells(rows), k) > limit), message)
         rows = _candidates(cells, x[0] - 0.5 * dx, dx, config, floor, spread)
-        found[d] = _first_max(exact_mags(rows), rows, x, dx, config)
+        found[d] = _first_max(exact_mags(rows), index[rows], x, dx, config)
     return tuple(found)
 
 
@@ -442,7 +453,7 @@ class _GuardTripped(Exception):
 
 
 def _ranked_windows(spectrum: DiscreteSpectrum, grid: TimeGrid, block: np.ndarray, gram,
-                    config: MeasureConfig, with_b: bool, floors: tuple[float, float]):
+                    config: MeasureConfig, b_rows, floors: tuple[float, float]):
     """`_windows` of a chunk of phase rows ranked by their Gram form; None if the guard trips.
 
     Only the rows `_windows` reads exactly go through `synthesize_phases`.
@@ -464,7 +475,7 @@ def _ranked_windows(spectrum: DiscreteSpectrum, grid: TimeGrid, block: np.ndarra
         return exact_rows.reshape(len(rows), grid.n_samples)
 
     try:
-        return _windows(q, grid, config, with_b, floors, delta, exact)
+        return _windows(q, grid, config, b_rows, floors, delta, exact)
     except _GuardTripped:
         return None
 
@@ -485,36 +496,60 @@ def t_max_b_max(
     grid: TimeGrid,
     with_b: bool = True,
     floors: tuple[float, float] = (-math.inf, -math.inf),
+    zs=(0.0,),
 ) -> PhaseSweepResult:
-    """Maximize T (and optionally B) over the spectral-phase grid, on ``grid``.
+    """Maximize T (and optionally B) over the spectral-phase grid at distances ``zs`` on ``grid``.
 
-    All m^(N-1) phase combinations are evaluated (one phase is pinned: a
-    global phase does not change magnitudes); for an imaginary-axis spectrum
-    only one of each conjugate pair {phi, -phi}, see `phase_combinations`.
-    Ties resolve to the first maximal combination in lexicographic order.
-    ``floors`` (T, B) start the two maxima: a family whose rows are none
-    wider than its floor returns the floor with a None argmax, and the
-    energy definition skips exactly the rows that cannot beat it.
+    At each distance z the rows are those of the spectrum `_at` gives: the
+    spectrum evolved by z, or ``spectrum`` itself at z = 0.  All m^(N-1)
+    phase combinations are evaluated at every distance (one phase is
+    pinned: a global phase does not change magnitudes); for an
+    imaginary-axis spectrum only one of each conjugate pair {phi, -phi},
+    see `phase_combinations`.  T is maximized over every distance, B, with
+    ``with_b``, over the first and the last only: a link's endpoints, where
+    the signal is sampled.  The argmax names a row's phases, not its
+    distance; ties resolve to the first maximal row in the order of
+    ``zs``, lexicographic within a distance.  ``floors`` (T, B) start the
+    two maxima: a family whose rows are none wider than its floor returns
+    the floor with a None argmax, and the energy definition skips exactly
+    the rows that cannot beat it.
+
+    Rows are measured in blocks of at most `CHUNK_SIZE` rows, each with the
+    widest windows of the blocks before it as floors.  A phase grid of fewer
+    than `CHUNK_SIZE` rows packs as many whole distances into a block as
+    fit; a larger one goes distance by distance in chunks of `CHUNK_SIZE`
+    rows, ranked by the Gram form where the module docstring says.
     """
     combos = phase_combinations(
         spectrum.n, config.phase_points, conjugation_reduced=spectrum.is_imaginary()
     )
-    gram = None
-    if (config.definition == "energy" and spectrum.n == 3 and len(combos) >= CHUNK_SIZE
-            and _seeds_in_range(spectrum.lams, np.log(spectrum.etas), grid.times)):
-        gram = _gram_coefficients(spectrum, grid.times)
+    ends = {0, len(zs) - 1} if with_b else set()
+    per_block = max(1, CHUNK_SIZE // len(combos))
     best = [(floor, None) for floor in floors]  # (width, phases) of T and B
-    for start in range(0, len(combos), CHUNK_SIZE):
-        block = combos[start : start + CHUNK_SIZE]
-        floors = (best[0][0], best[1][0])
-        chunk = None if gram is None else _ranked_windows(spectrum, grid, block, gram, config,
-                                                          with_b, floors)
-        if chunk is None:
-            chunk = _windows(synthesize_phases(spectrum, grid, block), grid, config, with_b, floors)
-        for k, found in enumerate(chunk):
-            # strict >: an equal width in a later chunk keeps the earlier row
-            if found is not None and found[1].width > best[k][0]:
-                best[k] = (found[1].width, tuple(float(v) for v in block[found[0]]))
+    for first in range(0, len(zs), per_block):
+        group = range(first, min(first + per_block, len(zs)))
+        spectra = [_at(spectrum, zs[i]) for i in group]
+        gram = None
+        if (config.definition == "energy" and spectrum.n == 3 and len(combos) >= CHUNK_SIZE
+                and _seeds_in_range(spectra[0].lams, np.log(spectra[0].etas), grid.times)):
+            gram = _gram_coefficients(spectra[0], grid.times)  # a block of one distance
+        for start in range(0, len(combos), CHUNK_SIZE):
+            block = combos[start : start + CHUNK_SIZE]
+            # the rows of distance i in `ends` are measured for B
+            measured = np.repeat([i in ends for i in group], len(block))
+            b_rows = slice(None) if measured.all() else np.flatnonzero(measured)
+            floors = (best[0][0], best[1][0])
+            chunk = None if gram is None else _ranked_windows(spectra[0], grid, block, gram,
+                                                              config, b_rows, floors)
+            if chunk is None:
+                parts = [synthesize_phases(s, grid, block) for s in spectra]
+                samples = parts[0] if len(parts) == 1 else np.concatenate(parts)
+                chunk = _windows(samples, grid, config, b_rows, floors)
+            for k, found in enumerate(chunk):
+                # strict >: an equal width in a later block keeps the earlier row
+                if found is not None and found[1].width > best[k][0]:
+                    phases = block[found[0] % len(block)]
+                    best[k] = (found[1].width, tuple(float(v) for v in phases))
     (t_max, t_argmax), (b_max, b_argmax) = best
     return PhaseSweepResult(t_max, b_max if with_b else math.nan, t_argmax, b_argmax)
 
@@ -529,20 +564,41 @@ class LinkSweepResult:
 
 
 def _link_grid(spectrum: DiscreteSpectrum, config: MeasureConfig, link_length: float):
-    """The distances of a link and the one time grid `t_hat_b_hat` measures them on."""
+    """The distances of a link and the one time grid `t_hat_b_hat` measures them on.
+
+    The grid of a link is the `union_grid` of the lean `auto_grid` at z = 0,
+    L/2 and L; those three share the parts that do not depend on z (see
+    `darboux._lean_grids`), and the spectrum at L is the one the rows at L
+    are synthesized from (see `_at`).
+    """
     if not (math.isfinite(link_length) and link_length >= 0.0):
         raise InvalidParameterError(f"link length must be finite and >= 0, got {link_length}")
     if spectrum.is_imaginary() or link_length == 0.0:
         return [0.0], auto_grid(spectrum, config.epsilon, boundary_clean=False)
     zs = np.linspace(0.0, link_length, config.z_samples)
-    grid = union_grid([auto_grid(evolve(spectrum, z), config.epsilon, boundary_clean=False)
-                       for z in (0.0, link_length / 2.0, link_length)])
-    return zs, grid
+    spectra = [evolve(spectrum, 0.0), evolve(spectrum, link_length / 2.0),
+               _at(spectrum, link_length)]
+    return zs, union_grid(_lean_grids(spectra, config.epsilon))
+
+
+# The spectrum `_at` evolved last, with its base and distance.
+_last_evolved = (None, None, None)
 
 
 def _at(spectrum: DiscreteSpectrum, z) -> DiscreteSpectrum:
-    # evolve(s, 0.0) can move an eta by one ulp
-    return evolve(spectrum, float(z)) if z != 0.0 else spectrum
+    """The spectrum at distance z: ``spectrum`` itself at z = 0, else evolved by z.
+
+    evolve(s, 0.0) can move an eta by one ulp.  The last evolution is kept,
+    so that a link's grid and its rows at z = L share one evolve.
+    """
+    global _last_evolved
+    if z == 0.0:
+        return spectrum
+    base, at, evolved = _last_evolved
+    if base is not spectrum or at != z:
+        evolved = evolve(spectrum, float(z))
+        _last_evolved = (spectrum, z, evolved)
+    return evolved
 
 
 def _sub_grid_maxima(spectrum: DiscreteSpectrum, config: MeasureConfig, zs, grid):
@@ -555,12 +611,8 @@ def _sub_grid_maxima(spectrum: DiscreteSpectrum, config: MeasureConfig, zs, grid
     m = config.phase_points
     if m & (m - 1):
         return None
-    sub = replace(config, phase_points=2)
-    t_max, b_max = -math.inf, -math.inf
-    for z in sorted({zs[0], zs[-1]}):
-        r = t_max_b_max(_at(spectrum, z), sub, grid, floors=(t_max, b_max))
-        t_max, b_max = r.t_max, r.b_max
-    return t_max, b_max
+    r = t_max_b_max(spectrum, replace(config, phase_points=2), grid, zs=sorted({zs[0], zs[-1]}))
+    return r.t_max, r.b_max
 
 
 def t_hat_b_hat_bound(spectrum: DiscreteSpectrum, config: MeasureConfig, link_length: float) -> float:
@@ -593,31 +645,32 @@ def t_hat_b_hat(
     z = 0, L/2 and L for a link).
 
     With ``profile`` the result's profile holds (z, T max, B max) at every
-    distance.  Without it each distance is scanned with the T-hat and B-hat
-    of the distances before it as `t_max_b_max` floors and the profile is
-    empty; under the energy definition, a phase grid of at least
-    `CHUNK_SIZE` rows starts those floors at the sub-grid maxima of
-    `t_hat_b_hat_bound`.  T-hat and B-hat are the same, and so is every
-    error of the T scans, but B is then measured at the endpoints only:
-    aliasing at the Nyquist edge of an interior distance raises with
-    ``profile`` alone.
+    distance, each from its own `t_max_b_max` call.  Without it one
+    `t_max_b_max` call measures every distance, T over all and B at the
+    endpoints, its blocks floored by the maxima of the blocks before them,
+    and the profile is empty; under the energy definition, a phase grid of
+    at least `CHUNK_SIZE` rows starts those floors at the sub-grid maxima of
+    `t_hat_b_hat_bound`.  T-hat and B-hat are the same, and so is the class
+    of every error of the T scans (a block checks all its distances before
+    it scans, so of two failing distances it may report the later one), but
+    B is then measured at the endpoints only: aliasing at the Nyquist edge
+    of an interior distance raises with ``profile`` alone.
     """
     zs, grid = _link_grid(spectrum, config, link_length)
-    t_hat, b_hat = -math.inf, -math.inf
-    if (not profile and config.definition == "energy"
-            and _phase_rows(spectrum.n, config.phase_points, spectrum.is_imaginary()) >= CHUNK_SIZE):
-        t_hat, b_hat = _sub_grid_maxima(spectrum, config, zs, grid) or (t_hat, b_hat)
-    rows = []
-    for z in zs:
-        endpoint = z == 0.0 or z == link_length
-        floors = (-math.inf, -math.inf) if profile else (t_hat, b_hat)
-        r = t_max_b_max(_at(spectrum, z), config, grid, with_b=endpoint or profile, floors=floors)
-        t_hat = max(t_hat, r.t_max)
-        if endpoint:
-            b_hat = max(b_hat, r.b_max)
-        if profile:
+    if profile:
+        rows = []
+        for z in zs:
+            r = t_max_b_max(spectrum, config, grid, zs=(z,))
             rows.append((float(z), r.t_max, r.b_max))
-    return LinkSweepResult(t_hat, b_hat, tuple(rows))
+        t_hat = max(t for _, t, _ in rows)
+        b_hat = max(b for z, _, b in rows if z == 0.0 or z == link_length)
+        return LinkSweepResult(t_hat, b_hat, tuple(rows))
+    floors = (-math.inf, -math.inf)
+    if (config.definition == "energy"
+            and _phase_rows(spectrum.n, config.phase_points, spectrum.is_imaginary()) >= CHUNK_SIZE):
+        floors = _sub_grid_maxima(spectrum, config, zs, grid) or floors
+    r = t_max_b_max(spectrum, config, grid, floors=floors, zs=zs)
+    return LinkSweepResult(r.t_max, r.b_max, ())
 
 
 def tbp_per_eigenvalue_ratio(tbp: float, n: int, config: MeasureConfig) -> float:

@@ -33,7 +33,9 @@ Both passes run in worker processes forked from the caller (at most
 `SOLITON_TBP_THREADS` of them), because each point is thousands of short
 numpy calls and threads would serialize on the GIL; only a point's
 parameters, its bound and its `TracePoint` cross between processes, so
-pooled and serial sweeps agree bit for bit.  With one worker, at most one
+pooled and serial sweeps agree bit for bit.  The parent submits the tasks
+of a pass as results come back, at most `PENDING_PER_WORKER` per worker
+ahead of the results it has read.  With one worker, at most one
 point to decide, other threads running in the caller, or no "fork" start
 method, the points are decided in-process.
 No worker outlives the sweep, on success or error.
@@ -56,6 +58,7 @@ import csv
 import math
 import os
 import threading
+from collections import deque
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 from itertools import product, zip_longest
@@ -74,6 +77,9 @@ THREADS_ENV = "SOLITON_TBP_THREADS"
 BATCH_SIZE = 8
 # What makes a NaN row: a point that is degenerate or whose measurement fails.
 POINT_ERRORS = (SolitonError, ArithmeticError, ValueError)
+# Tasks a pooled pass keeps submitted and not yet read, per worker: the parent
+# holds that many futures however many points the pass has.
+PENDING_PER_WORKER = 8
 
 
 def grid_axis(lo: float, hi: float, step: float) -> list[float]:
@@ -344,6 +350,17 @@ def _bound_or_nan(constellation: str, n: int, names, measure: MeasureConfig, val
         return _nan_point(values, type(exc).__name__)
 
 
+def _ordered_map(pool, fn, items, pending: int):
+    """``pool.map(fn, items)`` that keeps at most ``pending`` tasks submitted and not yet read."""
+    futures = deque()
+    for item in items:
+        futures.append(pool.submit(fn, item))
+        if len(futures) == pending:
+            yield futures.popleft().result()
+    while futures:
+        yield futures.popleft().result()
+
+
 def _run_points(spec: SweepSpec, names, points, done, fh, workers: int, incumbent: float):
     """Decide the points not in `done`, best first, appending rows to `fh` in decision order.
 
@@ -364,7 +381,7 @@ def _run_points(spec: SweepSpec, names, points, done, fh, workers: int, incumben
     for params in points:
         unique.setdefault(_key(params), params)
     todo = [key for key in unique if key not in done]
-    pool = None
+    pool, run = None, map
     # Fork, not spawn or forkserver: those re-import __main__, which breaks a caller's
     # script without a __main__ guard, and re-import numpy and the package in every
     # worker.  A fork copies only the calling thread, so a caller with other threads
@@ -373,9 +390,9 @@ def _run_points(spec: SweepSpec, names, points, done, fh, workers: int, incumben
             and "fork" in multiprocessing.get_all_start_methods()):
         if fh is not None:  # a forked worker holds a copy of the buffered rows
             fh.flush()
-        pool = ProcessPoolExecutor(min(workers, len(todo)),
-                                   mp_context=multiprocessing.get_context("fork"))
-    run = pool.map if pool is not None else map
+        size = min(workers, len(todo))
+        pool = ProcessPoolExecutor(size, mp_context=multiprocessing.get_context("fork"))
+        run = partial(_ordered_map, pool, pending=PENDING_PER_WORKER * size)
     writer = csv.writer(fh) if fh is not None else None
 
     def record(point):

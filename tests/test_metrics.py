@@ -471,6 +471,19 @@ class TestTMaxBMax:
         with pytest.raises(MeasurementUnreliableError, match="no energy"):
             t_max_b_max(s, cfg, lean_grid(s, cfg))
 
+    def test_distances_share_one_maximum(self):
+        # T peaks at z = L on the row (7*pi/4, 0), and B at the interior distance, which is not
+        # measured: B peaks at z = 0 among the endpoints
+        s = DiscreteSpectrum.from_delta_t([0.6, 0.5], [0.2, -0.1], [-0.5, 0.8])
+        cfg = MeasureConfig(phase_points=8, z_samples=3)
+        zs, grid = metrics._link_grid(s, cfg, 4.0)
+        each = [t_max_b_max(s if z == 0.0 else evolve(s, z), cfg, grid) for z in zs]
+        assert each[2].t_max > max(each[0].t_max, each[1].t_max)
+        assert each[1].b_max > each[0].b_max > each[2].b_max
+        r = t_max_b_max(s, cfg, grid, zs=zs)
+        assert (r.t_max, r.t_argmax) == (each[2].t_max, each[2].t_argmax)
+        assert (r.b_max, r.b_argmax) == (each[0].b_max, each[0].b_argmax)
+
     def test_argmax_reported(self):
         s = DiscreteSpectrum([1.0, 0.5])
         cfg = MeasureConfig(phase_points=4)
@@ -631,9 +644,17 @@ class TestTHatBHat:
             measured.append(spectrum)
             return t_max_b_max(spectrum, *args, **kwargs)
 
+        synthesized = []
+
+        def synthesis_spy(spectrum, grid, block):
+            synthesized.append(spectrum)
+            return synthesize_phases(spectrum, grid, block)
+
         monkeypatch.setattr(metrics, "t_max_b_max", spy)
+        monkeypatch.setattr(metrics, "synthesize_phases", synthesis_spy)
         link = t_hat_b_hat(s, MeasureConfig(phase_points=2, z_samples=2), link_length)
         assert measured[0] is s
+        assert synthesized[0] is s  # the rows at z = 0 are those of the spectrum itself
         assert [z for z, _, _ in link.profile] == ([0.0] if link_length == 0.0 else [0.0, 2.0])
 
     def test_table_optimum_endpoint_maxima(self):
@@ -652,17 +673,25 @@ class TestTHatBHat:
         with pytest.raises(ValueError):
             t_hat_b_hat(s, MeasureConfig(), -1.0)
 
-    @pytest.mark.parametrize("n", [2, 3])
-    def test_floored_link_matches_profile(self, monkeypatch, n):
+    # at M = 16 a real N=3 grid has 256 rows per distance, so a block holds two distances
+    @pytest.mark.parametrize("n, m", [(2, 4), (3, 4), (3, 16)], ids=["2", "3", "3-m16"])
+    def test_floored_link_matches_profile(self, monkeypatch, n, m):
         rng = np.random.default_rng(1700 + n)
-        scanned = []
+        scanned, blocks = [], []
+        windows = metrics._windows
 
         def counted(cells, *args):
             scanned.append(1)
             return _smallest_energy_window(cells, *args)
 
+        def block_rows(samples, *args):
+            blocks.append(len(samples))
+            return windows(samples, *args)
+
         monkeypatch.setattr(metrics, "_smallest_energy_window", counted)
-        cfg = MeasureConfig(phase_points=4, z_samples=5)
+        monkeypatch.setattr(metrics, "_windows", block_rows)
+        cfg = MeasureConfig(phase_points=m, z_samples=5)
+        rows = len(phase_combinations(n, m))
         scans = {True: 0, False: 0}
         for _ in range(4):
             s = random_spectrum(rng, n=n, sigma_range=(0.4, 0.8), dt_range=(-1.0, 1.0))
@@ -670,8 +699,13 @@ class TestTHatBHat:
             links = {}
             for profile in (True, False):
                 scanned.clear()
+                blocks.clear()
                 links[profile] = t_hat_b_hat(s, cfg, link_length, profile=profile)
                 scans[profile] += len(scanned)
+                # the profile measures one distance per block, the floored link packs them
+                per_block = 1 if profile else metrics.CHUNK_SIZE // rows
+                assert blocks == [rows * k for k in _split(cfg.z_samples, per_block)]
+                assert max(blocks) <= metrics.CHUNK_SIZE
             assert (links[False].t_hat, links[False].b_hat) == (links[True].t_hat, links[True].b_hat)
             assert links[False].profile == () and len(links[True].profile) == cfg.z_samples
             assert links[True].t_hat == max(t for _, t, _ in links[True].profile)
@@ -722,6 +756,19 @@ class TestTHatBHat:
         assert link.b_hat == pytest.approx(1.0006, abs=1e-4)
 
 
+def _split(count, size):
+    """Sizes of the consecutive groups of at most ``size`` that ``count`` items fall into."""
+    return [min(size, count - start) for start in range(0, count, size)]
+
+
+def _reference_link_grid(spectrum, config, link_length):
+    """The link grid as three separate `auto_grid` calls and their `union_grid`."""
+    if spectrum.is_imaginary() or link_length == 0.0:
+        return auto_grid(spectrum, config.epsilon, boundary_clean=False)
+    return darboux.union_grid([auto_grid(evolve(spectrum, z), config.epsilon, boundary_clean=False)
+                               for z in (0.0, link_length / 2.0, link_length)])
+
+
 class TestBound:
     @pytest.mark.parametrize("n", [2, 3])
     def test_bound_lies_below_the_product(self, n):
@@ -733,11 +780,18 @@ class TestBound:
                 link_length = 0.0 if imaginary else float(rng.uniform(0.5, 3.0))
                 for m in (2, 4, 8):
                     cfg = MeasureConfig(phase_points=m, z_samples=5)
+                    grid = _reference_link_grid(s, cfg, link_length)
+                    assert metrics._link_grid(s, cfg, link_length)[1] == grid
                     link = t_hat_b_hat(s, cfg, link_length, profile=False)
                     bound = t_hat_b_hat_bound(s, cfg, link_length)
                     assert math.isfinite(bound) and bound <= link.t_hat * link.b_hat
                     if m == 2 and imaginary:  # the sub-grid is the whole grid, at the one distance
                         assert bound == link.t_hat * link.b_hat
+                    # the maxima of separate per-distance scans at the endpoints
+                    sub = MeasureConfig(phase_points=2)
+                    ends = [s] if link_length == 0.0 else [s, evolve(s, link_length)]
+                    maxima = [t_max_b_max(end, sub, grid) for end in ends]
+                    assert bound == max(r.t_max for r in maxima) * max(r.b_max for r in maxima)
                 for m in (3, 6, 12):  # no sub-grid of full-grid phases
                     assert t_hat_b_hat_bound(s, MeasureConfig(phase_points=m), link_length) == -math.inf
 

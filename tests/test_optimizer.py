@@ -1,3 +1,4 @@
+import concurrent.futures.process
 import csv
 import errno
 import math
@@ -6,6 +7,7 @@ import os
 import subprocess
 import sys
 import threading
+from concurrent.futures import Executor, Future
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 from itertools import product
@@ -501,6 +503,44 @@ class TestWorkerPool:
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
         assert done.stdout == "before\nafter\n"  # stdout is a pipe: written once, not per worker
+
+    @needs_fork
+    def test_pending_tasks_stay_bounded(self, monkeypatch):
+        counts = {"submitted": 0, "unread": 0, "peak": 0}
+
+        class Ticket(Future):
+            def result(self, timeout=None):
+                counts["unread"] -= 1
+                return super().result(timeout)
+
+        class InlinePool(Executor):
+            """Runs each task as it is submitted; counts the futures the sweep holds unread."""
+
+            def __init__(self, max_workers, mp_context=None):
+                pass
+
+            def submit(self, fn, *args):
+                future = Ticket()
+                future.set_result(fn(*args))
+                counts["submitted"] += 1
+                counts["unread"] += 1
+                counts["peak"] = max(counts["peak"], counts["unread"])
+                return future
+
+        monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", InlinePool)
+        # every bound is 1; the first batch's objectives of 0.5 prune every other point
+        monkeypatch.setattr(optimizer, "_bound_or_nan", lambda *args: 1.0)
+        monkeypatch.setattr(optimizer, "_evaluate_or_nan",
+                            lambda *args: TracePoint(args[-1], 1.0, 0.5, 0.5))
+        spec = SweepSpec("real_axis", 2, {"omega_1": (0.0, 1.0, 0.004), "dt_1": (-4.0, 0.0, 0.02)},
+                         measure=FAST)
+        points = optimizer._grid_points(spec.ranges)
+        assert len(points) >= 50_000
+        rows = optimizer._run_points(spec, tuple(spec.ranges), points, {}, None, 2, math.inf)
+        assert counts["submitted"] == len(points) + optimizer.BATCH_SIZE
+        assert counts["unread"] == 0
+        assert counts["peak"] == 2 * optimizer.PENDING_PER_WORKER
+        assert sum(row.status == "pruned" for row in rows) == len(points) - optimizer.BATCH_SIZE
 
     @needs_fork
     def test_worker_error_reraises_in_the_parent(self, tmp_path, monkeypatch):
