@@ -6,7 +6,9 @@ combinations of the seed exponentials with eigenvalue-only weights a[r, k]
 the pulse tails, closed-form duration estimates for the condensed
 (equal-shift) regime, bandwidth estimates for the fully separated regime, and
 a numerically minimized estimate of the smallest achievable time-bandwidth
-product per eigenvalue (`lower_bound_curve`).
+product per eigenvalue (`lower_bound_curve`).  The envelope estimates
+size every time grid through tail crossings (`exp_tail_crossing`), and
+`tail_crossings` solves many at once, in lockstep, each as it would alone.
 
 Conventions: the recursion assumes eigenvalues ordered by non-increasing
 sigma; inputs are sorted internally (stable, so equal-sigma sets keep their
@@ -174,8 +176,70 @@ def exp_tail_crossing(coeffs, rates, target: float) -> float:
     """Solve ``integral_T^inf (sum_r c_r e^{-a_r t})^2 dt = target`` for T.
 
     The integral is evaluated in closed form; the equation is solved with a
-    bracketed root find on the log residual (monotone in T).
+    bracketed root find on the log residual (monotone in T).  This is the
+    one-lane case of `tail_crossings`.
     """
+    return _solved(tail_crossings([(coeffs, rates, target)]))[0]
+
+
+def tail_crossings(lanes) -> list:
+    """`exp_tail_crossing` of each (coeffs, rates, target) lane, solved in lockstep.
+
+    Returns one entry per lane: the root, or the exception the lane raised
+    (ValueError for a target <= 0, vanishing coefficients or a NaN
+    residual; ArithmeticError when the bracket or the iteration fails).
+    Every lane runs its own `_tail_root` iteration, and each step evaluates
+    the log residual of all active lanes with the same term count in one
+    numpy expression.  The result is the single lane's bit for bit: the
+    elementwise operations, the row-wise ``max`` and ``sum`` of a lane's
+    terms and the scalar ``math.log`` are those of one lane alone.  Lanes
+    are never padded to a common term count, because ``np.sum`` of 8 or
+    more terms adds them pairwise rather than in order.
+    """
+    results = [None] * len(lanes)
+    groups = {}  # term count -> [(lane, log terms, rate sums, log target)]
+    for lane, (coeffs, rates, target) in enumerate(lanes):
+        try:
+            terms = _tail_terms(coeffs, rates, target)
+        except ValueError as exc:
+            results[lane] = exc
+            continue
+        groups.setdefault(terms[0].size, []).append((lane, *terms))
+    for members in groups.values():
+        owners, log_terms, rsum, log_targets = zip(*members)
+        log_terms, rsum = np.array(log_terms), np.array(rsum)
+        roots = [_tail_root() for _ in members]
+        xs = [next(root) for root in roots]
+        while roots:  # the lanes still searching, in step
+            expo = log_terms - rsum * np.array(xs)[:, None]
+            top = expo.max(axis=1)
+            sums = np.exp(expo - top[:, None]).sum(axis=1)
+            keep = []
+            for k, (m, s) in enumerate(zip(top.tolist(), sums.tolist())):
+                try:
+                    xs[k] = roots[k].send(m + math.log(s) - log_targets[k])
+                    keep.append(k)
+                except StopIteration as stop:
+                    results[owners[k]] = stop.value
+                except (ArithmeticError, ValueError) as exc:
+                    results[owners[k]] = exc
+            if len(keep) < len(roots):
+                log_terms, rsum = log_terms[keep], rsum[keep]
+                owners, log_targets, roots, xs = ([v[k] for k in keep]
+                                                  for v in (owners, log_targets, roots, xs))
+    return results
+
+
+def _solved(results) -> list:
+    """The entries of ``results``, or the first exception among them raised."""
+    for result in results:
+        if isinstance(result, Exception):
+            raise result
+    return results
+
+
+def _tail_terms(coeffs, rates, target: float):
+    """(log terms, rate sums, log target) of one crossing: its residual's pieces."""
     coeffs = np.asarray(coeffs, dtype=float)
     rates = np.asarray(rates, dtype=float)
     if target <= 0:
@@ -186,24 +250,30 @@ def exp_tail_crossing(coeffs, rates, target: float) -> float:
         raise ValueError("all envelope coefficients vanish")
     rsum = rates[:, None] + rates[None, :]
     log_terms = (np.log(coeffs)[:, None] + np.log(coeffs)[None, :] - np.log(rsum)).ravel()
-    rsum = rsum.ravel()
-    log_target = math.log(target)
+    return log_terms, rsum.ravel(), math.log(target)
 
-    def log_residual(t):
-        expo = log_terms - rsum * t
-        m = expo.max()
-        return m + math.log(np.exp(expo - m).sum()) - log_target
 
+def _tail_root():
+    """One crossing's search as a generator: yields each T and receives its log residual.
+
+    The residual is monotone and falls in T.  The bracket grows from
+    [0, 1] until the residual changes sign; its last residuals at lo and hi
+    are the ones `_brent` starts from.
+    """
     lo, hi = 0.0, 1.0
-    while log_residual(lo) < 0.0:
+    f_lo = yield lo
+    while f_lo < 0.0:
         lo -= max(1.0, abs(lo))
         if lo < -1e6:
             raise ArithmeticError("tail crossing bracket expansion failed (low side)")
-    while log_residual(hi) > 0.0:
+        f_lo = yield lo
+    f_hi = yield hi
+    while f_hi > 0.0:
         hi *= 2.0
         if hi > 1e6:
             raise ArithmeticError("tail crossing bracket expansion failed (high side)")
-    return _brentq(log_residual, lo, hi, xtol=1e-10)
+        f_hi = yield hi
+    return (yield from _brent(lo, hi, 1e-10, f_lo, f_hi))
 
 
 _BRENTQ_RTOL = 4.0 * float(np.finfo(float).eps)
@@ -211,20 +281,33 @@ _BRENTQ_MAXITER = 100
 
 
 def _brentq(f, xa: float, xb: float, xtol: float) -> float:
-    """Root of f in [xa, xb] by Brent's method (Brent 1973).
+    """Root of f in [xa, xb] by Brent's method (Brent 1973): `_brent` driven by f."""
+    steps = _brent(xa, xb, xtol)
+    try:
+        x = next(steps)
+        while True:
+            x = steps.send(float(f(x)))
+    except StopIteration as stop:
+        return stop.value
+
+
+def _brent(xa: float, xb: float, xtol: float, fa=None, fb=None):
+    """Brent's method as a generator: yields each x and receives f(x); returns the root.
 
     A step-for-step port of scipy's ``Zeros/brentq.c`` behind
     ``scipy.optimize.brentq``, so it returns the same double for the same
     function, bracket and xtol at scipy's defaults (`_BRENTQ_RTOL`, its
     smallest accepted rtol, and 100 iterations).  The tail crossing sizes every grid,
     and this keeps the CLI from importing ``scipy.optimize`` for one call.
-    Like scipy, it returns an endpoint where f vanishes and raises
-    ValueError when f is NaN or f(xa), f(xb) share a sign; it raises
+    ``fa`` and ``fb``, when given, are f(xa) and f(xb), which are then not
+    asked for.  Like scipy, it returns an endpoint where f vanishes and
+    raises ValueError when f is NaN or f(xa), f(xb) share a sign; it raises
     ArithmeticError where scipy raises RuntimeError (no convergence).
     """
     xpre, xcur = float(xa), float(xb)
     xblk = fblk = spre = scur = 0.0
-    fpre, fcur = _checked(f, xpre), _checked(f, xcur)
+    fpre = _not_nan(xpre, (yield xpre) if fa is None else fa)
+    fcur = _not_nan(xcur, (yield xcur) if fb is None else fb)
     if fpre == 0.0:
         return xpre
     if fcur == 0.0:
@@ -260,12 +343,11 @@ def _brentq(f, xa: float, xb: float, xtol: float) -> float:
             xcur += scur
         else:
             xcur += delta if sbis > 0 else -delta
-        fcur = _checked(f, xcur)
+        fcur = _not_nan(xcur, (yield xcur))
     raise ArithmeticError(f"brentq did not converge in {_BRENTQ_MAXITER} iterations (at x={xcur!r})")
 
 
-def _checked(f, x: float) -> float:
-    fx = float(f(x))
+def _not_nan(x: float, fx: float) -> float:
     if math.isnan(fx):
         raise ValueError(f"the function value at x={x:.6g} is NaN")
     return fx
@@ -278,22 +360,31 @@ def envelope_duration(spectrum: DiscreteSpectrum, epsilon: float) -> tuple[float
     the closed-form imaginary/common-sigma estimates in their regimes.
     """
     _check_epsilon(epsilon)
-    return _envelope_duration(spectrum, epsilon, tail_coefficients(spectrum.lams))
+    lanes = _duration_lanes(spectrum, epsilon, tail_coefficients(spectrum.lams))
+    return _edges(_solved(tail_crossings(lanes)))
 
 
-def _envelope_duration(spectrum: DiscreteSpectrum, epsilon: float,
-                       tc: TailCoefficients) -> tuple[float, float]:
-    """`envelope_duration` from the `tail_coefficients` of the spectrum's eigenvalues."""
+def _duration_lanes(spectrum: DiscreteSpectrum, epsilon: float, tc: TailCoefficients):
+    """The (right, left) `tail_crossings` lanes of `envelope_duration`, given `tail_coefficients`."""
     env = _tail_envelope(spectrum, tc)
     target = 0.5 * epsilon * spectrum.energy
-    t_plus = exp_tail_crossing(env.right_coeffs, env.rates, target)
-    t_minus = -exp_tail_crossing(env.left_coeffs, env.rates, target)
-    return t_minus, t_plus
+    return [(env.right_coeffs, env.rates, target), (env.left_coeffs, env.rates, target)]
+
+
+def _edges(crossings) -> tuple[float, float]:
+    """(lower, upper) edge of a pair of (right, left) tail crossings."""
+    right, left = crossings
+    return -left, right
 
 
 def envelope_bandwidth(spectrum: DiscreteSpectrum, epsilon: float) -> tuple[float, float]:
     """(B-, B+) from the separated-component spectral envelope tails."""
     _check_epsilon(epsilon)
+    return _edges(_solved(tail_crossings(_bandwidth_lanes(spectrum, epsilon))))
+
+
+def _bandwidth_lanes(spectrum: DiscreteSpectrum, epsilon: float):
+    """The (right, left) `tail_crossings` lanes of `envelope_bandwidth`."""
     sig = spectrum.sigmas
     om = spectrum.omegas
     rates = PI2 / (2.0 * sig)
@@ -301,9 +392,7 @@ def envelope_bandwidth(spectrum: DiscreteSpectrum, epsilon: float) -> tuple[floa
     # sech tail ~ 2 exp(-|arg|); the component centered at -omega_k/pi shifts it
     right = 2.0 * math.pi * np.exp(-rates * om / math.pi)
     left = 2.0 * math.pi * np.exp(rates * om / math.pi)
-    f_plus = exp_tail_crossing(right, rates, target)
-    f_minus = -exp_tail_crossing(left, rates, target)
-    return f_minus, f_plus
+    return [(right, rates, target), (left, rates, target)]
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,12 @@ time, accumulating the signal as ``q += -4*sigma_p*conj(rho_p) / (1 +
 |rho_p|^2)``, which is ``-2*sigma_p*sech(ln|rho_p|) * exp(-j*arg(rho_p))``.
 
 One entry, `synthesize_samples(spectrum, phis, t)`, serves `synthesize` and
-`synthesize_phases`.  It chooses between two evaluations of the recursion:
+`synthesize_phases`; it is the batch of one of `_synthesize_axes`, which
+evaluates the phase rows of many spectra, each on its own time axis, in one
+pass.  Each spectrum takes one of two evaluations of the recursion:
 
-- Direct: plain complex arithmetic on rho, batched over phase rows.  It is
+- Direct: plain complex arithmetic on rho, batched over phase rows (and
+  over the spectra of a batch, whose parameters enter row by row).  It is
   taken whenever every seed exponent |ln eta_k - 2*sigma_k*t| stays below
   ``DIRECT_EXPONENT_LIMIT`` at both ends of the time range, so |rho|^2 stays
   far inside the double range.  The choice depends on the spectrum and ``t``
@@ -44,9 +47,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotics import (_check_epsilon, _envelope_duration, envelope_bandwidth, envelope_duration,
-                          tail_coefficients, tail_envelope)
-from .errors import GridTooNarrowWarning, InvalidParameterError
+from .asymptotics import (_bandwidth_lanes, _check_epsilon, _duration_lanes, _edges, _solved,
+                          envelope_bandwidth, envelope_duration, tail_coefficients, tail_crossings,
+                          tail_envelope)
+from .errors import DegenerateSpectrumError, GridTooNarrowWarning, InvalidParameterError
 from .spectrum import DiscreteSpectrum, PhysicalScaling
 
 # Fraction of the peak magnitude tolerated at the grid edges before the
@@ -152,21 +156,65 @@ def synthesize_samples(spectrum: DiscreteSpectrum, phis, t) -> np.ndarray:
     Returns:
         Complex samples with shape (n,), or (C, n) for a batch.
     """
-    lams = spectrum.lams
-    ln_etas = np.log(spectrum.etas)
     t = np.asarray(t, dtype=float)
     phis = np.asarray(phis, dtype=float)
     if phis.ndim not in (1, 2) or phis.shape[-1] != spectrum.n:
         raise ValueError(f"phase rows must have length {spectrum.n}, got shape {phis.shape}")
-    rows = np.atleast_2d(phis)
-    if _seeds_in_range(lams, ln_etas, t):
-        q = _synthesize_direct(lams, ln_etas, rows, t)
-        bad = ~np.all(np.isfinite(q.view(float)), axis=-1)
-        if bad.any():
-            q[bad] = _synthesize_log(lams, ln_etas, rows[bad], t)
-    else:
-        q = _synthesize_log(lams, ln_etas, rows, t)
+    q = _synthesize_axes([(t, [(spectrum, np.atleast_2d(phis))])])
     return q if phis.ndim > 1 else q[0]
+
+
+def _synthesize_axes(axes) -> np.ndarray:
+    """Samples of many spectra under their phase rows, on time axes of one length.
+
+    ``axes`` lists (t, [(spectrum, phis), ...]): a time axis t (n,) and the
+    spectra synthesized on it, each with its (C_i, N) phase rows.  The
+    spectra of one axis share their eigenvalues (they are evolved copies of
+    one spectrum), and every spectrum has N eigenvalues.  Returns the rows
+    of every pair in order, (sum C_i, n), each bit for bit its
+    `synthesize_samples`: the direct or stabilized path is chosen per
+    spectrum, the direct rows of every spectrum are evaluated in one
+    `_synthesize_direct` call, and a direct row with a non-finite sample is
+    evaluated again on the stabilized path.
+    """
+    pieces = []  # (axis, lams, ln_etas, phis, t, direct)
+    for a, (t, pairs) in enumerate(axes):
+        for spectrum, phis in pairs:
+            lams, ln_etas = spectrum.lams, np.log(spectrum.etas)
+            pieces.append((a, lams, ln_etas, phis, t, _seeds_in_range(lams, ln_etas, t)))
+    offsets = np.cumsum([0] + [len(piece[3]) for piece in pieces])
+    direct = [i for i, piece in enumerate(pieces) if piece[5]]
+    if len(direct) == len(pieces):
+        q = _direct_rows([pieces[i] for i in direct])
+    else:
+        q = np.empty((offsets[-1], axes[0][0].size), dtype=complex)
+        if direct:
+            q[np.concatenate([np.arange(offsets[i], offsets[i + 1]) for i in direct])] = \
+                _direct_rows([pieces[i] for i in direct])
+    for i, (_, lams, ln_etas, phis, t, in_range) in enumerate(pieces):
+        rows = q[offsets[i] : offsets[i + 1]]
+        if not in_range:
+            rows[:] = _synthesize_log(lams, ln_etas, phis, t)
+            continue
+        bad = ~np.all(np.isfinite(rows.view(float)), axis=-1)
+        if bad.any():
+            rows[bad] = _synthesize_log(lams, ln_etas, phis[bad], t)
+    return q
+
+
+def _direct_rows(pieces) -> np.ndarray:
+    """`_synthesize_direct` of the rows of ``pieces``: one axis per run of pieces on one axis."""
+    lams, times, counts, axis = [], [], [], None
+    for a, piece_lams, _, phis, t, _ in pieces:
+        if a != axis:
+            lams.append(piece_lams)
+            times.append(t)
+            counts.append(0)
+            axis = a
+        counts[-1] += len(phis)
+    ln_etas = np.concatenate([np.broadcast_to(p[2], p[3].shape) for p in pieces])
+    phis = np.concatenate([p[3] for p in pieces])
+    return _synthesize_direct(np.array(lams), ln_etas, phis, np.array(times), counts)
 
 
 def _seeds_in_range(lams, ln_etas, t) -> bool:
@@ -182,40 +230,56 @@ def _seeds_in_range(lams, ln_etas, t) -> bool:
     return bool(np.all(np.abs(exponents) < DIRECT_EXPONENT_LIMIT))
 
 
-def _synthesize_direct(lams, ln_etas, phis, t) -> np.ndarray:
+def _synthesize_direct(lams, ln_etas, phis, t, counts=None) -> np.ndarray:
     """The recursion in plain complex arithmetic; (C, N) phase rows to (C, n).
 
-    Only valid while |rho|^2 stays finite (see `_seeds_in_range`); a pole of
-    an intermediate rho shows up as a non-finite sample.
+    One spectrum gives its eigenvalues ``lams`` (N,), amplitude logarithms
+    ``ln_etas`` (N,) and time axis ``t`` (n,).  A batch gives A axes, ``lams``
+    (A, N) and ``t`` (A, n), with ``counts[a]`` consecutive rows on axis a,
+    and one row of ``ln_etas`` (C, N) per phase row.  Each parameter enters
+    a row as a per-row column, so a row's samples are those of its spectrum
+    alone, bit for bit.  Only valid while |rho|^2 stays finite (see
+    `_seeds_in_range`); a pole of an intermediate rho shows up as a
+    non-finite sample.
     """
-    sig = lams.imag
+    lams, t = np.atleast_2d(lams), np.atleast_2d(t)
+    counts = [len(phis)] if counts is None else counts
+    axis = np.repeat(np.arange(len(counts)), counts)  # each row's axis
+    lam = lams[axis]
+    sig = lam.imag
+    ln_etas = np.broadcast_to(ln_etas, phis.shape)
     # rho_k = eta_k exp(j phi_k) exp(2j lambda_k t), shape (C, n), split at
     # the earliest time t0 into a per-row and a per-sample factor: the row
     # factor's exponent is the seed exponent at t0 and the sample factor's
     # at most twice the bound, so neither over- nor underflows.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        t0 = t.min()
-        rows = np.exp((ln_etas - 2.0 * sig * t0) + 1j * (phis + 2.0 * lams.real * t0))
-        steps = np.exp(2j * lams[:, None] * (t - t0))
-        rhos = [rows[:, k, None] * steps[k] for k in range(len(lams))]
+        t0 = t.min(axis=-1, keepdims=True)
+        rows = np.exp((ln_etas - 2.0 * sig * t0[axis]) + 1j * (phis + 2.0 * lam.real * t0[axis]))
+        steps = np.exp(2j * lams[:, :, None] * (t - t0)[:, None, :])  # (A, N, n)
+        ends = np.cumsum([0] + list(counts))
+        rhos = [np.empty((len(phis), t.shape[1]), dtype=complex) for _ in range(lams.shape[1])]
+        for a in range(len(counts)):
+            on_axis = slice(ends[a], ends[a + 1])
+            for k, step in enumerate(steps[a]):
+                np.multiply(rows[on_axis, k, None], step, out=rhos[k][on_axis])
         q = np.zeros(rhos[0].shape, dtype=complex)
         for j, p in enumerate(rhos):
             inv_denom = 1.0 / (1.0 + (p.real * p.real + p.imag * p.imag))
-            q += (-4.0 * sig[j]) * inv_denom * np.conj(p)
+            q += (-4.0 * sig[:, j, None]) * inv_denom * np.conj(p)
             # c = (lambda_j - conj(lambda_j)) / (1 + |rho_j|^2)
-            c = (2j * sig[j]) * inv_denom
-            for k in range(j + 1, len(lams)):
+            c = (2j * sig[:, j, None]) * inv_denom
+            for k in range(j + 1, len(rhos)):
                 rk = rhos[k]
                 # num = (lambda_k - lambda_j) rho_k + c (rho_k - rho_j)
                 num = rk - p
                 num *= c
-                num += (lams[k] - lams[j]) * rk
+                num += (lam[:, k] - lam[:, j])[:, None] * rk
                 # den = lambda_k - conj(lambda_j) - c (1 + conj(rho_j) rho_k)
                 den = np.conj(p)
                 den *= rk
                 den += 1.0
                 den *= c
-                np.subtract(lams[k] - np.conj(lams[j]), den, out=den)
+                np.subtract((lam[:, k] - np.conj(lam[:, j]))[:, None], den, out=den)
                 num /= den
                 rhos[k] = num
     return q
@@ -460,17 +524,44 @@ def auto_grid(
     return _sized_grid(spectrum, span, band, oversampling)
 
 
-def _lean_grids(spectra, epsilon: float) -> list[TimeGrid]:
-    """``auto_grid(s, epsilon, boundary_clean=False)`` of each of ``spectra``.
+def _lean_grids(links, epsilon: float) -> list:
+    """``auto_grid(s, epsilon, boundary_clean=False)`` of every spectrum ``s`` of each link.
 
-    The spectra are evolved copies of one spectrum.  Evolution leaves sigma,
-    omega and the energy alone, so the bandwidth estimate and the tail
-    coefficients of the first spectrum serve every one of them.
+    A link is a list of evolved copies of one spectrum.  Evolution leaves
+    sigma, omega and the energy alone, so the bandwidth estimate and the
+    tail coefficients of a link's first spectrum serve all of its spectra.
+    The tail crossings of every link are solved together, in lockstep
+    (`tail_crossings`).  Returns, per link, the list of its grids or the
+    exception that sizing it alone raises: its steps are taken in the order
+    of one link, the bandwidth, the tail coefficients, then each spectrum's
+    duration and grid.
     """
-    band = envelope_bandwidth(spectra[0], epsilon)
-    tc = tail_coefficients(spectra[0].lams)
-    return [_sized_grid(s, _envelope_duration(s, epsilon * 1e-4, tc), band, OVERSAMPLING)
-            for s in spectra]
+    _check_epsilon(epsilon)
+    lanes, plans = [], []
+    for spectra in links:
+        start = len(lanes)
+        lanes += _bandwidth_lanes(spectra[0], epsilon)
+        try:
+            tc = tail_coefficients(spectra[0].lams)
+        except DegenerateSpectrumError as exc:
+            tc = exc
+        else:
+            for s in spectra:
+                lanes += _duration_lanes(s, epsilon * 1e-4, tc)
+        plans.append((start, spectra, tc))
+    roots = tail_crossings(lanes)
+    grids = []
+    for start, spectra, tc in plans:
+        try:
+            band = _edges(_solved(roots[start : start + 2]))
+            if isinstance(tc, Exception):
+                raise tc
+            spans = roots[start + 2 : start + 2 + 2 * len(spectra)]
+            grids.append([_sized_grid(s, _edges(_solved(spans[2 * i : 2 * i + 2])), band,
+                                      OVERSAMPLING) for i, s in enumerate(spectra)])
+        except Exception as exc:  # reported in the link's place
+            grids.append(exc)
+    return grids
 
 
 def _sized_grid(spectrum: DiscreteSpectrum, span, band, oversampling: float) -> TimeGrid:

@@ -12,8 +12,9 @@ Two window definitions are supported:
   sech is self-dual, so one alpha serves time and frequency).
 
 One block evaluator, `_windows`, serves every measurement: for a (rows x
-samples) block on one grid it returns the first maximal T and B window of
-the block.  One body runs per domain, on the |q|^2 dt and the |Q|^2 df
+samples) block of runs of rows, each run on its own grid, it returns the
+first maximal T and B window of each run.  One body runs per domain, on the
+|q|^2 dt and the |Q|^2 df
 cells: it checks the block's energy and edge shares (`_edge_share`:
 leakage past the time grid, aliasing at the Nyquist edge) and then works in
 two steps: the rows that can still win (`_candidates`: under the energy
@@ -55,7 +56,12 @@ before them are scanned exactly.
 maxima of a two-point phase sub-grid at z = 0 and z = L, on the same grid,
 in one block.  When M is a power of two the sub-grid rows are full-grid
 rows, so the bound never exceeds the product; a large energy-definition
-grid also starts its floors at those maxima.
+grid also starts its floors at those maxima.  `t_hat_b_hat_bounds` bounds
+many points together and is what the sweep calls: their grids are sized in
+lockstep, and the sub-grid rows of points whose grids share a sample count
+are synthesized in one call and measured in one block, one run per point.
+Each point gets the bound, or the class of error, it has alone;
+`t_hat_b_hat_bound` is the batch of one.
 """
 
 from __future__ import annotations
@@ -65,9 +71,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .asymptotics import _check_epsilon
+from .asymptotics import _check_epsilon, _solved
 from .darboux import (SampledSignal, TimeGrid, _gram_coefficients, _gram_rows, _lean_grids,
-                      _seeds_in_range, auto_grid, synthesize, synthesize_phases, union_grid)
+                      _seeds_in_range, _synthesize_axes, auto_grid, synthesize, synthesize_phases,
+                      union_grid)
 from .errors import InvalidParameterError, MeasurementUnreliableError
 from .spectrum import DiscreteSpectrum, evolve
 
@@ -216,7 +223,8 @@ def _edge_share(power: np.ndarray, k: int) -> np.ndarray:
 def _window_bracket(cells: np.ndarray, x0: float, dx: float, epsilon: float, spread=0.0):
     """Bounds lower <= W <= upper on each row's `_smallest_energy_window` width W.
 
-    Cell i of a row occupies [x0 + i*dx, x0 + (i+1)*dx]; E is the row's
+    Cell i of a row occupies [x0 + i*dx, x0 + (i+1)*dx], with x0 and dx
+    one value for the block or one per row; E is the row's
     piecewise-linear cumulative and C = (1-epsilon)*E_total the scan's
     capture.  With the one quantile q(v) = sup{x : E(x) <= v}, +inf at or
     above E_total, a level margin m > 0 and left-tail levels
@@ -241,6 +249,7 @@ def _window_bracket(cells: np.ndarray, x0: float, dx: float, epsilon: float, spr
     the margin m + 3*spread.
     """
     rows, n = cells.shape
+    x0, dx = np.asarray(x0, dtype=float), np.asarray(dx, dtype=float)
     cum = np.zeros((rows, n + 1))
     np.cumsum(cells, axis=-1, out=cum[:, 1:])
     total = cum[:, -1]
@@ -269,31 +278,34 @@ def _window_bracket(cells: np.ndarray, x0: float, dx: float, epsilon: float, spr
     c1 = flat[row_start + j + 1]
     frac = np.divide(levels - c0, c1 - c0, out=np.zeros(levels.shape), where=c1 > c0)
     # a level below 0 (capture - margin, at epsilon within 2^-46 of 1) has no position
-    x = np.where(k <= 0, -math.inf, np.where(k > n, math.inf, x0 + dx * (j + frac)))
+    x = np.where(k <= 0, -math.inf, np.where(k > n, math.inf,
+                                               x0.reshape(-1, 1) + dx.reshape(-1, 1) * (j + frac)))
     starts, ends = x[:, : BRACKET_SHARES + 1], x[:, BRACKET_SHARES + 1 :]
     with np.errstate(invalid="ignore"):  # inf - inf on the rows zeroed above
         upper = (ends[:, :BRACKET_SHARES] - starts[:, :-1]).min(axis=1)
         lower = (ends[:, BRACKET_SHARES:] - starts[:, 1:]).min(axis=1)
-    slack = 1e-12 * (abs(x0) + (n + 1) * dx)
+    slack = 1e-12 * (np.abs(x0) + (n + 1) * dx)
     sound &= np.isfinite(lower) & np.isfinite(upper)
     return np.where(sound, lower - slack, -math.inf), np.where(sound, upper + slack, math.inf)
 
 
-def _candidates(cells: np.ndarray, x0: float, dx: float, config: MeasureConfig, floor: float,
-                spread=0.0) -> np.ndarray:
-    """Indices of the rows that can still be the block's first maximum and beat ``floor``.
+def _candidates(cells: np.ndarray, x0, dx, config: MeasureConfig, floor: float, cuts,
+                spread=0.0) -> list:
+    """Per run ``cuts[r]:cuts[r + 1]``, the rows that can still be its first maximum and beat ``floor``.
 
     The energy definition keeps only the rows whose `_window_bracket` upper
-    bound reaches max(floor, the block's largest lower bound); every other
-    row is narrower than the floor or than some row of the block.  A row's
-    upper bound is at least its lower bound, so without a floor a block of
+    bound reaches max(floor, the run's largest lower bound); every other
+    row is narrower than the floor or than some row of its run.  A row's
+    upper bound is at least its lower bound, so without a floor a run of
     one is always kept.  The threshold definition keeps every row, so each
-    reports its own grid error.
+    reports its own grid error.  ``x0`` and ``dx`` hold one value per row.
     """
+    runs = list(zip(cuts[:-1], cuts[1:]))
     if config.definition == "threshold":
-        return np.arange(len(cells))
+        return [np.arange(lo, hi) for lo, hi in runs]
     lower, upper = _window_bracket(cells, x0, dx, config.epsilon, spread)
-    return np.nonzero(~(upper < max(floor, lower.max())))[0]
+    return [lo + np.nonzero(~(upper[lo:hi] < max(floor, lower[lo:hi].max())))[0] if hi > lo
+            else np.arange(0) for lo, hi in runs]
 
 
 def _first_max(mags: np.ndarray, rows: np.ndarray, x: np.ndarray, dx: float, config: MeasureConfig):
@@ -324,20 +336,25 @@ def _passes(approx: np.ndarray, exact_passes, message: str):
         raise MeasurementUnreliableError(message)
 
 
-def _windows(samples: np.ndarray, grid: TimeGrid, config: MeasureConfig, b_rows=slice(None),
-             floors: tuple[float, float] = (-math.inf, -math.inf), delta=None, exact=None):
-    """First maximal duration and bandwidth windows of a (rows x samples) block.
+def _windows(samples: np.ndarray, runs, config: MeasureConfig, b_rows=slice(None),
+             floors: tuple[float, float] = (-math.inf, -math.inf), delta=None, exact=None) -> list:
+    """First maximal duration and bandwidth windows of each run of a (rows x samples) block.
 
-    Returns the (row index, Band) of the first widest T window over every
-    row and of the first widest B window over the rows ``b_rows`` selects
-    (a slice or an index array; None when it selects none).  ``floors``
-    (T, B) lets the energy definition skip rows that cannot exceed them, see
-    `_candidates`; a family is None when no row can.  One body runs for T
-    and, on its rows, again for B.  Before its scans each checks all its
-    rows, so one row reports the same error it would alone: first the
-    energy, under both definitions (it must be finite and above 1e-300),
-    then the `_edge_share` of k cells per side (time: 1, against leakage;
-    frequency: 2, at the Nyquist edge).
+    ``runs`` lists (grid, count): the first count rows of the block lie on
+    the first grid, the next on the second, and so on; every grid has the
+    block's sample count.  Returns, per run, the (row index, Band) of the
+    first widest T window over the run's rows and of the first widest B
+    window over those of its rows that ``b_rows`` selects (a slice or a
+    sorted index array of block rows; None when it selects none).  Each
+    row is measured on its run's grid: the cell widths, the time or
+    frequency axis and the DFT's dt enter per row, so a run's windows are
+    those of its rows alone.  ``floors`` (T, B) let the energy definition
+    skip rows that cannot exceed them, see `_candidates`; a family is None
+    when no row can.  One body runs for T and, on its rows, again for B.
+    Before its scans each checks all its rows, so one row reports the same
+    error it would alone: first the energy, under both definitions (it
+    must be finite and above 1e-300), then the `_edge_share` of k cells per
+    side (time: 1, against leakage; frequency: 2, at the Nyquist edge).
 
     ``samples`` are the exact rows unless ``delta`` is given.  Then
     |samples - exact| <= delta on every sample, and ``exact(rows)`` returns
@@ -355,41 +372,49 @@ def _windows(samples: np.ndarray, grid: TimeGrid, config: MeasureConfig, b_rows=
     decided or scanned on its exact samples, so every error, width and row
     is that of the exact block.  Exact samples are the case delta = 0.
     """
-    dt = grid.dt
+    grids = [grid for grid, _ in runs]
+    cuts = np.cumsum([0] + [count for _, count in runs])
+    run_of = np.repeat(np.arange(len(runs)), np.diff(cuts))  # each row's run
+    dt = np.array([grid.dt for grid in grids])[run_of][:, None]
     everything = np.arange(len(samples))
-    domains = [(False, slice(None), grid.times, dt, 1, EDGE_LEAKAGE_FRACTION * config.epsilon,
-                floors[0], "grid edges carry too much energy for the requested epsilon")]
+    axes = [grid.times for grid in grids]
+    domains = [(False, slice(None), axes, [grid.dt for grid in grids], 1,
+                EDGE_LEAKAGE_FRACTION * config.epsilon, floors[0],
+                "grid edges carry too much energy for the requested epsilon")]
     if everything[b_rows].size:
-        freqs = np.fft.fftshift(np.fft.fftfreq(grid.n_samples, d=dt))
-        domains.append((True, b_rows, freqs, float(freqs[1] - freqs[0]), 2, ALIASING_FRACTION,
+        axes = [np.fft.fftshift(np.fft.fftfreq(grid.n_samples, d=grid.dt)) for grid in grids]
+        domains.append((True, b_rows, axes, [float(f[1] - f[0]) for f in axes], 2, ALIASING_FRACTION,
                         floors[1], "spectral energy reaches the Nyquist edge (aliasing)"))
     rel, l2_rows = ((0.0, None) if delta is None
-                    else (2.0**-40, np.sqrt((delta * delta).sum(-1) * dt)))
-    found = [None, None]
-    for d, (spectral, selected, x, dx, k, limit, floor, message) in enumerate(domains):
+                    else (2.0**-40, np.sqrt((delta * delta).sum(-1) * dt[:, 0])))
+    found = [[None, None] for _ in runs]
+    for d, (spectral, selected, xs, widths, k, limit, floor, message) in enumerate(domains):
         index = everything[selected]  # the block's row of each of the domain's rows
+        dx = np.array(widths)[run_of[index]]
+        x0 = np.array([x[0] - 0.5 * w for x, w in zip(xs, widths)])[run_of[index]]
+        dx_col = dx[:, None]
 
-        def magnitudes(q):
-            return _spectrum_mags(q, dt) if spectral else np.abs(q)
+        def magnitudes(q, rows=slice(None)):
+            return _spectrum_mags(q, dt[index[rows]]) if spectral else np.abs(q)
 
         def exact_mags(rows):
-            return mags[rows] if delta is None else magnitudes(exact(index[rows]))
+            return mags[rows] if delta is None else magnitudes(exact(index[rows]), rows)
 
         def exact_cells(rows):
             with np.errstate(over="ignore"):  # an overflowing energy is refused
-                return exact_mags(rows) ** 2 * dx
+                return exact_mags(rows) ** 2 * dx_col[rows]
 
         mags = magnitudes(samples[selected])
         with np.errstate(over="ignore"):  # an overflowing energy is refused below
-            cells = mags**2 * dx
+            cells = mags**2 * dx_col
         total = cells.sum(-1)
         err = spread = 0.0
         if delta is not None:
             bound, l2 = delta[selected], l2_rows[selected]
             if spectral:
                 # 16u log2(n) of each transform's norm, both transforms
-                rounding = 2.0**-49 * math.log2(grid.n_samples) * (2.0 * np.sqrt(total) + l2)
-                err = (bound.sum(-1) * dt + rounding / math.sqrt(dx))[:, None]
+                rounding = 2.0**-49 * math.log2(samples.shape[-1]) * (2.0 * np.sqrt(total) + l2)
+                err = (bound.sum(-1) * dt[index, 0] + rounding / np.sqrt(dx))[:, None]
                 l2 = (l2 + rounding) * (1.0 + 2.0**-20)
             else:
                 err = bound[:, [0, -1]]
@@ -399,19 +424,21 @@ def _windows(samples: np.ndarray, grid: TimeGrid, config: MeasureConfig, b_rows=
         clear = total - spread
         _passes(clear > 1e-300 * (1.0 + rel), lambda rows: exact_cells(rows).sum(-1) > 1e-300,
                 "signal carries no energy")
-        edge = (mags[:, list(range(k)) + list(range(-k, 0))] + err) ** 2 * dx
+        edge = (mags[:, list(range(k)) + list(range(-k, 0))] + err) ** 2 * dx_col
         edge = edge[:, :k].sum(-1) + edge[:, k:].sum(-1)
         share = np.divide(edge, clear, out=np.full(len(edge), math.inf), where=clear > 0)
         _passes(share * (1.0 + rel) <= limit,
                 lambda rows: ~(_edge_share(exact_cells(rows), k) > limit), message)
-        rows = _candidates(cells, x[0] - 0.5 * dx, dx, config, floor, spread)
-        found[d] = _first_max(exact_mags(rows), index[rows], x, dx, config)
-    return tuple(found)
+        # the domain's rows of each run
+        ends = np.searchsorted(index, cuts)
+        for r, rows in enumerate(_candidates(cells, x0, dx, config, floor, ends, spread)):
+            found[r][d] = _first_max(exact_mags(rows), index[rows], xs[r], widths[r], config)
+    return [tuple(pair) for pair in found]
 
 
 def measure(signal: SampledSignal, config: MeasureConfig) -> TBReport:
     """Duration and bandwidth of one signal under the configured definition."""
-    (_, t_band), (_, b_band) = _windows(signal.samples[None], signal.grid, config)
+    [((_, t_band), (_, b_band))] = _windows(signal.samples[None], [(signal.grid, 1)], config)
     return TBReport(t_band, b_band)
 
 
@@ -475,7 +502,7 @@ def _ranked_windows(spectrum: DiscreteSpectrum, grid: TimeGrid, block: np.ndarra
         return exact_rows.reshape(len(rows), grid.n_samples)
 
     try:
-        return _windows(q, grid, config, b_rows, floors, delta, exact)
+        return _windows(q, [(grid, len(q))], config, b_rows, floors, delta, exact)[0]
     except _GuardTripped:
         return None
 
@@ -544,7 +571,7 @@ def t_max_b_max(
             if chunk is None:
                 parts = [synthesize_phases(s, grid, block) for s in spectra]
                 samples = parts[0] if len(parts) == 1 else np.concatenate(parts)
-                chunk = _windows(samples, grid, config, b_rows, floors)
+                chunk = _windows(samples, [(grid, len(samples))], config, b_rows, floors)[0]
             for k, found in enumerate(chunk):
                 # strict >: an equal width in a later block keeps the earlier row
                 if found is not None and found[1].width > best[k][0]:
@@ -563,22 +590,63 @@ class LinkSweepResult:
     profile: tuple[tuple[float, float, float], ...]  # (z, t_max, b_max); () without profile
 
 
-def _link_grid(spectrum: DiscreteSpectrum, config: MeasureConfig, link_length: float):
-    """The distances of a link and the one time grid `t_hat_b_hat` measures them on.
+@dataclass(frozen=True)
+class _Link:
+    """A link's distances, the one time grid they are measured on, and its endpoint spectra.
 
-    The grid of a link is the `union_grid` of the lean `auto_grid` at z = 0,
-    L/2 and L; those three share the parts that do not depend on z (see
-    `darboux._lean_grids`), and the spectrum at L is the one the rows at L
-    are synthesized from (see `_at`).
+    ``ends`` holds the spectrum at z = 0 (the spectrum itself) and, when the
+    link has more than one distance, the spectrum at z = L.
     """
-    if not (math.isfinite(link_length) and link_length >= 0.0):
-        raise InvalidParameterError(f"link length must be finite and >= 0, got {link_length}")
-    if spectrum.is_imaginary() or link_length == 0.0:
-        return [0.0], auto_grid(spectrum, config.epsilon, boundary_clean=False)
-    zs = np.linspace(0.0, link_length, config.z_samples)
-    spectra = [evolve(spectrum, 0.0), evolve(spectrum, link_length / 2.0),
-               _at(spectrum, link_length)]
-    return zs, union_grid(_lean_grids(spectra, config.epsilon))
+
+    zs: object
+    grid: TimeGrid
+    ends: tuple
+
+
+def _link_grids(items, config: MeasureConfig) -> list:
+    """The `_Link` of each (spectrum, link length) of ``items``, or the exception building it raises.
+
+    A link is z = 0 alone when its spectrum is imaginary or its length is
+    0, else ``config.z_samples`` distances over [0, L].  Its grid is the
+    lean `auto_grid` at z = 0, or the `union_grid` of those at z = 0, L/2
+    and L; the grids of every link are sized together by
+    `darboux._lean_grids`, which solves their tail crossings in lockstep.
+    The spectrum at L is the one the rows at L are synthesized from (see
+    `_at`).  An entry is what building that link alone gives, bit for bit.
+    """
+    plans = []
+    for spectrum, link_length in items:
+        try:
+            if not (math.isfinite(link_length) and link_length >= 0.0):
+                raise InvalidParameterError(f"link length must be finite and >= 0, got {link_length}")
+            if spectrum.is_imaginary() or link_length == 0.0:
+                plans.append(([0.0], [spectrum], (spectrum,)))
+            else:
+                sized = [evolve(spectrum, 0.0), evolve(spectrum, link_length / 2.0),
+                         _at(spectrum, link_length)]
+                plans.append((np.linspace(0.0, link_length, config.z_samples), sized,
+                              (spectrum, sized[-1])))
+        except Exception as exc:  # reported in the link's place
+            plans.append(exc)
+    grids = iter(_lean_grids([plan[1] for plan in plans if not isinstance(plan, Exception)],
+                             config.epsilon))
+    links = []
+    for plan in plans:
+        if not isinstance(plan, Exception):
+            zs, _, ends = plan
+            try:
+                sized = _solved([next(grids)])[0]
+                plan = _Link(zs, sized[0] if len(sized) == 1 else union_grid(sized), ends)
+            except Exception as exc:  # reported in the link's place
+                plan = exc
+        links.append(plan)
+    return links
+
+
+def _link_grid(spectrum: DiscreteSpectrum, config: MeasureConfig, link_length: float):
+    """The distances of a link and the one time grid `t_hat_b_hat` measures them on (`_link_grids`)."""
+    link = _solved(_link_grids([(spectrum, link_length)], config))[0]
+    return link.zs, link.grid
 
 
 # The spectrum `_at` evolved last, with its base and distance.
@@ -611,8 +679,101 @@ def _sub_grid_maxima(spectrum: DiscreteSpectrum, config: MeasureConfig, zs, grid
     m = config.phase_points
     if m & (m - 1):
         return None
-    r = t_max_b_max(spectrum, replace(config, phase_points=2), grid, zs=sorted({zs[0], zs[-1]}))
-    return r.t_max, r.b_max
+    ends = (spectrum,) if len(zs) == 1 else (spectrum, _at(spectrum, zs[-1]))
+    return _solved(_endpoint_maxima([_Link(zs, grid, ends)], config))[0]
+
+
+def _endpoint_maxima(links, config: MeasureConfig) -> list:
+    """(T max, B max) of each link's two-point phase sub-grid at its endpoints, or the exception raised.
+
+    The rows of a link are the sub-grid rows of each of its endpoint
+    spectra on its grid, T and B maximized over all of them.  Links whose
+    grids share a sample count and whose spectra share an eigenvalue count
+    are synthesized in one `darboux._synthesize_axes` call and measured in
+    one `_windows` block of at most `CHUNK_SIZE` rows, one run per link; a
+    link with more rows is measured in runs of at most `CHUNK_SIZE` rows of
+    one endpoint.  A row's windows do not depend on the block it is
+    measured in, so the maxima are those of `t_max_b_max` at the endpoints.
+    When a block raises, each of its links is measured again alone, so that
+    each reports its own error.
+    """
+    sub = replace(config, phase_points=2)
+    runs = []  # (link, [(spectrum, phase rows), ...]) of each run
+    for i, link in enumerate(links):
+        combos = phase_combinations(link.ends[0].n, 2, conjugation_reduced=link.ends[0].is_imaginary())
+        if len(combos) * len(link.ends) <= CHUNK_SIZE:
+            runs.append((i, [(s, combos) for s in link.ends]))
+        else:
+            runs += [(i, [(s, combos[start : start + CHUNK_SIZE])])
+                     for s in link.ends for start in range(0, len(combos), CHUNK_SIZE)]
+    sizes = [sum(len(rows) for _, rows in pairs) for _, pairs in runs]
+    maxima = [[-math.inf, -math.inf] for _ in links]
+    times = [link.grid.times for link in links]
+
+    def blocks(members):
+        """The runs ``members`` packed into blocks that share a sample count and an eigenvalue count."""
+        groups = {}
+        for r in members:
+            link = links[runs[r][0]]
+            groups.setdefault((link.grid.n_samples, link.ends[0].n), []).append(r)
+        return [block for group in groups.values()
+                for block in _packed(group, [sizes[r] for r in group])]
+
+    def measure_block(block):
+        axes = [(times[runs[r][0]], runs[r][1]) for r in block]
+        grids = [(links[runs[r][0]].grid, sizes[r]) for r in block]
+        found = _windows(_synthesize_axes(axes), grids, sub)
+        for r, pair in zip(block, found):
+            best = maxima[runs[r][0]]
+            if not isinstance(best, Exception):
+                best[:] = [b if f is None else max(b, f[1].width) for b, f in zip(best, pair)]
+
+    for block in blocks(range(len(runs))):
+        try:
+            measure_block(block)
+        except Exception as exc:  # each link of the block reports its own error
+            owners = sorted({runs[r][0] for r in block})
+            if len(owners) == 1:
+                maxima[owners[0]] = exc
+                continue
+            for i in owners:
+                try:
+                    for own in blocks([r for r in range(len(runs)) if runs[r][0] == i]):
+                        measure_block(own)
+                except Exception as own_exc:  # reported in the link's place
+                    maxima[i] = own_exc
+    return [best if isinstance(best, Exception) else tuple(best) for best in maxima]
+
+
+def _packed(items, sizes) -> list:
+    """``items`` cut into consecutive blocks whose ``sizes`` add up to at most `CHUNK_SIZE`."""
+    blocks, rows = [], CHUNK_SIZE
+    for item, size in zip(items, sizes):
+        if rows + size > CHUNK_SIZE:
+            blocks.append([])
+            rows = 0
+        blocks[-1].append(item)
+        rows += size
+    return blocks
+
+
+def t_hat_b_hat_bounds(items, config: MeasureConfig) -> list:
+    """`t_hat_b_hat_bound` of each (spectrum, link length) of ``items``, or the exception it raises.
+
+    The points are bounded together: their link grids are sized in
+    lockstep (`_link_grids`), and the sub-grid rows of points whose grids
+    share a sample count are synthesized and measured in blocks
+    (`_endpoint_maxima`).  Each entry is that point's bound, bit for bit, or
+    an exception of the class `t_hat_b_hat_bound` raises for it alone.
+    """
+    links = _link_grids(items, config)
+    m = config.phase_points
+    if m & (m - 1):
+        return [link if isinstance(link, Exception) else -math.inf for link in links]
+    valid = [i for i, link in enumerate(links) if not isinstance(link, Exception)]
+    for i, maxima in zip(valid, _endpoint_maxima([links[i] for i in valid], config)):
+        links[i] = maxima if isinstance(maxima, Exception) else maxima[0] * maxima[1]
+    return links
 
 
 def t_hat_b_hat_bound(spectrum: DiscreteSpectrum, config: MeasureConfig, link_length: float) -> float:
@@ -622,11 +783,10 @@ def t_hat_b_hat_bound(spectrum: DiscreteSpectrum, config: MeasureConfig, link_le
     grid at z = 0 and z = L, so every row behind them is a row
     `t_hat_b_hat` scans; when ``config.phase_points`` is not a power of two
     there is no such sub-grid and the bound is -inf.  Raises whatever
-    `t_hat_b_hat` would raise on those rows.
+    `t_hat_b_hat` would raise on those rows.  The batch of one of
+    `t_hat_b_hat_bounds`.
     """
-    zs, grid = _link_grid(spectrum, config, link_length)
-    maxima = _sub_grid_maxima(spectrum, config, zs, grid)
-    return -math.inf if maxima is None else maxima[0] * maxima[1]
+    return _solved(t_hat_b_hat_bounds([(spectrum, link_length)], config))[0]
 
 
 def t_hat_b_hat(

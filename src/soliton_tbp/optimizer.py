@@ -29,15 +29,19 @@ earlier batches.  The rest are evaluated in full.  So every point that could
 be the argmin, ties included, is evaluated, and the coarse argmin and the
 reported optimum are those of an exhaustive sweep; which points are
 evaluated depends on the batch size alone.
+A task of the first pass bounds a run of `BOUND_CHUNK` consecutive points
+together (`t_hat_b_hat_bounds`: their grids are sized in lockstep and their
+sub-grid rows measured in shared blocks), each point getting the bound or
+the error class it has alone; a task of the second evaluates one point.
 Both passes run in worker processes forked from the caller (at most
 `SOLITON_TBP_THREADS` of them), because each point is thousands of short
-numpy calls and threads would serialize on the GIL; only a point's
-parameters, its bound and its `TracePoint` cross between processes, so
-pooled and serial sweeps agree bit for bit.  The parent submits the tasks
-of a pass as results come back, at most `PENDING_PER_WORKER` per worker
-ahead of the results it has read.  With one worker, at most one
-point to decide, other threads running in the caller, or no "fork" start
-method, the points are decided in-process.
+numpy calls and threads would serialize on the GIL; only parameters,
+bounds and `TracePoint`s cross between processes, so pooled and serial
+sweeps agree bit for bit.  The parent submits the tasks of a pass as
+results come back, at most `PENDING_PER_WORKER` per worker ahead of the
+results it has read, and unpacks them in enumeration order.  With one
+worker, at most one task in either pass, other threads running in the
+caller, or no "fork" start method, the points are decided in-process.
 No worker outlives the sweep, on success or error.
 Every grid point lands in an append-only trace (CSV) with a status: "ok",
 "pruned" (NaN values), or the class of the error that made a NaN row (a
@@ -61,14 +65,14 @@ import threading
 from collections import deque
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
-from itertools import product, zip_longest
+from itertools import chain, product, zip_longest
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DegenerateSpectrumError, InvalidParameterError, SolitonError, SpectrumFileError
 from .io import _decode_text
-from .metrics import MeasureConfig, t_hat_b_hat, t_hat_b_hat_bound, tbp_per_eigenvalue_ratio
+from .metrics import MeasureConfig, t_hat_b_hat, t_hat_b_hat_bounds, tbp_per_eigenvalue_ratio
 from .spectrum import DiscreteSpectrum
 
 THREADS_ENV = "SOLITON_TBP_THREADS"
@@ -77,6 +81,9 @@ THREADS_ENV = "SOLITON_TBP_THREADS"
 BATCH_SIZE = 8
 # What makes a NaN row: a point that is degenerate or whose measurement fails.
 POINT_ERRORS = (SolitonError, ArithmeticError, ValueError)
+# Consecutive points bounded by one task of the first pass: their grids are
+# sized and their sub-grid rows measured together.
+BOUND_CHUNK = 16
 # Tasks a pooled pass keeps submitted and not yet read, per worker: the parent
 # holds that many futures however many points the pass has.
 PENDING_PER_WORKER = 8
@@ -337,17 +344,28 @@ def _evaluate_or_nan(constellation: str, n: int, names, measure: MeasureConfig, 
         return _nan_point(values, type(exc).__name__)
 
 
-def _bound_or_nan(constellation: str, n: int, names, measure: MeasureConfig, values):
-    """The bound task: `t_hat_b_hat_bound` of the point, or its NaN row where that fails.
+def _bound_chunk(constellation: str, n: int, names, measure: MeasureConfig, chunk) -> list:
+    """The bound task: per point of ``chunk``, its `t_hat_b_hat_bound` or its NaN row where that fails.
 
-    A sub-grid row is a row of the full grid, so a point whose bound fails
-    would fail in full too.
+    The chunk's points are bounded together (`t_hat_b_hat_bounds`), each
+    with the bound or the error class it has alone.  A sub-grid row is a row
+    of the full grid, so a point whose bound fails would fail in full too.
     """
-    try:
-        spectrum, l_star = spectrum_for_point(constellation, n, names, values)
-        return t_hat_b_hat_bound(spectrum, measure, l_star)
-    except POINT_ERRORS as exc:
-        return _nan_point(values, type(exc).__name__)
+    lows, items, bounded = [], [], []
+    for values in chunk:
+        try:
+            items.append(spectrum_for_point(constellation, n, names, values))
+            bounded.append(len(lows))
+            lows.append(None)
+        except POINT_ERRORS as exc:
+            lows.append(_nan_point(values, type(exc).__name__))
+    for i, low in zip(bounded, t_hat_b_hat_bounds(items, measure)):
+        if isinstance(low, Exception):
+            if not isinstance(low, POINT_ERRORS):
+                raise low
+            low = _nan_point(chunk[i], type(low).__name__)
+        lows[i] = low
+    return lows
 
 
 def _ordered_map(pool, fn, items, pending: int):
@@ -364,14 +382,17 @@ def _ordered_map(pool, fn, items, pending: int):
 def _run_points(spec: SweepSpec, names, points, done, fh, workers: int, incumbent: float):
     """Decide the points not in `done`, best first, appending rows to `fh` in decision order.
 
-    Pass 1 bounds every point (`_bound_or_nan`) and records the points whose
-    bound fails as NaN rows, in enumeration order.  Pass 2 takes the others
+    Pass 1 bounds every point, `BOUND_CHUNK` consecutive points per task
+    (`_bound_chunk`), and records the points whose bound fails as NaN rows,
+    in enumeration order.  Pass 2 takes the others
     in ascending (bound, params) order, `BATCH_SIZE` at a time: a point
     whose bound lies strictly above ``incumbent`` is recorded as pruned, the
     rest are evaluated, and after each batch ``incumbent`` falls to the best
     objective in it.  Points already in `done` keep their rows and
     are not evaluated again, but they are bounded and take their places, so
     a resume from an interrupted trace writes the rows the whole run would.
+    The worker pool starts when either pass has more than one task, so a
+    resume with one point left still bounds its pass in the pool.
     Returns the points' trace rows in enumeration order.
     """
     import multiprocessing
@@ -381,16 +402,20 @@ def _run_points(spec: SweepSpec, names, points, done, fh, workers: int, incumben
     for params in points:
         unique.setdefault(_key(params), params)
     todo = [key for key in unique if key not in done]
+    values = list(unique.values())
+    chunks = [values[start : start + BOUND_CHUNK] for start in range(0, len(values), BOUND_CHUNK)]
+    # the most tasks either pass hands out: every chunk is bounded when any point is to decide
+    tasks = max(len(todo), len(chunks)) if todo else 0
     pool, run = None, map
     # Fork, not spawn or forkserver: those re-import __main__, which breaks a caller's
     # script without a __main__ guard, and re-import numpy and the package in every
     # worker.  A fork copies only the calling thread, so a caller with other threads
     # (whose locks the copy could inherit held) evaluates in-process.
-    if (workers > 1 and len(todo) > 1 and threading.active_count() == 1
+    if (workers > 1 and tasks > 1 and threading.active_count() == 1
             and "fork" in multiprocessing.get_all_start_methods()):
         if fh is not None:  # a forked worker holds a copy of the buffered rows
             fh.flush()
-        size = min(workers, len(todo))
+        size = min(workers, tasks)
         pool = ProcessPoolExecutor(size, mp_context=multiprocessing.get_context("fork"))
         run = partial(_ordered_map, pool, pending=PENDING_PER_WORKER * size)
     writer = csv.writer(fh) if fh is not None else None
@@ -404,8 +429,9 @@ def _run_points(spec: SweepSpec, names, points, done, fh, workers: int, incumben
     try:
         ranked = []
         if todo:
-            bound = partial(_bound_or_nan, spec.constellation, spec.n, names, spec.measure)
-            for (key, params), low in zip(unique.items(), run(bound, unique.values())):
+            bound = partial(_bound_chunk, spec.constellation, spec.n, names, spec.measure)
+            lows = chain.from_iterable(run(bound, chunks))
+            for (key, params), low in zip(unique.items(), lows):
                 if not isinstance(low, TracePoint):
                     ranked.append((low, params))
                 elif key not in done:

@@ -17,6 +17,7 @@ from soliton_tbp.asymptotics import (
     t_lim_imaginary,
     t_lim_real,
     tail_coefficients,
+    tail_crossings,
     tail_envelope,
 )
 from soliton_tbp.errors import DegenerateSpectrumError
@@ -176,6 +177,81 @@ class TestEnvelopes:
         assert hi - lo == pytest.approx(b_lim_imaginary([0.5], 1e-4), rel=1e-9)
 
 
+def reference_crossing(coeffs, rates, target, solver):
+    """One tail crossing as a scalar loop with a given root finder: the lockstep's reference."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    rates = np.asarray(rates, dtype=float)
+    if target <= 0:
+        raise ValueError("target must be positive")
+    keep = coeffs > 0
+    coeffs, rates = coeffs[keep], rates[keep]
+    if len(coeffs) == 0:
+        raise ValueError("all envelope coefficients vanish")
+    rsum = rates[:, None] + rates[None, :]
+    log_terms = (np.log(coeffs)[:, None] + np.log(coeffs)[None, :] - np.log(rsum)).ravel()
+    rsum = rsum.ravel()
+    log_target = math.log(target)
+
+    def log_residual(t):
+        expo = log_terms - rsum * t
+        m = expo.max()
+        return m + math.log(np.exp(expo - m).sum()) - log_target
+
+    lo, hi = 0.0, 1.0
+    while log_residual(lo) < 0.0:
+        lo -= max(1.0, abs(lo))
+        if lo < -1e6:
+            raise ArithmeticError("tail crossing bracket expansion failed (low side)")
+    while log_residual(hi) > 0.0:
+        hi *= 2.0
+        if hi > 1e6:
+            raise ArithmeticError("tail crossing bracket expansion failed (high side)")
+    return solver(log_residual, lo, hi, xtol=1e-10)
+
+
+def outcome(call, *args):
+    """The value of a call, or the class of the error it raises."""
+    try:
+        return call(*args)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc)
+
+
+class TestLockstepCrossings:
+    def random_lanes(self, rng, count):
+        lanes = []
+        for _ in range(count):
+            k = int(rng.choice([2, 3]))  # 4 and 9 terms
+            coeffs = 10 ** rng.uniform(-3, 3, k)
+            if rng.uniform() < 0.1:
+                coeffs[rng.integers(k)] = 0.0  # dropped: 1 or 4 terms
+            lanes.append((coeffs, rng.uniform(0.05, 4.0, k), 10 ** rng.uniform(-16, 0)))
+        return lanes
+
+    @pytest.mark.parametrize("count", [1, 8, 32, 200])
+    def test_lanes_match_the_one_lane_loop_bitwise(self, count):
+        lanes = self.random_lanes(np.random.default_rng(3000 + count), count)
+        assert {len(c[c > 0]) ** 2 for c, _, _ in lanes} >= ({4, 9} if count > 8 else set())
+        expected = [reference_crossing(*lane, _brentq) for lane in lanes]
+        assert tail_crossings(lanes) == expected
+        assert [exp_tail_crossing(*lane) for lane in lanes] == expected
+
+    def test_a_failing_lane_keeps_its_error_and_leaves_the_others(self):
+        rng = np.random.default_rng(3100)
+        lanes = self.random_lanes(rng, 12)
+        lanes[2] = ([1.0, 2.0], [1.0, 0.5], 0.0)  # no positive target
+        lanes[5] = ([0.0, 0.0, 0.0], [1.0, 0.5, 0.2], 1e-4)  # every coefficient vanishes
+        lanes[7] = ([1.0, 2.0], [1.0, math.nan], 1e-4)  # a NaN residual
+        lanes[9] = ([1.0, 2.0], [1e-12, 1e-12], 1e-4)  # the bracket grows past 1e6
+        expected = [outcome(reference_crossing, *lane, _brentq) for lane in lanes]
+        assert [expected[i] for i in (2, 5, 7, 9)] == [ValueError, ValueError, ValueError,
+                                                       ArithmeticError]
+        found = tail_crossings(lanes)
+        assert [type(f) if isinstance(f, Exception) else f for f in found] == expected
+        with pytest.raises(ArithmeticError, match="high side"):
+            exp_tail_crossing(*lanes[9])
+
+
 class TestBrentq:
     """The local Brent solver against scipy's brentq, which it ports."""
 
@@ -193,16 +269,16 @@ class TestBrentq:
         except (ArithmeticError, RuntimeError):
             return "no convergence"
 
-    def test_tail_crossings_match_scipy_bitwise(self, monkeypatch):
+    def test_tail_crossings_match_scipy_bitwise(self):
         rng = np.random.default_rng(2020)
         cases = []
         for _ in range(3000):
             k = int(rng.integers(1, 5))
             cases.append((10 ** rng.uniform(-3, 3, k), rng.uniform(0.05, 4.0, k),
                           10 ** rng.uniform(-12, 0)))
-        ours = [exp_tail_crossing(*case) for case in cases]
-        monkeypatch.setattr(asymptotics, "_brentq", self.scipy_brentq)
+        ours = tail_crossings(cases)
         assert ours == [exp_tail_crossing(*case) for case in cases]
+        assert ours == [reference_crossing(*case, self.scipy_brentq) for case in cases]
 
     @pytest.mark.parametrize("xtol", [1e-14, 1e-12, 1e-10, 1e-6, 1e-2])
     def test_generic_brackets_match_scipy_bitwise(self, xtol):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 import warnings
 from itertools import product
 
@@ -8,7 +9,8 @@ from conftest import lean_grid, random_spectrum, smallest_window_oracle
 
 from soliton_tbp import darboux, metrics
 from soliton_tbp.darboux import SampledSignal, TimeGrid, auto_grid, synthesize, synthesize_phases
-from soliton_tbp.errors import AliasingWarning, InvalidParameterError, MeasurementUnreliableError
+from soliton_tbp.errors import (AliasingWarning, DegenerateSpectrumError, InvalidParameterError,
+                                MeasurementUnreliableError)
 from soliton_tbp.metrics import (
     DEFINITIONS,
     Band,
@@ -18,10 +20,12 @@ from soliton_tbp.metrics import (
     single_soliton_tbp,
     t_hat_b_hat,
     t_hat_b_hat_bound,
+    t_hat_b_hat_bounds,
     t_max_b_max,
     tbp_per_eigenvalue_ratio,
 )
 from soliton_tbp.metrics import _edge_share, _smallest_energy_window, _window_bracket
+from soliton_tbp.optimizer import POINT_ERRORS, _grid_points, default_sweep, spectrum_for_point
 from soliton_tbp.propagation import PropagationPlan, propagate
 from soliton_tbp.spectrum import DiscreteSpectrum, evolve, transform
 
@@ -839,6 +843,98 @@ class TestBound:
         t_hat_b_hat(s, MeasureConfig(phase_points=16), 0.0, profile=False)  # 136 rows
         t_hat_b_hat(s, MeasureConfig(phase_points=32, definition="threshold"), 0.0, profile=False)
         assert calls == []
+
+
+def lattice_points(constellation, n):
+    """The (spectrum, link length) of every valid point of a desk lattice, and its measurement."""
+    spec = default_sweep(constellation, n)
+    items = []
+    for values in _grid_points(spec.ranges):
+        try:
+            items.append(spectrum_for_point(constellation, n, tuple(spec.ranges), values))
+        except DegenerateSpectrumError:
+            pass
+    return items, spec.measure
+
+
+def outcome(call, *args):
+    """The value of a call, or the class of the point error it raises."""
+    try:
+        return call(*args)
+    except POINT_ERRORS as exc:
+        return type(exc)
+
+
+class TestChunkBounds:
+    """Points bounded together get the bound or error class each has alone."""
+
+    @pytest.mark.parametrize("constellation, n", [("real_axis", 2), ("imaginary", 2), ("imaginary", 3)])
+    def test_chunks_equal_the_points_bitwise(self, constellation, n):
+        items, cfg = lattice_points(constellation, n)
+        chunks = [items[start : start + 16] for start in range(0, len(items), 16)]
+        chunked = [b for chunk in chunks for b in t_hat_b_hat_bounds(chunk, cfg)]
+        assert chunked == [t_hat_b_hat_bound(s, cfg, link_length) for s, link_length in items]
+        links = [link for chunk in chunks for link in metrics._link_grids(chunk, cfg)]
+        grids = [_reference_link_grid(s, cfg, link_length) for s, link_length in items]
+        assert [link.grid for link in links] == grids
+        if constellation != "imaginary" or n == 3:  # chunks whose grids have 512 and 1024 samples
+            assert any({link.grid.n_samples for link in links[start : start + 16]} == {512, 1024}
+                       for start in range(0, len(links), 16))
+        # the maxima of separate t_max_b_max scans of each endpoint on the reference grid,
+        # at every tenth of the 1 815 imag N=3 points
+        sub = replace(cfg, phase_points=2)
+        step = 10 if n == 3 else 1
+        for (s, link_length), grid, bound in zip(items[::step], grids[::step], chunked[::step]):
+            ends = [s] if s.is_imaginary() or link_length == 0.0 else [s, evolve(s, link_length)]
+            maxima = [t_max_b_max(end, sub, grid) for end in ends]
+            assert bound == max(r.t_max for r in maxima) * max(r.b_max for r in maxima)
+
+    @pytest.mark.parametrize("chunk", [1, 3])
+    def test_links_with_more_rows_than_a_block(self, monkeypatch, chunk):
+        # a real N=2 link has 4 sub-grid rows: each endpoint goes in runs of `chunk` rows
+        items, cfg = lattice_points("real_axis", 2)
+        expected = t_hat_b_hat_bounds(items[:24], cfg)
+        monkeypatch.setattr(metrics, "CHUNK_SIZE", chunk)
+        assert t_hat_b_hat_bounds(items[:24], cfg) == expected
+
+    def test_a_failing_point_keeps_its_error_class(self, monkeypatch):
+        items, cfg = lattice_points("real_axis", 2)
+        links = metrics._link_grids(items, cfg)
+        same = [item for item, link in zip(items, links) if link.grid.n_samples == 1024][:4]
+        leaky, degenerate = same[1][0], DiscreteSpectrum.from_delta_t([0.5, 0.5], [0.4321, -0.4321],
+                                                                      [-1.0, 1.0])
+        overflow = DiscreteSpectrum.from_delta_t([0.5, 0.5], [0.3, -0.3], [-1.0, 1.0])
+        synthesize_axes, tail_coefficients = metrics._synthesize_axes, darboux.tail_coefficients
+
+        def aliased(axes):
+            # a Nyquist tone with 1e-6 of each row's energy on the rows of one spectrum
+            q = synthesize_axes(axes)
+            start = 0
+            for _, pairs in axes:
+                for spectrum, phis in pairs:
+                    if spectrum is leaky:
+                        rows = q[start : start + len(phis)]
+                        tone = np.sqrt(1e-6 * (np.abs(rows) ** 2).sum(axis=1) / q.shape[1])
+                        rows += tone[:, None] * (-1.0) ** np.arange(q.shape[1])
+                    start += len(phis)
+            return q
+
+        def coinciding(lams):
+            if np.any(lams.real == 0.4321):
+                raise DegenerateSpectrumError("marked as coinciding")
+            return tail_coefficients(lams)
+
+        monkeypatch.setattr(metrics, "_synthesize_axes", aliased)
+        monkeypatch.setattr(darboux, "tail_coefficients", coinciding)
+        chunk = [same[0], (overflow, 1000.0), same[1], same[2], (degenerate, 2.0), same[3]]
+        alone = [outcome(t_hat_b_hat_bound, s, cfg, link_length) for s, link_length in chunk]
+        # evolving eta over L = 1000 overflows; the tone aliases; the tail coefficients fail
+        assert [alone[i] for i in (1, 2, 4)] == [OverflowError, MeasurementUnreliableError,
+                                                 DegenerateSpectrumError]
+        assert all(isinstance(alone[i], float) for i in (0, 3, 5))
+        found = t_hat_b_hat_bounds(chunk, cfg)
+        assert [type(f) if isinstance(f, Exception) else f for f in found] == alone
+        assert [found[i] for i in (0, 3, 5)] == t_hat_b_hat_bounds([same[0], same[2], same[3]], cfg)
 
 
 class TestRatios:

@@ -73,7 +73,7 @@ def degenerate_imag_spec():
 
 def no_bound(monkeypatch):
     """Bound every point by -inf, so that every point is evaluated, in parameter order."""
-    monkeypatch.setattr(optimizer, "t_hat_b_hat_bound", lambda spectrum, measure, l_star: -math.inf)
+    monkeypatch.setattr(optimizer, "t_hat_b_hat_bounds", lambda items, measure: [-math.inf] * len(items))
 
 
 def trace_rows(path):
@@ -405,9 +405,9 @@ class TestPruning:
         # the first batch, bounded by 0.5, sets the incumbent to 1.0; the ninth point's
         # bound equals it, and it ties the objective with the smallest parameters
         monkeypatch.setenv("SOLITON_TBP_THREADS", "1")  # a forked worker's calls land in its copy
-        monkeypatch.setattr(optimizer, "_bound_or_nan",
-                            lambda constellation, n, names, measure, values:
-                            1.0 if values == (0.54, 1.5) else 0.5)
+        monkeypatch.setattr(optimizer, "_bound_chunk",
+                            lambda constellation, n, names, measure, chunk:
+                            [1.0 if values == (0.54, 1.5) else 0.5 for values in chunk])
         monkeypatch.setattr(optimizer, "_evaluate", lambda constellation, n, names, values, measure:
                             (TracePoint(values, 1.0, 1.0, 1.0), 0.0))
         res = run_sweep(tiny_imag_spec())
@@ -470,6 +470,32 @@ class TestWorkerPool:
         assert evaluated == [fresh.trace[-1].params]
         assert trace.read_bytes() == complete
 
+    @needs_fork
+    def test_a_resume_with_one_point_left_bounds_in_the_pool(self, tmp_path, monkeypatch):
+        trace = tmp_path / "trace.csv"
+        fresh = sweep_with(monkeypatch, 2, wide_imag_spec(), trace)
+        complete = trace.read_bytes()
+        body, last = complete.rstrip(b"\n").rsplit(b"\n", 1)
+        trace.write_bytes(body + b"\n" + last[:-5])
+        log = tmp_path / "bounded.txt"
+        bounds = optimizer.t_hat_b_hat_bounds
+
+        def logged(items, measure):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()} {len(items)}\n")
+            return bounds(items, measure)
+
+        monkeypatch.setattr(optimizer, "t_hat_b_hat_bounds", logged)
+        resumed = sweep_with(monkeypatch, 2, wide_imag_spec(), trace)
+        assert repr(resumed) == repr(fresh)
+        assert trace.read_bytes() == complete
+        # all 153 points are bounded again, in tasks of BOUND_CHUNK points, none in this process
+        tasks = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
+        assert sorted(size for _, size in tasks) == sorted(
+            min(optimizer.BOUND_CHUNK, 153 - start) for start in range(0, 153, optimizer.BOUND_CHUNK))
+        assert os.getpid() not in {pid for pid, _ in tasks}
+        assert multiprocessing.active_children() == []
+
     def test_a_caller_with_threads_evaluates_in_process(self, monkeypatch):
         evaluated = record_calls(monkeypatch)
         release = threading.Event()
@@ -529,7 +555,7 @@ class TestWorkerPool:
 
         monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", InlinePool)
         # every bound is 1; the first batch's objectives of 0.5 prune every other point
-        monkeypatch.setattr(optimizer, "_bound_or_nan", lambda *args: 1.0)
+        monkeypatch.setattr(optimizer, "_bound_chunk", lambda *args: [1.0] * len(args[-1]))
         monkeypatch.setattr(optimizer, "_evaluate_or_nan",
                             lambda *args: TracePoint(args[-1], 1.0, 0.5, 0.5))
         spec = SweepSpec("real_axis", 2, {"omega_1": (0.0, 1.0, 0.004), "dt_1": (-4.0, 0.0, 0.02)},
@@ -537,7 +563,9 @@ class TestWorkerPool:
         points = optimizer._grid_points(spec.ranges)
         assert len(points) >= 50_000
         rows = optimizer._run_points(spec, tuple(spec.ranges), points, {}, None, 2, math.inf)
-        assert counts["submitted"] == len(points) + optimizer.BATCH_SIZE
+        # one bound task per chunk of points, then one evaluation per point of the first batch
+        chunks = -(-len(points) // optimizer.BOUND_CHUNK)
+        assert counts["submitted"] == chunks + optimizer.BATCH_SIZE
         assert counts["unread"] == 0
         assert counts["peak"] == 2 * optimizer.PENDING_PER_WORKER
         assert sum(row.status == "pruned" for row in rows) == len(points) - optimizer.BATCH_SIZE
