@@ -53,21 +53,26 @@ every distance, one `t_max_b_max` call each; without, one call measures the
 whole link, so only the rows that could raise the maxima of the blocks
 before them are scanned exactly.
 `t_hat_b_hat_bound` is a cheap lower bound on T-hat * B-hat: the T and B
-maxima of a two-point phase sub-grid at z = 0 and z = L, on the same grid,
-in one block.  When M is a power of two the sub-grid rows are full-grid
-rows, so the bound never exceeds the product; a large energy-definition
-grid also starts its floors at those maxima.  `t_hat_b_hat_bounds` bounds
-many points together and is what the sweep calls: their grids are sized in
-lockstep, and the sub-grid rows of points whose grids share a sample count
-are synthesized in one call and measured in one block, one run per point.
-Each point gets the bound, or the class of error, it has alone;
-`t_hat_b_hat_bound` is the batch of one.
+maxima of a phase sub-grid of M_s phases (2 by default) at z = 0 and
+z = L, on the same grid, in one block.  When M and M_s are powers of two
+the sub-grid rows are rows of every larger power-of-two sub-grid and of the
+full grid, so the bound rises with M_s and never exceeds the product; a
+bound at M_s can be tightened to 2*M_s by measuring only the rows the
+smaller sub-grid lacks, floored by its maxima.  A large energy-definition
+grid starts its floors at the M_s = 2 maxima, or at given ones.
+`t_hat_b_hat_bounds` bounds many points together and is what the sweep
+calls: their grids are sized in lockstep, and the sub-grid rows of points
+whose grids share a sample count are synthesized in one call and measured
+in one block, one run per point.  Each point gets the bound (a
+`SubGridBound`, with the maxima behind it), or the class of error, it has
+alone; `t_hat_b_hat_bound` is the value of the batch of one.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -289,23 +294,25 @@ def _window_bracket(cells: np.ndarray, x0: float, dx: float, epsilon: float, spr
     return np.where(sound, lower - slack, -math.inf), np.where(sound, upper + slack, math.inf)
 
 
-def _candidates(cells: np.ndarray, x0, dx, config: MeasureConfig, floor: float, cuts,
+def _candidates(cells: np.ndarray, x0, dx, config: MeasureConfig, floor, cuts,
                 spread=0.0) -> list:
-    """Per run ``cuts[r]:cuts[r + 1]``, the rows that can still be its first maximum and beat ``floor``.
+    """Per run ``cuts[r]:cuts[r + 1]``, the rows that can still be its first maximum and beat its floor.
 
-    The energy definition keeps only the rows whose `_window_bracket` upper
-    bound reaches max(floor, the run's largest lower bound); every other
-    row is narrower than the floor or than some row of its run.  A row's
-    upper bound is at least its lower bound, so without a floor a run of
-    one is always kept.  The threshold definition keeps every row, so each
-    reports its own grid error.  ``x0`` and ``dx`` hold one value per row.
+    ``floor`` is one value for every run or one per run.  The energy
+    definition keeps only the rows whose `_window_bracket` upper bound
+    reaches max(floor, the run's largest lower bound); every other row is
+    narrower than the floor or than some row of its run.  A row's upper
+    bound is at least its lower bound, so without a floor a run of one is
+    always kept.  The threshold definition keeps every row, so each reports
+    its own grid error.  ``x0`` and ``dx`` hold one value per row.
     """
     runs = list(zip(cuts[:-1], cuts[1:]))
     if config.definition == "threshold":
         return [np.arange(lo, hi) for lo, hi in runs]
     lower, upper = _window_bracket(cells, x0, dx, config.epsilon, spread)
+    floors = np.broadcast_to(floor, len(runs)).tolist()
     return [lo + np.nonzero(~(upper[lo:hi] < max(floor, lower[lo:hi].max())))[0] if hi > lo
-            else np.arange(0) for lo, hi in runs]
+            else np.arange(0) for floor, (lo, hi) in zip(floors, runs)]
 
 
 def _first_max(mags: np.ndarray, rows: np.ndarray, x: np.ndarray, dx: float, config: MeasureConfig):
@@ -348,9 +355,10 @@ def _windows(samples: np.ndarray, runs, config: MeasureConfig, b_rows=slice(None
     sorted index array of block rows; None when it selects none).  Each
     row is measured on its run's grid: the cell widths, the time or
     frequency axis and the DFT's dt enter per row, so a run's windows are
-    those of its rows alone.  ``floors`` (T, B) let the energy definition
-    skip rows that cannot exceed them, see `_candidates`; a family is None
-    when no row can.  One body runs for T and, on its rows, again for B.
+    those of its rows alone.  ``floors`` (T, B), each one value or one per
+    run, let the energy definition skip rows that cannot exceed them, see
+    `_candidates`; a run's family is None when no row can.  One body runs
+    for T and, on its rows, again for B.
     Before its scans each checks all its rows, so one row reports the same
     error it would alone: first the energy, under both definitions (it
     must be finite and above 1e-300), then the `_edge_share` of k cells per
@@ -683,31 +691,48 @@ def _sub_grid_maxima(spectrum: DiscreteSpectrum, config: MeasureConfig, zs, grid
     return _solved(_endpoint_maxima([_Link(zs, grid, ends)], config))[0]
 
 
-def _endpoint_maxima(links, config: MeasureConfig) -> list:
-    """(T max, B max) of each link's two-point phase sub-grid at its endpoints, or the exception raised.
+def _sub_grid_rows(spectrum: DiscreteSpectrum, sub_points: int, new_only: bool) -> np.ndarray:
+    """The phase rows of the ``sub_points``-phase grid; with ``new_only`` those the half grid lacks.
+
+    The half grid's phases are the even indices of this one's: 2*pi*(2k)/m
+    equals 2*pi*k/(m/2) bit for bit, as m is a power of two.
+    """
+    combos = phase_combinations(spectrum.n, sub_points, conjugation_reduced=spectrum.is_imaginary())
+    if not new_only:
+        return combos
+    odd = np.rint(combos[:, :-1] * (sub_points / (2.0 * math.pi))) % 2 == 1
+    return combos[odd.any(axis=1)]
+
+
+def _endpoint_maxima(links, config: MeasureConfig, sub_points: int = 2, coarser=None) -> list:
+    """(T max, B max) of each link's ``sub_points``-phase sub-grid at its endpoints, or the exception raised.
 
     The rows of a link are the sub-grid rows of each of its endpoint
-    spectra on its grid, T and B maximized over all of them.  Links whose
-    grids share a sample count and whose spectra share an eigenvalue count
-    are synthesized in one `darboux._synthesize_axes` call and measured in
-    one `_windows` block of at most `CHUNK_SIZE` rows, one run per link; a
-    link with more rows is measured in runs of at most `CHUNK_SIZE` rows of
-    one endpoint.  A row's windows do not depend on the block it is
-    measured in, so the maxima are those of `t_max_b_max` at the endpoints.
-    When a block raises, each of its links is measured again alone, so that
-    each reports its own error.
+    spectra on its grid, T and B maximized over all of them.  With
+    ``coarser``, per link the (T, B) maxima of the sub-grid of half as many
+    phases, only the rows that sub-grid lacks are measured, and the maxima
+    start at its own: the maximum over the whole sub-grid, bit for bit.
+    Links whose grids share a sample count and whose spectra share an
+    eigenvalue count are synthesized in one `darboux._synthesize_axes` call
+    and measured in one `_windows` block of at most `CHUNK_SIZE` rows, one
+    run per link, floored by that link's maxima so far; a link with more
+    rows is measured in runs of at most `CHUNK_SIZE` rows of one endpoint.
+    A row's windows do not depend on the block it is measured in, so the
+    maxima are those of `t_max_b_max` at the endpoints.  When a block
+    raises, each of its links is measured again alone, so that each reports
+    its own error.
     """
-    sub = replace(config, phase_points=2)
     runs = []  # (link, [(spectrum, phase rows), ...]) of each run
     for i, link in enumerate(links):
-        combos = phase_combinations(link.ends[0].n, 2, conjugation_reduced=link.ends[0].is_imaginary())
+        combos = _sub_grid_rows(link.ends[0], sub_points, coarser is not None)
         if len(combos) * len(link.ends) <= CHUNK_SIZE:
             runs.append((i, [(s, combos) for s in link.ends]))
         else:
             runs += [(i, [(s, combos[start : start + CHUNK_SIZE])])
                      for s in link.ends for start in range(0, len(combos), CHUNK_SIZE)]
     sizes = [sum(len(rows) for _, rows in pairs) for _, pairs in runs]
-    maxima = [[-math.inf, -math.inf] for _ in links]
+    maxima = [[-math.inf, -math.inf] if coarser is None else list(coarser[i])
+              for i in range(len(links))]
     times = [link.grid.times for link in links]
 
     def blocks(members):
@@ -722,7 +747,9 @@ def _endpoint_maxima(links, config: MeasureConfig) -> list:
     def measure_block(block):
         axes = [(times[runs[r][0]], runs[r][1]) for r in block]
         grids = [(links[runs[r][0]].grid, sizes[r]) for r in block]
-        found = _windows(_synthesize_axes(axes), grids, sub)
+        floors = np.array([maxima[runs[r][0]] if isinstance(maxima[runs[r][0]], list)
+                           else (-math.inf, -math.inf) for r in block]).T
+        found = _windows(_synthesize_axes(axes), grids, config, floors=floors)
         for r, pair in zip(block, found):
             best = maxima[runs[r][0]]
             if not isinstance(best, Exception):
@@ -757,36 +784,62 @@ def _packed(items, sizes) -> list:
     return blocks
 
 
-def t_hat_b_hat_bounds(items, config: MeasureConfig) -> list:
-    """`t_hat_b_hat_bound` of each (spectrum, link length) of ``items``, or the exception it raises.
+class SubGridBound(NamedTuple):
+    """A lower bound on T-hat * B-hat: the T and B maxima of a phase sub-grid and their product.
 
+    ``value`` is -inf, and the maxima too, when the phase grid has no
+    sub-grid of its own phases.
+    """
+
+    value: float
+    t_max: float
+    b_max: float
+
+
+NO_SUB_GRID = SubGridBound(-math.inf, -math.inf, -math.inf)
+
+
+def t_hat_b_hat_bounds(items, config: MeasureConfig, sub_points: int = 2, coarser=None) -> list:
+    """The `SubGridBound` of each (spectrum, link length) of ``items``, or the exception it raises.
+
+    A bound is that of the ``sub_points``-phase sub-grid, a power of two up
+    to M = ``config.phase_points``, on the link's own grid at z = 0 and
+    z = L: its rows are rows `t_hat_b_hat` scans, so the bound never exceeds
+    T-hat * B-hat, and it only rises with ``sub_points``.  It is
+    `NO_SUB_GRID` when M is not a power of two.  ``coarser`` optionally
+    holds each point's bound at ``sub_points / 2``; then only the rows that
+    sub-grid lacks are measured (`_endpoint_maxima`), for the same bound.
     The points are bounded together: their link grids are sized in
     lockstep (`_link_grids`), and the sub-grid rows of points whose grids
-    share a sample count are synthesized and measured in blocks
-    (`_endpoint_maxima`).  Each entry is that point's bound, bit for bit, or
-    an exception of the class `t_hat_b_hat_bound` raises for it alone.
+    share a sample count are synthesized and measured in blocks.  Each
+    entry is that point's bound, bit for bit, or an exception of the class
+    that point raises alone.
     """
     links = _link_grids(items, config)
     m = config.phase_points
     if m & (m - 1):
-        return [link if isinstance(link, Exception) else -math.inf for link in links]
+        return [link if isinstance(link, Exception) else NO_SUB_GRID for link in links]
+    if not (2 <= sub_points <= m and sub_points & (sub_points - 1) == 0):
+        raise InvalidParameterError(f"sub_points must be a power of two in [2, {m}], got {sub_points}")
     valid = [i for i, link in enumerate(links) if not isinstance(link, Exception)]
-    for i, maxima in zip(valid, _endpoint_maxima([links[i] for i in valid], config)):
-        links[i] = maxima if isinstance(maxima, Exception) else maxima[0] * maxima[1]
+    floors = None if coarser is None else [coarser[i][1:] for i in valid]
+    for i, maxima in zip(valid, _endpoint_maxima([links[i] for i in valid], config, sub_points, floors)):
+        links[i] = maxima if isinstance(maxima, Exception) else SubGridBound(maxima[0] * maxima[1], *maxima)
     return links
 
 
-def t_hat_b_hat_bound(spectrum: DiscreteSpectrum, config: MeasureConfig, link_length: float) -> float:
+def t_hat_b_hat_bound(spectrum: DiscreteSpectrum, config: MeasureConfig, link_length: float,
+                      sub_points: int = 2) -> float:
     """A lower bound on T-hat * B-hat of `t_hat_b_hat`: -inf or the sub-grid's T max * B max.
 
-    The maxima are those of the two-point phase sub-grid on the link's own
-    grid at z = 0 and z = L, so every row behind them is a row
+    The maxima are those of the ``sub_points``-phase sub-grid on the link's
+    own grid at z = 0 and z = L, so every row behind them is a row
     `t_hat_b_hat` scans; when ``config.phase_points`` is not a power of two
     there is no such sub-grid and the bound is -inf.  Raises whatever
-    `t_hat_b_hat` would raise on those rows.  The batch of one of
-    `t_hat_b_hat_bounds`.
+    `t_hat_b_hat` would raise on those rows.  The value of the batch of one
+    of `t_hat_b_hat_bounds`.
     """
-    return _solved(t_hat_b_hat_bounds([(spectrum, link_length)], config))[0]
+    return _solved(t_hat_b_hat_bounds([(spectrum, link_length)], config, sub_points))[0].value
 
 
 def t_hat_b_hat(
@@ -794,6 +847,7 @@ def t_hat_b_hat(
     config: MeasureConfig,
     link_length: float,
     profile: bool = True,
+    floors: tuple[float, float] | None = None,
 ) -> LinkSweepResult:
     """Evaluate the link-aware maxima T-hat and B-hat.
 
@@ -808,8 +862,11 @@ def t_hat_b_hat(
     distance, each from its own `t_max_b_max` call.  Without it one
     `t_max_b_max` call measures every distance, T over all and B at the
     endpoints, its blocks floored by the maxima of the blocks before them,
-    and the profile is empty; under the energy definition, a phase grid of
-    at least `CHUNK_SIZE` rows starts those floors at the sub-grid maxima of
+    and the profile is empty.  Those floors start at ``floors`` (T, B), if
+    given: widths that rows of the link's phase grid at its endpoints
+    realize, such as the maxima behind a `t_hat_b_hat_bounds` bound.
+    Otherwise, under the energy definition, a phase grid of at least
+    `CHUNK_SIZE` rows starts them at the two-point sub-grid maxima of
     `t_hat_b_hat_bound`.  T-hat and B-hat are the same, and so is the class
     of every error of the T scans (a block checks all its distances before
     it scans, so of two failing distances it may report the later one), but
@@ -825,10 +882,11 @@ def t_hat_b_hat(
         t_hat = max(t for _, t, _ in rows)
         b_hat = max(b for z, _, b in rows if z == 0.0 or z == link_length)
         return LinkSweepResult(t_hat, b_hat, tuple(rows))
-    floors = (-math.inf, -math.inf)
-    if (config.definition == "energy"
-            and _phase_rows(spectrum.n, config.phase_points, spectrum.is_imaginary()) >= CHUNK_SIZE):
-        floors = _sub_grid_maxima(spectrum, config, zs, grid) or floors
+    if floors is None:
+        floors = (-math.inf, -math.inf)
+        if (config.definition == "energy"
+                and _phase_rows(spectrum.n, config.phase_points, spectrum.is_imaginary()) >= CHUNK_SIZE):
+            floors = _sub_grid_maxima(spectrum, config, zs, grid) or floors
     r = t_max_b_max(spectrum, config, grid, floors=floors, zs=zs)
     return LinkSweepResult(r.t_max, r.b_max, ())
 

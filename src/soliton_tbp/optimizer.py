@@ -20,45 +20,58 @@ coarse argmin with the family steps of `FINE_STEPS`; every axis is a
 without its per-distance profile, evaluated by one function for the sweep
 workers and `evaluate_point` alike.
 The sweep is best first (Land & Doig's branch and bound, Econometrica 28,
-1960).  A first pass bounds every point from below with
-`t_hat_b_hat_bound`, the T max * B max of a two-point phase sub-grid at the
-link's endpoints (-inf when M is not a power of two); a second pass takes
-the points in ascending (bound, params) order, `BATCH_SIZE` at a time, and
-prunes each point whose bound lies strictly above the best objective of the
-earlier batches.  The rest are evaluated in full.  So every point that could
-be the argmin, ties included, is evaluated, and the coarse argmin and the
-reported optimum are those of an exhaustive sweep; which points are
-evaluated depends on the batch size alone.
+1960), with lazily tightened bounds.  A point's bound is the T max * B max
+of an M_s-phase sub-grid at the link's endpoints (`t_hat_b_hat_bounds`;
+-inf when M is not a power of two).  For M_s a power of two the sub-grid's
+rows are rows of the next sub-grid and of the full grid, so the bound only
+rises with M_s and never passes the objective.  A first pass bounds every
+point at M_s = 2.  A second pass, the cascade, keeps entries (bound, level
+M_s, params) and takes the `BATCH_SIZE` lowest at a time: an entry whose
+bound lies strictly above the best objective of the earlier batches is
+pruned, one below the top level, min(`TOP_SUB_GRID`, M/2), is tightened to
+twice the phases and put back, and one at the top level is evaluated in
+full.  So every point that could be the argmin, ties included, is
+evaluated, and the coarse argmin and the reported optimum are those of an
+exhaustive sweep; which points are evaluated depends on the points and
+the batch size alone.
 A task of the first pass bounds a run of `BOUND_CHUNK` consecutive points
 together (`t_hat_b_hat_bounds`: their grids are sized in lockstep and their
 sub-grid rows measured in shared blocks), each point getting the bound or
-the error class it has alone; a task of the second evaluates one point.
+the error class it has alone.  A tightening task does the same for some of
+a batch's entries at one level, measuring only the rows their coarser
+sub-grid lacks; an evaluation task evaluates one point, its floors started
+at the maxima of its top sub-grid.
 Both passes run in worker processes forked from the caller (at most
 `SOLITON_TBP_THREADS` of them), because each point is thousands of short
 numpy calls and threads would serialize on the GIL; only parameters,
 bounds and `TracePoint`s cross between processes, so pooled and serial
 sweeps agree bit for bit.  The parent submits the tasks of a pass as
 results come back, at most `PENDING_PER_WORKER` per worker ahead of the
-results it has read, and unpacks them in enumeration order.  With one
-worker, at most one task in either pass, other threads running in the
-caller, or no "fork" start method, the points are decided in-process.
-No worker outlives the sweep, on success or error.
+results it has read, and unpacks them in submission order.  With one
+worker, at most one task in the first pass and one point to decide, other
+threads running in the caller, or no "fork" start method, the points are
+decided in-process.  No worker outlives the sweep, on success or error.
 Every grid point lands in an append-only trace (CSV) with a status: "ok",
 "pruned" (NaN values), or the class of the error that made a NaN row (a
 degenerate spectrum, such as coinciding eigenvalues or unordered sigmas, or
 a failed measurement).  Rows are written in decision order: the points
-whose bound fails, then the second pass's, regardless of worker scheduling.
-A resume bounds every point again but evaluates only the points the trace
-lacks, so it writes the rows the whole sweep would have; the reported
-optimum is always the argmin over the full trace.  The trace header records
-what fixes a point's value (constellation, order, parameter names and
-measurement config) and the columns, and a resume under another header,
-such as a trace written before the status column, is refused.
+whose first bound fails, then the cascade's, regardless of worker
+scheduling.  A resume bounds every point again and replays the cascade,
+tightening the points the trace holds as the whole sweep did, but it
+evaluates only the points the trace lacks, so it writes the rows the whole
+sweep would have.  A trace decided otherwise, such as one written before
+the cascade (on the M_s = 2 bound alone), resumes too: its rows are kept,
+and the reported optimum is always the argmin over the full trace.  The
+trace header records what fixes a point's value (constellation, order,
+parameter names and measurement config) and the columns, and a resume
+under another header, such as a trace written before the status column,
+is refused.
 """
 
 from __future__ import annotations
 
 import csv
+import heapq
 import math
 import os
 import threading
@@ -87,6 +100,10 @@ BOUND_CHUNK = 16
 # Tasks a pooled pass keeps submitted and not yet read, per worker: the parent
 # holds that many futures however many points the pass has.
 PENDING_PER_WORKER = 8
+# The largest phase sub-grid the cascade tightens a bound to (M/2 when M is
+# smaller): each level costs about twice the one before, and a full
+# evaluation measures every distance of the link.
+TOP_SUB_GRID = 16
 
 
 def grid_axis(lo: float, hi: float, step: float) -> list[float]:
@@ -325,10 +342,14 @@ def _worker_count() -> int:
     return min(4, cpus or 1)
 
 
-def _evaluate(constellation: str, n: int, names, values, measure: MeasureConfig):
-    """(TracePoint, link length) of one parameter vector: T-hat, B-hat and their product."""
+def _evaluate(constellation: str, n: int, names, values, measure: MeasureConfig, floors=None):
+    """(TracePoint, link length) of one parameter vector: T-hat, B-hat and their product.
+
+    ``floors`` are widths that rows of the point's phase grid realize (see
+    `t_hat_b_hat`); they change which rows are scanned, not the values.
+    """
     spectrum, l_star = spectrum_for_point(constellation, n, names, values)
-    r = t_hat_b_hat(spectrum, measure, l_star, profile=False)
+    r = t_hat_b_hat(spectrum, measure, l_star, profile=False, floors=floors)
     return TracePoint(values, r.t_hat, r.b_hat, r.t_hat * r.b_hat), l_star
 
 
@@ -336,20 +357,25 @@ def _nan_point(values, status: str) -> TracePoint:
     return TracePoint(values, math.nan, math.nan, math.nan, status)
 
 
-def _evaluate_or_nan(constellation: str, n: int, names, measure: MeasureConfig, values) -> TracePoint:
+def _evaluate_or_nan(constellation: str, n: int, names, measure: MeasureConfig, floors,
+                     values) -> TracePoint:
     """The evaluation task: `_evaluate`'s point, or a NaN row where the point fails."""
     try:
-        return _evaluate(constellation, n, names, values, measure)[0]
+        return _evaluate(constellation, n, names, values, measure, floors)[0]
     except POINT_ERRORS as exc:
         return _nan_point(values, type(exc).__name__)
 
 
-def _bound_chunk(constellation: str, n: int, names, measure: MeasureConfig, chunk) -> list:
-    """The bound task: per point of ``chunk``, its `t_hat_b_hat_bound` or its NaN row where that fails.
+def _bound_chunk(constellation: str, n: int, names, measure: MeasureConfig, chunk, sub_points=2,
+                 coarser=None) -> list:
+    """The bound task: per point of ``chunk``, its `SubGridBound` or its NaN row where that fails.
 
-    The chunk's points are bounded together (`t_hat_b_hat_bounds`), each
-    with the bound or the error class it has alone.  A sub-grid row is a row
-    of the full grid, so a point whose bound fails would fail in full too.
+    The bound is that of the ``sub_points``-phase sub-grid; ``coarser``
+    optionally holds each point's bound at half as many phases, which it
+    tightens (see `t_hat_b_hat_bounds`).  The chunk's points are bounded
+    together, each with the bound or the error class it has alone.  A
+    sub-grid row is a row of the full grid, so a point whose bound fails
+    would fail in full too.
     """
     lows, items, bounded = [], [], []
     for values in chunk:
@@ -359,7 +385,9 @@ def _bound_chunk(constellation: str, n: int, names, measure: MeasureConfig, chun
             lows.append(None)
         except POINT_ERRORS as exc:
             lows.append(_nan_point(values, type(exc).__name__))
-    for i, low in zip(bounded, t_hat_b_hat_bounds(items, measure)):
+    if coarser is not None:
+        coarser = [coarser[i] for i in bounded]
+    for i, low in zip(bounded, t_hat_b_hat_bounds(items, measure, sub_points, coarser)):
         if isinstance(low, Exception):
             if not isinstance(low, POINT_ERRORS):
                 raise low
@@ -368,11 +396,36 @@ def _bound_chunk(constellation: str, n: int, names, measure: MeasureConfig, chun
     return lows
 
 
-def _ordered_map(pool, fn, items, pending: int):
-    """``pool.map(fn, items)`` that keeps at most ``pending`` tasks submitted and not yet read."""
+def _top_level(phase_points: int) -> int:
+    """The sub-grid size at which the cascade stops tightening: min(`TOP_SUB_GRID`, M/2), at least 2.
+
+    2 when M is not a power of two: its bounds are -inf, and no tightening
+    changes them.
+    """
+    if phase_points & (phase_points - 1):
+        return 2
+    return max(2, min(TOP_SUB_GRID, phase_points // 2))
+
+
+def _split(items, parts: int) -> list:
+    """``items`` cut into at most ``parts`` consecutive runs of near-equal length."""
+    size = -(-len(items) // max(1, parts))
+    return [items[start : start + size] for start in range(0, len(items), size)]
+
+
+def _call(task):
+    fn, args = task
+    return fn(*args)
+
+
+def _ordered_map(pool, tasks, pending: int):
+    """The results of ``tasks``, (function, arguments) pairs run in ``pool``, in order.
+
+    At most ``pending`` tasks are submitted and not yet read.
+    """
     futures = deque()
-    for item in items:
-        futures.append(pool.submit(fn, item))
+    for fn, args in tasks:
+        futures.append(pool.submit(fn, *args))
         if len(futures) == pending:
             yield futures.popleft().result()
     while futures:
@@ -382,18 +435,30 @@ def _ordered_map(pool, fn, items, pending: int):
 def _run_points(spec: SweepSpec, names, points, done, fh, workers: int, incumbent: float):
     """Decide the points not in `done`, best first, appending rows to `fh` in decision order.
 
-    Pass 1 bounds every point, `BOUND_CHUNK` consecutive points per task
-    (`_bound_chunk`), and records the points whose bound fails as NaN rows,
-    in enumeration order.  Pass 2 takes the others
-    in ascending (bound, params) order, `BATCH_SIZE` at a time: a point
-    whose bound lies strictly above ``incumbent`` is recorded as pruned, the
-    rest are evaluated, and after each batch ``incumbent`` falls to the best
-    objective in it.  Points already in `done` keep their rows and
-    are not evaluated again, but they are bounded and take their places, so
-    a resume from an interrupted trace writes the rows the whole run would.
-    The worker pool starts when either pass has more than one task, so a
-    resume with one point left still bounds its pass in the pool.
-    Returns the points' trace rows in enumeration order.
+    Pass 1 bounds every point by its two-phase sub-grid, `BOUND_CHUNK`
+    consecutive points per task (`_bound_chunk`), and records the points
+    whose bound fails as NaN rows, in enumeration order.  Pass 2 is a lazy
+    cascade over the others, held as entries (bound, level, params), the
+    level being the bound's sub-grid size.  It takes the `BATCH_SIZE`
+    lowest entries at a time.  An entry whose bound lies strictly above
+    ``incumbent`` is recorded as pruned.  One below the top level
+    (`_top_level`) is tightened to the sub-grid of twice the phases, which
+    measures only the rows the coarser sub-grid lacks, and put back, or
+    recorded as a NaN row if that fails.  One at the top level is
+    evaluated in full, its floors started at the top sub-grid's maxima.
+    After each batch ``incumbent`` falls to the best objective evaluated in
+    it.  Each level's sub-grid nests in the next and in the full grid, so a
+    bound only rises as it is tightened and never passes the objective:
+    the decisions are those of an exhaustive sweep wherever the argmin is
+    concerned.  The tightenings of a batch run in at most `workers` tasks
+    per level alongside its evaluations; a bound does not depend on the
+    points it is computed with, so neither does the order.
+    Points already in `done` keep their rows and are not evaluated again,
+    but they are bounded, tightened and take their places, so a resume
+    from an interrupted trace replays the cascade and writes the rows the
+    whole run would.  The worker pool starts when either pass has more than
+    one task, so a resume with one point left still bounds its pass in the
+    pool.  Returns the points' trace rows in enumeration order.
     """
     import multiprocessing
     from concurrent.futures.process import ProcessPoolExecutor
@@ -406,11 +471,13 @@ def _run_points(spec: SweepSpec, names, points, done, fh, workers: int, incumben
     chunks = [values[start : start + BOUND_CHUNK] for start in range(0, len(values), BOUND_CHUNK)]
     # the most tasks either pass hands out: every chunk is bounded when any point is to decide
     tasks = max(len(todo), len(chunks)) if todo else 0
-    pool, run = None, map
+    size = 1
+    run = partial(map, _call)
     # Fork, not spawn or forkserver: those re-import __main__, which breaks a caller's
     # script without a __main__ guard, and re-import numpy and the package in every
     # worker.  A fork copies only the calling thread, so a caller with other threads
     # (whose locks the copy could inherit held) evaluates in-process.
+    pool = None
     if (workers > 1 and tasks > 1 and threading.active_count() == 1
             and "fork" in multiprocessing.get_all_start_methods()):
         if fh is not None:  # a forked worker holds a copy of the buffered rows
@@ -421,33 +488,57 @@ def _run_points(spec: SweepSpec, names, points, done, fh, workers: int, incumben
     writer = csv.writer(fh) if fh is not None else None
 
     def record(point):
+        if _key(point.params) in done:
+            return
         done[_key(point.params)] = point
         if writer is not None:
             writer.writerow([repr(v) for v in point.params] + [repr(point.t_hat), repr(point.b_hat),
                                                                repr(point.objective), point.status])
 
     try:
-        ranked = []
+        entries = []  # (bound, level, params, SubGridBound)
+        bound = partial(_bound_chunk, spec.constellation, spec.n, names, spec.measure)
         if todo:
-            bound = partial(_bound_chunk, spec.constellation, spec.n, names, spec.measure)
-            lows = chain.from_iterable(run(bound, chunks))
-            for (key, params), low in zip(unique.items(), lows):
-                if not isinstance(low, TracePoint):
-                    ranked.append((low, params))
-                elif key not in done:
+            lows = chain.from_iterable(run((bound, (chunk,)) for chunk in chunks))
+            for params, low in zip(values, lows):
+                if isinstance(low, TracePoint):
                     record(low)
-        ranked.sort()
+                else:
+                    entries.append((low.value, 2, params, low))
+        heapq.heapify(entries)
+        top = _top_level(spec.measure.phase_points)
         evaluate = partial(_evaluate_or_nan, spec.constellation, spec.n, names, spec.measure)
-        for start in range(0, len(ranked), BATCH_SIZE):
-            batch = ranked[start : start + BATCH_SIZE]
-            fresh = [params for low, params in batch
-                     if _key(params) not in done and not low > incumbent]
-            evaluated = iter(run(evaluate, fresh) if fresh else ())
-            for low, params in batch:
-                if _key(params) not in done:
-                    record(_nan_point(params, "pruned") if low > incumbent else next(evaluated))
-            incumbent = min([incumbent] + [done[_key(params)].objective for _, params in batch
-                                           if done[_key(params)].ok])
+        while entries:
+            batch = [heapq.heappop(entries) for _ in range(min(BATCH_SIZE, len(entries)))]
+            kept = [entry for entry in batch if not entry[0] > incumbent]
+            finals = [entry for entry in kept if entry[1] == top and _key(entry[2]) not in done]
+            jobs = [(evaluate, (low[1:], params)) for _, _, params, low in finals]
+            tightened = []
+            for level in sorted({entry[1] for entry in kept if entry[1] < top}):
+                for part in _split([entry for entry in kept if entry[1] == level], size):
+                    tightened += part
+                    jobs.append((bound, ([entry[2] for entry in part], 2 * level,
+                                         [entry[3] for entry in part])))
+            results = iter(run(jobs))
+            found = {_key(entry[2]): point for entry, point in zip(finals, results)}
+            found.update((_key(entry[2]), low) for entry, low in zip(tightened, chain.from_iterable(results)))
+            objectives = [incumbent]
+            for low_value, level, params, _ in batch:
+                key = _key(params)
+                if low_value > incumbent:
+                    record(_nan_point(params, "pruned"))
+                elif level < top:
+                    low = found[key]
+                    if isinstance(low, TracePoint):
+                        record(low)
+                    else:
+                        heapq.heappush(entries, (low.value, 2 * level, params, low))
+                else:
+                    if key in found:
+                        record(found[key])
+                    if done[key].ok:
+                        objectives.append(done[key].objective)
+            incumbent = min(objectives)
     finally:
         if pool is not None:  # after an error, cancel what has not started and reap every worker
             pool.shutdown(wait=True, cancel_futures=True)

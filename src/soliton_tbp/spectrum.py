@@ -41,6 +41,31 @@ _FIELDS = (("sigma", None, 0.0), ("omega", 0.0, -math.inf), ("eta", 1.0, 0.0),
 _FLOORS = np.array([[floor] for _, _, floor in _FIELDS])
 
 
+def _check_and_wrap(table: np.ndarray, first: int = 0):
+    """Raise ValueError unless the rows of a (4, N) field table from ``first`` on are valid.
+
+    Then wrap its phase row into [0, 2*pi), in place.
+    """
+    bad = ~(np.isfinite(table[first:]) & (table[first:] > _FLOORS[first:]))
+    if bad.any():
+        row, k = np.argwhere(bad)[0]
+        name, _, floor = _FIELDS[first + row]
+        rule = "finite" if floor == -math.inf else f"finite and > {floor:g}"
+        raise ValueError(f"{name} must be {rule}, got {table[first + row, k]}")
+    phis = table[3]
+    np.fmod(phis, TWO_PI, out=phis)
+    phis[phis < 0.0] += TWO_PI
+    # fmod can return exactly TWO_PI after the correction for tiny negatives
+    phis[phis >= TWO_PI] -= TWO_PI
+
+
+def _store(spectrum: "DiscreteSpectrum", table: np.ndarray):
+    """Freeze a checked field table and make its rows the spectrum's four fields."""
+    table.flags.writeable = False
+    for row, (name, _, _) in enumerate(_FIELDS):
+        object.__setattr__(spectrum, name + "s", table[row])
+
+
 @dataclass(frozen=True, eq=False)
 class DiscreteSpectrum:
     """N >= 1 eigenvalues ``omega_k + j*sigma_k`` and amplitudes ``(eta_k, phi_k)``.
@@ -71,17 +96,7 @@ class DiscreteSpectrum:
             table[row] = value
         if n < 1:
             raise ValueError("spectrum needs at least one entry")
-        bad = ~(np.isfinite(table) & (table > _FLOORS))
-        if bad.any():
-            row, k = np.argwhere(bad)[0]
-            name, _, floor = _FIELDS[row]
-            rule = "finite" if floor == -math.inf else f"finite and > {floor:g}"
-            raise ValueError(f"{name} must be {rule}, got {table[row, k]}")
-        phis = table[3]
-        np.fmod(phis, TWO_PI, out=phis)
-        phis[phis < 0.0] += TWO_PI
-        # fmod can return exactly TWO_PI after the correction for tiny negatives
-        phis[phis >= TWO_PI] -= TWO_PI
+        _check_and_wrap(table)
         lams = (table[1] + 1j * table[0]).tolist()
         for i in range(n):
             for m in range(i + 1, n):
@@ -89,9 +104,20 @@ class DiscreteSpectrum:
                     raise DegenerateSpectrumError(
                         f"eigenvalues {lams[i]} and {lams[m]} closer than {DISTINCTNESS_TOL}"
                     )
-        table.flags.writeable = False
-        for row, (name, _, _) in enumerate(_FIELDS):
-            object.__setattr__(self, name + "s", table[row])
+        _store(self, table)
+
+    def _with_amplitudes(self, etas, phis) -> "DiscreteSpectrum":
+        """This spectrum's eigenvalues with amplitudes ``etas`` and ``phis``, checked and wrapped.
+
+        The amplitudes are checked and the phases wrapped as in the
+        constructor; the eigenvalues, and so their distinctness, are this
+        spectrum's and are not checked again.
+        """
+        table = np.array([self.sigmas, self.omegas, etas, phis], dtype=float)
+        _check_and_wrap(table, first=2)
+        spectrum = object.__new__(DiscreteSpectrum)
+        _store(spectrum, table)
+        return spectrum
 
     def __eq__(self, other):
         if not isinstance(other, DiscreteSpectrum):
@@ -195,7 +221,7 @@ def _shift_amplitudes(spectrum: DiscreteSpectrum, gains, steps, where: str) -> D
                                 f"(log eta = {log_eta:.1f})")
         etas.append(math.exp(log_eta))
         phis.append(phi - step)
-    return DiscreteSpectrum(spectrum.sigmas, spectrum.omegas, etas, phis)
+    return spectrum._with_amplitudes(etas, phis)
 
 
 def evolve(spectrum: DiscreteSpectrum, z: float) -> DiscreteSpectrum:

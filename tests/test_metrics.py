@@ -873,7 +873,8 @@ class TestChunkBounds:
         items, cfg = lattice_points(constellation, n)
         chunks = [items[start : start + 16] for start in range(0, len(items), 16)]
         chunked = [b for chunk in chunks for b in t_hat_b_hat_bounds(chunk, cfg)]
-        assert chunked == [t_hat_b_hat_bound(s, cfg, link_length) for s, link_length in items]
+        assert [b.value for b in chunked] == [t_hat_b_hat_bound(s, cfg, link_length)
+                                              for s, link_length in items]
         links = [link for chunk in chunks for link in metrics._link_grids(chunk, cfg)]
         grids = [_reference_link_grid(s, cfg, link_length) for s, link_length in items]
         assert [link.grid for link in links] == grids
@@ -887,7 +888,8 @@ class TestChunkBounds:
         for (s, link_length), grid, bound in zip(items[::step], grids[::step], chunked[::step]):
             ends = [s] if s.is_imaginary() or link_length == 0.0 else [s, evolve(s, link_length)]
             maxima = [t_max_b_max(end, sub, grid) for end in ends]
-            assert bound == max(r.t_max for r in maxima) * max(r.b_max for r in maxima)
+            t_max, b_max = max(r.t_max for r in maxima), max(r.b_max for r in maxima)
+            assert bound == (t_max * b_max, t_max, b_max)
 
     @pytest.mark.parametrize("chunk", [1, 3])
     def test_links_with_more_rows_than_a_block(self, monkeypatch, chunk):
@@ -933,8 +935,45 @@ class TestChunkBounds:
                                                  DegenerateSpectrumError]
         assert all(isinstance(alone[i], float) for i in (0, 3, 5))
         found = t_hat_b_hat_bounds(chunk, cfg)
-        assert [type(f) if isinstance(f, Exception) else f for f in found] == alone
+        assert [type(f) if isinstance(f, Exception) else f.value for f in found] == alone
         assert [found[i] for i in (0, 3, 5)] == t_hat_b_hat_bounds([same[0], same[2], same[3]], cfg)
+
+
+class TestCascadeBounds:
+    """The sub-grid bounds of M_s = 2, 4 and 8 phases nest below the objective."""
+
+    @pytest.mark.parametrize("constellation, n", [("real_axis", 2), ("imaginary", 2)])
+    def test_levels_rise_to_the_objective(self, constellation, n):
+        items, cfg = lattice_points(constellation, n)
+        assert cfg.phase_points == 16
+        chunks = [items[start : start + 16] for start in range(0, len(items), 16)]
+        levels = {m: [b for chunk in chunks for b in t_hat_b_hat_bounds(chunk, cfg, m)] for m in (2, 4, 8)}
+        # a tightened bound, which measures only the rows the coarser sub-grid lacks, is the same
+        for m in (4, 8):
+            tightened = [b for start, chunk in zip(range(0, len(items), 16), chunks)
+                         for b in t_hat_b_hat_bounds(chunk, cfg, m, levels[m // 2][start : start + 16])]
+            assert tightened == levels[m]
+        grids = [link.grid for chunk in chunks for link in metrics._link_grids(chunk, cfg)]
+        for i, ((s, link_length), grid) in enumerate(zip(items, grids)):
+            b2, b4, b8 = (levels[m][i] for m in (2, 4, 8))
+            full = t_hat_b_hat(s, cfg, link_length, profile=False)
+            assert b2.value <= b4.value <= b8.value <= full.t_hat * full.b_hat
+            ends = [s] if s.is_imaginary() or link_length == 0.0 else [s, evolve(s, link_length)]
+            for m, bound in ((2, b2), (4, b4), (8, b8)):
+                maxima = [t_max_b_max(end, replace(cfg, phase_points=m), grid) for end in ends]
+                t_max, b_max = max(r.t_max for r in maxima), max(r.b_max for r in maxima)
+                assert bound == (t_max * b_max, t_max, b_max)
+            # the top level's maxima floor the full evaluation without moving it
+            floored = t_hat_b_hat(s, cfg, link_length, profile=False, floors=b8[1:])
+            assert (floored.t_hat, floored.b_hat) == (full.t_hat, full.b_hat)
+
+    def test_sub_points_off_the_grid_are_refused(self):
+        items, cfg = lattice_points("imaginary", 2)
+        for sub_points in (1, 3, 6, 32):
+            with pytest.raises(InvalidParameterError, match="sub_points"):
+                t_hat_b_hat_bounds(items[:2], cfg, sub_points)
+        off = replace(cfg, phase_points=12)
+        assert t_hat_b_hat_bounds(items[:2], off, 4) == [metrics.NO_SUB_GRID] * 2
 
 
 class TestRatios:

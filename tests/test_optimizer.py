@@ -1,6 +1,7 @@
 import concurrent.futures.process
 import csv
 import errno
+import heapq
 import math
 import multiprocessing
 import os
@@ -19,8 +20,10 @@ import pytest
 
 from soliton_tbp import optimizer
 from soliton_tbp.cli import main
-from soliton_tbp.errors import DegenerateSpectrumError, InvalidParameterError, SpectrumFileError
-from soliton_tbp.metrics import MeasureConfig, single_soliton_tbp, t_hat_b_hat_bound
+from soliton_tbp.errors import (DegenerateSpectrumError, InvalidParameterError,
+                                MeasurementUnreliableError, SpectrumFileError)
+from soliton_tbp.metrics import (NO_SUB_GRID, MeasureConfig, SubGridBound, single_soliton_tbp,
+                                 t_hat_b_hat_bound)
 from soliton_tbp.optimizer import (
     FINE_STEPS,
     SWEEP_GRIDS,
@@ -65,6 +68,12 @@ def pruning_real_spec():
     return replace(tiny_real_spec(), ranges={"omega_1": (0.1, 0.5, 0.1), "dt_1": (-2.0, -0.5, 0.5)})
 
 
+def cascade_real_spec():
+    """81 points at M = 16: bounds are tightened from 2 to 4 to 8 phases, as in the desk sweeps."""
+    return SweepSpec("real_axis", 2, {"omega_1": (0.04, 0.12, 0.01), "dt_1": (-1.2, -0.4, 0.1)},
+                     measure=replace(FAST, phase_points=16, z_samples=3))
+
+
 def degenerate_imag_spec():
     # sigma_1 = 0.5 collides with the pinned 0.5: NaN rows among finite ones
     return SweepSpec("imaginary", 2, {"sigma_1": (0.5, 0.7, 0.1), "dt_1": (1.5, 2.5, 0.5)},
@@ -73,7 +82,8 @@ def degenerate_imag_spec():
 
 def no_bound(monkeypatch):
     """Bound every point by -inf, so that every point is evaluated, in parameter order."""
-    monkeypatch.setattr(optimizer, "t_hat_b_hat_bounds", lambda items, measure: [-math.inf] * len(items))
+    monkeypatch.setattr(optimizer, "t_hat_b_hat_bounds",
+                        lambda items, measure, sub_points, coarser=None: [NO_SUB_GRID] * len(items))
 
 
 def trace_rows(path):
@@ -90,9 +100,9 @@ def record_calls(monkeypatch):
     evaluated = []
     evaluate = optimizer._evaluate
 
-    def record(constellation, n, names, values, measure):
+    def record(constellation, n, names, values, measure, floors=None):
         evaluated.append(values)
-        return evaluate(constellation, n, names, values, measure)
+        return evaluate(constellation, n, names, values, measure, floors)
 
     monkeypatch.setattr(optimizer, "_evaluate", record)
     return evaluated
@@ -109,12 +119,12 @@ def log_calls(monkeypatch, tmp_path, fail_at=None):
     log.touch()
     evaluate = optimizer._evaluate
 
-    def logged(constellation, n, names, values, measure):
+    def logged(constellation, n, names, values, measure, floors=None):
         with open(log, "a") as fh:
             fh.write(f"{values}\n")
         if optimizer._key(values) == fail_at:
             raise TypeError(f"no objective at {values}")
-        return evaluate(constellation, n, names, values, measure)
+        return evaluate(constellation, n, names, values, measure, floors)
 
     monkeypatch.setattr(optimizer, "_evaluate", logged)
     return log
@@ -211,7 +221,7 @@ class TestGridAxis:
         monkeypatch.setenv("SOLITON_TBP_THREADS", "1")  # a forked worker's calls land in its copy
         evaluated = []
 
-        def record(constellation, n, names, values, measure):
+        def record(constellation, n, names, values, measure, floors=None):
             evaluated.append(values)
             objective = 1.0 if values[0] > 0.0 else float("nan")  # omega_1 = 0 is degenerate
             return TracePoint(values, 1.0, 1.0, objective), 0.0
@@ -279,7 +289,7 @@ class TestSweep:
         monkeypatch.setenv("SOLITON_TBP_THREADS", "1")  # a forked worker's calls land in its copy
         evaluated = []
 
-        def record(constellation, n, names, values, measure):
+        def record(constellation, n, names, values, measure, floors=None):
             evaluated.append(optimizer._key(values))
             objective = 1.0 + (values[0] - 0.64) ** 2 + (values[1] - 2.0) ** 2
             return TracePoint(values, 1.0, objective, objective), 0.0
@@ -369,37 +379,60 @@ class TestSweep:
         assert res.tbp_per_ev_ratio > 0.0
 
 
+def replay_cascade(bounds, objectives, top, incumbent=math.inf):
+    """(params, status) of each point in the cascade's decision order, from per-level bounds alone."""
+    entries = [(levels[2], 2, params) for params, levels in bounds.items()]
+    heapq.heapify(entries)
+    decided = []
+    while entries:
+        batch = [heapq.heappop(entries) for _ in range(min(optimizer.BATCH_SIZE, len(entries)))]
+        best = incumbent
+        for bound, level, params in batch:
+            if bound > incumbent:
+                decided.append((params, "pruned"))
+            elif level < top:
+                heapq.heappush(entries, (bounds[params][2 * level], 2 * level, params))
+            else:
+                decided.append((params, "ok"))
+                best = min(best, objectives[params])
+        incumbent = best
+    return decided
+
+
 class TestPruning:
-    @pytest.mark.parametrize("make_spec", [pruning_imag_spec, pruning_real_spec],
-                             ids=["imaginary", "real_axis"])
-    def test_pruned_points_lie_above_the_optimum(self, tmp_path, make_spec):
-        spec = make_spec()
+    @pytest.mark.parametrize("make_spec, m", [(pruning_imag_spec, 8), (pruning_real_spec, 8),
+                                              (cascade_real_spec, 16)],
+                             ids=["imaginary", "real_axis", "real_axis_m16"])
+    def test_pruned_points_lie_above_the_optimum(self, tmp_path, make_spec, m):
+        spec = replace(make_spec(), measure=replace(make_spec().measure, phase_points=m))
+        top = optimizer._top_level(m)
+        levels = [2**k for k in range(1, top.bit_length())]
+        assert levels == ([2, 4] if m == 8 else [2, 4, 8])
         trace = tmp_path / "trace.csv"
         res = run_sweep(spec, trace_path=trace)
         assert {p.status for p in res.trace} == {"ok", "pruned"}
-        bounds = {}
+        bounds, objectives = {}, {}
         for p in res.trace:
             spectrum, l_star = spectrum_for_point(spec.constellation, spec.n, res.param_names, p.params)
-            bounds[p.params] = t_hat_b_hat_bound(spectrum, spec.measure, l_star)
+            bounds[p.params] = {k: t_hat_b_hat_bound(spectrum, spec.measure, l_star, k) for k in levels}
             exact, _, _ = evaluate_point(spec.constellation, spec.n,
                                          dict(zip(res.param_names, p.params)), spec.measure)
-            assert bounds[p.params] <= exact.objective
+            objectives[p.params] = exact.objective
+            assert [bounds[p.params][k] for k in levels] == sorted(bounds[p.params].values())
+            assert bounds[p.params][top] <= exact.objective
             if p.status == "pruned":
                 assert math.isnan(p.t_hat) and math.isnan(p.b_hat) and math.isnan(p.objective)
                 assert exact.objective > res.best.objective
             else:
                 assert p == exact
-        # decision order: ascending (bound, params); a point is pruned when its bound lies
-        # strictly above the best objective of the batches before its own
-        order = [tuple(map(float, row[:2])) for row in trace_rows(trace)]
-        assert order == sorted(order, key=lambda params: (bounds[params], params))
-        done = {p.params: p for p in res.trace}
-        incumbent = math.inf
-        for start in range(0, len(order), optimizer.BATCH_SIZE):
-            batch = [done[params] for params in order[start : start + optimizer.BATCH_SIZE]]
-            for p in batch:
-                assert (p.status == "pruned") == (bounds[p.params] > incumbent)
-            incumbent = min([incumbent] + [p.objective for p in batch if p.ok])
+        # decision order: the cascade on ascending (bound, level, params), a batch at a time; a
+        # point is pruned when its bound lies strictly above the best objective of the batches
+        # before its own, tightened below the top level and evaluated at it
+        decided = [(tuple(map(float, row[:2])), row[-1]) for row in trace_rows(trace)]
+        assert decided == replay_cascade(bounds, objectives, top)
+        if m == 16:  # deciding on the two-phase bound alone evaluates four times as many points
+            ok = sum(status == "ok" for _, status in decided)
+            assert 4 * ok == sum(status == "ok" for _, status in replay_cascade(bounds, objectives, 2))
 
     def test_a_bound_equal_to_the_incumbent_is_evaluated(self, monkeypatch):
         # the first batch, bounded by 0.5, sets the incumbent to 1.0; the ninth point's
@@ -407,12 +440,64 @@ class TestPruning:
         monkeypatch.setenv("SOLITON_TBP_THREADS", "1")  # a forked worker's calls land in its copy
         monkeypatch.setattr(optimizer, "_bound_chunk",
                             lambda constellation, n, names, measure, chunk:
-                            [1.0 if values == (0.54, 1.5) else 0.5 for values in chunk])
-        monkeypatch.setattr(optimizer, "_evaluate", lambda constellation, n, names, values, measure:
-                            (TracePoint(values, 1.0, 1.0, 1.0), 0.0))
+                            [SubGridBound(1.0 if values == (0.54, 1.5) else 0.5, 1.0, 1.0)
+                             for values in chunk])
+        monkeypatch.setattr(optimizer, "_evaluate", lambda constellation, n, names, values, measure,
+                            floors: (TracePoint(values, 1.0, 1.0, 1.0), 0.0))
         res = run_sweep(tiny_imag_spec())
         assert {p.status for p in res.trace} == {"ok"}
         assert res.best.params == (0.54, 1.5)
+
+    def test_the_trace_does_not_depend_on_the_task_split(self, tmp_path, monkeypatch):
+        expected = tmp_path / "default.csv"
+        sweep_with(monkeypatch, 1, cascade_real_spec(), expected)
+        for name, split in (("single", lambda items, parts: [[item] for item in items]),
+                            ("whole", lambda items, parts: [items])):
+            monkeypatch.setattr(optimizer, "_split", split)
+            for workers in (1, 2):
+                trace = tmp_path / f"{name}_{workers}.csv"
+                sweep_with(monkeypatch, workers, cascade_real_spec(), trace)
+                assert trace.read_bytes() == expected.read_bytes()
+
+    def test_a_failing_tightening_is_a_nan_row(self, tmp_path, monkeypatch):
+        fresh = sweep_with(monkeypatch, 1, cascade_real_spec())
+        first = [p for p in fresh.trace if p.status == "ok"][0].params
+        bounds = optimizer.t_hat_b_hat_bounds
+        spectrum, _ = spectrum_for_point("real_axis", 2, fresh.param_names, first)
+
+        def failing(items, measure, sub_points, coarser=None):
+            found = bounds(items, measure, sub_points, coarser)
+            return [MeasurementUnreliableError("marked") if sub_points == 8 and s == spectrum else f
+                    for (s, _), f in zip(items, found)]
+
+        monkeypatch.setattr(optimizer, "t_hat_b_hat_bounds", failing)
+        evaluated = record_calls(monkeypatch)
+        res = sweep_with(monkeypatch, 1, cascade_real_spec(), tmp_path / "trace.csv")
+        row = {p.params: p for p in res.trace}[first]
+        assert row.status == "MeasurementUnreliableError" and math.isnan(row.objective)
+        assert first not in evaluated and res.best.objective >= fresh.best.objective
+
+    def test_a_trace_decided_on_the_two_phase_bound_resumes(self, tmp_path, monkeypatch):
+        # with the cascade's top at two phases a sweep decides on the two-phase bound alone,
+        # as sweeps did before the cascade, and writes their traces byte for byte
+        monkeypatch.setenv("SOLITON_TBP_THREADS", "1")
+        monkeypatch.setattr(optimizer, "TOP_SUB_GRID", 2)
+        old = tmp_path / "old.csv"
+        decided_alone = run_sweep(cascade_real_spec(), old)
+        monkeypatch.undo()
+        fresh = sweep_with(monkeypatch, 1, cascade_real_spec())
+        assert fresh.best == decided_alone.best
+        written = old.read_bytes()
+        evaluated = record_calls(monkeypatch)
+        # compared by repr, where NaN cells are equal: NaNs read from the trace are distinct objects
+        assert repr(sweep_with(monkeypatch, 2, cascade_real_spec(), old)) == repr(decided_alone)
+        assert evaluated == [] and old.read_bytes() == written
+        # an interrupted old trace: its rows are kept, the rest is decided by the cascade
+        lines = written.splitlines(keepends=True)
+        old.write_bytes(b"".join(lines[:12]))
+        resumed = sweep_with(monkeypatch, 2, cascade_real_spec(), old)
+        assert resumed.best == fresh.best
+        assert old.read_bytes().startswith(b"".join(lines[:12]))
 
     def test_no_bound_off_a_power_of_two(self):
         spec = replace(pruning_imag_spec(), measure=replace(FAST, phase_points=6))
@@ -437,6 +522,7 @@ POOL_SPECS = {
     "real_axis": tiny_real_spec,
     "degenerate": degenerate_imag_spec,
     "pruned": pruning_real_spec,
+    "cascade": cascade_real_spec,
 }
 
 
@@ -480,10 +566,10 @@ class TestWorkerPool:
         log = tmp_path / "bounded.txt"
         bounds = optimizer.t_hat_b_hat_bounds
 
-        def logged(items, measure):
+        def logged(items, measure, sub_points, coarser=None):
             with open(log, "a") as fh:
                 fh.write(f"{os.getpid()} {len(items)}\n")
-            return bounds(items, measure)
+            return bounds(items, measure, sub_points, coarser)
 
         monkeypatch.setattr(optimizer, "t_hat_b_hat_bounds", logged)
         resumed = sweep_with(monkeypatch, 2, wide_imag_spec(), trace)
@@ -555,7 +641,8 @@ class TestWorkerPool:
 
         monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", InlinePool)
         # every bound is 1; the first batch's objectives of 0.5 prune every other point
-        monkeypatch.setattr(optimizer, "_bound_chunk", lambda *args: [1.0] * len(args[-1]))
+        monkeypatch.setattr(optimizer, "_bound_chunk",
+                            lambda *args: [SubGridBound(1.0, 1.0, 1.0)] * len(args[-1]))
         monkeypatch.setattr(optimizer, "_evaluate_or_nan",
                             lambda *args: TracePoint(args[-1], 1.0, 0.5, 0.5))
         spec = SweepSpec("real_axis", 2, {"omega_1": (0.0, 1.0, 0.004), "dt_1": (-4.0, 0.0, 0.02)},
@@ -609,11 +696,11 @@ class TestWorkerPool:
         evaluate = optimizer._evaluate
         parent = os.getpid()
 
-        def crash(constellation, n, names, values, measure):
+        def crash(constellation, n, names, values, measure, floors=None):
             if optimizer._key(values) == (0.64, 2.0):  # the fifth of nine points
                 assert os.getpid() != parent, "the crashing point ran in the test process"
                 os._exit(1)
-            return evaluate(constellation, n, names, values, measure)
+            return evaluate(constellation, n, names, values, measure, floors)
 
         monkeypatch.setattr(optimizer, "_evaluate", crash)
         with pytest.raises(BrokenProcessPool):

@@ -174,6 +174,29 @@ class TestEvolve:
         with pytest.raises(OverflowError):
             evolve(s, 1e4)
 
+    def test_eta_underflow_is_refused_as_by_the_constructor(self):
+        s = DiscreteSpectrum([0.5], [1.0])
+        with pytest.raises(ValueError, match=r"^eta must be finite and > 0, got 0\.0$"):
+            evolve(s, -200.0)
+
+    def test_equals_the_checked_construction(self, rng):
+        from conftest import random_spectrum
+
+        for _ in range(50):
+            s = random_spectrum(rng, n=int(rng.integers(1, 5)))
+            z = float(rng.uniform(-5.0, 5.0))
+            out = evolve(s, z)
+            pairs = list(zip(s.sigmas.tolist(), s.omegas.tolist()))
+            etas = [math.exp(math.log(eta) + 8.0 * sigma * omega * z)
+                    for (sigma, omega), eta in zip(pairs, s.etas.tolist())]
+            phis = [phi - 4.0 * (omega**2 - sigma**2) * z
+                    for (sigma, omega), phi in zip(pairs, s.phis.tolist())]
+            checked = DiscreteSpectrum(s.sigmas, s.omegas, etas, phis)
+            assert out == checked and type(out) is DiscreteSpectrum
+            assert all(not getattr(out, name).flags.writeable
+                       for name in ("sigmas", "omegas", "etas", "phis"))
+            assert np.all((out.phis >= 0.0) & (out.phis < 2.0 * math.pi))
+
 
 class TestTransform:
     def test_time_shift_zero_is_identity(self):
