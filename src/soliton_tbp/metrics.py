@@ -42,7 +42,11 @@ through the recursion.  A guard checks every such row against its Gram
 bound; if one lies outside it, the chunk is evaluated again from the exact
 rows of the whole chunk.  Smaller grids, such as N=2 and the desk N=3 sweep,
 keep the recursion for every row: there the Gram coefficients cost more
-than they save.
+than they save.  A call with at least as many full blocks as workers runs
+its blocks in forked workers (`pool.ordered_pool`): each block is floored
+by the maxima of the blocks read so far, and the parent merges the results
+in block order, so the maxima, the argmaxes and the error raised are those
+of the serial loop.
 `t_hat_b_hat`, the one way from a spectrum to T-hat and B-hat, picks that
 time grid (`_link_grid`: the lean grids at z = 0, L/2 and L share their
 bandwidth estimate and tail coefficients) and measures the distances of a
@@ -81,6 +85,7 @@ from .darboux import (SampledSignal, TimeGrid, _gram_coefficients, _gram_rows, _
                       _seeds_in_range, _synthesize_axes, auto_grid, synthesize, synthesize_phases,
                       union_grid)
 from .errors import InvalidParameterError, MeasurementUnreliableError
+from .pool import _worker_count, ordered_pool
 from .spectrum import DiscreteSpectrum, evolve
 
 # Energy fraction at the grid edge cells above which the energy-window search
@@ -549,44 +554,104 @@ def t_max_b_max(
     the floor with a None argmax, and the energy definition skips exactly
     the rows that cannot beat it.
 
-    Rows are measured in blocks of at most `CHUNK_SIZE` rows, each with the
-    widest windows of the blocks before it as floors.  A phase grid of fewer
-    than `CHUNK_SIZE` rows packs as many whole distances into a block as
-    fit; a larger one goes distance by distance in chunks of `CHUNK_SIZE`
-    rows, ranked by the Gram form where the module docstring says.
+    Rows are measured in blocks of at most `CHUNK_SIZE` rows, in (distance,
+    block) order (`_grid_block`): a phase grid of fewer than `CHUNK_SIZE`
+    rows packs as many whole distances into a block as fit, a larger one
+    goes distance by distance, ranked by the Gram form where the module
+    docstring says.  Each block is floored by the maxima of the blocks read
+    before it starts, and the results are merged in block order, an equal
+    width in a later block keeping the earlier row.  A lower floor leaves a
+    block's widest row unchanged, so the maxima and argmaxes are those of
+    the serial loop.  A call with at least as many full blocks as workers
+    (rows over all distances >= workers * `CHUNK_SIZE`) runs its blocks in
+    forked workers (`pool.ordered_pool`), whose floors lag by the blocks
+    still pending; the first block, in order, that raises has its error
+    raised here.
     """
+    global _grid_call
     combos = phase_combinations(
         spectrum.n, config.phase_points, conjugation_reduced=spectrum.is_imaginary()
     )
-    ends = {0, len(zs) - 1} if with_b else set()
     per_block = max(1, CHUNK_SIZE // len(combos))
+    groups = [range(first, min(first + per_block, len(zs))) for first in range(0, len(zs), per_block)]
+    tasks = [(g, start) for g in range(len(groups)) for start in range(0, len(combos), CHUNK_SIZE)]
+    workers = _worker_count()
+    if len(combos) * len(zs) < workers * CHUNK_SIZE:
+        workers = 1
     best = [(floor, None) for floor in floors]  # (width, phases) of T and B
-    for first in range(0, len(zs), per_block):
-        group = range(first, min(first + per_block, len(zs)))
-        spectra = [_at(spectrum, zs[i]) for i in group]
-        gram = None
-        if (config.definition == "energy" and spectrum.n == 3 and len(combos) >= CHUNK_SIZE
-                and _seeds_in_range(spectra[0].lams, np.log(spectra[0].etas), grid.times)):
-            gram = _gram_coefficients(spectra[0], grid.times)  # a block of one distance
-        for start in range(0, len(combos), CHUNK_SIZE):
-            block = combos[start : start + CHUNK_SIZE]
-            # the rows of distance i in `ends` are measured for B
-            measured = np.repeat([i in ends for i in group], len(block))
-            b_rows = slice(None) if measured.all() else np.flatnonzero(measured)
-            floors = (best[0][0], best[1][0])
-            chunk = None if gram is None else _ranked_windows(spectra[0], grid, block, gram,
-                                                              config, b_rows, floors)
-            if chunk is None:
-                parts = [synthesize_phases(s, grid, block) for s in spectra]
-                samples = parts[0] if len(parts) == 1 else np.concatenate(parts)
-                chunk = _windows(samples, [(grid, len(samples))], config, b_rows, floors)[0]
-            for k, found in enumerate(chunk):
-                # strict >: an equal width in a later block keeps the earlier row
-                if found is not None and found[1].width > best[k][0]:
-                    phases = block[found[0] % len(block)]
-                    best[k] = (found[1].width, tuple(float(v) for v in phases))
+    call = _GridCall(spectrum, config, grid, combos, zs, groups, {0, len(zs) - 1} if with_b else set())
+    with ordered_pool(workers, len(tasks)) as (size, run):
+        if size > 1:  # the workers, forked at the first task, read the call from their copy
+            _grid_call, call = call, None
+        try:
+            blocks = run((_grid_block, (g, start, (best[0][0], best[1][0]), call)) for g, start in tasks)
+            for (_, start), chunk in zip(tasks, blocks):
+                rows = min(CHUNK_SIZE, len(combos) - start)
+                for k, found in enumerate(chunk):
+                    # strict >: an equal width in a later block keeps the earlier row
+                    if found is not None and found[1] > best[k][0]:
+                        phases = combos[start + found[0] % rows]
+                        best[k] = (found[1], tuple(float(v) for v in phases))
+        finally:
+            _grid_call = None
     (t_max, t_argmax), (b_max, b_argmax) = best
     return PhaseSweepResult(t_max, b_max if with_b else math.nan, t_argmax, b_argmax)
+
+
+@dataclass
+class _GridCall:
+    """The phase grid of the `t_max_b_max` call being measured, and the last distances' set-up.
+
+    ``groups`` holds the distance indices of each block group, ``ends``
+    those measured for B; ``last`` is (group, spectra, Gram form or None)
+    of the group measured last in this process.
+    """
+
+    spectrum: DiscreteSpectrum
+    config: MeasureConfig
+    grid: TimeGrid
+    combos: np.ndarray
+    zs: object
+    groups: list
+    ends: set
+    last: tuple = (None, None, None)
+
+
+# The call a pooled `t_max_b_max` measures: set before its workers fork, read by them.
+_grid_call: _GridCall | None = None
+
+
+def _grid_block(g: int, start: int, floors: tuple[float, float], call: _GridCall | None) -> list:
+    """(row, width) or None of T and B in the block at ``start`` of group ``g`` of ``call``.
+
+    ``call`` is None in a worker, which reads `_grid_call`.  The row
+    indexes the block's rows, the group's distances one after another.  A
+    group of one distance of a large enough energy-definition grid of three
+    eigenvalues is ranked by its Gram form, built once per group in each
+    process.
+    """
+    call = call or _grid_call
+    group = call.groups[g]
+    if call.last[0] != g:
+        spectra = [_at(call.spectrum, call.zs[i]) for i in group]
+        gram = None
+        if (call.config.definition == "energy" and call.spectrum.n == 3
+                and len(call.combos) >= CHUNK_SIZE
+                and _seeds_in_range(spectra[0].lams, np.log(spectra[0].etas), call.grid.times)):
+            gram = _gram_coefficients(spectra[0], call.grid.times)  # a block of one distance
+        call.last = (g, spectra, gram)
+    _, spectra, gram = call.last
+    block = call.combos[start : start + CHUNK_SIZE]
+    # the rows of distance i in `ends` are measured for B
+    measured = np.repeat([i in call.ends for i in group], len(block))
+    b_rows = slice(None) if measured.all() else np.flatnonzero(measured)
+    chunk = None if gram is None else _ranked_windows(spectra[0], call.grid, block, gram,
+                                                      call.config, b_rows, floors)
+    if chunk is None:
+        parts = [synthesize_phases(s, call.grid, block) for s in spectra]
+        samples = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        chunk = _windows(samples, [(call.grid, len(samples))], call.config, b_rows, floors)[0]
+    return [None if found is None else (found[0], found[1].width) for found in chunk]
 
 
 @dataclass(frozen=True)

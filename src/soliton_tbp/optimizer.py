@@ -41,16 +41,16 @@ the error class it has alone.  A tightening task does the same for some of
 a batch's entries at one level, measuring only the rows their coarser
 sub-grid lacks; an evaluation task evaluates one point, its floors started
 at the maxima of its top sub-grid.
-Both passes run in worker processes forked from the caller (at most
-`SOLITON_TBP_THREADS` of them), because each point is thousands of short
-numpy calls and threads would serialize on the GIL; only parameters,
-bounds and `TracePoint`s cross between processes, so pooled and serial
-sweeps agree bit for bit.  The parent submits the tasks of a pass as
-results come back, at most `PENDING_PER_WORKER` per worker ahead of the
-results it has read, and unpacks them in submission order.  With one
-worker, at most one task in the first pass and one point to decide, other
-threads running in the caller, or no "fork" start method, the points are
-decided in-process.  No worker outlives the sweep, on success or error.
+Both passes run in worker processes forked from the caller
+(`pool.ordered_pool`, at most `SOLITON_TBP_THREADS` of them), which
+measure their points' phase grids in-process; only parameters, bounds and
+`TracePoint`s cross between processes, so pooled and serial sweeps agree
+bit for bit.  The parent submits the tasks of a pass as results come
+back, at most `pool.PENDING_PER_WORKER` per worker ahead of the results it
+has read, and unpacks them in submission order.  With one worker, at most
+one task in the first pass and one point to decide, other threads running
+in the caller, or no "fork" start method, the points are decided
+in-process.  No worker outlives the sweep, on success or error.
 Every grid point lands in an append-only trace (CSV) with a status: "ok",
 "pruned" (NaN values), or the class of the error that made a NaN row (a
 degenerate spectrum, such as coinciding eigenvalues or unordered sigmas, or
@@ -74,8 +74,6 @@ import csv
 import heapq
 import math
 import os
-import threading
-from collections import deque
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 from itertools import chain, product, zip_longest
@@ -86,9 +84,9 @@ import numpy as np
 from .errors import DegenerateSpectrumError, InvalidParameterError, SolitonError, SpectrumFileError
 from .io import _decode_text
 from .metrics import MeasureConfig, t_hat_b_hat, t_hat_b_hat_bounds, tbp_per_eigenvalue_ratio
+from .pool import _worker_count, ordered_pool
 from .spectrum import DiscreteSpectrum
 
-THREADS_ENV = "SOLITON_TBP_THREADS"
 # Points decided together in the best-first pass of a sweep: the incumbent is
 # updated between batches, so the points evaluated depend on this size alone.
 BATCH_SIZE = 8
@@ -97,9 +95,6 @@ POINT_ERRORS = (SolitonError, ArithmeticError, ValueError)
 # Consecutive points bounded by one task of the first pass: their grids are
 # sized and their sub-grid rows measured together.
 BOUND_CHUNK = 16
-# Tasks a pooled pass keeps submitted and not yet read, per worker: the parent
-# holds that many futures however many points the pass has.
-PENDING_PER_WORKER = 8
 # The largest phase sub-grid the cascade tightens a bound to (M/2 when M is
 # smaller): each level costs about twice the one before, and a full
 # evaluation measures every distance of the link.
@@ -330,18 +325,6 @@ def _read_trace(path: Path | None, header: list) -> dict:
     return done
 
 
-def _worker_count() -> int:
-    env = os.environ.get(THREADS_ENV)
-    if env:
-        count = int(env) if env.strip().isdecimal() else 0
-        if count < 1:
-            raise InvalidParameterError(f"{THREADS_ENV} must be an integer >= 1, got {env!r}")
-        return count
-    # the CPUs this process may run on: a cpuset-limited container's, not the host's
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return min(4, cpus or 1)
-
-
 def _evaluate(constellation: str, n: int, names, values, measure: MeasureConfig, floors=None):
     """(TracePoint, link length) of one parameter vector: T-hat, B-hat and their product.
 
@@ -413,25 +396,6 @@ def _split(items, parts: int) -> list:
     return [items[start : start + size] for start in range(0, len(items), size)]
 
 
-def _call(task):
-    fn, args = task
-    return fn(*args)
-
-
-def _ordered_map(pool, tasks, pending: int):
-    """The results of ``tasks``, (function, arguments) pairs run in ``pool``, in order.
-
-    At most ``pending`` tasks are submitted and not yet read.
-    """
-    futures = deque()
-    for fn, args in tasks:
-        futures.append(pool.submit(fn, *args))
-        if len(futures) == pending:
-            yield futures.popleft().result()
-    while futures:
-        yield futures.popleft().result()
-
-
 def _run_points(spec: SweepSpec, names, points, done, fh, workers: int, incumbent: float):
     """Decide the points not in `done`, best first, appending rows to `fh` in decision order.
 
@@ -460,9 +424,6 @@ def _run_points(spec: SweepSpec, names, points, done, fh, workers: int, incumben
     one task, so a resume with one point left still bounds its pass in the
     pool.  Returns the points' trace rows in enumeration order.
     """
-    import multiprocessing
-    from concurrent.futures.process import ProcessPoolExecutor
-
     unique = {}
     for params in points:
         unique.setdefault(_key(params), params)
@@ -471,20 +432,8 @@ def _run_points(spec: SweepSpec, names, points, done, fh, workers: int, incumben
     chunks = [values[start : start + BOUND_CHUNK] for start in range(0, len(values), BOUND_CHUNK)]
     # the most tasks either pass hands out: every chunk is bounded when any point is to decide
     tasks = max(len(todo), len(chunks)) if todo else 0
-    size = 1
-    run = partial(map, _call)
-    # Fork, not spawn or forkserver: those re-import __main__, which breaks a caller's
-    # script without a __main__ guard, and re-import numpy and the package in every
-    # worker.  A fork copies only the calling thread, so a caller with other threads
-    # (whose locks the copy could inherit held) evaluates in-process.
-    pool = None
-    if (workers > 1 and tasks > 1 and threading.active_count() == 1
-            and "fork" in multiprocessing.get_all_start_methods()):
-        if fh is not None:  # a forked worker holds a copy of the buffered rows
-            fh.flush()
-        size = min(workers, tasks)
-        pool = ProcessPoolExecutor(size, mp_context=multiprocessing.get_context("fork"))
-        run = partial(_ordered_map, pool, pending=PENDING_PER_WORKER * size)
+    if fh is not None:  # a forked worker holds a copy of the buffered rows
+        fh.flush()
     writer = csv.writer(fh) if fh is not None else None
 
     def record(point):
@@ -495,7 +444,7 @@ def _run_points(spec: SweepSpec, names, points, done, fh, workers: int, incumben
             writer.writerow([repr(v) for v in point.params] + [repr(point.t_hat), repr(point.b_hat),
                                                                repr(point.objective), point.status])
 
-    try:
+    with ordered_pool(workers, tasks) as (size, run):
         entries = []  # (bound, level, params, SubGridBound)
         bound = partial(_bound_chunk, spec.constellation, spec.n, names, spec.measure)
         if todo:
@@ -539,9 +488,6 @@ def _run_points(spec: SweepSpec, names, points, done, fh, workers: int, incumben
                     if done[key].ok:
                         objectives.append(done[key].objective)
             incumbent = min(objectives)
-    finally:
-        if pool is not None:  # after an error, cancel what has not started and reap every worker
-            pool.shutdown(wait=True, cancel_futures=True)
     return [done[_key(params)] for params in points]
 
 

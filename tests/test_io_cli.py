@@ -707,6 +707,17 @@ class TestCli:
                              text=True, timeout=120, check=True)
         assert run.stdout.strip() == "[]"
 
+    def test_cli_import_loads_no_process_pool(self):
+        # the worker pools import these when they start, not with the CLI
+        import soliton_tbp
+
+        env = dict(os.environ, PYTHONPATH=str(Path(soliton_tbp.__file__).parents[1]))
+        code = ("import sys, soliton_tbp.cli; print(sorted(m for m in sys.modules "
+                "if m.split('.')[0] == 'multiprocessing' or m.startswith('concurrent.futures')))")
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=120, check=True)
+        assert run.stdout.strip() == "[]"
+
     def test_bound_cli(self, tmp_path):
         out = tmp_path / "bound.csv"
         rc = main(["bound", "--n-max", "3", "--constellation", "imag", "--out", str(out)])

@@ -1,4 +1,7 @@
 import math
+import multiprocessing
+import time
+from contextlib import contextmanager
 from dataclasses import replace
 import warnings
 from itertools import product
@@ -520,6 +523,10 @@ def _fields(r):
 class TestGramRanking:
     SPECTRUM = DiscreteSpectrum.from_delta_t([0.7, 0.62, 0.5], delta_ts=[-2.85, 1.05, 0.0])
 
+    @pytest.fixture(autouse=True)
+    def in_process(self, monkeypatch):
+        monkeypatch.setenv("SOLITON_TBP_THREADS", "1")  # a forked worker's calls land in its copy
+
     @pytest.mark.parametrize("kind", ["imaginary", "real", "evolved"])
     @pytest.mark.parametrize("chunk", [3, metrics.CHUNK_SIZE])
     def test_ranked_matches_full_scan(self, monkeypatch, kind, chunk):
@@ -620,6 +627,94 @@ class TestGramRanking:
         assert builds == [1]
 
 
+TABLE1_N3 = DiscreteSpectrum.from_delta_t([0.7, 0.62, 0.5], delta_ts=[-2.85, 1.05, 0.0])
+TABLE2_N3 = DiscreteSpectrum.from_delta_t([0.5] * 3, [0.55, -0.55, 0.0], [-2.2, 2.2, 0.0])
+
+
+def _pool_sizes(monkeypatch):
+    """The worker count of every `t_max_b_max` call's pool, 1 where it measures in-process."""
+    sizes = []
+    ordered_pool = metrics.ordered_pool
+
+    @contextmanager
+    def recorded(workers, tasks):
+        with ordered_pool(workers, tasks) as (size, run):
+            sizes.append(size)
+            yield size, run
+
+    monkeypatch.setattr(metrics, "ordered_pool", recorded)
+    return sizes
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="phase-grid workers are forked")
+class TestPooledGrid:
+    """Phase-grid blocks measured in two forked workers give the in-process results bit for bit."""
+
+    # (spectrum, config, link length, CHUNK_SIZE or None for the default)
+    CASES = {
+        "table1_n3_gram": (TABLE1_N3, MeasureConfig(phase_points=64), 0.0, None),
+        "table2_n3_link": (TABLE2_N3, MeasureConfig(phase_points=32, z_samples=5), 2.0, None),
+        "threshold": (TABLE1_N3, MeasureConfig(phase_points=64, definition="threshold"), 0.0, None),
+        "many_blocks": (TABLE2_N3, MeasureConfig(phase_points=8, z_samples=5), 2.0, 40),
+        "packed_blocks": (TABLE2_N3, MeasureConfig(phase_points=8, z_samples=5), 2.0, 150),
+    }
+
+    @pytest.mark.parametrize("case", CASES.values(), ids=CASES.keys())
+    def test_pooled_equals_serial(self, monkeypatch, case):
+        spectrum, cfg, link_length, chunk = case
+        if chunk is not None:
+            monkeypatch.setattr(metrics, "CHUNK_SIZE", chunk)
+        zs, grid = metrics._link_grid(spectrum, cfg, link_length)
+        sizes = _pool_sizes(monkeypatch)
+        runs = []
+        for workers in ("1", "2"):
+            monkeypatch.setenv("SOLITON_TBP_THREADS", workers)
+            sizes.clear()
+            grid_max = t_max_b_max(spectrum, cfg, grid, zs=zs)
+            tied = t_max_b_max(spectrum, cfg, grid, floors=(grid_max.t_max, grid_max.b_max), zs=zs)
+            links = [t_hat_b_hat(spectrum, cfg, link_length, profile=profile) for profile in (False, True)]
+            runs.append(([_fields(grid_max), _fields(tied)] + links, list(sizes)))
+        (serial, serial_sizes), (pooled, pooled_sizes) = runs
+        assert pooled == serial
+        assert serial[1] == (serial[0][0], serial[0][1], None, None)  # the floors tie the maxima
+        assert set(serial_sizes) == {1} and pooled_sizes[:2] == [2, 2]
+        assert multiprocessing.active_children() == []
+
+    def test_the_first_failing_block_raises(self, monkeypatch):
+        # a real N=2 grid of 64 rows in 8 blocks, each synthesized by one call
+        s = DiscreteSpectrum.from_delta_t([0.5, 0.5], [0.3, -0.3], [0.0, 0.0])
+        cfg = MeasureConfig(phase_points=64)
+        grid = lean_grid(s, cfg)
+        monkeypatch.setattr(metrics, "CHUNK_SIZE", 8)
+
+        def failing(spectrum, grid, block):
+            first = round(block[0][0] * 64 / (2.0 * math.pi))
+            if first == 16:  # block 2, slow, so that block 5 fails first in the pool
+                time.sleep(0.5)
+                raise MeasurementUnreliableError("block 2")
+            if first == 40:
+                raise ArithmeticError("block 5")
+            return synthesize_phases(spectrum, grid, block)
+
+        monkeypatch.setattr(metrics, "synthesize_phases", failing)
+        sizes = _pool_sizes(monkeypatch)
+        for workers in ("1", "2"):
+            monkeypatch.setenv("SOLITON_TBP_THREADS", workers)
+            with pytest.raises(MeasurementUnreliableError, match="^block 2$"):
+                t_max_b_max(s, cfg, grid)
+            assert multiprocessing.active_children() == []
+        assert sizes == [1, 2]
+
+    def test_a_small_grid_stays_in_process(self, monkeypatch):
+        # 528 rows at M = 32: fewer full blocks than workers
+        sizes = _pool_sizes(monkeypatch)
+        monkeypatch.setenv("SOLITON_TBP_THREADS", "2")
+        cfg = MeasureConfig(phase_points=32)
+        t_max_b_max(TABLE1_N3, cfg, lean_grid(TABLE1_N3, cfg))
+        assert sizes == [1]
+
+
 class TestTHatBHat:
     def test_imaginary_skips_distance_sweep(self):
         s = DiscreteSpectrum([1.0, 0.5])
@@ -680,6 +775,7 @@ class TestTHatBHat:
     # at M = 16 a real N=3 grid has 256 rows per distance, so a block holds two distances
     @pytest.mark.parametrize("n, m", [(2, 4), (3, 4), (3, 16)], ids=["2", "3", "3-m16"])
     def test_floored_link_matches_profile(self, monkeypatch, n, m):
+        monkeypatch.setenv("SOLITON_TBP_THREADS", "1")  # a forked worker's calls land in its copy
         rng = np.random.default_rng(1700 + n)
         scanned, blocks = [], []
         windows = metrics._windows
@@ -809,6 +905,7 @@ class TestBound:
         (DiscreteSpectrum.from_delta_t([0.5] * 3, [0.55, -0.55, 0.0], [-2.2, 2.2, 0.0]), 2.0),
     ], ids=["table1_n3", "table2_n3"])
     def test_sub_grid_floors_leave_the_link_unchanged(self, monkeypatch, spectrum, link_length):
+        monkeypatch.setenv("SOLITON_TBP_THREADS", "1")  # a forked worker's calls land in its copy
         cfg = MeasureConfig(phase_points=32, z_samples=3)
         assert len(phase_combinations(3, 32, spectrum.is_imaginary())) >= metrics.CHUNK_SIZE
         scanned, floored = [], []

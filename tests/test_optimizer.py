@@ -18,7 +18,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from soliton_tbp import optimizer
+from soliton_tbp import optimizer, pool
 from soliton_tbp.cli import main
 from soliton_tbp.errors import (DegenerateSpectrumError, InvalidParameterError,
                                 MeasurementUnreliableError, SpectrumFileError)
@@ -582,6 +582,31 @@ class TestWorkerPool:
         assert os.getpid() not in {pid for pid, _ in tasks}
         assert multiprocessing.active_children() == []
 
+    @needs_fork
+    def test_a_sweep_worker_measures_a_large_grid_in_process(self, tmp_path, monkeypatch):
+        # two imag N=3 points at M = 64: each full evaluation has 2 050 phase rows, enough
+        # blocks for a pool of its own, but only the sweep's parent may fork
+        parent = os.getpid()
+        executor = concurrent.futures.process.ProcessPoolExecutor
+
+        class ParentOnly(executor):
+            def __init__(self, *args, **kwargs):
+                if os.getpid() != parent:
+                    raise AssertionError("a worker started a pool of its own")
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", ParentOnly)
+        spec = SweepSpec("imaginary", 3, {"sigma_1": (0.7, 0.7, 0.1), "sigma_2": (0.62, 0.62, 0.1),
+                                          "dt_1": (-2.85, -2.85, 0.5), "dt_2": (1.0, 1.05, 0.05)},
+                         measure=MeasureConfig(phase_points=64))
+        evaluated = record_calls(monkeypatch)
+        pooled = sweep_with(monkeypatch, 2, spec, tmp_path / "pooled.csv")
+        assert evaluated == [] and all(point.status == "ok" for point in pooled.trace)
+        assert multiprocessing.active_children() == []
+        serial = sweep_with(monkeypatch, 1, spec, tmp_path / "serial.csv")
+        assert (tmp_path / "pooled.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
+        assert repr(pooled) == repr(serial)
+
     def test_a_caller_with_threads_evaluates_in_process(self, monkeypatch):
         evaluated = record_calls(monkeypatch)
         release = threading.Event()
@@ -654,7 +679,7 @@ class TestWorkerPool:
         chunks = -(-len(points) // optimizer.BOUND_CHUNK)
         assert counts["submitted"] == chunks + optimizer.BATCH_SIZE
         assert counts["unread"] == 0
-        assert counts["peak"] == 2 * optimizer.PENDING_PER_WORKER
+        assert counts["peak"] == 2 * pool.PENDING_PER_WORKER
         assert sum(row.status == "pruned" for row in rows) == len(points) - optimizer.BATCH_SIZE
 
     @needs_fork
@@ -719,21 +744,21 @@ class TestWorkerCount:
         monkeypatch.delenv("SOLITON_TBP_THREADS", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 64)  # the host's, in a cpuset-limited container
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
-        assert optimizer._worker_count() == 3
+        assert pool._worker_count() == 3
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
-        assert optimizer._worker_count() == 4
+        assert pool._worker_count() == 4
 
     def test_default_without_affinity_counts_the_cpus(self, monkeypatch):
         monkeypatch.delenv("SOLITON_TBP_THREADS", raising=False)
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        assert optimizer._worker_count() == 2
+        assert pool._worker_count() == 2
         monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert optimizer._worker_count() == 1
+        assert pool._worker_count() == 1
 
     def test_the_variable_overrides_the_default(self, monkeypatch):
         monkeypatch.setenv("SOLITON_TBP_THREADS", "7")
-        assert optimizer._worker_count() == 7
+        assert pool._worker_count() == 7
 
 
 class TestRealAxisSweep:
